@@ -1,22 +1,28 @@
 """Label-synchronous beam search combining weighted full and partial scorers.
 
-Two variants share every selection rule: ``beam_search`` scores hypotheses
-one at a time, ``batch_beam_search`` runs each scorer once per step over the
-whole beam as vector-matrix work. Their outputs are identical by contract
-(same token sequences, scores within 1e-9, same deterministic tie-break:
-score descending, then lexicographically smaller token sequence).
+One search loop serves two scorer-call modes: ``batch_beam_search`` runs
+each scorer's own batched kernel once per step over the whole beam, while
+``beam_search`` runs the base-class kernels, which call ``score`` /
+``score_partial`` once per live hypothesis. Selection and bookkeeping are
+shared, so the two differ only in the scorer implementations they exercise;
+their outputs are identical by contract (same token sequences, scores within
+1e-9, same deterministic tie-break: score descending, then lexicographically
+smaller token sequence).
 
 Per step: full scorers rate all V extensions of every live hypothesis; the
 top-P candidates per hypothesis by weighted full-scorer total form the
-pre-beam; partial scorers rate only those; the global top-B successors
-survive. Hypotheses emitting eos move to the finished pool with per-scorer
-final adjustments added.
+pre-beam; partial scorers rate only those. The top-B cells of the resulting
+(B x P) score matrix are chosen before any successor exists, and only those
+B successors are built (scorer states selected, hypotheses allocated).
+Successors emitting eos move to the finished pool with per-scorer final
+adjustments added.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,16 +102,6 @@ class BeamConfig:
         )
 
 
-@dataclass
-class BeamState:
-    """Search bookkeeping: step index, equal-length live hypotheses (at most
-    B), and the finished pool."""
-
-    step: int
-    live: List[Hypothesis]
-    finished: List[Hypothesis] = field(default_factory=list)
-
-
 def end_detect(
     finished: Sequence[Hypothesis],
     step_best_scores: Sequence[float],
@@ -128,7 +124,7 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
 
 
 class _SearchContext:
-    """Validated scorer/weight wiring shared by both search variants."""
+    """Validated scorer/weight wiring for one search."""
 
     def __init__(
         self,
@@ -203,25 +199,23 @@ def _initial_hypothesis(ctx: _SearchContext, emission: EmissionMatrix) -> Hypoth
     )
 
 
-def _successor(
-    ctx: _SearchContext,
-    hyp: Hypothesis,
-    token: int,
-    total: float,
-    full_vecs: Dict[str, np.ndarray],
-    full_scored: Dict[str, Any],
-    part_vals: Dict[str, float],
-    part_scored: Dict[str, Any],
-) -> Hypothesis:
-    scores = dict(hyp.scores)
-    states = dict(hyp.states)
-    for name, vec in full_vecs.items():
-        scores[name] = scores[name] + float(vec[token])
-        states[name] = ctx.full[name].select_state(full_scored[name], token)
-    for name, val in part_vals.items():
-        scores[name] = scores[name] + val
-        states[name] = ctx.partial[name].select_state(part_scored[name], token)
-    return Hypothesis(yseq=hyp.yseq + (token,), score=total, scores=scores, states=states)
+def _top_cells(
+    live: Sequence[Hypothesis], cand_mat: np.ndarray, cand_scores: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the k best cells of the (B x P) candidate matrix,
+    best first, under the successor order (score desc, yseq asc).
+
+    Every live yseq has the same length, so a successor's yseq orders as its
+    parent's yseq, then its token. The parent's rank must come from sorting
+    the live yseqs: their position in ``live`` follows score, not yseq.
+    """
+    B, P = cand_mat.shape
+    parent_rank = np.empty(B, dtype=np.int64)
+    parent_rank[sorted(range(B), key=lambda i: live[i].yseq)] = np.arange(B)
+    order = np.lexsort(
+        (cand_mat.ravel(), np.repeat(parent_rank, P), -cand_scores.ravel())
+    )
+    return np.divmod(order[:k], P)
 
 
 def _finalize(ctx: _SearchContext, hyp: Hypothesis, emission: EmissionMatrix) -> Hypothesis:
@@ -238,31 +232,14 @@ def _finalize(ctx: _SearchContext, hyp: Hypothesis, emission: EmissionMatrix) ->
     )
 
 
-def _prune_and_split(
-    ctx: _SearchContext,
-    successors: List[Hypothesis],
-    state: BeamState,
-    emission: EmissionMatrix,
-    step_best: List[float],
-) -> None:
-    successors.sort(key=hypothesis_sort_key)
-    top = successors[: ctx.config.beam_size]
-    step_best.append(top[0].score)
-    live: List[Hypothesis] = []
-    for hyp in top:
-        if hyp.yseq[-1] == ctx.vocab.eos_id:
-            state.finished.append(_finalize(ctx, hyp, emission))
-        else:
-            live.append(hyp)
-    state.live = live
-
-
-def _collect_nbest(ctx: _SearchContext, state: BeamState) -> NBestList:
+def _collect_nbest(
+    ctx: _SearchContext, finished: List[Hypothesis], live: List[Hypothesis]
+) -> NBestList:
     vocab = ctx.vocab
-    pool = state.finished
+    pool = finished
     if not pool:
         # nothing ever emitted eos: fall back to the best live hypothesis
-        pool = sorted(state.live, key=hypothesis_sort_key)[:1]
+        pool = sorted(live, key=hypothesis_sort_key)[:1]
     entries = []
     for hyp in pool:
         yseq = hyp.yseq[1:]
@@ -281,6 +258,90 @@ def _resolve_lengths(config: BeamConfig, frames: int) -> Tuple[int, int]:
     return max_steps, min_len
 
 
+def _search(
+    emission: EmissionMatrix,
+    vocab: Vocabulary,
+    full_scorers: Dict[str, FullScorer],
+    config: BeamConfig,
+    partial_scorers: Optional[Dict[str, PartialScorer]],
+    batched: bool,
+) -> NBestList:
+    ctx = _SearchContext(
+        vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
+    )
+    max_steps, min_len = _resolve_lengths(config, emission.frames)
+    live = [_initial_hypothesis(ctx, emission)]
+    finished: List[Hypothesis] = []
+    step_best: List[float] = []
+
+    for step in range(max_steps):
+        allowed = ctx.allowed(eos_ok=step >= min_len)
+        n_cand = min(ctx.pre_beam_size, len(allowed))
+        if n_cand == 0:
+            break
+        prefixes = [h.yseq for h in live]
+
+        weighted = np.zeros((len(live), ctx.vocab_size))
+        full_mats: Dict[str, np.ndarray] = {}
+        full_scored: Dict[str, List[Any]] = {}
+        for name, scorer in ctx.full.items():
+            kernel = scorer.batch_score if batched else partial(FullScorer.batch_score, scorer)
+            mat, scored = kernel(prefixes, [h.states[name] for h in live], emission)
+            ctx.check_width(name, mat)
+            weighted += ctx.weights[name] * mat
+            full_mats[name] = mat
+            full_scored[name] = scored
+
+        sub = weighted[:, allowed]
+        cand_mat = np.stack(
+            [top_candidate_ids(sub[i], allowed, n_cand) for i in range(len(live))], axis=0
+        )
+        cand_scores = np.take_along_axis(weighted, cand_mat, axis=1)
+        part_mats: Dict[str, np.ndarray] = {}
+        part_scored: Dict[str, List[Any]] = {}
+        for name, scorer in ctx.partial.items():
+            kernel = (
+                scorer.batch_score_partial if batched
+                else partial(PartialScorer.batch_score_partial, scorer)
+            )
+            pmat, scored = kernel(prefixes, cand_mat, [h.states[name] for h in live], emission)
+            cand_scores = cand_scores + ctx.weights[name] * pmat
+            part_mats[name] = pmat
+            part_scored[name] = scored
+        if ctx.config.length_penalty:
+            cand_scores = cand_scores + ctx.config.length_penalty
+        cand_scores = cand_scores + np.array([h.score for h in live])[:, None]
+
+        rows, cols = _top_cells(live, cand_mat, cand_scores, config.beam_size)
+        step_best.append(float(cand_scores[rows[0], cols[0]]))
+        survivors: List[Hypothesis] = []
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            hyp = live[i]
+            token = int(cand_mat[i, j])
+            scores = dict(hyp.scores)
+            states = dict(hyp.states)
+            for name, mat in full_mats.items():
+                scores[name] = scores[name] + float(mat[i, token])
+                states[name] = ctx.full[name].select_state(full_scored[name][i], token)
+            for name, pmat in part_mats.items():
+                scores[name] = scores[name] + float(pmat[i, j])
+                states[name] = ctx.partial[name].select_state(part_scored[name][i], token)
+            succ = Hypothesis(
+                yseq=hyp.yseq + (token,), score=float(cand_scores[i, j]),
+                scores=scores, states=states,
+            )
+            if token == vocab.eos_id:
+                finished.append(_finalize(ctx, succ, emission))
+            else:
+                survivors.append(succ)
+        live = survivors
+        if end_detect(finished, step_best, config.end_detect_window, config.end_detect_margin):
+            break
+        if not live:
+            break
+    return _collect_nbest(ctx, finished, live)
+
+
 def beam_search(
     emission: EmissionMatrix,
     vocab: Vocabulary,
@@ -288,63 +349,10 @@ def beam_search(
     config: BeamConfig,
     partial_scorers: Optional[Dict[str, PartialScorer]] = None,
 ) -> NBestList:
-    """Sequential label-synchronous beam search; returns the finished pool as
-    an n-best list (best live hypothesis if nothing finished)."""
-    ctx = _SearchContext(
-        vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
-    )
-    max_steps, min_len = _resolve_lengths(config, emission.frames)
-    state = BeamState(step=0, live=[_initial_hypothesis(ctx, emission)])
-    step_best: List[float] = []
-
-    for step in range(max_steps):
-        state.step = step
-        allowed = ctx.allowed(eos_ok=step >= min_len)
-        n_cand = min(ctx.pre_beam_size, len(allowed))
-        successors: List[Hypothesis] = []
-        for hyp in state.live:
-            weighted = np.zeros(ctx.vocab_size)
-            full_vecs: Dict[str, np.ndarray] = {}
-            full_scored: Dict[str, Any] = {}
-            for name, scorer in ctx.full.items():
-                vec, scored = scorer.score(hyp.yseq, hyp.states[name], emission)
-                ctx.check_width(name, vec)
-                weighted += ctx.weights[name] * vec
-                full_vecs[name] = vec
-                full_scored[name] = scored
-
-            cands = top_candidate_ids(weighted[allowed], allowed, n_cand)
-            cand_scores = weighted[cands]
-            part_vecs: Dict[str, np.ndarray] = {}
-            part_scored: Dict[str, Any] = {}
-            for name, scorer in ctx.partial.items():
-                pvec, scored = scorer.score_partial(hyp.yseq, cands, hyp.states[name], emission)
-                cand_scores = cand_scores + ctx.weights[name] * pvec
-                part_vecs[name] = pvec
-                part_scored[name] = scored
-            if ctx.config.length_penalty:
-                cand_scores = cand_scores + ctx.config.length_penalty
-            cand_scores = cand_scores + hyp.score
-
-            for j, token in enumerate(cands):
-                successors.append(
-                    _successor(
-                        ctx, hyp, int(token), float(cand_scores[j]),
-                        full_vecs, full_scored,
-                        {name: float(vec[j]) for name, vec in part_vecs.items()},
-                        part_scored,
-                    )
-                )
-        if not successors:
-            break
-        _prune_and_split(ctx, successors, state, emission, step_best)
-        if end_detect(
-            state.finished, step_best, config.end_detect_window, config.end_detect_margin
-        ):
-            break
-        if not state.live:
-            break
-    return _collect_nbest(ctx, state)
+    """Beam search scoring one hypothesis at a time (each scorer's
+    ``score`` / ``score_partial``); returns the finished pool as an n-best
+    list (best live hypothesis if nothing finished)."""
+    return _search(emission, vocab, full_scorers, config, partial_scorers, batched=False)
 
 
 def batch_beam_search(
@@ -354,72 +362,7 @@ def batch_beam_search(
     config: BeamConfig,
     partial_scorers: Optional[Dict[str, PartialScorer]] = None,
 ) -> NBestList:
-    """Vectorized beam search: per step each scorer runs once over the whole
-    beam and scores accumulate as (B x V) matrix operations. Output is
-    identical to ``beam_search`` (same sequences, scores within 1e-9)."""
-    ctx = _SearchContext(
-        vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
-    )
-    max_steps, min_len = _resolve_lengths(config, emission.frames)
-    state = BeamState(step=0, live=[_initial_hypothesis(ctx, emission)])
-    step_best: List[float] = []
-
-    for step in range(max_steps):
-        state.step = step
-        allowed = ctx.allowed(eos_ok=step >= min_len)
-        n_cand = min(ctx.pre_beam_size, len(allowed))
-        live = state.live
-        B = len(live)
-        prefixes = [h.yseq for h in live]
-
-        weighted = np.zeros((B, ctx.vocab_size))
-        full_mats: Dict[str, np.ndarray] = {}
-        full_scored: Dict[str, List[Any]] = {}
-        for name, scorer in ctx.full.items():
-            mat, scored = scorer.batch_score(prefixes, [h.states[name] for h in live], emission)
-            ctx.check_width(name, mat)
-            weighted += ctx.weights[name] * mat
-            full_mats[name] = mat
-            full_scored[name] = scored
-
-        sub = weighted[:, allowed]
-        cand_mat = np.stack(
-            [top_candidate_ids(sub[i], allowed, n_cand) for i in range(B)], axis=0
-        )
-        cand_scores = np.take_along_axis(weighted, cand_mat, axis=1)
-        part_mats: Dict[str, np.ndarray] = {}
-        part_scored: Dict[str, List[Any]] = {}
-        for name, scorer in ctx.partial.items():
-            pmat, scored = scorer.batch_score_partial(
-                prefixes, cand_mat, [h.states[name] for h in live], emission
-            )
-            cand_scores = cand_scores + ctx.weights[name] * pmat
-            part_mats[name] = pmat
-            part_scored[name] = scored
-        if ctx.config.length_penalty:
-            cand_scores = cand_scores + ctx.config.length_penalty
-        cand_scores = cand_scores + np.array([h.score for h in live])[:, None]
-
-        successors: List[Hypothesis] = []
-        for i, hyp in enumerate(live):
-            for j in range(n_cand):
-                token = int(cand_mat[i, j])
-                successors.append(
-                    _successor(
-                        ctx, hyp, token, float(cand_scores[i, j]),
-                        {name: full_mats[name][i] for name in full_mats},
-                        {name: full_scored[name][i] for name in full_scored},
-                        {name: float(part_mats[name][i, j]) for name in part_mats},
-                        {name: part_scored[name][i] for name in part_scored},
-                    )
-                )
-        if not successors:
-            break
-        _prune_and_split(ctx, successors, state, emission, step_best)
-        if end_detect(
-            state.finished, step_best, config.end_detect_window, config.end_detect_margin
-        ):
-            break
-        if not state.live:
-            break
-    return _collect_nbest(ctx, state)
+    """Vectorized beam search: per step each scorer's batched kernel runs
+    once over the whole beam. Output is identical to ``beam_search`` (same
+    sequences, scores within 1e-9)."""
+    return _search(emission, vocab, full_scorers, config, partial_scorers, batched=True)

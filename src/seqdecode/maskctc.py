@@ -12,7 +12,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConfigError, EmissionMatrix, FormatError, ROW_TOL_EXACT, Vocabulary
+from .core import (
+    ConfigError,
+    DecodeError,
+    EmissionMatrix,
+    FormatError,
+    ROW_TOL_EXACT,
+    Vocabulary,
+)
 
 
 class MLMScorer(abc.ABC):
@@ -209,7 +216,10 @@ def mask_ctc_decode(
             seq[pos] = int(np.argmax(fill[pos]))
         filled = set(ranked)
         masked = [i for i in masked if i not in filled]
-    assert not masked, "mask-predict schedule must clear all masks within K"
+    if masked:
+        raise DecodeError(
+            f"mask-predict schedule left {len(masked)} masks after {K} iterations"
+        )
     return MaskCtcResult(
         tokens=tuple(seq),
         initial_tokens=initial,

@@ -5,6 +5,8 @@ from seqdecode import (
     BeamConfig,
     ConfigError,
     CTCPrefixScorer,
+    EmissionMatrix,
+    FullScorer,
     Hypothesis,
     TableScorer,
     batch_beam_search,
@@ -12,7 +14,17 @@ from seqdecode import (
     end_detect,
     oracle_best_sequence,
     validate_hypothesis,
+    wrap_full_as_partial,
 )
+from seqdecode.beam_search import (
+    _SearchContext,
+    _collect_nbest,
+    _finalize,
+    _initial_hypothesis,
+    _resolve_lengths,
+    top_candidate_ids,
+)
+from seqdecode.core import hypothesis_sort_key
 
 from conftest import make_vocab, random_emission, random_table_scorer
 
@@ -292,3 +304,184 @@ class TestLengthPenalty:
             results[penalty] = nbest.best().yseq
         # a strong per-token bonus never shortens the optimum
         assert len(results[2.0]) >= len(results[0.0])
+
+
+def build_all_successors_search(em, vocab, fulls, cfg, parts):
+    """The selection rule the search must reproduce, kept as a reference:
+    score one hypothesis at a time, build every B x P successor, sort them
+    all by ``hypothesis_sort_key`` and keep the best B."""
+    ctx = _SearchContext(vocab, fulls, parts, cfg, em.vocab_size)
+    max_steps, min_len = _resolve_lengths(cfg, em.frames)
+    live, finished, step_best = [_initial_hypothesis(ctx, em)], [], []
+    for step in range(max_steps):
+        allowed = ctx.allowed(eos_ok=step >= min_len)
+        n_cand = min(ctx.pre_beam_size, len(allowed))
+        successors = []
+        for hyp in live:
+            weighted = np.zeros(ctx.vocab_size)
+            vecs, full_scored = {}, {}
+            for name, scorer in ctx.full.items():
+                vecs[name], full_scored[name] = scorer.score(hyp.yseq, hyp.states[name], em)
+                weighted += ctx.weights[name] * vecs[name]
+            cands = top_candidate_ids(weighted[allowed], allowed, n_cand)
+            totals = weighted[cands]
+            pvecs, part_scored = {}, {}
+            for name, scorer in ctx.partial.items():
+                pvecs[name], part_scored[name] = scorer.score_partial(
+                    hyp.yseq, cands, hyp.states[name], em
+                )
+                totals = totals + ctx.weights[name] * pvecs[name]
+            if cfg.length_penalty:
+                totals = totals + cfg.length_penalty
+            totals = totals + hyp.score
+            for j, token in enumerate(cands.tolist()):
+                scores, states = dict(hyp.scores), dict(hyp.states)
+                for name, vec in vecs.items():
+                    scores[name] = scores[name] + float(vec[token])
+                    states[name] = ctx.full[name].select_state(full_scored[name], token)
+                for name, pvec in pvecs.items():
+                    scores[name] = scores[name] + float(pvec[j])
+                    states[name] = ctx.partial[name].select_state(part_scored[name], token)
+                successors.append(
+                    Hypothesis(hyp.yseq + (token,), float(totals[j]), scores, states)
+                )
+        if not successors:
+            break
+        successors.sort(key=hypothesis_sort_key)
+        top = successors[: cfg.beam_size]
+        step_best.append(top[0].score)
+        finished += [_finalize(ctx, h, em) for h in top if h.yseq[-1] == vocab.eos_id]
+        live = [h for h in top if h.yseq[-1] != vocab.eos_id]
+        if end_detect(finished, step_best, cfg.end_detect_window, cfg.end_detect_margin):
+            break
+        if not live:
+            break
+    return _collect_nbest(ctx, finished, live)
+
+
+class QuantisedScorer(FullScorer):
+    """Order-1 scorer whose entries are multiples of 0.5 or -inf, so totals
+    of different parents' successors tie exactly."""
+
+    def __init__(self, rng, vocab_size, neg_inf_share=0.1):
+        table = -0.5 * rng.integers(0, 4, size=(vocab_size, vocab_size)).astype(np.float64)
+        table[rng.random(table.shape) < neg_inf_share] = -np.inf
+        self.table = table
+
+    def init_state(self, emission):
+        return None
+
+    def score(self, prefix, state, emission):
+        return self.table[prefix[-1]], state
+
+
+def nbest_rows(nbest):
+    return [(e.yseq, e.score, e.scores) for e in nbest.entries]
+
+
+# each edge the top-B selection could break, on top of random sizes
+SELECTION_EDGES = {
+    "random": {},
+    "neg_inf_columns": {"frames": 5, "dead_labels": 1},
+    "t1": {"frames": 1},
+    "beam_ge_vocab": {"beam": "V"},
+    "no_eos": {"frames": 6, "min_len_ratio": 0.9, "max_steps": 4},
+    "long_prefix": {"frames": 4, "min_len_ratio": 0.75, "max_steps": 4},
+}
+
+
+def selection_instance(edge, seed):
+    spec = SELECTION_EDGES[edge]
+    rng = np.random.default_rng(9500 + 17 * seed + len(edge))
+    vocab = make_vocab(int(rng.integers(2, 5)))
+    frames = spec.get("frames", int(rng.integers(2, 7)))
+    logits = 1.5 * rng.normal(size=(frames, vocab.size))
+    dead = rng.choice(vocab.label_ids(), size=spec.get("dead_labels", 0), replace=False)
+    logits[:, dead] = -np.inf
+    em = EmissionMatrix.from_logits(logits)
+    fulls = {"att": QuantisedScorer(rng, vocab.size)}
+    parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
+    weights = {"att": 1.0, "ctc": 0.5 * float(rng.integers(0, 2))}
+    if rng.random() < 0.5:
+        parts["lm"] = wrap_full_as_partial(QuantisedScorer(rng, vocab.size))
+        weights["lm"] = 0.5
+    beam = vocab.size + 2 if spec.get("beam") == "V" else int(rng.integers(1, 7))
+    cfg = BeamConfig(
+        weights=weights,
+        beam_size=beam,
+        pre_beam_size=beam + int(rng.integers(0, 4)),
+        max_steps=spec.get("max_steps", frames + 1),
+        min_len_ratio=spec.get("min_len_ratio", float(rng.choice([0.0, 0.25]))),
+        end_detect_margin=-4.0,
+    )
+    return em, vocab, fulls, cfg, parts
+
+
+class TestTopBSelection:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("edge", sorted(SELECTION_EDGES))
+    def test_matches_building_every_successor(self, edge, seed):
+        em, vocab, fulls, cfg, parts = selection_instance(edge, seed)
+        ref = nbest_rows(build_all_successors_search(em, vocab, fulls, cfg, parts))
+        assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
+        assert nbest_rows(batch_beam_search(em, vocab, fulls, cfg, parts)) == ref
+        if edge == "no_eos":
+            # live fallback: one unfinished hypothesis of full length
+            assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
+        if edge == "long_prefix":
+            assert all(len(yseq) > em.frames / 2 for yseq, _, _ in ref)
+
+
+class CountingFull(FullScorer):
+    """Table scorer that logs each scoring round and each successor state it
+    hands out."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def init_state(self, emission):
+        return self.inner.init_state(emission)
+
+    def score(self, prefix, state, emission):
+        self.log.append("score")
+        return self.inner.score(prefix, state, emission)
+
+    def batch_score(self, prefixes, states, emission):
+        self.log.append("score")
+        return self.inner.batch_score(prefixes, states, emission)
+
+    def select_state(self, scored_state, token):
+        self.log.append("full")
+        return self.inner.select_state(scored_state, token)
+
+
+class CountingCTC(CTCPrefixScorer):
+    def __init__(self, blank_id, eos_id, log):
+        super().__init__(blank_id, eos_id)
+        self.log = log
+
+    def select_state(self, scored_state, token):
+        self.log.append("partial")
+        return super().select_state(scored_state, token)
+
+
+class TestSuccessorWorkBound:
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_select_state_at_most_beam_size_per_step(self, search):
+        rng = np.random.default_rng(9600)
+        vocab = make_vocab(8)
+        em = random_emission(rng, 12, vocab.size)
+        log = []
+        fulls = {"att": CountingFull(random_table_scorer(rng, 1, vocab.size), log)}
+        parts = {"ctc": CountingCTC(vocab.blank_id, vocab.eos_id, log)}
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=8,
+                         max_steps=6, min_len_ratio=0.5)
+        search(em, vocab, fulls, cfg, parts)
+        # a step's selections follow its scoring calls and precede the next step's
+        steps = "".join("|" if e == "score" else e[0] for e in log).split("|")
+        selections = [s for s in steps if s]
+        assert len(selections) == cfg.max_steps
+        for picks in selections:
+            assert 0 < picks.count("f") <= cfg.beam_size
+            assert picks.count("p") == picks.count("f")

@@ -5,6 +5,7 @@ import pytest
 
 from seqdecode import (
     ConfigError,
+    DecodeError,
     EmissionMatrix,
     MaskCtcConfig,
     TableMLM,
@@ -164,6 +165,18 @@ class TestMaskCtcDecode:
         mlm = TableMLM(vocab.size, mask_id=99)
         with pytest.raises(ConfigError):
             mask_ctc_decode(em, mlm, vocab, MaskCtcConfig())
+
+    def test_unfilled_masks_raise_decode_error(self):
+        # the schedule clears every mask within K >= 1 calls; a budget that
+        # got past validation must still fail loudly, also under python -O,
+        # and not as a config error
+        vocab = make_vocab(2, with_mask=True)
+        em = peaked_emission([(1, 0.4), (2, 0.4)], vocab.size)
+        config = MaskCtcConfig(threshold=0.9)
+        object.__setattr__(config, "iterations", 0)
+        with pytest.raises(DecodeError, match="left 2 masks") as err:
+            mask_ctc_decode(em, TableMLM(vocab.size, vocab.mask_id), vocab, config)
+        assert not isinstance(err.value, ConfigError)
 
 
 class TestTableMLM:
