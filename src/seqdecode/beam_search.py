@@ -118,9 +118,23 @@ def end_detect(
 
 
 def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Top-k ids by score descending, ties broken by smaller id."""
-    order = np.lexsort((ids, -scores))
-    return ids[order[:k]]
+    """Top-k ids by score descending, ties broken by smaller id: (k,) for a
+    score vector over ``ids``, (B, k) for a (B, len(ids)) score matrix.
+
+    One partition finds each row's k-th best score; only the cells at or
+    above it are sorted, keyed (row, -score, id).
+    """
+    mat = np.atleast_2d(scores)
+    B, N = mat.shape
+    k = min(k, N)
+    if k == 0:
+        return np.empty(np.shape(scores)[:-1] + (0,), dtype=ids.dtype)
+    kth = np.partition(mat, N - k, axis=1)[:, N - k]
+    rows, cols = np.nonzero(mat >= kth[:, None])
+    order = np.lexsort((ids[cols], -mat[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(B))
+    top = ids[cols[order[starts[:, None] + np.arange(k)]]]
+    return top.reshape(np.shape(scores)[:-1] + (k,))
 
 
 class _SearchContext:
@@ -227,9 +241,9 @@ def _finalize(ctx: _SearchContext, hyp: Hypothesis, emission: EmissionMatrix) ->
         if adj != 0.0:
             scores[name] = scores[name] + adj
             score = score + ctx.weights[name] * adj
-    return Hypothesis(
-        yseq=hyp.yseq, score=score, scores=scores, states=hyp.states, finished=True
-    )
+    # nothing reads a finished hypothesis's states; dropping them frees the
+    # scoring call a pending state points into
+    return Hypothesis(yseq=hyp.yseq, score=score, scores=scores, finished=True)
 
 
 def _collect_nbest(
@@ -292,10 +306,7 @@ def _search(
             full_mats[name] = mat
             full_scored[name] = scored
 
-        sub = weighted[:, allowed]
-        cand_mat = np.stack(
-            [top_candidate_ids(sub[i], allowed, n_cand) for i in range(len(live))], axis=0
-        )
+        cand_mat = top_candidate_ids(weighted[:, allowed], allowed, n_cand)
         cand_scores = np.take_along_axis(weighted, cand_mat, axis=1)
         part_mats: Dict[str, np.ndarray] = {}
         part_scored: Dict[str, List[Any]] = {}

@@ -11,13 +11,13 @@ import numpy as np
 from .core import NEG_INF, EmissionMatrix, InfeasibleError
 
 
-def _expand_labels(labels: Sequence[int], blank_id: int) -> List[int]:
-    """Blank-interleaved label sequence: b l1 b l2 ... b lU b."""
-    expanded = [blank_id]
-    for lab in labels:
-        expanded.append(lab)
-        expanded.append(blank_id)
-    return expanded
+def _expand_labels(labels: Sequence[int], blank_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Blank-interleaved label sequence b l1 b l2 ... b lU b, and the states
+    s that may also be entered from s-2 (a label unlike the one before it)."""
+    expanded = np.full(2 * len(labels) + 1, blank_id, dtype=np.int64)
+    expanded[1::2] = labels
+    jump = np.flatnonzero(expanded[2:] != expanded[:-2]) + 2
+    return expanded, jump
 
 
 def _validate_labels(labels: Sequence[int], blank_id: int, vocab_size: int) -> Tuple[int, ...]:
@@ -37,23 +37,16 @@ def ctc_forward(emission: EmissionMatrix, labels: Sequence[int], blank_id: int) 
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
     x = emission.data
     T = emission.frames
-    expanded = _expand_labels(labels, blank_id)
+    expanded, jump = _expand_labels(labels, blank_id)
     S = len(expanded)
 
     alpha = np.full(S, NEG_INF)
-    alpha[0] = x[0, blank_id]
-    if S > 1:
-        alpha[1] = x[0, expanded[1]]
+    alpha[:2] = x[0, expanded[:2]]
     for t in range(1, T):
-        prev = alpha
-        alpha = np.full(S, NEG_INF)
-        for s in range(S):
-            acc = prev[s]
-            if s >= 1:
-                acc = np.logaddexp(acc, prev[s - 1])
-            if s >= 2 and expanded[s] != blank_id and expanded[s] != expanded[s - 2]:
-                acc = np.logaddexp(acc, prev[s - 2])
-            alpha[s] = acc + x[t, expanded[s]]
+        acc = alpha.copy()
+        np.logaddexp(acc[1:], alpha[:-1], out=acc[1:])
+        acc[jump] = np.logaddexp(acc[jump], alpha[jump - 2])
+        alpha = acc + x[t, expanded]
     if S == 1:
         return float(alpha[0])
     return float(np.logaddexp(alpha[S - 1], alpha[S - 2]))
@@ -100,34 +93,26 @@ def ctc_forced_align(
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
     x = emission.data
     T = emission.frames
-    expanded = _expand_labels(labels, blank_id)
+    expanded, jump = _expand_labels(labels, blank_id)
     S = len(expanded)
 
-    delta = np.full((T, S), NEG_INF)
+    delta = x[:, expanded]  # row t gains its best predecessor's score in turn
+    delta[0, 2:] = NEG_INF
     back = np.zeros((T, S), dtype=np.int64)
-    delta[0, 0] = x[0, blank_id]
-    back[0, 0] = 0
-    if S > 1:
-        delta[0, 1] = x[0, expanded[1]]
-        back[0, 1] = 1
     for t in range(1, T):
-        for s in range(S):
-            # candidate predecessors in tie-break priority: stay, s-1, s-2
-            best_prev = s
-            best = delta[t - 1, s]
-            if s >= 1 and delta[t - 1, s - 1] > best:
-                best = delta[t - 1, s - 1]
-                best_prev = s - 1
-            if (
-                s >= 2
-                and expanded[s] != blank_id
-                and expanded[s] != expanded[s - 2]
-                and delta[t - 1, s - 2] > best
-            ):
-                best = delta[t - 1, s - 2]
-                best_prev = s - 2
-            delta[t, s] = best + x[t, expanded[s]]
-            back[t, s] = best_prev
+        # candidate predecessors in tie-break priority: stay, s-1, s-2, each
+        # taken only when strictly better than the ones before it
+        prev = delta[t - 1]
+        best = prev.copy()
+        arg = np.arange(S)
+        step = prev[:-1] > best[1:]
+        best[1:][step] = prev[:-1][step]
+        arg[1:][step] -= 1
+        skip = jump[prev[jump - 2] > best[jump]]
+        best[skip] = prev[skip - 2]
+        arg[skip] = skip - 2
+        delta[t] += best
+        back[t] = arg
 
     if S == 1:
         end_state, score = 0, float(delta[T - 1, 0])
@@ -154,7 +139,7 @@ def ctc_forced_align(
         s = int(s)
         if s % 2 == 1:  # odd expanded states carry labels
             if s != cur_state:
-                spans.append(TokenSpan(token=expanded[s], start=t, end=t + 1))
+                spans.append(TokenSpan(token=int(expanded[s]), start=t, end=t + 1))
             else:
                 last = spans[-1]
                 spans[-1] = TokenSpan(token=last.token, start=last.start, end=t + 1)

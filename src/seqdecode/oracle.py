@@ -135,6 +135,8 @@ def oracle_best_sequence(
     """Argmax of the exact joint weighted score over all label sequences of
     length <= max_len, each terminated by eos. Ties prefer the
     lexicographically smaller sequence."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len > budget.max_len:
         raise ValueError(f"max_len={max_len} exceeds the oracle budget")
     labels = vocab.label_ids()
@@ -142,16 +144,18 @@ def oracle_best_sequence(
     _check_budget(float(n_seqs), budget)
     partial_scorers = partial_scorers or {}
 
-    best: Optional[Tuple[Tuple[int, ...], float]] = None
-    for length in range(max_len + 1):
+    def score(seq: Tuple[int, ...]) -> float:
+        return score_sequence(
+            seq + (vocab.eos_id,), vocab, emission,
+            full_scorers, partial_scorers, weights, length_penalty,
+        )
+
+    best = ((), score(()))
+    for length in range(1, max_len + 1):
         for seq in itertools.product(labels, repeat=length):
-            score = score_sequence(
-                seq + (vocab.eos_id,), vocab, emission,
-                full_scorers, partial_scorers, weights, length_penalty,
-            )
-            if best is None or score > best[1] or (score == best[1] and seq < best[0]):
-                best = (seq, score)
-    assert best is not None
+            total = score(seq)
+            if total > best[1] or (total == best[1] and seq < best[0]):
+                best = (seq, total)
     return best
 
 

@@ -7,7 +7,9 @@ partial scorer rates only a pre-selected candidate subset, which is how the
 comparatively expensive CTC prefix computation joins the search. Scorer
 states are per-hypothesis values threaded by the search: ``score`` returns a
 "scored state" from which ``select_state`` extracts the successor state for
-the token actually chosen.
+the token actually chosen. The CTC prefix scorer rates candidates from the
+parents' forward variables alone; a successor's own variables are computed
+only when it is scored in turn (or read), so pruned successors cost nothing.
 """
 
 from __future__ import annotations
@@ -222,7 +224,6 @@ class TableScorer(FullScorer):
         return cls.from_json(payload)
 
 
-@dataclass(eq=False)
 class CTCPrefixState:
     """Per-hypothesis CTC forward variables.
 
@@ -230,12 +231,29 @@ class CTCPrefixState:
     frame t with the last emission being non-blank / blank respectively.
     prefix_score is the accumulated log prefix probability (0.0 for the empty
     prefix, whose prefix set is everything).
+
+    A state made by ``select_state`` is pending: it holds only its cell (row,
+    column) in the scoring call that rated it. Its r_nb / r_b are computed
+    when first read, or by the next scoring call, which runs the recursion
+    once for all the pending states it is given.
     """
 
-    r_nb: np.ndarray
-    r_b: np.ndarray
-    prefix_score: float
-    prefix_len: int
+    def __init__(self, r_nb, r_b, prefix_score: float, prefix_len: int):
+        self._r_nb = r_nb
+        self._r_b = r_b
+        self.prefix_score = prefix_score
+        self.prefix_len = prefix_len
+        self._source = None  # (_CTCScoredState, row, column) while pending
+
+    @property
+    def r_nb(self) -> np.ndarray:
+        _materialise([self])
+        return self._r_nb
+
+    @property
+    def r_b(self) -> np.ndarray:
+        _materialise([self])
+        return self._r_b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CTCPrefixState):
@@ -249,25 +267,73 @@ class CTCPrefixState:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class _CTCScoredState:
-    """Candidate-indexed forward variables produced by one scoring call."""
+    """What one scoring call keeps for building its selected successors:
+    the parents' forward variables, not the (T, B, C) recursion."""
 
-    r: np.ndarray  # (T, 2, C): [:, 0] non-blank, [:, 1] blank
-    psi: np.ndarray  # (C,) log prefix probability of prefix + candidate
-    candidates: np.ndarray  # (C,)
-    prefix_len: int
+    x: np.ndarray  # (T, V) emission log-probs
+    blank_id: int
+    candidates: np.ndarray  # (B, C)
+    psi: np.ndarray  # (B, C) log prefix probability of prefix + candidate
+    repeat: np.ndarray  # (B, C) candidate repeats the parent's last label
+    r_b: np.ndarray  # (T, B) parents' blank variable
+    r_sum: np.ndarray  # (T, B) parents' total
+    prefix_lens: np.ndarray  # (B,) parents' label counts
+
+
+def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
+    """Forward variables r_nb, r_b (T, k) of the successors at cells
+    (rows, cols).
+
+    Frames before the parent's label count are -inf whatever the emissions
+    (a prefix of n+1 labels needs n+1 frames), so the loop starts there.
+    """
+    x = scored.x
+    xs = x[:, scored.candidates[rows, cols]]  # (T, k)
+    n = scored.prefix_lens[rows]
+    # y[t] = (log_phi[t], r_b[t], r_nb[t]), so one frame is two ufunc calls:
+    # (r_b, r_nb)[t] = logaddexp(r_nb[t-1], (r_b, log_phi)[t-1]) + (x_blank, xs)[t]
+    y = np.full((x.shape[0], 3, len(rows)), NEG_INF)
+    y[:, 0] = np.where(scored.repeat[rows, cols], scored.r_b[:, rows], scored.r_sum[:, rows])
+    y[0, 2, n == 0] = xs[0, n == 0]
+    emit = np.stack((np.broadcast_to(x[:, scored.blank_id, None], xs.shape), xs), axis=1)
+    t0 = max(1, int(n.min()))
+    for r_nb, prev, out, e in zip(y[t0 - 1:-1, 2], y[t0 - 1:-1, 1::-1], y[t0:, 1:], emit[t0:]):
+        np.logaddexp(r_nb, prev, out=out)
+        out += e
+    return y[:, 2], y[:, 1]
+
+
+def _materialise(states: Sequence[CTCPrefixState]) -> None:
+    """Fill in the pending states, one recursion per scoring call."""
+    groups: Dict[int, List[CTCPrefixState]] = {}
+    for s in states:
+        if s._source is not None:
+            groups.setdefault(id(s._source[0]), []).append(s)
+    for group in groups.values():
+        rows = np.array([s._source[1] for s in group])
+        cols = np.array([s._source[2] for s in group])
+        r_nb, r_b = _recursion(group[0]._source[0], rows, cols)
+        for k, s in enumerate(group):
+            s._r_nb, s._r_b, s._source = r_nb[:, k], r_b[:, k], None
 
 
 class CTCPrefixScorer(PartialScorer):
     """Joint-scoring CTC prefix scorer.
 
-    Implements the two-variable (blank / non-blank) forward recursion over
-    frames; extending with a repeat of the last label connects only through
-    the blank variable. The score of candidate c is
+    The two-variable (blank / non-blank) forward recursion over frames gives
+    each prefix's r_nb / r_b; extending with a repeat of the last label
+    connects only through the blank variable. The score of candidate c is
     ``log p(prefix+c...) - log p(prefix...)``; for eos it is the full-sequence
     CTC probability of the prefix minus the accumulated prefix score, which
     makes finished totals comparable to plain CTC forward probabilities.
+
+    Scoring needs only the parent's variables: ``log p(prefix+c...)`` is the
+    log-sum over frames t of ``phi[t-1] + x[t, c]``, one reduction over the
+    (T, B, C) candidate cells. The recursion runs only for the successors the
+    search keeps (see ``CTCPrefixState``). ``score_partial`` is the batched
+    kernel at B=1.
     """
 
     def __init__(self, blank_id: int, eos_id: int):
@@ -282,58 +348,19 @@ class CTCPrefixScorer(PartialScorer):
         r_nb = np.full(emission.frames, NEG_INF)
         return CTCPrefixState(r_nb=r_nb, r_b=r_b, prefix_score=0.0, prefix_len=0)
 
-    def _validate_candidates(self, candidates: np.ndarray) -> np.ndarray:
-        cands = np.asarray(candidates, dtype=np.int64)
-        if (cands == self.blank_id).any():
-            raise ValueError("blank is not a label and cannot be a CTC candidate")
-        return cands
-
     def score_partial(self, prefix, candidates, state, emission):
-        cands = self._validate_candidates(candidates)
-        x = emission.data
-        T = emission.frames
-        C = len(cands)
-
-        n = state.prefix_len
-        xs = x[:, cands]  # (T, C)
-        r = np.full((T, 2, C), NEG_INF)
-        if n == 0:
-            r[0, 0] = xs[0]
-        r_sum = np.logaddexp(state.r_nb, state.r_b)  # (T,)
-
-        if n > 0:
-            last = prefix[-1]
-            log_phi = np.where(cands[None, :] == last, state.r_b[:, None], r_sum[:, None])
-        else:
-            log_phi = np.broadcast_to(r_sum[:, None], (T, C)).copy()
-
-        x_blank = x[:, self.blank_id]
-        psi = r[0, 0].copy()
-        for t in range(1, T):
-            r[t, 0] = np.logaddexp(r[t - 1, 0], log_phi[t - 1]) + xs[t]
-            r[t, 1] = np.logaddexp(r[t - 1, 0], r[t - 1, 1]) + x_blank[t]
-            psi = np.logaddexp(psi, log_phi[t - 1] + xs[t])
-
-        eos_mask = cands == self.eos_id
-        if eos_mask.any():
-            psi = psi.copy()
-            psi[eos_mask] = r_sum[T - 1]
-
-        if state.prefix_score == NEG_INF:
-            scores = np.full(C, NEG_INF)
-        else:
-            scores = psi - state.prefix_score
-        scored = _CTCScoredState(r=r, psi=psi, candidates=cands, prefix_len=n + 1)
-        return scores, scored
-
-    def select_state(self, scored_state: _CTCScoredState, token: int) -> CTCPrefixState:
-        idx = int(np.nonzero(scored_state.candidates == token)[0][0])
-        return CTCPrefixState(
-            r_nb=scored_state.r[:, 0, idx].copy(),
-            r_b=scored_state.r[:, 1, idx].copy(),
-            prefix_score=float(scored_state.psi[idx]),
-            prefix_len=scored_state.prefix_len,
+        scores, scored = self.batch_score_partial(
+            [prefix], np.asarray(candidates)[None, :], [state], emission
         )
+        return scores[0], scored[0]
+
+    def select_state(self, scored_state, token: int) -> CTCPrefixState:
+        scored, row = scored_state
+        col = int(np.flatnonzero(scored.candidates[row] == token)[0])
+        state = CTCPrefixState(None, None, float(scored.psi[row, col]),
+                               int(scored.prefix_lens[row]) + 1)
+        state._source = (scored, row, col)
+        return state
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
         cands = np.asarray(candidates, dtype=np.int64)
@@ -343,47 +370,40 @@ class CTCPrefixScorer(PartialScorer):
             raise ValueError("blank is not a label and cannot be a CTC candidate")
         x = emission.data
         T = emission.frames
-        B, C = cands.shape
 
+        _materialise(states)
         prefix_lens = np.array([s.prefix_len for s in states])
-        r_nb_prev = np.stack([s.r_nb for s in states], axis=1)  # (T, B)
-        r_b_prev = np.stack([s.r_b for s in states], axis=1)  # (T, B)
+        r_b = np.stack([s.r_b for s in states], axis=1)  # (T, B)
+        r_sum = np.logaddexp(np.stack([s.r_nb for s in states], axis=1), r_b)
         prefix_scores = np.array([s.prefix_score for s in states])
-
-        xs = x[:, cands]  # (T, B, C)
-        r = np.full((T, 2, B, C), NEG_INF)
-        empty = prefix_lens == 0
-        if empty.any():
-            r[0, 0, empty] = xs[0, empty]
-        r_sum = np.logaddexp(r_nb_prev, r_b_prev)  # (T, B)
-
         last = np.array(
             [p[-1] if s.prefix_len > 0 else -1 for p, s in zip(prefixes, states)]
         )
         repeat = cands == last[:, None]  # (B, C)
-        log_phi = np.where(repeat[None, :, :], r_b_prev[:, :, None], r_sum[:, :, None])
 
-        x_blank = x[:, self.blank_id]
-        psi = r[0, 0].copy()  # (B, C)
-        for t in range(1, T):
-            r[t, 0] = np.logaddexp(r[t - 1, 0], log_phi[t - 1]) + xs[t]
-            r[t, 1] = np.logaddexp(r[t - 1, 0], r[t - 1, 1]) + x_blank[t]
-            psi = np.logaddexp(psi, log_phi[t - 1] + xs[t])
+        # psi = log-sum over t of phi[t-1] + x[t, c] (x[0, c] for the empty
+        # prefix), reduced in frame order; frames before t0 add only -inf
+        psi = np.where(prefix_lens[:, None] == 0, x[0, cands], NEG_INF)  # (B, C)
+        t0 = max(1, int(prefix_lens.min()))
+        if t0 < T:
+            terms = np.where(repeat, r_b[t0 - 1:T - 1, :, None], r_sum[t0 - 1:T - 1, :, None])
+            terms += x[t0:, cands]  # (T - t0, B, C): log_phi[t-1] + x[t, c]
+            terms[0] = np.logaddexp(psi, terms[0])
+            psi = np.logaddexp.reduce(terms, axis=0)
 
         eos_mask = cands == self.eos_id
         if eos_mask.any():
-            psi[eos_mask] = np.broadcast_to(r_sum[T - 1][:, None], (B, C))[eos_mask]
+            psi[eos_mask] = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
 
         with np.errstate(invalid="ignore"):
             scores = np.where(
                 prefix_scores[:, None] == NEG_INF, NEG_INF, psi - prefix_scores[:, None]
             )
-        scored = [
-            _CTCScoredState(r=r[:, :, i, :], psi=psi[i], candidates=cands[i],
-                            prefix_len=int(prefix_lens[i]) + 1)
-            for i in range(B)
-        ]
-        return scores, scored
+        scored = _CTCScoredState(
+            x=x, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
+            r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens,
+        )
+        return scores, [(scored, i) for i in range(len(states))]
 
 
 class WrappedPartialScorer(PartialScorer):

@@ -93,6 +93,37 @@ def brute_ctc_prob(emission: EmissionMatrix, labels: Sequence[int], blank_id: in
     return total
 
 
+def frame_loop_reference(prefixes, cands, states, x, blank_id, eos_id):
+    """Reference: the per-frame loop over a (T, 2, B, C) tensor that the
+    kernel was first written as. ``states`` are (r_nb, r_b, prefix_score,
+    prefix_len) tuples; returns (scores, r, psi)."""
+    T = x.shape[0]
+    B, C = cands.shape
+    prefix_lens = np.array([s[3] for s in states])
+    r_nb_prev = np.stack([s[0] for s in states], axis=1)
+    r_b_prev = np.stack([s[1] for s in states], axis=1)
+    prefix_scores = np.array([s[2] for s in states])
+    xs = x[:, cands]
+    r = np.full((T, 2, B, C), -np.inf)
+    empty = prefix_lens == 0
+    r[0, 0, empty] = xs[0, empty]
+    r_sum = np.logaddexp(r_nb_prev, r_b_prev)
+    last = np.array([p[-1] if s[3] > 0 else -1 for p, s in zip(prefixes, states)])
+    repeat = cands == last[:, None]
+    log_phi = np.where(repeat[None], r_b_prev[:, :, None], r_sum[:, :, None])
+    psi = r[0, 0].copy()
+    for t in range(1, T):
+        r[t, 0] = np.logaddexp(r[t - 1, 0], log_phi[t - 1]) + xs[t]
+        r[t, 1] = np.logaddexp(r[t - 1, 0], r[t - 1, 1]) + x[t, blank_id]
+        psi = np.logaddexp(psi, log_phi[t - 1] + xs[t])
+    eos_mask = cands == eos_id
+    psi[eos_mask] = np.broadcast_to(r_sum[T - 1][:, None], (B, C))[eos_mask]
+    with np.errstate(invalid="ignore"):
+        scores = np.where(prefix_scores[:, None] == -np.inf, -np.inf,
+                          psi - prefix_scores[:, None])
+    return scores, r, psi
+
+
 def dag_transducer(rng: np.random.Generator, n_labels: int, frames: int) -> TableTransducer:
     """Finite-support transducer: with k=1 contexts, label j may only follow
     contexts of strictly smaller rank, so reachable sequences are strictly

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,9 +27,10 @@ from seqdecode.beam_search import (
     _resolve_lengths,
     top_candidate_ids,
 )
+from seqdecode import scorers as scorers_mod
 from seqdecode.core import hypothesis_sort_key
 
-from conftest import make_vocab, random_emission, random_table_scorer
+from conftest import frame_loop_reference, make_vocab, random_emission, random_table_scorer
 
 
 def greedy_reference(ts: TableScorer, vocab, max_steps: int):
@@ -432,6 +436,31 @@ class TestTopBSelection:
             assert all(len(yseq) > em.frames / 2 for yseq, _, _ in ref)
 
 
+class TestTopCandidateIds:
+    @staticmethod
+    def per_row(scores, ids, k):
+        order = np.lexsort((ids, -scores))
+        return ids[order[:k]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matrix_equals_per_row_lexsort(self, seed):
+        rng = np.random.default_rng(9800 + seed)
+        for _ in range(200):
+            B, N = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+            k = int(rng.integers(0, N + 3))
+            # coarse values tie; -inf and -0.0 next to 0.0 too
+            scores = 0.5 * rng.integers(-3, 3, size=(B, N)).astype(np.float64)
+            scores[rng.random(scores.shape) < 0.2] = -np.inf
+            scores[rng.random(scores.shape) < 0.1] = -0.0
+            ids = rng.choice(100, size=N, replace=False)
+            if rng.random() < 0.5:
+                ids = np.sort(ids)
+            expected = np.stack([self.per_row(row, ids, k) for row in scores])
+            got = top_candidate_ids(scores, ids, k)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+            assert np.array_equal(top_candidate_ids(scores[0], ids, k), expected[0])
+
+
 class CountingFull(FullScorer):
     """Table scorer that logs each scoring round and each successor state it
     hands out."""
@@ -485,3 +514,98 @@ class TestSuccessorWorkBound:
         for picks in selections:
             assert 0 < picks.count("f") <= cfg.beam_size
             assert picks.count("p") == picks.count("f")
+
+
+class CheckedCTC(CTCPrefixScorer):
+    """CTC scorer that checks every scoring call of a search against the
+    frame-loop reference, on the states the call itself filled in."""
+
+    def __init__(self, blank_id, eos_id, log):
+        super().__init__(blank_id, eos_id)
+        self.log = log
+
+    def batch_score_partial(self, prefixes, candidates, states, emission):
+        scores, scored = super().batch_score_partial(prefixes, candidates, states, emission)
+        ref_states = [(s.r_nb, s.r_b, s.prefix_score, s.prefix_len) for s in states]
+        ref_scores, _, _ = frame_loop_reference(
+            prefixes, np.asarray(candidates), ref_states, emission.data,
+            self.blank_id, self.eos_id)
+        assert np.array_equal(scores, ref_scores)
+        self.log.append(max(s.prefix_len for s in states))
+        return scores, scored
+
+
+def lazy_ctc_instance(seed, frames=12):
+    rng = np.random.default_rng(9700 + seed)
+    vocab = make_vocab(6)
+    em = random_emission(rng, frames, vocab.size)
+    return em, vocab, random_table_scorer(rng, 1, vocab.size)
+
+
+class TestLazyCTCStates:
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_eos_search_matches_frame_loop(self, search, seed):
+        em, vocab, ts = lazy_ctc_instance(seed, frames=8)
+        log = []
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6,
+                         max_steps=7, min_len_ratio=0.99)
+        nbest = search(em, vocab, {"att": ts}, cfg,
+                       {"ctc": CheckedCTC(vocab.blank_id, vocab.eos_id, log)})
+        # nothing finished: live fallback at full length, prefixes past T/2
+        assert len(nbest.entries) == 1 and len(nbest.best().yseq) == cfg.max_steps
+        assert max(log) > em.frames / 2
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_recursion_runs_on_at_most_beam_size_columns_per_step(self, search, monkeypatch):
+        em, vocab, ts = lazy_ctc_instance(0)
+        log = []
+        recursion = scorers_mod._recursion
+
+        def counting(scored, rows, cols):
+            log.append(len(rows))
+            return recursion(scored, rows, cols)
+
+        monkeypatch.setattr(scorers_mod, "_recursion", counting)
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=3, pre_beam_size=6,
+                         max_steps=8, min_len_ratio=0.5)
+        search(em, vocab, {"att": CountingFull(ts, log)}, cfg,
+               {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
+        per_step = [[]]
+        for entry in log:
+            if entry == "score":
+                per_step.append([])
+            elif entry != "full":
+                per_step[-1].append(entry)
+        assert any(per_step)
+        assert max(sum(columns) for columns in per_step) <= cfg.beam_size
+        if search is batch_beam_search:
+            # all of a step's pending states in one recursion
+            assert max(len(columns) for columns in per_step) == 1
+
+    def test_finished_and_pruned_successors_release_step_tensors(self):
+        em, vocab, ts = lazy_ctc_instance(1, frames=16)
+        steps = []
+        leaked = []
+
+        class Tracking(CTCPrefixScorer):
+            def batch_score_partial(self, prefixes, candidates, states, emission):
+                # at step s only step s-1's call may still be referenced
+                leaked.append(sum(ref() is not None for ref in steps[:-1]))
+                scores, scored = super().batch_score_partial(
+                    prefixes, candidates, states, emission)
+                steps.append(weakref.ref(scored[0][0]))
+                return scores, scored
+
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6,
+                         max_steps=16, end_detect_margin=-1e9)
+        gc.disable()
+        try:
+            nbest = batch_beam_search(em, vocab, {"att": ts}, cfg,
+                                      {"ctc": Tracking(vocab.blank_id, vocab.eos_id)})
+        finally:
+            gc.enable()
+        # hypotheses finished well before the search stopped
+        assert len(nbest.entries) >= 2
+        assert min(len(e.yseq) for e in nbest.entries) + 3 < len(steps)
+        assert leaked == [0] * len(steps)

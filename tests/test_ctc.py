@@ -226,3 +226,128 @@ class TestCtcProperties:
         else:
             alignment = ctc_forced_align(em, labels, 0)
             assert alignment.score <= forward + 1e-12
+
+
+def scalar_ctc_forward(emission, labels, blank_id):
+    """Reference: one scalar logaddexp per (frame, state), as the forward
+    pass was first written."""
+    x = emission.data
+    expanded = [blank_id]
+    for lab in labels:
+        expanded += [lab, blank_id]
+    S = len(expanded)
+    alpha = np.full(S, -np.inf)
+    alpha[0] = x[0, blank_id]
+    if S > 1:
+        alpha[1] = x[0, expanded[1]]
+    for t in range(1, emission.frames):
+        prev = alpha
+        alpha = np.full(S, -np.inf)
+        for s in range(S):
+            acc = prev[s]
+            if s >= 1:
+                acc = np.logaddexp(acc, prev[s - 1])
+            if s >= 2 and expanded[s] != blank_id and expanded[s] != expanded[s - 2]:
+                acc = np.logaddexp(acc, prev[s - 2])
+            alpha[s] = acc + x[t, expanded[s]]
+    if S == 1:
+        return float(alpha[0])
+    return float(np.logaddexp(alpha[S - 1], alpha[S - 2]))
+
+
+def scalar_ctc_viterbi(emission, labels, blank_id):
+    """Reference: the scalar Viterbi pass and backtrack; returns (score,
+    state path), or None when no path fits."""
+    x = emission.data
+    T = emission.frames
+    expanded = [blank_id]
+    for lab in labels:
+        expanded += [lab, blank_id]
+    S = len(expanded)
+    delta = np.full((T, S), -np.inf)
+    back = np.zeros((T, S), dtype=np.int64)
+    delta[0, 0] = x[0, blank_id]
+    if S > 1:
+        delta[0, 1] = x[0, expanded[1]]
+    for t in range(1, T):
+        for s in range(S):
+            best_prev, best = s, delta[t - 1, s]
+            if s >= 1 and delta[t - 1, s - 1] > best:
+                best, best_prev = delta[t - 1, s - 1], s - 1
+            if (s >= 2 and expanded[s] != blank_id and expanded[s] != expanded[s - 2]
+                    and delta[t - 1, s - 2] > best):
+                best, best_prev = delta[t - 1, s - 2], s - 2
+            delta[t, s] = best + x[t, expanded[s]]
+            back[t, s] = best_prev
+    if S == 1:
+        end, score = 0, delta[T - 1, 0]
+    elif delta[T - 1, S - 1] >= delta[T - 1, S - 2]:
+        end, score = S - 1, delta[T - 1, S - 1]
+    else:
+        end, score = S - 2, delta[T - 1, S - 2]
+    if score == -np.inf:
+        return None
+    states = [end]
+    for t in range(T - 1, 0, -1):
+        states.append(int(back[t, states[-1]]))
+    return float(score), [expanded[s] for s in reversed(states)]
+
+
+def spans_of(path, blank_id):
+    """(token, start, end) runs of non-blank path entries, a new span
+    whenever a blank or a different token intervenes."""
+    spans = []
+    for t, tok in enumerate(path):
+        if tok != blank_id and t > 0 and path[t - 1] == tok:
+            spans[-1] = (tok, spans[-1][1], t + 1)
+        elif tok != blank_id:
+            spans.append((tok, t, t + 1))
+    return spans
+
+
+def reference_instances():
+    """Random emissions (some with -inf entries, ties from quantised
+    logits) and label sequences with repeats, no labels, T=1 and lengths
+    that cannot fit."""
+    rng = np.random.default_rng(4242)
+    for case in range(120):
+        frames = int(rng.choice([1, 2, 3, 7, 15, 40]))
+        vocab = int(rng.integers(2, 6))
+        logits = 1.5 * rng.normal(size=(frames, vocab))
+        if case % 3 == 0:
+            logits = np.round(logits)  # exact ties between paths
+        if case % 2 == 0:
+            dead = rng.random(logits.shape) < 0.2
+            dead[:, 0] = False  # keep every row normalisable
+            logits[dead] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        n = int(rng.integers(0, frames + 2))
+        yield em, [int(v) for v in rng.integers(1, vocab, size=n)]
+
+
+REFERENCE_CASES = list(reference_instances())
+
+
+class TestVectorisedMatchesScalarReference:
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    def test_forward_and_alignment_bit_equal(self, case):
+        em, labels = REFERENCE_CASES[case]
+        assert ctc_forward(em, labels, 0) == scalar_ctc_forward(em, labels, 0)
+        ref = scalar_ctc_viterbi(em, labels, 0)
+        if ref is None:
+            with pytest.raises(InfeasibleError):
+                ctc_forced_align(em, labels, 0)
+            return
+        ali = ctc_forced_align(em, labels, 0)
+        assert ali.score == ref[0]
+        assert list(ali.path) == ref[1]
+        assert [(s.token, s.start, s.end) for s in ali.spans] == spans_of(ref[1], 0)
+        assert all(type(s.token) is int for s in ali.spans)
+
+    def test_instances_cover_the_edges(self):
+        cases = REFERENCE_CASES
+        assert any(em.frames == 1 for em, _ in cases)
+        assert any(not labels for _, labels in cases)
+        assert any(np.isinf(em.data).any() for em, _ in cases)
+        assert any(any(a == b for a, b in zip(lab, lab[1:])) for _, lab in cases)
+        assert any(scalar_ctc_viterbi(em, lab, 0) is None for em, lab in cases)

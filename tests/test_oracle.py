@@ -93,6 +93,21 @@ class TestOracleBestSequence:
         with pytest.raises(ValueError):
             oracle_best_sequence(vocab, em, {"att": ts}, {"att": 1.0}, max_len=9)
 
+    def test_negative_max_len_is_usage_error(self, rng):
+        vocab = make_vocab(2)
+        em = random_emission(rng, 2, vocab.size)
+        ts = random_table_scorer(rng, 0, vocab.size)
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            oracle_best_sequence(vocab, em, {"att": ts}, {"att": 1.0}, max_len=-1)
+
+    def test_max_len_zero_is_the_empty_sequence(self, rng):
+        vocab = make_vocab(2)
+        em = random_emission(rng, 2, vocab.size)
+        ts = random_table_scorer(rng, 0, vocab.size)
+        yseq, score = oracle_best_sequence(vocab, em, {"att": ts}, {"att": 1.0}, max_len=0)
+        assert yseq == ()
+        assert score == float(ts.score((vocab.sos_id,), (), None)[0][vocab.eos_id])
+
 
 class TestOracleTransducer:
     def test_single_frame_empty_labels(self, rng):

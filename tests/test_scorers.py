@@ -11,7 +11,7 @@ from seqdecode import (
     wrap_full_as_partial,
 )
 
-from conftest import brute_prefix_prob, random_emission
+from conftest import brute_prefix_prob, frame_loop_reference, random_emission
 
 NEG_INF = float("-inf")
 
@@ -275,3 +275,90 @@ class TestStateContract:
         # same advance from an equal state reproduces an equal state
         _, scored_b = scorer.score_partial((9,), np.array([1]), b, em)
         assert scorer.select_state(scored_b, 1) == advanced
+
+
+def assert_state_equals(state, ref):
+    assert np.array_equal(state.r_nb, ref[0])
+    assert np.array_equal(state.r_b, ref[1])
+    assert state.prefix_score == ref[2]
+    assert state.prefix_len == ref[3]
+
+
+# each edge the lazy kernel could break, on top of random sizes
+KERNEL_EDGES = {
+    "random": {},
+    "neg_inf_columns": {"dead_labels": 2},
+    "t1": {"frames": 1},
+    "all_labels": {"all_labels": True},  # B x P >= V, eos always a candidate
+    "long_prefix": {"frames": 5, "steps": 8},
+}
+
+
+def drive_kernel(edge, seed, via):
+    """Expand random prefixes step by step, checking every scoring call and
+    every successor state against the frame-loop reference. Successors are
+    random cells (eos included); some states are read as soon as they are
+    selected, the rest are filled in by the next scoring call."""
+    spec = KERNEL_EDGES[edge]
+    rng = np.random.default_rng(7100 + 31 * seed + len(edge))
+    V = int(rng.integers(3, 8))
+    T = spec.get("frames", int(rng.integers(2, 10)))
+    logits = 1.5 * rng.normal(size=(T, V))
+    logits[:, rng.choice(np.arange(1, V), size=spec.get("dead_labels", 0), replace=False)] = -np.inf
+    em = EmissionMatrix.from_logits(logits)
+    x, eos = em.data, V - 1
+    scorer = CTCPrefixScorer(blank_id=0, eos_id=eos)
+    P = V - 1 if spec.get("all_labels") else int(rng.integers(1, V))
+    beam = V + 1 if spec.get("all_labels") else int(rng.integers(1, 5))
+    init = scorer.init_state(em)
+    hyps = [((V,), init, (init.r_nb, init.r_b, 0.0, 0))]
+    seen = {"dead_prefix": False, "eos": False, "beyond_half": False}
+    for _ in range(spec.get("steps", T + 2)):
+        cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in hyps])
+        prefixes = [h[0] for h in hyps]
+        ref_scores, r, psi = frame_loop_reference(
+            prefixes, cands, [h[2] for h in hyps], x, 0, eos)
+        if via == "batch":
+            scores, scored = scorer.batch_score_partial(
+                prefixes, cands, [h[1] for h in hyps], em)
+        else:
+            rows = [scorer.score_partial(p, c, h[1], em)
+                    for p, c, h in zip(prefixes, cands, hyps)]
+            scores, scored = np.stack([s for s, _ in rows]), [st for _, st in rows]
+        assert np.array_equal(scores, ref_scores)
+        for _, state, ref in hyps:  # the states this call filled in
+            assert_state_equals(state, ref)
+        seen["dead_prefix"] |= any(h[2][2] == NEG_INF for h in hyps)
+        seen["beyond_half"] |= any(h[2][3] > T / 2 for h in hyps)
+        successors = []
+        for cell in rng.permutation(cands.size)[:beam]:
+            i, j = divmod(int(cell), P)
+            tok = int(cands[i, j])
+            state = scorer.select_state(scored[i], tok)
+            ref = (r[:, 0, i, j], r[:, 1, i, j], float(psi[i, j]), hyps[i][2][3] + 1)
+            assert state.prefix_score == ref[2]
+            if tok == eos or rng.random() < 0.3:
+                assert_state_equals(state, ref)
+            if tok == eos:
+                seen["eos"] = True
+            else:
+                successors.append((prefixes[i] + (tok,), state, ref))
+        if not successors:
+            break
+        hyps = successors
+    for _, state, ref in hyps:
+        assert_state_equals(state, ref)
+    return seen
+
+
+class TestPrefixKernelMatchesFrameLoop:
+    @pytest.mark.parametrize("via", ["batch", "single"])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
+    def test_scores_and_states_bit_equal(self, edge, seed, via):
+        drive_kernel(edge, seed, via)
+
+    def test_edges_are_reached(self):
+        seen = [drive_kernel(edge, seed, "batch") for edge in KERNEL_EDGES for seed in range(6)]
+        for key in ("dead_prefix", "eos", "beyond_half"):
+            assert any(s[key] for s in seen), key
