@@ -67,7 +67,6 @@ from .transducer import (
     TransducerBeamConfig,
     TransducerHypothesis,
     TransducerModel,
-    fuse_lm_scores,
     transducer_alsd,
     transducer_beam,
     transducer_decode,

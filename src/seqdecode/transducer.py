@@ -7,11 +7,19 @@ with identical label sequences are merged by log-sum-exp wherever they meet;
 that makes merged beam scores directly comparable to brute-force alignment
 sums. Optional shallow fusion adds a weighted LM score to label expansions
 (blank expansions are never LM-scored).
+
+No search builds a hypothesis it does not keep. TSD and ALSD score the label
+expansions of a round as one (n, V) matrix (``_Expansions``, the only place
+fusion arithmetic lives), pick the top B cells by (-score, child yseq), and
+only then call pred_step and the LM's select_state for those; NSC is TSD
+with n_steps expansion rounds. The Graves beam pops from a heap and builds a
+label expansion only when it is popped.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
 import json
 import math
 from dataclasses import dataclass, replace
@@ -161,6 +169,11 @@ class TransducerHypothesis:
     lm_state: Any = None
     lm_score: float = 0.0  # raw (unweighted) accumulated LM part
 
+    def rescored(self, score: float) -> "TransducerHypothesis":
+        """This hypothesis with another score (a cheap dataclasses.replace)."""
+        return TransducerHypothesis(self.yseq, score, self.pred_state,
+                                    self.lm_state, self.lm_score)
+
 
 ALGORITHMS = ("greedy", "beam", "tsd", "alsd", "nsc")
 
@@ -175,7 +188,9 @@ class TransducerBeamConfig:
     lm: Optional[FullScorer] = None
     lm_weight: float = 0.0
     u_max: Optional[int] = None  # explicit ALSD cap, overrides the ratio
-    max_pops_per_frame: int = 100_000  # beam-search safety valve
+    # beam: pops per frame; reaching it ends (truncates) the frame with the
+    # hypotheses completed so far
+    max_pops_per_frame: int = 100_000
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
@@ -192,18 +207,8 @@ class TransducerBeamConfig:
             raise ConfigError("u_max must be >= 0")
         if self.lm_weight < 0:
             raise ConfigError("lm_weight must be >= 0")
-
-
-def fuse_lm_scores(joint_logp: np.ndarray, lm_scores: np.ndarray, weight: float) -> np.ndarray:
-    """Shallow fusion: label entries gain weight * lm score, blank unchanged."""
-    n = len(joint_logp) - 1
-    if len(lm_scores) != n:
-        raise ConfigError(
-            f"LM scores {len(lm_scores)} labels but the model has {n}"
-        )
-    out = np.array(joint_logp, dtype=np.float64, copy=True)
-    out[:n] = out[:n] + weight * lm_scores
-    return out
+        if self.max_pops_per_frame < 1:
+            raise ConfigError("max_pops_per_frame must be >= 1")
 
 
 class _LMFusion:
@@ -231,15 +236,14 @@ class _LMFusion:
         return self.lm.select_state(scored, label)
 
 
-def _hyp_sort_key(item: Tuple[Tuple[int, ...], TransducerHypothesis]):
-    yseq, hyp = item
-    return (-hyp.score, yseq)
+def _hyp_key(hyp: TransducerHypothesis):
+    return (-hyp.score, hyp.yseq)
 
 
 def _prune(pool: Dict[Tuple[int, ...], TransducerHypothesis], beam: int
            ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
-    ranked = sorted(pool.items(), key=_hyp_sort_key)[:beam]
-    return dict(ranked)
+    ranked = sorted(pool.values(), key=_hyp_key)[:beam]
+    return {hyp.yseq: hyp for hyp in ranked}
 
 
 def _merge(pool: Dict[Tuple[int, ...], TransducerHypothesis],
@@ -249,7 +253,7 @@ def _merge(pool: Dict[Tuple[int, ...], TransducerHypothesis],
     if old is None:
         pool[hyp.yseq] = hyp
     else:
-        pool[hyp.yseq] = replace(old, score=float(np.logaddexp(old.score, hyp.score)))
+        pool[hyp.yseq] = old.rescored(float(np.logaddexp(old.score, hyp.score)))
 
 
 def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothesis:
@@ -283,32 +287,80 @@ def _init_pool(model: TransducerModel, fusion: Optional[_LMFusion]
     return {(): hyp}
 
 
-def _label_child(
-    model: TransducerModel,
-    fusion: Optional[_LMFusion],
-    hyp: TransducerHypothesis,
-    label: int,
-    joint_row: np.ndarray,
-    lm_vec: Optional[np.ndarray],
-    lm_scored: Any,
-) -> Optional[TransducerHypothesis]:
-    score = hyp.score + float(joint_row[label])
-    lm_raw = hyp.lm_score
-    lm_state = hyp.lm_state
-    if fusion is not None:
-        lm_term = float(lm_vec[label])
-        score = score + fusion.weight * lm_term
-        lm_raw = lm_raw + lm_term
-        lm_state = fusion.advance(lm_scored, label)
-    if score == NEG_INF:
-        return None
-    return TransducerHypothesis(
-        yseq=hyp.yseq + (label,),
-        score=score,
-        pred_state=model.pred_step(hyp.pred_state, label),
-        lm_state=lm_state,
-        lm_score=lm_raw,
-    )
+class _Expansions:
+    """Label expansions of n parents as one (n, V) score matrix.
+
+    Each cell is ``parent.score + joint[label]``, plus ``weight * lm[label]``
+    under fusion, added in that order, so it equals the score the child
+    hypothesis gets. Only the cells a search keeps are built into
+    hypotheses: pred_step, the LM's select_state and the TransducerHypothesis
+    happen for those alone."""
+
+    def __init__(self, model: TransducerModel, fusion: Optional[_LMFusion],
+                 parents: Sequence[TransducerHypothesis], rows: Sequence[np.ndarray]):
+        self.model = model
+        self.fusion = fusion
+        self.parents = parents
+        joint = np.asarray(rows, dtype=np.float64)[:, :model.num_labels]
+        self.scores = np.array([h.score for h in parents], dtype=np.float64)[:, None] + joint
+        if fusion is not None:
+            pairs = [fusion.label_scores(h) for h in parents]
+            self.lm = np.array([vec for vec, _ in pairs], dtype=np.float64)
+            self.lm_scored = [scored for _, scored in pairs]
+            self.scores = self.scores + fusion.weight * self.lm
+            # 0 * -inf is nan: a label the LM rules out is no expansion
+            self.scores[np.isnan(self.scores)] = NEG_INF
+
+    def _top_cells(self, k: int) -> List[Tuple[float, Tuple[int, ...], int, int]]:
+        """The k best finite cells as (-score, child yseq, row, label), in
+        (-score, child yseq) order. Parents differ in length, so ties are
+        broken on the whole child tuple, not on (parent, label)."""
+        flat = self.scores.ravel()
+        k = min(k, int(np.count_nonzero(flat > NEG_INF)))
+        if k == 0:
+            return []
+        kth = np.partition(flat, flat.size - k)[flat.size - k]
+        rows, labels = np.nonzero(self.scores >= kth)
+        yseqs = [h.yseq for h in self.parents]
+        cells = sorted(
+            (-score, yseqs[r] + (label,), r, label)
+            for score, r, label in zip(
+                self.scores[rows, labels].tolist(), rows.tolist(), labels.tolist())
+        )
+        return cells[:k]
+
+    def child(self, r: int, label: int, score: Optional[float] = None
+              ) -> TransducerHypothesis:
+        """Build the expansion of parent r by label; ``score`` overrides the
+        cell's when merges have raised it."""
+        parent = self.parents[r]
+        lm_state, lm_raw = parent.lm_state, parent.lm_score
+        if self.fusion is not None:
+            lm_raw = lm_raw + float(self.lm[r, label])
+            lm_state = self.fusion.advance(self.lm_scored[r], label)
+        return TransducerHypothesis(
+            yseq=parent.yseq + (label,),
+            score=float(self.scores[r, label]) if score is None else score,
+            pred_state=self.model.pred_step(parent.pred_state, label),
+            lm_state=lm_state,
+            lm_score=lm_raw,
+        )
+
+    def best(self, k: int, built: Sequence[TransducerHypothesis] = ()
+             ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
+        """The k best of the finite cells and the hypotheses in ``built``
+        (whose yseqs must not be cells), ranked by (-score, yseq); children
+        are built for the selected cells only."""
+        ranked = sorted(
+            [(-h.score, h.yseq, -1, h) for h in built] + self._top_cells(k)
+        )[:k]
+        return {
+            yseq: (item if r < 0 else self.child(r, item))
+            for _, yseq, r, item in ranked
+        }
+
+
+_STALE = (None, -1, None)  # matches no heap entry's version
 
 
 def transducer_beam(model: TransducerModel, frames: int,
@@ -316,34 +368,61 @@ def transducer_beam(model: TransducerModel, frames: int,
     """Breadth-first beam over output labels (Graves 2012, arXiv:1211.3711,
     without prefix search): blank completes a hypothesis for the frame,
     labels expand it within the frame, identical sequences merge by
-    log-sum-exp. Returns the top-B hypotheses completed at t = T."""
+    log-sum-exp. Returns the top-B hypotheses completed at t = T.
+
+    Within a frame the best active hypothesis is popped from a heap keyed
+    by (-score, yseq, version); a merge pushes a new version and the stale
+    entry is skipped when it surfaces. A label expansion is kept as its
+    score, its parent's expansion matrix and its label, and built only when
+    popped. A frame ends once B
+    completed hypotheses beat every active one, or after
+    max_pops_per_frame pops, which truncates it."""
     beam = config.beam_size
     fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
     pool = _init_pool(model, fusion)
     blank = model.blank_id
 
     for t in range(frames):
-        active = dict(pool)
+        # yseq -> (score, version, hypothesis or (parent's _Expansions, label))
+        active: Dict[Tuple[int, ...], Tuple[float, int, Any]] = {
+            yseq: (hyp.score, 0, hyp) for yseq, hyp in pool.items()
+        }
+        heap = [(-hyp.score, yseq, 0) for yseq, hyp in pool.items()]
+        heapq.heapify(heap)
+        version = 0
         completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
         pops = 0
-        while active and pops < config.max_pops_per_frame:
-            done = sum(
-                1 for h in completed.values()
-                if h.score > max(a.score for a in active.values())
-            )
-            if done >= beam:
+        while pops < config.max_pops_per_frame:
+            while heap and active.get(heap[0][1], _STALE)[1] != heap[0][2]:
+                heapq.heappop(heap)
+            if not heap:
                 break
-            yseq, hyp = min(active.items(), key=_hyp_sort_key)
-            del active[yseq]
+            top = -heap[0][0]
+            if sum(1 for h in completed.values() if h.score > top) >= beam:
+                break
+            _, yseq, _ = heapq.heappop(heap)
+            score, _, node = active.pop(yseq)
             pops += 1
+            if isinstance(node, TransducerHypothesis):
+                hyp = node if node.score == score else node.rescored(score)
+            else:
+                hyp = node[0].child(0, node[1], score)
 
             joint_row = model.joint(t, hyp.pred_state)
-            _merge(completed, replace(hyp, score=hyp.score + float(joint_row[blank])))
-            lm_vec, lm_scored = fusion.label_scores(hyp) if fusion else (None, None)
-            for label in range(model.num_labels):
-                child = _label_child(model, fusion, hyp, label, joint_row, lm_vec, lm_scored)
-                if child is not None:
-                    _merge(active, child)
+            _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
+            expansions = _Expansions(model, fusion, [hyp], [joint_row])
+            for label, child_score in enumerate(expansions.scores[0].tolist()):
+                if child_score == NEG_INF:
+                    continue
+                child = yseq + (label,)
+                version += 1
+                old = active.get(child)
+                if old is None:
+                    active[child] = (child_score, version, (expansions, label))
+                else:
+                    child_score = float(np.logaddexp(old[0], child_score))
+                    active[child] = (child_score, version, old[2])
+                heapq.heappush(heap, (-child_score, child, version))
         pool = _prune(completed, beam)
         if not pool:
             break
@@ -355,7 +434,10 @@ def transducer_tsd(model: TransducerModel, frames: int,
     """Time-synchronous decoding (Saon et al. 2020): within each frame up to
     max_exp_per_step label-expansion rounds, a blank completion is available
     after every round, duplicates merge by log-sum-exp, top-B kept per
-    frame."""
+    frame. Each round keeps the B best label expansions of the round's
+    hypotheses, chosen from their score matrix before any is built; the
+    last round only completes with the frame-advancing blank, so merged
+    scores stay alignment sums."""
     beam = config.beam_size
     fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
     pool = _init_pool(model, fusion)
@@ -365,22 +447,16 @@ def transducer_tsd(model: TransducerModel, frames: int,
         completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
         current = pool
         for round_idx in range(config.max_exp_per_step + 1):
-            items = sorted(current.items(), key=_hyp_sort_key)
-            rows = model.joint_batch(t, [h.pred_state for _, h in items])
-            expansions: Dict[Tuple[int, ...], TransducerHypothesis] = {}
-            for (yseq, hyp), joint_row in zip(items, rows):
-                _merge(completed, replace(hyp, score=hyp.score + float(joint_row[blank])))
-                if round_idx < config.max_exp_per_step:
-                    lm_vec, lm_scored = fusion.label_scores(hyp) if fusion else (None, None)
-                    for label in range(model.num_labels):
-                        child = _label_child(
-                            model, fusion, hyp, label, joint_row, lm_vec, lm_scored
-                        )
-                        if child is not None:
-                            _merge(expansions, child)
-            if round_idx == config.max_exp_per_step or not expansions:
+            items = sorted(current.values(), key=_hyp_key)
+            rows = model.joint_batch(t, [h.pred_state for h in items])
+            for hyp, joint_row in zip(items, rows):
+                _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
+            if round_idx == config.max_exp_per_step:
                 break
-            current = _prune(expansions, beam)
+            # children of distinct parents never share a yseq: nothing to merge
+            current = _Expansions(model, fusion, items, rows).best(beam)
+            if not current:
+                break
         pool = _prune(completed, beam)
         if not pool:
             break
@@ -392,7 +468,9 @@ def transducer_alsd(model: TransducerModel, frames: int,
     """Alignment-length-synchronous decoding (Saon et al. 2020): hypotheses
     advance in i = t + u; blanks advance time, labels grow the sequence up to
     U_max = ceil(u_max_ratio * T) (or the explicit u_max override).
-    Hypotheses are final once every frame is consumed."""
+    Hypotheses are final once every frame is consumed. Each step keeps the
+    B best of the blank advances and the label expansions, choosing the
+    expansions from their score matrix before any is built."""
     beam = config.beam_size
     fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
     blank = model.blank_id
@@ -405,27 +483,39 @@ def transducer_alsd(model: TransducerModel, frames: int,
     final: Dict[Tuple[int, ...], TransducerHypothesis] = {}
     for i in range(frames + u_max):
         nxt: Dict[Tuple[int, ...], TransducerHypothesis] = {}
-        items = sorted(current.items(), key=_hyp_sort_key)
-        for yseq, hyp in items:
-            u = len(yseq)
+        parents: List[TransducerHypothesis] = []
+        rows: List[np.ndarray] = []
+        for hyp in sorted(current.values(), key=_hyp_key):
+            u = len(hyp.yseq)
             t = i - u
             if t >= frames:
                 continue
             joint_row = model.joint(t, hyp.pred_state)
-            blank_hyp = replace(hyp, score=hyp.score + float(joint_row[blank]))
+            blank_hyp = hyp.rescored(hyp.score + float(joint_row[blank]))
             if t == frames - 1:
                 _merge(final, blank_hyp)
             else:
-                _merge(nxt, blank_hyp)
+                nxt[hyp.yseq] = blank_hyp
             if u < u_max:
-                lm_vec, lm_scored = fusion.label_scores(hyp) if fusion else (None, None)
-                for label in range(model.num_labels):
-                    child = _label_child(
-                        model, fusion, hyp, label, joint_row, lm_vec, lm_scored
-                    )
-                    if child is not None:
-                        _merge(nxt, child)
-        current = _prune(nxt, beam)
+                parents.append(hyp)
+                rows.append(joint_row)
+        if not parents:
+            current = _prune(nxt, beam)
+        else:
+            expansions = _Expansions(model, fusion, parents, rows)
+            # a label expansion may reach the yseq of a blank advance (parents
+            # differ in length): merge the pair into the blank advance
+            index = {h.yseq: r for r, h in enumerate(parents)}
+            pairs = [(yseq, index[yseq[:-1]], yseq[-1]) for yseq in nxt
+                     if yseq and yseq[:-1] in index]
+            if pairs:
+                ys, rs, ls = zip(*pairs)
+                merged = np.logaddexp([nxt[y].score for y in ys],
+                                      expansions.scores[rs, ls]).tolist()
+                for yseq, score in zip(ys, merged):
+                    nxt[yseq] = nxt[yseq].rescored(score)
+                expansions.scores[rs, ls] = NEG_INF
+            current = expansions.best(beam, list(nxt.values()))
         if not current:
             break
     return _nbest_from_pool(_prune(final, beam), fusion)
@@ -434,45 +524,10 @@ def transducer_alsd(model: TransducerModel, frames: int,
 def transducer_nsc(model: TransducerModel, frames: int,
                    config: TransducerBeamConfig) -> NBestList:
     """N-step constrained beam search (after Kim et al. 2020, modified): per
-    frame at most n_steps label emissions; prediction-network scoring is
-    batched across the beam; the final round force-completes expansions with
-    the frame-advancing blank so merged scores stay alignment sums."""
-    beam = config.beam_size
-    fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
-    pool = _init_pool(model, fusion)
-    blank = model.blank_id
-
-    for t in range(frames):
-        completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
-        current = pool
-        for step in range(1, config.n_steps + 1):
-            items = sorted(current.items(), key=_hyp_sort_key)
-            rows = model.joint_batch(t, [h.pred_state for _, h in items])
-            expansions: Dict[Tuple[int, ...], TransducerHypothesis] = {}
-            for (yseq, hyp), joint_row in zip(items, rows):
-                _merge(completed, replace(hyp, score=hyp.score + float(joint_row[blank])))
-                lm_vec, lm_scored = fusion.label_scores(hyp) if fusion else (None, None)
-                for label in range(model.num_labels):
-                    child = _label_child(
-                        model, fusion, hyp, label, joint_row, lm_vec, lm_scored
-                    )
-                    if child is not None:
-                        _merge(expansions, child)
-            if not expansions:
-                break
-            expansions = _prune(expansions, beam)
-            if step == config.n_steps:
-                # out of expansion budget: force-complete with the blank
-                items = sorted(expansions.items(), key=_hyp_sort_key)
-                rows = model.joint_batch(t, [h.pred_state for _, h in items])
-                for (yseq, hyp), joint_row in zip(items, rows):
-                    _merge(completed, replace(hyp, score=hyp.score + float(joint_row[blank])))
-            else:
-                current = expansions
-        pool = _prune(completed, beam)
-        if not pool:
-            break
-    return _nbest_from_pool(pool, fusion)
+    frame at most n_steps label emissions, the last of them force-completed
+    with the frame-advancing blank. That is TSD with n_steps expansion
+    rounds, so it runs transducer_tsd."""
+    return transducer_tsd(model, frames, replace(config, max_exp_per_step=config.n_steps))
 
 
 def _nbest_from_pool(pool: Dict[Tuple[int, ...], TransducerHypothesis],

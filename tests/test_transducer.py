@@ -6,10 +6,13 @@ import pytest
 
 from seqdecode import (
     ConfigError,
+    FullScorer,
+    NBestEntry,
+    NBestList,
     TableScorer,
     TableTransducer,
     TransducerBeamConfig,
-    fuse_lm_scores,
+    TransducerModel,
     oracle_transducer_prob,
     transducer_alsd,
     transducer_beam,
@@ -263,16 +266,28 @@ class TestCrossAlgorithmAgreement:
 
 
 class TestLMFusion:
-    def test_fuse_scores_leaves_blank_alone(self):
-        joint = np.log(np.array([0.3, 0.3, 0.4]))
-        lm = np.log(np.array([0.9, 0.1]))
-        fused = fuse_lm_scores(joint, lm, 0.5)
-        assert fused[2] == joint[2]
-        assert fused[0] == pytest.approx(joint[0] + 0.5 * lm[0])
+    @pytest.mark.parametrize("alg", ["beam", "tsd", "alsd", "nsc"])
+    def test_blank_completion_carries_no_lm_term(self, alg):
+        # T=1 with the blank certain: the only hypothesis is the empty one,
+        # completed by blank, so a sharply peaked LM must leave it untouched
+        model = table_from_probs({(): [[1e-9, 1e-9, 1.0]]}, frames=1)
+        lm = TableScorer(0, 2, {(): np.log(np.array([0.01, 0.99]))})
+        plain = transducer_decode(model, 1, TransducerBeamConfig(algorithm=alg))
+        fused = transducer_decode(
+            model, 1, TransducerBeamConfig(algorithm=alg, lm=lm, lm_weight=2.0)
+        )
+        by_yseq = {e.yseq: e for e in fused.entries}
+        assert by_yseq[()].score == plain.best().score == model.joint(0, ())[2]
+        assert by_yseq[()].scores == {"transducer": plain.best().score, "lm": 0.0}
 
-    def test_vocab_mismatch_is_config_error(self):
+    @pytest.mark.parametrize("alg", ["beam", "tsd", "alsd", "nsc"])
+    def test_vocab_mismatch_is_config_error(self, rng, alg):
+        model = random_transducer(rng, 2, 2)
+        lm = TableScorer(0, 3, {(): np.log(np.array([0.2, 0.3, 0.5]))})
         with pytest.raises(ConfigError):
-            fuse_lm_scores(np.zeros(3), np.zeros(3), 0.5)
+            transducer_decode(
+                model, 2, TransducerBeamConfig(algorithm=alg, lm=lm, lm_weight=0.5)
+            )
 
     def test_weight_zero_is_identity(self, rng):
         model = random_transducer(rng, 2, 3)
@@ -284,6 +299,23 @@ class TestLMFusion:
         assert [e.yseq for e in plain.entries] == [e.yseq for e in fused.entries]
         for a, b in zip(plain.entries, fused.entries):
             assert a.score == pytest.approx(b.score, abs=1e-12)
+
+    @pytest.mark.parametrize("alg", ["beam", "tsd", "alsd", "nsc"])
+    def test_weight_zero_with_impossible_lm_label_drops_it(self, alg):
+        # 0 * -inf is nan: the expansion is dropped, not kept with a nan
+        # score; on a model that already rules label 1 out, fusion at weight
+        # 0 then changes nothing
+        with np.errstate(invalid="ignore", divide="ignore"):
+            model = table_from_probs({
+                ctx: [[0.5, 0.0, 0.5], [0.3, 0.0, 0.7], [0.6, 0.0, 0.4]]
+                for ctx in [(), (0,), (1,)]
+            }, frames=3)
+            lm = TableScorer(0, 2, {(): np.array([0.0, -np.inf])})
+            plain = transducer_decode(model, 3, TransducerBeamConfig(algorithm=alg))
+            fused = transducer_decode(model, 3, TransducerBeamConfig(
+                algorithm=alg, lm=lm, lm_weight=0.0))
+        assert [(e.yseq, e.score) for e in fused.entries] == [
+            (e.yseq, e.score) for e in plain.entries]
 
     def test_uniform_lm_shifts_by_length(self, rng):
         # finite-support model: both searches drain fully, so merged sums are
@@ -354,6 +386,19 @@ class TestDispatchAndTable:
         with pytest.raises(ConfigError):
             model.joint(0, (0,))
 
+    @pytest.mark.parametrize("pops", [0, -1])
+    def test_max_pops_per_frame_below_one_is_config_error(self, pops):
+        with pytest.raises(ConfigError):
+            TransducerBeamConfig(max_pops_per_frame=pops)
+
+    def test_pop_cap_truncates_frame(self, rng):
+        # one pop per frame completes only the best hypothesis of the frame
+        model = random_transducer(rng, 2, 3)
+        nbest = transducer_beam(model, 3, TransducerBeamConfig(
+            beam_size=4, max_pops_per_frame=1))
+        assert len(nbest.entries) == 1
+        assert len(transducer_beam(model, 3, TransducerBeamConfig(beam_size=4)).entries) > 1
+
     def test_unnormalised_rows_rejected(self):
         with pytest.raises(ConfigError):
             TableTransducer(0, 1, 1, {(): np.log(np.array([[0.5, 0.3]]))})
@@ -388,3 +433,363 @@ class TestExactnessOnGeneralModels:
             if len(entry.yseq) <= 3:
                 exact = oracle_transducer_prob(model, 2, entry.yseq)
                 assert math.exp(entry.score) == pytest.approx(math.exp(exact), abs=1e-12)
+
+
+# --- build-every-expansion references ---------------------------------------
+# The searches as they were before label expansions were ranked on a score
+# matrix: every finite child of every expanded hypothesis is built and
+# merged, and only then pruned by (-score, yseq). The fast searches must
+# return exactly the same n-best lists.
+
+class _RefHyp:
+    __slots__ = ("yseq", "score", "pred_state", "lm_state", "lm_score")
+
+    def __init__(self, yseq, score, pred_state, lm_state=None, lm_score=0.0):
+        self.yseq, self.score, self.pred_state = yseq, score, pred_state
+        self.lm_state, self.lm_score = lm_state, lm_score
+
+    def with_score(self, score):
+        return _RefHyp(self.yseq, score, self.pred_state, self.lm_state, self.lm_score)
+
+
+def _ref_key(item):
+    return (-item[1].score, item[0])
+
+
+def _ref_prune(pool, beam):
+    return dict(sorted(pool.items(), key=_ref_key)[:beam])
+
+
+def _ref_merge(pool, hyp):
+    old = pool.get(hyp.yseq)
+    pool[hyp.yseq] = hyp if old is None else old.with_score(
+        float(np.logaddexp(old.score, hyp.score)))
+
+
+def _ref_init(model, cfg):
+    lm_state = cfg.lm.init_state(None) if cfg.lm else None
+    return {(): _RefHyp((), 0.0, model.pred_init(), lm_state)}
+
+
+def _ref_children(model, cfg, hyp, joint_row):
+    if cfg.lm is not None:
+        lm_vec, lm_scored = cfg.lm.score((model.num_labels,) + hyp.yseq, hyp.lm_state, None)
+    for label in range(model.num_labels):
+        score = hyp.score + float(joint_row[label])
+        lm_raw, lm_state = hyp.lm_score, hyp.lm_state
+        if cfg.lm is not None:
+            lm_term = float(lm_vec[label])
+            score = score + cfg.lm_weight * lm_term
+            lm_raw = lm_raw + lm_term
+            lm_state = cfg.lm.select_state(lm_scored, label)
+        if score != -np.inf:
+            yield _RefHyp(hyp.yseq + (label,), score,
+                          model.pred_step(hyp.pred_state, label), lm_state, lm_raw)
+
+
+def _ref_nbest(pool, cfg):
+    entries = []
+    for yseq, hyp in pool.items():
+        scores = {"transducer": hyp.score}
+        if cfg.lm is not None:
+            scores = {"transducer": hyp.score - cfg.lm_weight * hyp.lm_score,
+                      "lm": hyp.lm_score}
+        entries.append(NBestEntry(yseq=yseq, score=hyp.score, scores=scores))
+    return NBestList.from_entries(entries)
+
+
+def ref_beam(model, frames, cfg):
+    pool, blank = _ref_init(model, cfg), model.blank_id
+    for t in range(frames):
+        active, completed, pops = dict(pool), {}, 0
+        while active and pops < cfg.max_pops_per_frame:
+            top = max(a.score for a in active.values())
+            if sum(1 for h in completed.values() if h.score > top) >= cfg.beam_size:
+                break
+            yseq, hyp = min(active.items(), key=_ref_key)
+            del active[yseq]
+            pops += 1
+            joint_row = model.joint(t, hyp.pred_state)
+            _ref_merge(completed, hyp.with_score(hyp.score + float(joint_row[blank])))
+            for child in _ref_children(model, cfg, hyp, joint_row):
+                _ref_merge(active, child)
+        pool = _ref_prune(completed, cfg.beam_size)
+        if not pool:
+            break
+    return _ref_nbest(pool, cfg)
+
+
+def ref_tsd(model, frames, cfg):
+    pool, blank = _ref_init(model, cfg), model.blank_id
+    for t in range(frames):
+        completed, current = {}, pool
+        for round_idx in range(cfg.max_exp_per_step + 1):
+            expansions = {}
+            for yseq, hyp in sorted(current.items(), key=_ref_key):
+                joint_row = model.joint(t, hyp.pred_state)
+                _ref_merge(completed, hyp.with_score(hyp.score + float(joint_row[blank])))
+                if round_idx < cfg.max_exp_per_step:
+                    for child in _ref_children(model, cfg, hyp, joint_row):
+                        _ref_merge(expansions, child)
+            if round_idx == cfg.max_exp_per_step or not expansions:
+                break
+            current = _ref_prune(expansions, cfg.beam_size)
+        pool = _ref_prune(completed, cfg.beam_size)
+        if not pool:
+            break
+    return _ref_nbest(pool, cfg)
+
+
+def ref_nsc(model, frames, cfg):
+    pool, blank = _ref_init(model, cfg), model.blank_id
+    for t in range(frames):
+        completed, current = {}, pool
+        for step in range(1, cfg.n_steps + 1):
+            expansions = {}
+            for yseq, hyp in sorted(current.items(), key=_ref_key):
+                joint_row = model.joint(t, hyp.pred_state)
+                _ref_merge(completed, hyp.with_score(hyp.score + float(joint_row[blank])))
+                for child in _ref_children(model, cfg, hyp, joint_row):
+                    _ref_merge(expansions, child)
+            if not expansions:
+                break
+            expansions = _ref_prune(expansions, cfg.beam_size)
+            if step == cfg.n_steps:
+                for yseq, hyp in sorted(expansions.items(), key=_ref_key):
+                    joint_row = model.joint(t, hyp.pred_state)
+                    _ref_merge(completed, hyp.with_score(hyp.score + float(joint_row[blank])))
+            else:
+                current = expansions
+        pool = _ref_prune(completed, cfg.beam_size)
+        if not pool:
+            break
+    return _ref_nbest(pool, cfg)
+
+
+def ref_alsd(model, frames, cfg):
+    blank = model.blank_id
+    u_max = cfg.u_max if cfg.u_max is not None else math.ceil(cfg.u_max_ratio * frames)
+    current, final = _ref_init(model, cfg), {}
+    for i in range(frames + u_max):
+        nxt = {}
+        for yseq, hyp in sorted(current.items(), key=_ref_key):
+            u = len(yseq)
+            t = i - u
+            if t >= frames:
+                continue
+            joint_row = model.joint(t, hyp.pred_state)
+            blank_hyp = hyp.with_score(hyp.score + float(joint_row[blank]))
+            _ref_merge(final if t == frames - 1 else nxt, blank_hyp)
+            if u < u_max:
+                for child in _ref_children(model, cfg, hyp, joint_row):
+                    _ref_merge(nxt, child)
+        current = _ref_prune(nxt, cfg.beam_size)
+        if not current:
+            break
+    return _ref_nbest(_ref_prune(final, cfg.beam_size), cfg)
+
+
+REFERENCES = {"beam": ref_beam, "tsd": ref_tsd, "alsd": ref_alsd, "nsc": ref_nsc}
+
+
+class QuantisedTransducer(TransducerModel):
+    """Order-1 joint table with unnormalised entries on a 0.5 grid, so equal
+    scores are common and ties cross hypotheses of different lengths."""
+
+    def __init__(self, rng, n_labels, frames, neg_inf_share=0.0):
+        self._num_labels = n_labels
+        self.rows = {}
+        for ctx in [()] + [(j,) for j in range(n_labels)]:
+            mat = -0.5 * rng.integers(0, 7, size=(frames, n_labels + 1)).astype(np.float64)
+            mat[rng.random(mat.shape) < neg_inf_share] = -np.inf
+            self.rows[ctx] = mat
+
+    @property
+    def num_labels(self):
+        return self._num_labels
+
+    def pred_init(self):
+        return ()
+
+    def pred_step(self, state, label):
+        return (label,)
+
+    def joint(self, t, state):
+        return self.rows[state][t]
+
+
+class QuantisedLM(FullScorer):
+    """Order-1 label LM with unnormalised 0.5-grid scores; the state is the
+    last label, so select_state results are checkable."""
+
+    def __init__(self, rng, n_labels, neg_inf_share=0.0):
+        self.rows = {}
+        for ctx in [()] + [(j,) for j in range(n_labels)]:
+            vec = -0.5 * rng.integers(0, 5, size=n_labels).astype(np.float64)
+            vec[rng.random(n_labels) < neg_inf_share] = -np.inf
+            self.rows[ctx] = vec
+
+    def init_state(self, emission):
+        return ()
+
+    def score(self, prefix, state, emission):
+        return self.rows[state].copy(), state
+
+    def select_state(self, scored_state, token):
+        return (token,)
+
+
+def _nbest_triples(nbest):
+    return [(e.yseq, e.score, e.scores) for e in nbest.entries]
+
+
+class TestTransducerTopBSelection:
+    """Ranking label expansions on a score matrix and building only the
+    kept ones returns the same n-best, bit for bit, as building every
+    expansion first; likewise the heap-driven Graves beam."""
+
+    @staticmethod
+    def _instance(seed, *, frames=None, n_labels=None, beam=None, neg_inf_share=None):
+        rng = np.random.default_rng(61000 + seed)
+        n_labels = n_labels or int(rng.integers(1, 6))
+        frames = frames or int(rng.integers(1, 5))
+        share = neg_inf_share if neg_inf_share is not None else float(rng.choice([0.0, 0.2]))
+        model = QuantisedTransducer(rng, n_labels, frames, share)
+        lm = QuantisedLM(rng, n_labels, share)
+        beam = beam or int(rng.integers(1, n_labels + 3))
+        return model, lm, frames, beam
+
+    @staticmethod
+    def _configs(lm, beam):
+        for fused in (False, True):
+            fusion = dict(lm=lm, lm_weight=0.5) if fused else {}
+            yield TransducerBeamConfig(beam_size=beam, algorithm="beam",
+                                       max_pops_per_frame=40, **fusion)
+            for n in (1, 2, 3):
+                yield TransducerBeamConfig(beam_size=beam, algorithm="tsd",
+                                           max_exp_per_step=n, **fusion)
+                yield TransducerBeamConfig(beam_size=beam, algorithm="nsc",
+                                           n_steps=n, **fusion)
+            for u_max in (None, 0, 1, 2):
+                yield TransducerBeamConfig(beam_size=beam, algorithm="alsd",
+                                           u_max=u_max, **fusion)
+
+    def _check(self, model, lm, frames, beam):
+        for cfg in self._configs(lm, beam):
+            got = transducer_decode(model, frames, cfg)
+            want = REFERENCES[cfg.algorithm](model, frames, cfg)
+            assert _nbest_triples(got) == _nbest_triples(want), cfg
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_quantised_instances(self, seed):
+        self._check(*self._instance(seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_neg_inf_joint_entries(self, seed):
+        self._check(*self._instance(100 + seed, neg_inf_share=0.35))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_frame(self, seed):
+        self._check(*self._instance(200 + seed, frames=1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_beam_wider_than_vocabulary(self, seed):
+        n_labels = 1 + seed % 3
+        self._check(*self._instance(300 + seed, n_labels=n_labels, beam=n_labels + 1 + seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_normalised_models(self, seed):
+        rng = np.random.default_rng(62000 + seed)
+        frames = int(rng.integers(1, 6))
+        model = random_transducer(rng, 3, frames)
+        lm = TableScorer(1, 3, {ctx: np.log(rng.dirichlet(np.ones(3)))
+                                for ctx in [(), (0,), (1,), (2,)]})
+        self._check(model, lm, frames, int(rng.integers(1, 6)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_graves_beam_with_many_pops_per_frame(self, seed):
+        # few labels, wide beams: hypotheses are popped, re-created and
+        # merged again within one frame, so stale heap entries surface
+        rng = np.random.default_rng(63000 + seed)
+        n_labels, frames = int(rng.integers(1, 3)), int(rng.integers(2, 6))
+        if seed % 2:
+            model = QuantisedTransducer(rng, n_labels, frames)
+        else:
+            model = random_transducer(rng, n_labels, frames)
+        lm = QuantisedLM(rng, n_labels)
+        beam = int(rng.integers(2, 9))
+        for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+            cfg = TransducerBeamConfig(beam_size=beam, max_pops_per_frame=200, **fusion)
+            got = transducer_beam(model, frames, cfg)
+            assert _nbest_triples(got) == _nbest_triples(ref_beam(model, frames, cfg))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_nsc_is_tsd_with_n_steps_rounds(self, seed):
+        model, lm, frames, beam = self._instance(400 + seed)
+        for n in (1, 2, 3):
+            for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+                want = ref_nsc(model, frames, TransducerBeamConfig(
+                    beam_size=beam, algorithm="nsc", n_steps=n, **fusion))
+                got = transducer_tsd(model, frames, TransducerBeamConfig(
+                    beam_size=beam, algorithm="tsd", max_exp_per_step=n, **fusion))
+                assert _nbest_triples(got) == _nbest_triples(want)
+
+
+class CountingTransducer(TransducerModel):
+    """Delegating model that logs each joint/joint_batch and pred_step call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.events = []
+
+    @property
+    def num_labels(self):
+        return self.inner.num_labels
+
+    def pred_init(self):
+        return self.inner.pred_init()
+
+    def pred_step(self, state, label):
+        self.events.append("pred_step")
+        return self.inner.pred_step(state, label)
+
+    def joint(self, t, state):
+        self.events.append("joint")
+        return self.inner.joint(t, state)
+
+    def joint_batch(self, t, states):
+        self.events.append("joint")
+        return self.inner.joint_batch(t, states)
+
+    def max_pred_steps_between_joints(self):
+        runs = "".join("p" if e == "pred_step" else "|" for e in self.events).split("|")
+        return max(len(run) for run in runs)
+
+
+class TestTransducerExpansionWorkBound:
+    """Children are built only for kept expansions: the frame- and
+    label-synchronous searches make at most beam_size pred_step calls per
+    expansion round, the Graves beam at most one per pop."""
+
+    @pytest.mark.parametrize("alg", ["tsd", "alsd", "nsc"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_at_most_beam_pred_steps_per_round(self, rng, alg, fused):
+        model = CountingTransducer(random_transducer(rng, 6, 5))
+        lm = TableScorer(0, 6, {(): np.log(rng.dirichlet(np.ones(6)))})
+        cfg = TransducerBeamConfig(beam_size=2, algorithm=alg, max_exp_per_step=3,
+                                   n_steps=3, lm=lm if fused else None,
+                                   lm_weight=0.5 if fused else 0.0)
+        transducer_decode(model, 5, cfg)
+        assert "pred_step" in model.events
+        assert model.max_pred_steps_between_joints() <= cfg.beam_size
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_beam_builds_at_most_one_child_per_pop(self, rng, fused):
+        model = CountingTransducer(random_transducer(rng, 6, 5))
+        lm = TableScorer(0, 6, {(): np.log(rng.dirichlet(np.ones(6)))})
+        cfg = TransducerBeamConfig(beam_size=4, lm=lm if fused else None,
+                                   lm_weight=0.5 if fused else 0.0)
+        transducer_beam(model, 5, cfg)
+        assert "pred_step" in model.events
+        assert model.max_pred_steps_between_joints() <= 1
+        assert model.events.count("pred_step") <= model.events.count("joint")
