@@ -16,6 +16,13 @@ pre-beam; partial scorers rate only those. The top-B cells of the resulting
 B successors are built (scorer states selected, hypotheses allocated).
 Successors emitting eos move to the finished pool with per-scorer final
 adjustments added.
+
+Selection by bound: in the batched search, one partial scorer that bounds
+its scores (the CTC prefix scorer) is scored after the others and rates
+exactly only the cells whose upper-bound total reaches the beam_size-th
+largest lower-bound total. The other cells cannot enter the beam, so the
+selected cells, their order and their states are those of scoring every
+cell exactly. The sequential search scores every cell.
 """
 
 from __future__ import annotations
@@ -137,6 +144,17 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     return top.reshape(np.shape(scores)[:-1] + (k,))
 
 
+def _prunes(scorer: PartialScorer) -> bool:
+    """Whether the scorer's ``batch_score_partial_pruned`` belongs to its
+    ``batch_score_partial``: a subclass that re-implements the latter but
+    inherits the former (a wrapper, a checker) takes the unpruned path."""
+    def owner(attr: str) -> type:
+        return next(c for c in type(scorer).__mro__ if attr in vars(c))
+
+    pruned = owner("batch_score_partial_pruned")
+    return pruned is not PartialScorer and issubclass(pruned, owner("batch_score_partial"))
+
+
 class _SearchContext:
     """Validated scorer/weight wiring for one search."""
 
@@ -180,6 +198,9 @@ class _SearchContext:
         self.allowed_without_eos = np.array(
             [i for i in allowed if i != vocab.eos_id], dtype=np.int64
         )
+        # at most one partial scorer prunes its scoring by bounds: the first
+        # whose pruned entry is its batched kernel
+        self.pruner = next((k for k, v in self.partial.items() if _prunes(v)), None)
         base = config.pre_beam_size
         if base is None:
             base = min(vocab_size, math.ceil(1.5 * config.beam_size))
@@ -211,6 +232,51 @@ def _initial_hypothesis(ctx: _SearchContext, emission: EmissionMatrix) -> Hypoth
         scores={name: 0.0 for name in names},
         states=states,
     )
+
+
+def _totals(
+    ctx: _SearchContext,
+    full_part: np.ndarray,
+    part_mats: Dict[str, np.ndarray],
+    parent_scores: np.ndarray,
+) -> np.ndarray:
+    """Candidate totals: the weighted full-scorer part, plus each partial
+    scorer's weighted score in name order, the length penalty and the
+    parent's score. Every step is monotone in each partial score."""
+    total = full_part
+    for name in ctx.partial:
+        total = total + ctx.weights[name] * part_mats[name]
+    if ctx.config.length_penalty:
+        total = total + ctx.config.length_penalty
+    return total + parent_scores
+
+
+def _may_reach_beam(
+    ctx: _SearchContext,
+    full_part: np.ndarray,
+    part_mats: Dict[str, np.ndarray],
+    parent_scores: np.ndarray,
+    name: str,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Cells whose total may reach the beam, given bounds lo <= score <= hi
+    on scorer ``name`` and exact scores from every other scorer.
+
+    Totals from the bounds bound the real totals, since ``_totals`` is
+    monotone. With theta the beam_size-th largest lower-bound total, at
+    least beam_size real totals are >= theta, so a cell whose upper-bound
+    total is below theta can be neither selected nor outrank a selected
+    cell, even when it holds its upper bound in place of its score. With
+    fewer than beam_size finite lower-bound totals, theta is -inf and every
+    cell is kept.
+    """
+    k = ctx.config.beam_size
+    lo_total = _totals(ctx, full_part, {**part_mats, name: lo}, parent_scores)
+    if lo_total.size < k:
+        return np.ones(lo.shape, dtype=bool)
+    theta = np.partition(lo_total, lo_total.size - k, axis=None)[lo_total.size - k]
+    return _totals(ctx, full_part, {**part_mats, name: hi}, parent_scores) >= theta
 
 
 def _top_cells(
@@ -307,21 +373,26 @@ def _search(
             full_scored[name] = scored
 
         cand_mat = top_candidate_ids(weighted[:, allowed], allowed, n_cand)
-        cand_scores = np.take_along_axis(weighted, cand_mat, axis=1)
+        full_part = np.take_along_axis(weighted, cand_mat, axis=1)
+        parent_scores = np.array([h.score for h in live])[:, None]
         part_mats: Dict[str, np.ndarray] = {}
         part_scored: Dict[str, List[Any]] = {}
+        pruner = ctx.pruner if batched else None
         for name, scorer in ctx.partial.items():
+            if name == pruner:
+                continue
             kernel = (
                 scorer.batch_score_partial if batched
                 else partial(PartialScorer.batch_score_partial, scorer)
             )
-            pmat, scored = kernel(prefixes, cand_mat, [h.states[name] for h in live], emission)
-            cand_scores = cand_scores + ctx.weights[name] * pmat
-            part_mats[name] = pmat
-            part_scored[name] = scored
-        if ctx.config.length_penalty:
-            cand_scores = cand_scores + ctx.config.length_penalty
-        cand_scores = cand_scores + np.array([h.score for h in live])[:, None]
+            part_mats[name], part_scored[name] = kernel(
+                prefixes, cand_mat, [h.states[name] for h in live], emission)
+        if pruner is not None:
+            keep = partial(_may_reach_beam, ctx, full_part, part_mats, parent_scores, pruner)
+            part_mats[pruner], part_scored[pruner] = (
+                ctx.partial[pruner].batch_score_partial_pruned(
+                    prefixes, cand_mat, [h.states[pruner] for h in live], emission, keep))
+        cand_scores = _totals(ctx, full_part, part_mats, parent_scores)
 
         rows, cols = _top_cells(live, cand_mat, cand_scores, config.beam_size)
         step_best.append(float(cand_scores[rows[0], cols[0]]))

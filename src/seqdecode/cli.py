@@ -4,7 +4,8 @@ One JSON config file describes a run; flags override config values. Outputs
 are machine-readable JSON, written deterministically (sorted keys), so a run
 repeated with the same inputs, config, and seed is byte-identical. Exit
 codes: 0 success, 1 verification failure, 2 configuration error, 3 input
-format error, 4 infeasible request.
+format error, 4 infeasible request. Any other exception is a bug, not a
+bad input, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +61,17 @@ class RunConfig:
     sequential: bool
     jobs: int
     oracle: bool
+
+
+@contextmanager
+def _config_values() -> Iterator[None]:
+    """Reading the config: a bad cast, a missing key or a block of the
+    wrong type is a config error (exit 2). Wrap only config parsing and
+    building in this, so errors raised while decoding stay errors."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise ConfigError(str(e)) from None
 
 
 def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
@@ -200,11 +213,12 @@ def _scores_close(a: float, b: float, tol: float = 1e-6) -> bool:
 
 
 def run_decode(cfg: RunConfig) -> int:
-    vocab = _vocab_from_config(cfg.raw)
-    if not cfg.emissions:
-        raise ConfigError("decode needs at least one emission path")
-    full, partial = _build_scorers(cfg.raw, vocab)
-    beam_cfg = BeamConfig.from_json(cfg.raw.get("beam", {}))
+    with _config_values():
+        vocab = _vocab_from_config(cfg.raw)
+        if not cfg.emissions:
+            raise ConfigError("decode needs at least one emission path")
+        full, partial = _build_scorers(cfg.raw, vocab)
+        beam_cfg = BeamConfig.from_json(cfg.raw.get("beam", {}))
 
     def work(path: str) -> Dict[str, Any]:
         return _decode_one(path, vocab, full, partial, beam_cfg, cfg.sequential, cfg.oracle)
@@ -233,30 +247,31 @@ def run_decode(cfg: RunConfig) -> int:
 
 def run_transducer(cfg: RunConfig) -> int:
     raw = cfg.raw
-    if "model" not in raw:
-        raise ConfigError("transducer config needs a 'model' path")
-    model = TableTransducer.load(raw["model"])
-    tokens = raw.get("tokens")
-    if tokens is None:
-        tokens = [str(i) for i in range(model.num_labels)]
-    if len(tokens) != model.num_labels:
-        raise ConfigError(
-            f"config lists {len(tokens)} tokens but the model has {model.num_labels} labels"
+    with _config_values():
+        if "model" not in raw:
+            raise ConfigError("transducer config needs a 'model' path")
+        model = TableTransducer.load(raw["model"])
+        tokens = raw.get("tokens")
+        if tokens is None:
+            tokens = [str(i) for i in range(model.num_labels)]
+        if len(tokens) != model.num_labels:
+            raise ConfigError(
+                f"config lists {len(tokens)} tokens but the model has {model.num_labels} labels"
+            )
+        block = dict(raw.get("transducer", {}))
+        lm = None
+        if "lm_table" in block:
+            lm = TableScorer.load(block.pop("lm_table"))
+        t_cfg = TransducerBeamConfig(
+            beam_size=int(block.get("beam_size", 4)),
+            algorithm=str(block.get("algorithm", "beam")),
+            max_exp_per_step=int(block.get("max_exp_per_step", 2)),
+            u_max_ratio=float(block.get("u_max_ratio", 1.0)),
+            n_steps=int(block.get("n_steps", 2)),
+            lm=lm,
+            lm_weight=float(block.get("lm_weight", 0.0)),
+            u_max=None if block.get("u_max") is None else int(block["u_max"]),
         )
-    block = dict(raw.get("transducer", {}))
-    lm = None
-    if "lm_table" in block:
-        lm = TableScorer.load(block.pop("lm_table"))
-    t_cfg = TransducerBeamConfig(
-        beam_size=int(block.get("beam_size", 4)),
-        algorithm=str(block.get("algorithm", "beam")),
-        max_exp_per_step=int(block.get("max_exp_per_step", 2)),
-        u_max_ratio=float(block.get("u_max_ratio", 1.0)),
-        n_steps=int(block.get("n_steps", 2)),
-        lm=lm,
-        lm_weight=float(block.get("lm_weight", 0.0)),
-        u_max=None if block.get("u_max") is None else int(block["u_max"]),
-    )
     nbest = transducer_decode(model, model.frames, t_cfg)
     payload = _nbest_payload(nbest, tokens)
     if cfg.oracle:
@@ -277,19 +292,20 @@ def run_transducer(cfg: RunConfig) -> int:
 
 
 def run_maskctc(cfg: RunConfig) -> int:
-    vocab = _vocab_from_config(cfg.raw)
-    if vocab.mask_id is None:
-        raise ConfigError("maskctc needs a vocabulary with mask_id")
-    if not cfg.emissions:
-        raise ConfigError("maskctc needs an emission path")
-    if "mlm" not in cfg.raw:
-        raise ConfigError("maskctc config needs an 'mlm' path")
-    mlm = maskctc_mod.TableMLM.load(cfg.raw["mlm"], mask_id=vocab.mask_id)
-    block = cfg.raw.get("maskctc", {})
-    mc_cfg = maskctc_mod.MaskCtcConfig(
-        threshold=float(block.get("threshold", 0.5)),
-        iterations=int(block.get("iterations", 1)),
-    )
+    with _config_values():
+        vocab = _vocab_from_config(cfg.raw)
+        if vocab.mask_id is None:
+            raise ConfigError("maskctc needs a vocabulary with mask_id")
+        if not cfg.emissions:
+            raise ConfigError("maskctc needs an emission path")
+        if "mlm" not in cfg.raw:
+            raise ConfigError("maskctc config needs an 'mlm' path")
+        mlm = maskctc_mod.TableMLM.load(cfg.raw["mlm"], mask_id=vocab.mask_id)
+        block = cfg.raw.get("maskctc", {})
+        mc_cfg = maskctc_mod.MaskCtcConfig(
+            threshold=float(block.get("threshold", 0.5)),
+            iterations=int(block.get("iterations", 1)),
+        )
     emission = load_emission(cfg.emissions[0])
     result = maskctc_mod.mask_ctc_decode(emission, mlm, vocab, mc_cfg)
     payload = {
@@ -303,20 +319,21 @@ def run_maskctc(cfg: RunConfig) -> int:
 
 
 def run_align(cfg: RunConfig) -> int:
-    vocab = _vocab_from_config(cfg.raw)
-    if not cfg.emissions:
-        raise ConfigError("align needs an emission path")
-    labels_raw = cfg.raw.get("labels")
-    if labels_raw is None:
-        raise ConfigError("align config needs a 'labels' list")
-    labels: List[int] = []
-    for item in labels_raw:
-        if isinstance(item, str):
-            if item not in vocab.tokens:
-                raise ConfigError(f"label {item!r} is not in the vocabulary")
-            labels.append(vocab.tokens.index(item))
-        else:
-            labels.append(int(item))
+    with _config_values():
+        vocab = _vocab_from_config(cfg.raw)
+        if not cfg.emissions:
+            raise ConfigError("align needs an emission path")
+        labels_raw = cfg.raw.get("labels")
+        if labels_raw is None:
+            raise ConfigError("align config needs a 'labels' list")
+        labels: List[int] = []
+        for item in labels_raw:
+            if isinstance(item, str):
+                if item not in vocab.tokens:
+                    raise ConfigError(f"label {item!r} is not in the vocabulary")
+                labels.append(vocab.tokens.index(item))
+            else:
+                labels.append(int(item))
     emission = load_emission(cfg.emissions[0])
     try:
         alignment = ctc_forced_align(emission, labels, vocab.blank_id)
@@ -335,24 +352,24 @@ def run_align(cfg: RunConfig) -> int:
 
 def run_vad(cfg: RunConfig) -> int:
     raw = cfg.raw
-    if "vocab" in raw:
-        blank_id = Vocabulary.from_dict(raw["vocab"]).blank_id
-    elif "blank_id" in raw:
-        blank_id = int(raw["blank_id"])
-    else:
-        raise ConfigError("vad config needs 'vocab' or 'blank_id'")
-    if not cfg.emissions:
-        raise ConfigError("vad needs an emission path")
-    block = raw.get("vad", {})
+    with _config_values():
+        if "vocab" in raw:
+            blank_id = Vocabulary.from_dict(raw["vocab"]).blank_id
+        elif "blank_id" in raw:
+            blank_id = int(raw["blank_id"])
+        else:
+            raise ConfigError("vad config needs 'vocab' or 'blank_id'")
+        if not cfg.emissions:
+            raise ConfigError("vad needs an emission path")
+        block = raw.get("vad", {})
+        options = {
+            "on_threshold": float(block.get("on_threshold", 0.5)),
+            "min_gap_frames": int(block.get("min_gap_frames", 0)),
+            "margin_frames": int(block.get("margin_frames", 0)),
+        }
     emission = load_emission(cfg.emissions[0])
     try:
-        segments = ctc_vad(
-            emission,
-            blank_id,
-            on_threshold=float(block.get("on_threshold", 0.5)),
-            min_gap_frames=int(block.get("min_gap_frames", 0)),
-            margin_frames=int(block.get("margin_frames", 0)),
-        )
+        segments = ctc_vad(emission, blank_id, **options)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     payload = {
@@ -392,11 +409,13 @@ class BenchReport:
 
 
 def run_bench(cfg: RunConfig) -> int:
-    block = cfg.raw.get("bench", {})
-    v = int(block.get("V", 50))
-    t = int(block.get("T", 20))
-    b = int(block.get("B", 4))
-    repeats = int(block.get("repeats", 3))
+    with _config_values():
+        block = cfg.raw.get("bench", {})
+        v = int(block.get("V", 50))
+        t = int(block.get("T", 20))
+        b = int(block.get("B", 4))
+        repeats = int(block.get("repeats", 3))
+        max_len_ratio = float(block.get("max_len_ratio", 0.5))
     if min(v, t, b, repeats) < 1 or v < 4:
         raise ConfigError("bench needs V >= 4 and positive T, B, repeats")
     rng = np.random.default_rng(cfg.seed)
@@ -404,7 +423,7 @@ def run_bench(cfg: RunConfig) -> int:
     beam_cfg = BeamConfig(
         weights={"att": 0.7, "ctc": 0.3},
         beam_size=b,
-        max_len_ratio=float(block.get("max_len_ratio", 0.5)),
+        max_len_ratio=max_len_ratio,
     )
 
     variants = {
@@ -503,7 +522,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_run_config(args.task, args)
+        with _config_values():
+            cfg = _build_run_config(args.task, args)
         return _RUNNERS[args.task](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -520,10 +540,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DecodeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, KeyError) as e:
-        # malformed config values (bad casts, missing keys) count as config
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

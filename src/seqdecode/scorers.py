@@ -10,6 +10,12 @@ states are per-hypothesis values threaded by the search: ``score`` returns a
 the token actually chosen. The CTC prefix scorer rates candidates from the
 parents' forward variables alone; a successor's own variables are computed
 only when it is scored in turn (or read), so pruned successors cost nothing.
+
+``batch_score_partial`` returns every cell exactly. A partial scorer that
+can bound its scores cheaply also implements
+``batch_score_partial_pruned``: it hands per-cell lower and upper bounds to
+the caller, which says which cells must be exact; every other cell holds its
+upper bound. The CTC prefix scorer does so, with the same kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import abc
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +118,25 @@ class PartialScorer(abc.ABC):
             rows.append(vec)
             scored.append(st)
         return np.stack(rows, axis=0), scored
+
+    def batch_score_partial_pruned(
+        self,
+        prefixes: Sequence[Tuple[int, ...]],
+        candidates: np.ndarray,
+        states: Sequence[Any],
+        emission: Optional[EmissionMatrix],
+        keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> Tuple[np.ndarray, List[Any]]:
+        """``batch_score_partial`` for a caller that needs only some cells
+        exactly.
+
+        A scorer that can bound its scores cheaply passes (B x P) lower and
+        upper bounds ``lo <= score <= hi`` to ``keep``, which returns the
+        mask of cells that must be exact. Every other cell may hold its
+        upper bound instead of its score; the caller must not select its
+        state. The default ignores ``keep`` and scores every cell.
+        """
+        return self.batch_score_partial(prefixes, candidates, states, emission)
 
 
 def _context_key(ids: Sequence[int]) -> str:
@@ -319,6 +344,38 @@ def _materialise(states: Sequence[CTCPrefixState]) -> None:
             s._r_nb, s._r_b, s._source = r_nb[:, k], r_b[:, k], None
 
 
+# a frame term more than _FAR below a cell's largest term counts as
+# exp(-_FAR) of it in the upper bound
+_FAR = 8.0
+
+
+def _fold_bounds(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= np.logaddexp.reduce(terms, axis=0) <= hi.
+
+    Each float logaddexp is at least the larger of its arguments, so the
+    fold is at least the largest term. Over n terms it is at most
+    max + log(near + (n - near) * exp(-_FAR)) in real numbers, where near
+    counts the terms within _FAR of the max; the float fold exceeds the real
+    one by a few ulps of the running sum per term (errors shrink as they
+    pass later steps), which the margin covers many times over. A cell whose
+    terms are all -inf folds to exactly -inf.
+    """
+    n = terms.shape[0]
+    lo = terms.max(axis=0)
+    near = np.count_nonzero(terms >= lo - _FAR, axis=0)
+    with np.errstate(invalid="ignore"):
+        hi = lo + (np.log(near + (n - near) * math.exp(-_FAR))
+                   + (1e-9 + n * (np.abs(lo) + 1.0) * 1e-15))
+    hi[lo == NEG_INF] = NEG_INF
+    return lo, hi
+
+
+def _minus(psi: np.ndarray, prefix_scores: np.ndarray) -> np.ndarray:
+    """Scores psi - prefix_score; -inf for a prefix that has no mass."""
+    with np.errstate(invalid="ignore"):
+        return np.where(prefix_scores == NEG_INF, NEG_INF, psi - prefix_scores)
+
+
 class CTCPrefixScorer(PartialScorer):
     """Joint-scoring CTC prefix scorer.
 
@@ -334,6 +391,14 @@ class CTCPrefixScorer(PartialScorer):
     (T, B, C) candidate cells. The recursion runs only for the successors the
     search keeps (see ``CTCPrefixState``). ``score_partial`` is the batched
     kernel at B=1.
+
+    ``batch_score_partial_pruned`` runs the same kernel but folds over
+    frames only the cells ``keep`` asks for, given bounds from the frame
+    terms (see ``_fold_bounds``). Eos cells (the parent's full-sequence
+    probability), cells of a parent with no mass and cells whose terms are
+    all -inf are exact without the fold, whatever ``keep`` says. Every other
+    cell holds its upper bound, in the scores and in the scored state's psi,
+    so its successor state must not be selected.
     """
 
     def __init__(self, blank_id: int, eos_id: int):
@@ -363,6 +428,12 @@ class CTCPrefixScorer(PartialScorer):
         return state
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
+        return self._score(prefixes, candidates, states, emission, keep=None)
+
+    def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
+        return self._score(prefixes, candidates, states, emission, keep)
+
+    def _score(self, prefixes, candidates, states, emission, keep):
         cands = np.asarray(candidates, dtype=np.int64)
         if cands.ndim != 2:
             raise ValueError("batched candidates must be a (B, P) matrix")
@@ -375,35 +446,40 @@ class CTCPrefixScorer(PartialScorer):
         prefix_lens = np.array([s.prefix_len for s in states])
         r_b = np.stack([s.r_b for s in states], axis=1)  # (T, B)
         r_sum = np.logaddexp(np.stack([s.r_nb for s in states], axis=1), r_b)
-        prefix_scores = np.array([s.prefix_score for s in states])
+        prefix_scores = np.array([s.prefix_score for s in states])[:, None]
         last = np.array(
             [p[-1] if s.prefix_len > 0 else -1 for p, s in zip(prefixes, states)]
         )
         repeat = cands == last[:, None]  # (B, C)
+        eos_mask = cands == self.eos_id
+        eos_psi = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
 
         # psi = log-sum over t of phi[t-1] + x[t, c] (x[0, c] for the empty
         # prefix), reduced in frame order; frames before t0 add only -inf
         psi = np.where(prefix_lens[:, None] == 0, x[0, cands], NEG_INF)  # (B, C)
         t0 = max(1, int(prefix_lens.min()))
         if t0 < T:
-            terms = np.where(repeat, r_b[t0 - 1:T - 1, :, None], r_sum[t0 - 1:T - 1, :, None])
-            terms += x[t0:, cands]  # (T - t0, B, C): log_phi[t-1] + x[t, c]
+            terms = x[t0:, cands]  # (T - t0, B, C): log_phi[t-1] + x[t, c]
+            terms += r_sum[t0 - 1:T - 1, :, None]
+            rows, cols = np.nonzero(repeat)  # a repeat connects through r_b only
+            terms[:, rows, cols] = x[t0:, cands[rows, cols]] + r_b[t0 - 1:T - 1, rows]
             terms[0] = np.logaddexp(psi, terms[0])
-            psi = np.logaddexp.reduce(terms, axis=0)
+            if keep is None:
+                psi = np.logaddexp.reduce(terms, axis=0)
+            else:
+                lo, psi = _fold_bounds(terms)  # psi holds the upper bound until folded
+                lo[eos_mask] = psi[eos_mask] = eos_psi
+                fold = keep(_minus(lo, prefix_scores), _minus(psi, prefix_scores)) & (lo < psi)
+                # a (T - t0, k) C-ordered gather; the fold of a cell is the
+                # same reduction in the same frame order as above
+                psi[fold] = np.logaddexp.reduce(terms[:, fold], axis=0)
+        psi[eos_mask] = eos_psi
 
-        eos_mask = cands == self.eos_id
-        if eos_mask.any():
-            psi[eos_mask] = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
-
-        with np.errstate(invalid="ignore"):
-            scores = np.where(
-                prefix_scores[:, None] == NEG_INF, NEG_INF, psi - prefix_scores[:, None]
-            )
         scored = _CTCScoredState(
             x=x, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
             r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens,
         )
-        return scores, [(scored, i) for i in range(len(states))]
+        return _minus(psi, prefix_scores), [(scored, i) for i in range(len(states))]
 
 
 class WrappedPartialScorer(PartialScorer):

@@ -117,6 +117,12 @@ class TableTransducer(TransducerModel):
             raise ConfigError(f"transducer table has no row for context {key}")
         return self.rows[key][t]
 
+    def joint_batch(self, t: int, states: Sequence[Any]) -> np.ndarray:
+        try:
+            return np.array([self.rows[tuple(s)][t] for s in states])
+        except KeyError as e:
+            raise ConfigError(f"transducer table has no row for context {e.args[0]}") from None
+
     def to_json(self) -> Dict[str, Any]:
         return {
             "context_order": self.context_order,

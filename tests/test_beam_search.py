@@ -11,6 +11,7 @@ from seqdecode import (
     EmissionMatrix,
     FullScorer,
     Hypothesis,
+    PartialScorer,
     TableScorer,
     batch_beam_search,
     beam_search,
@@ -22,6 +23,7 @@ from seqdecode import (
 from seqdecode.beam_search import (
     _SearchContext,
     _collect_nbest,
+    _may_reach_beam,
     _finalize,
     _initial_hypothesis,
     _resolve_lengths,
@@ -518,20 +520,47 @@ class TestSuccessorWorkBound:
 
 class CheckedCTC(CTCPrefixScorer):
     """CTC scorer that checks every scoring call of a search against the
-    frame-loop reference, on the states the call itself filled in."""
+    frame-loop reference, on the states the call itself filled in. On the
+    pruned entry, the cells it folds (and those exact without the fold) must
+    equal the reference, and every skipped cell must hold its upper bound,
+    with the reference inside its bounds. ``cells`` counts [requested,
+    folded] cells of the pruned calls."""
 
     def __init__(self, blank_id, eos_id, log):
         super().__init__(blank_id, eos_id)
         self.log = log
+        self.cells = [0, 0]
+
+    def reference(self, prefixes, candidates, states, emission):
+        ref_states = [(s.r_nb, s.r_b, s.prefix_score, s.prefix_len) for s in states]
+        self.log.append(max(s.prefix_len for s in states))
+        return frame_loop_reference(
+            prefixes, np.asarray(candidates), ref_states, emission.data,
+            self.blank_id, self.eos_id)[0]
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
         scores, scored = super().batch_score_partial(prefixes, candidates, states, emission)
-        ref_states = [(s.r_nb, s.r_b, s.prefix_score, s.prefix_len) for s in states]
-        ref_scores, _, _ = frame_loop_reference(
-            prefixes, np.asarray(candidates), ref_states, emission.data,
-            self.blank_id, self.eos_id)
-        assert np.array_equal(scores, ref_scores)
-        self.log.append(max(s.prefix_len for s in states))
+        assert np.array_equal(scores, self.reference(prefixes, candidates, states, emission))
+        return scores, scored
+
+    def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
+        calls = []
+
+        def recording_keep(lo, hi):
+            calls.append((lo, hi, keep(lo, hi)))
+            return calls[-1][2]
+
+        scores, scored = super().batch_score_partial_pruned(
+            prefixes, candidates, states, emission, recording_keep)
+        ref_scores = self.reference(prefixes, candidates, states, emission)
+        exact = np.ones(scores.shape, dtype=bool)
+        for lo, hi, kept in calls:
+            assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
+            exact = kept | (lo == hi)
+            assert np.array_equal(scores[~exact], hi[~exact])
+            self.cells[1] += np.count_nonzero(kept & (lo < hi))
+        assert np.array_equal(scores[exact], ref_scores[exact])
+        self.cells[0] += scores.size
         return scores, scored
 
 
@@ -609,3 +638,172 @@ class TestLazyCTCStates:
         assert len(nbest.entries) >= 2
         assert min(len(e.yseq) for e in nbest.entries) + 3 < len(steps)
         assert leaked == [0] * len(steps)
+
+
+class TestMayReachBeam:
+    """The cut itself: keep every cell whose upper-bound total reaches the
+    beam_size-th largest lower-bound total, ties included."""
+
+    def cut(self, lo, hi, beam_size, parents=None):
+        vocab = make_vocab(3)
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=beam_size)
+        ctx = _SearchContext(vocab, {"att": TableScorer(0, vocab.size, {})},
+                             {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)}, cfg,
+                             vocab.size)
+        lo, hi = np.atleast_2d(lo), np.atleast_2d(hi)
+        parents = np.zeros(lo.shape[0]) if parents is None else np.asarray(parents)
+        return _may_reach_beam(ctx, np.zeros(lo.shape), {}, parents[:, None],
+                               "ctc", lo, hi).tolist()
+
+    def test_upper_bound_equal_to_threshold_is_kept(self):
+        # theta = 0.5 * -2.0: the second-best lower bound
+        assert self.cut([0.0, -2.0, -4.0, -5.0], [1.0, -1.0, -2.0, -2.5], 2) == [
+            [True, True, True, False]]
+
+    def test_threshold_counts_across_rows(self):
+        lo = [[0.0, -6.0], [-1.0, -6.0]]
+        hi = [[0.5, -1.5], [-0.5, -3.0]]
+        assert self.cut(lo, hi, 2) == [[True, False], [True, False]]
+        assert self.cut(lo, hi, 3) == [[True, True], [True, True]]
+
+    @pytest.mark.parametrize("beam_size", [3, 4, 5])
+    def test_too_few_finite_lower_bounds_keep_everything(self, beam_size):
+        lo = [-np.inf, 0.0, -1.0, -np.inf]
+        hi = [-np.inf, 1.0, -0.5, 2.0]
+        assert self.cut(lo, hi, beam_size) == [[True] * 4]
+
+    def test_cells_of_a_dead_parent_are_cut(self):
+        lo, hi = [[0.0, -1.0], [0.0, -1.0]], [[1.0, 0.0], [1.0, 0.0]]
+        assert self.cut(lo, hi, 1, parents=[0.0, -np.inf]) == [[True, True], [False, False]]
+        assert self.cut(lo[:1], hi[:1], 1, parents=[-np.inf]) == [[True, True]]
+
+
+class UnprunedCTC(PartialScorer):
+    """Delegates to a CTC scorer but inherits the base-class pruned entry,
+    as a tracing wrapper does, so the search folds every cell."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def init_state(self, emission):
+        return self.inner.init_state(emission)
+
+    def score_partial(self, prefix, candidates, state, emission):
+        return self.inner.score_partial(prefix, candidates, state, emission)
+
+    def select_state(self, scored_state, token):
+        return self.inner.select_state(scored_state, token)
+
+    def batch_score_partial(self, prefixes, candidates, states, emission):
+        return self.inner.batch_score_partial(prefixes, candidates, states, emission)
+
+
+def pruning_instance(seed, second):
+    """Tie-heavy instance with many candidates per beam slot: 0.5-grid
+    logits, labels sharing emission columns (so their CTC scores tie), a
+    0.5-grid attention stand-in and optionally a second partial scorer
+    named ``second``: "bias" and "lm" (sorting before and after "ctc") are
+    0.5-grid too. With "word", it and the attention stand-in are random
+    tables instead, so the order in which the totals add the scorers shows
+    in their last bits."""
+    rng = np.random.default_rng(9900 + 7 * seed + len(second or ""))
+    vocab = make_vocab(int(rng.integers(6, 14)))
+    frames = int(rng.integers(1, 14))
+    labels = np.array(vocab.label_ids())
+    logits = 0.5 * rng.integers(-4, 2, size=(frames, vocab.size)).astype(np.float64)
+    for j in rng.choice(labels, size=len(labels) // 3, replace=False):
+        logits[:, j] = logits[:, rng.choice(labels)]
+    logits[:, rng.choice(labels, size=int(rng.integers(0, 2)), replace=False)] = -np.inf
+    em = EmissionMatrix.from_logits(logits)
+    def table():
+        if second == "word":
+            return random_table_scorer(rng, 1, vocab.size)
+        return QuantisedScorer(rng, vocab.size)
+
+    fulls = {"att": table()}
+    parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
+    weights = {"att": 1.0, "ctc": float(rng.choice([0.5, 1.0]))}
+    if second is not None:
+        parts[second] = wrap_full_as_partial(table())
+        weights[second] = 0.5
+    beam = int(rng.integers(1, 5))
+    cfg = BeamConfig(
+        weights=weights,
+        beam_size=beam,
+        pre_beam_size=beam + int(rng.integers(2, 9)),
+        max_steps=frames + 1,
+        min_len_ratio=float(rng.choice([0.0, 0.25, 0.6])),
+        end_detect_margin=-4.0,
+        length_penalty=float(rng.choice([0.0, 0.5])),
+    )
+    return em, vocab, fulls, cfg, parts
+
+
+class TestPrunedSearch:
+    """The batched search folds only cells that may reach the beam; its
+    n-best must equal the path that folds every cell."""
+
+    @pytest.mark.parametrize("second", [None, "lm", "bias", "word"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_unpruned_path(self, second, seed):
+        em, vocab, fulls, cfg, parts = pruning_instance(seed, second)
+        log = []
+        checked = dict(parts, ctc=CheckedCTC(vocab.blank_id, vocab.eos_id, log))
+        unpruned = dict(parts, ctc=UnprunedCTC(parts["ctc"]))
+        ref = nbest_rows(batch_beam_search(em, vocab, fulls, cfg, unpruned))
+        assert nbest_rows(batch_beam_search(em, vocab, fulls, cfg, parts)) == ref
+        assert nbest_rows(batch_beam_search(em, vocab, fulls, cfg, checked)) == ref
+        assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
+
+    @pytest.mark.parametrize("second", [None, "lm", "bias", "word"])
+    def test_instances_skip_cells(self, second):
+        requested = folded = 0
+        for seed in range(12):
+            em, vocab, fulls, cfg, parts = pruning_instance(seed, second)
+            checked = CheckedCTC(vocab.blank_id, vocab.eos_id, [])
+            batch_beam_search(em, vocab, fulls, cfg, dict(parts, ctc=checked))
+            requested += checked.cells[0]
+            folded += checked.cells[1]
+        assert 0 < folded < requested
+
+    def test_wrappers_and_kernel_overrides_take_unpruned_path(self):
+        em, vocab, fulls, cfg, parts = pruning_instance(0, "lm")
+
+        class OverridesKernelOnly(CTCPrefixScorer):
+            def batch_score_partial(self, prefixes, candidates, states, emission):
+                return super().batch_score_partial(prefixes, candidates, states, emission)
+
+        for scorer, pruner in ((parts["ctc"], "ctc"), (CountingCTC(0, 1, []), "ctc"),
+                               (UnprunedCTC(parts["ctc"]), None),
+                               (OverridesKernelOnly(0, 1), None)):
+            ctx = _SearchContext(vocab, fulls, dict(parts, ctc=scorer), cfg, em.vocab_size)
+            assert ctx.pruner == pruner
+
+
+def planted_emission(rng, vocab, labels, frames_per_label=3, peak=8.0):
+    """Emission peaked on ``labels``: each label holds a run of frames,
+    separated by blanks, over a normal background."""
+    path = []
+    for tok in labels:
+        path += [tok] * frames_per_label + [vocab.blank_id]
+    logits = rng.normal(size=(len(path), vocab.size))
+    logits[np.arange(len(path)), path] += peak
+    return EmissionMatrix.from_logits(logits)
+
+
+class TestFoldWorkBound:
+    def test_peaked_emission_folds_few_cells(self):
+        rng = np.random.default_rng(9950)
+        vocab = make_vocab(40)
+        labels = [int(t) for t in rng.choice(vocab.label_ids(), size=10)]
+        em = planted_emission(rng, vocab, labels)
+        ctc = CheckedCTC(vocab.blank_id, vocab.eos_id, [])
+        # a uniform attention stand-in: CTC alone ranks every label
+        uniform = TableScorer(0, vocab.size, {})
+        cfg = BeamConfig(weights={"att": 0.5, "ctc": 0.5}, beam_size=4,
+                         pre_beam_size=vocab.size)
+        nbest = batch_beam_search(em, vocab, {"att": uniform}, cfg, {"ctc": ctc})
+        assert nbest.best().yseq == tuple(labels)
+        requested, folded = ctc.cells
+        assert requested >= 4 * 40 * len(labels)
+        assert folded * 5 < requested

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqdecode import EmissionMatrix, save_emission
+from seqdecode import cli as cli_mod
 from seqdecode.cli import main
 from seqdecode.maskctc import TableMLM
 from seqdecode.transducer import TableTransducer
@@ -327,3 +328,67 @@ class TestConfigHardening:
         config["scorers"]["att"]["path"] = str(broken)
         cfg = write_json(tmp_path / "broken.json", config)
         assert main(["decode", "--config", cfg]) == 3
+
+
+class TestErrorMapping:
+    """Only reading the config maps to exit 2; an exception raised while
+    decoding is a fault in the program and propagates."""
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError, KeyError])
+    def test_error_inside_search_is_not_a_config_error(self, decode_setup, monkeypatch, error):
+        _, _, config_path = decode_setup
+
+        def broken_search(*args, **kwargs):
+            raise error("fault inside the search")
+
+        monkeypatch.setattr(cli_mod, "batch_beam_search", broken_search)
+        with pytest.raises(error, match="fault inside the search"):
+            main(["decode", "--config", str(config_path)])
+
+    def test_error_inside_transducer_search_is_not_a_config_error(self, tmp_path, monkeypatch):
+        rows = {(): np.log(np.full((1, 2), 0.5))}
+        model_path = tmp_path / "model.json"
+        TableTransducer(0, 1, 1, rows).save(str(model_path))
+        config = write_json(tmp_path / "t.json", {"model": str(model_path)})
+
+        def broken_decode(*args, **kwargs):
+            raise ValueError("fault inside the search")
+
+        monkeypatch.setattr(cli_mod, "transducer_decode", broken_decode)
+        with pytest.raises(ValueError, match="fault inside the search"):
+            main(["transducer", "--config", config])
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(seed="seven"),
+        lambda c: c.update(emissions=7),
+        lambda c: c["beam"].update(max_steps="three"),
+        lambda c: c["beam"]["weights"].update(att="heavy"),
+        lambda c: c.update(beam=["beam_size", 3]),
+        lambda c: c["scorers"].update(att="table"),
+        lambda c: c["vocab"].update(blank_id="zero"),
+    ])
+    def test_malformed_decode_config_value_is_exit_2(self, decode_setup, edit, capsys):
+        tmp_path, config, _ = decode_setup
+        edit(config)
+        cfg = write_json(tmp_path / "bad.json", config)
+        assert main(["decode", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_malformed_values_of_other_tasks_are_exit_2(self, tmp_path):
+        vocab = make_vocab(1)
+        emission_path = tmp_path / "e.json"
+        save_emission(EmissionMatrix.from_logits(np.zeros((2, vocab.size))),
+                      str(emission_path), "json")
+        vad = write_json(tmp_path / "v.json", {
+            "blank_id": 0, "emission": str(emission_path), "vad": {"on_threshold": "high"}})
+        align = write_json(tmp_path / "a.json", {
+            "vocab": vocab.to_dict(), "emission": str(emission_path), "labels": [{"id": 1}]})
+        bench = write_json(tmp_path / "b.json", {"bench": {"V": "many"}})
+        rows = {(): np.log(np.full((1, 2), 0.5))}
+        model_path = tmp_path / "model.json"
+        TableTransducer(0, 1, 1, rows).save(str(model_path))
+        transducer = write_json(tmp_path / "t.json", {
+            "model": str(model_path), "transducer": {"beam_size": "wide"}})
+        for task, cfg in (("vad", vad), ("align", align), ("bench", bench),
+                          ("transducer", transducer)):
+            assert main([task, "--config", cfg]) == 2, task

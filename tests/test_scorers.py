@@ -11,6 +11,8 @@ from seqdecode import (
     wrap_full_as_partial,
 )
 
+from seqdecode import scorers as scorers_mod
+
 from conftest import brute_prefix_prob, frame_loop_reference, random_emission
 
 NEG_INF = float("-inf")
@@ -321,6 +323,9 @@ def drive_kernel(edge, seed, via):
         if via == "batch":
             scores, scored = scorer.batch_score_partial(
                 prefixes, cands, [h[1] for h in hyps], em)
+        elif via == "pruned":
+            scores, scored = check_pruned_entry(
+                scorer, prefixes, cands, [h[1] for h in hyps], em, ref_scores)
         else:
             rows = [scorer.score_partial(p, c, h[1], em)
                     for p, c, h in zip(prefixes, cands, hyps)]
@@ -351,6 +356,40 @@ def drive_kernel(edge, seed, via):
     return seen
 
 
+def check_pruned_entry(scorer, prefixes, cands, states, em, ref_scores):
+    """The pruned entry against the frame-loop scores: keeping every cell it
+    is exact and its bounds hold; keeping a random subset, the kept and the
+    exact-without-fold cells are exact and the rest hold their upper bound.
+    Returns the keep-everything call, for the caller's state checks."""
+    bounds = []
+
+    def keep_all(lo, hi):
+        bounds.append((lo, hi))
+        return np.ones(lo.shape, dtype=bool)
+
+    scores, scored = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_all)
+    assert np.array_equal(scores, ref_scores)
+    for lo, hi in bounds:
+        assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
+
+    mask_rng = np.random.default_rng(int(cands.sum()))
+    masks = []
+
+    def keep_some(lo, hi):
+        masks.append((lo, hi, mask_rng.random(lo.shape) < 0.5))
+        return masks[-1][2]
+
+    part, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
+    # keep is consulted only when some cell needs the fold over frames
+    assert len(masks) == len(bounds) <= 1
+    exact = np.ones(cands.shape, dtype=bool)
+    for lo, hi, keep in masks:
+        exact = keep | (lo == hi)
+        assert np.array_equal(part[~exact], hi[~exact])
+    assert np.array_equal(part[exact], ref_scores[exact])
+    return scores, scored
+
+
 class TestPrefixKernelMatchesFrameLoop:
     @pytest.mark.parametrize("via", ["batch", "single"])
     @pytest.mark.parametrize("seed", range(6))
@@ -362,3 +401,49 @@ class TestPrefixKernelMatchesFrameLoop:
         seen = [drive_kernel(edge, seed, "batch") for edge in KERNEL_EDGES for seed in range(6)]
         for key in ("dead_prefix", "eos", "beyond_half"):
             assert any(s[key] for s in seen), key
+
+
+class TestPrunedKernel:
+    """``batch_score_partial_pruned``: bounds that hold on every cell, folds
+    only the cells the caller keeps."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
+    def test_bounds_hold_and_skipped_cells_hold_upper_bound(self, edge, seed):
+        drive_kernel(edge, seed, "pruned")
+
+    def test_edges_are_reached(self):
+        seen = [drive_kernel(edge, seed, "pruned") for edge in KERNEL_EDGES for seed in range(6)]
+        for key in ("dead_prefix", "eos", "beyond_half"):
+            assert any(s[key] for s in seen), key
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, -1.0, -7.25, -1e3, -3e4, 2.5])
+    def test_equal_terms_are_the_tight_case(self, n, value):
+        # the real log-sum is max + log n, exactly the upper bound without
+        # its margin; the float fold's rounding must stay inside the margin
+        terms = np.full((n, 3), value)
+        terms[:, 1] = np.nextafter(value, -np.inf)
+        terms[:, 2] = value - 1e-13
+        lo, hi = scorers_mod._fold_bounds(terms)
+        fold = np.logaddexp.reduce(terms, axis=0)
+        assert (lo <= fold).all() and (fold <= hi).all()
+        assert (hi - lo <= math.log(n) + 1e-8 + n * (abs(value) + 1.0) * 1e-14).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_terms(self, seed):
+        rng = np.random.default_rng(7300 + seed)
+        for _ in range(40):
+            n, cells = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+            scale = float(rng.choice([1e-3, 1.0, 10.0, 1e3]))
+            terms = scale * rng.normal(size=(n, cells)) + float(rng.normal()) * 10 * scale
+            if rng.random() < 0.5:  # clusters of near-equal terms
+                terms = np.round(terms, int(rng.integers(0, 3)))
+            terms[rng.random(terms.shape) < 0.2] = -np.inf
+            terms[:, 0] = -np.inf  # a cell with no mass folds to exactly -inf
+            lo, hi = scorers_mod._fold_bounds(terms)
+            fold = np.logaddexp.reduce(terms, axis=0)
+            assert (lo <= fold).all() and (fold <= hi).all()
+            assert lo[0] == hi[0] == -np.inf
+            finite = lo > -np.inf
+            assert (lo[finite] < hi[finite]).all()

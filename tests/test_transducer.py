@@ -386,6 +386,23 @@ class TestDispatchAndTable:
         with pytest.raises(ConfigError):
             model.joint(0, (0,))
 
+    def test_missing_context_in_batch_is_config_error(self):
+        model = table_from_probs({(): [[0.5, 0.5]]}, frames=1)
+        model.context_order = 1
+        with pytest.raises(ConfigError, match=r"no row for context \(0,\)"):
+            model.joint_batch(0, [(), (0,)])
+
+    @pytest.mark.parametrize("context_order", [0, 1, 2])
+    def test_joint_batch_equals_base_loop(self, rng, context_order):
+        model = random_transducer(rng, 3, 4, context_order=context_order)
+        contexts = list(model.rows)
+        for t in range(model.frames):
+            for n in (1, 2, 5, 9):
+                states = [contexts[i] for i in rng.integers(0, len(contexts), size=n)]
+                got = model.joint_batch(t, states)
+                ref = TransducerModel.joint_batch(model, t, states)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     @pytest.mark.parametrize("pops", [0, -1])
     def test_max_pops_per_frame_below_one_is_config_error(self, pops):
         with pytest.raises(ConfigError):
