@@ -33,8 +33,6 @@ from .lm import (
     WordTrie,
     load_arpa,
     load_lexicon,
-    lookahead_score,
-    multilevel_score,
     ngram_score,
     sentence_logprob,
 )
@@ -45,7 +43,6 @@ from .maskctc import (
     TableMLM,
     ctc_confidence_collapse,
     mask_ctc_decode,
-    mlm_call_count,
 )
 from .oracle import (
     OracleBudget,
@@ -60,7 +57,6 @@ from .scorers import (
     FullScorer,
     PartialScorer,
     TableScorer,
-    wrap_full_as_partial,
 )
 from .transducer import (
     TableTransducer,

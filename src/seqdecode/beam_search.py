@@ -166,6 +166,7 @@ class _SearchContext:
         config: BeamConfig,
         vocab_size: int,
     ):
+        vocab.check_emission_width(vocab_size)
         names = set(full_scorers) | set(partial_scorers)
         if len(names) != len(full_scorers) + len(partial_scorers):
             raise ConfigError("scorer names must be unique across full and partial scorers")
@@ -190,14 +191,8 @@ class _SearchContext:
         self.config = config
         self.vocab_size = vocab_size
 
-        banned = {vocab.sos_id, vocab.blank_id}
-        if vocab.mask_id is not None:
-            banned.add(vocab.mask_id)
-        allowed = [i for i in range(vocab_size) if i not in banned]
-        self.allowed_with_eos = np.array(allowed, dtype=np.int64)
-        self.allowed_without_eos = np.array(
-            [i for i in allowed if i != vocab.eos_id], dtype=np.int64
-        )
+        self.allowed_with_eos = np.array(vocab.candidate_ids(), dtype=np.int64)
+        self.allowed_without_eos = np.array(vocab.label_ids(), dtype=np.int64)
         # at most one partial scorer prunes its scoring by bounds: the first
         # whose pruned entry is its batched kernel
         self.pruner = next((k for k, v in self.partial.items() if _prunes(v)), None)

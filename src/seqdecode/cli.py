@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
@@ -23,7 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import maskctc as maskctc_mod
-from .beam_search import BeamConfig, batch_beam_search, beam_search
+from .beam_search import BeamConfig, _resolve_lengths, batch_beam_search, beam_search
 from .core import (
     ConfigError,
     DecodeError,
@@ -59,7 +58,6 @@ class RunConfig:
     output: Optional[str]
     seed: int
     sequential: bool
-    jobs: int
     oracle: bool
 
 
@@ -107,7 +105,6 @@ def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
         output=output,
         seed=seed,
         sequential=bool(args.sequential),
-        jobs=max(1, args.jobs),
         oracle=bool(getattr(args, "oracle", False)),
     )
 
@@ -188,9 +185,7 @@ def _decode_one(
     nbest = search(emission, vocab, full, config, partial)
     payload = _nbest_payload(nbest, vocab.tokens)
     if with_oracle:
-        max_len = config.max_steps if config.max_steps is not None else max(
-            1, int(config.max_len_ratio * emission.frames)
-        )
+        max_len, _ = _resolve_lengths(config, emission.frames)
         try:
             oracle_yseq, oracle_score = oracle_best_sequence(
                 vocab, emission, full, config.weights,
@@ -219,19 +214,11 @@ def run_decode(cfg: RunConfig) -> int:
             raise ConfigError("decode needs at least one emission path")
         full, partial = _build_scorers(cfg.raw, vocab)
         beam_cfg = BeamConfig.from_json(cfg.raw.get("beam", {}))
-
-    def work(path: str) -> Dict[str, Any]:
-        return _decode_one(path, vocab, full, partial, beam_cfg, cfg.sequential, cfg.oracle)
-
-    if len(cfg.emissions) == 1:
-        payload = work(cfg.emissions[0])
-    else:
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(work, cfg.emissions))
-        else:
-            results = [work(p) for p in cfg.emissions]
-        payload = {"utterances": results}  # input order regardless of completion order
+    results = [
+        _decode_one(path, vocab, full, partial, beam_cfg, cfg.sequential, cfg.oracle)
+        for path in cfg.emissions
+    ]
+    payload = results[0] if len(results) == 1 else {"utterances": results}
     _emit_json(payload, cfg.output)
     if cfg.oracle:
         mismatched = []
@@ -397,17 +384,6 @@ def _synth_bench_instance(rng: np.random.Generator, v: int, t: int):
     return vocab, emission, {"att": att}, {"ctc": ctc}
 
 
-@dataclass
-class BenchReport:
-    """Wall-time stats per variant plus the equality verdict; the speedup is
-    only reported when both variants produced identical hypotheses."""
-
-    stats: Dict[str, Dict[str, float]]
-    equal: bool
-    speedup: Optional[float]
-    digest: str
-
-
 def run_bench(cfg: RunConfig) -> int:
     with _config_values():
         block = cfg.raw.get("bench", {})
@@ -459,22 +435,17 @@ def run_bench(cfg: RunConfig) -> int:
             "p95": float(np.percentile(arr, 95)),
         }
 
-    report = BenchReport(
-        stats={name: stats(ts) for name, ts in timings.items()},
-        equal=equal,
-        speedup=(
+    # the speedup is only reported when both variants gave the same hypotheses
+    payload = {
+        "config": {"V": v, "T": t, "B": b, "repeats": repeats, "seed": cfg.seed},
+        "equal": equal,
+        "hypothesis_digest": digest,
+        "speedup": (
             float(np.mean(timings["sequential"]) / np.mean(timings["batched"]))
             if equal
             else None
         ),
-        digest=digest,
-    )
-    payload = {
-        "config": {"V": v, "T": t, "B": b, "repeats": repeats, "seed": cfg.seed},
-        "equal": report.equal,
-        "hypothesis_digest": report.digest,
-        "speedup": report.speedup,
-        "timings": report.stats,
+        "timings": {name: stats(ts) for name, ts in timings.items()},
     }
     _emit_json(payload, cfg.output)
     if not equal:
@@ -510,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output JSON path (default: stdout)")
         p.add_argument("--sequential", action="store_true",
                        help="use the per-hypothesis search instead of the batched one")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="decode multiple emissions in parallel")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--oracle", action="store_true",
                        help="verify against the brute-force oracle (tiny inputs only)")

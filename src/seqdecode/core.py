@@ -98,6 +98,13 @@ class Vocabulary:
         """Candidate ids excluding eos (the enumerable sequence alphabet)."""
         return tuple(i for i in self.candidate_ids() if i != self.eos_id)
 
+    def check_emission_width(self, width: int) -> None:
+        """An emission over this vocabulary has one column per token."""
+        if width != self.size:
+            raise ConfigError(
+                f"emission has {width} columns but the vocabulary has {self.size} tokens"
+            )
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "tokens": list(self.tokens),
@@ -297,7 +304,7 @@ class NBestList:
 
     @classmethod
     def from_entries(cls, entries: Iterable[NBestEntry]) -> "NBestList":
-        ordered = sorted(entries, key=lambda e: (-e.score, e.yseq))
+        ordered = sorted(entries, key=hypothesis_sort_key)
         return cls(tuple(ordered))
 
     def __len__(self) -> int:
@@ -312,6 +319,7 @@ class NBestList:
         return self.entries[0]
 
 
-def hypothesis_sort_key(hyp: Hypothesis):
-    """Shared ordering: score descending, then lexicographically smaller yseq."""
+def hypothesis_sort_key(hyp):
+    """Shared ordering of hypotheses and n-best entries: score descending,
+    then lexicographically smaller yseq."""
     return (-hyp.score, hyp.yseq)

@@ -20,7 +20,13 @@ def _expand_labels(labels: Sequence[int], blank_id: int) -> Tuple[np.ndarray, np
     return expanded, jump
 
 
+def _check_blank(blank_id: int, vocab_size: int) -> None:
+    if not 0 <= blank_id < vocab_size:
+        raise ValueError(f"blank_id {blank_id} outside [0, {vocab_size})")
+
+
 def _validate_labels(labels: Sequence[int], blank_id: int, vocab_size: int) -> Tuple[int, ...]:
+    _check_blank(blank_id, vocab_size)
     labels = tuple(int(x) for x in labels)
     for lab in labels:
         if lab == blank_id:
@@ -197,6 +203,7 @@ def ctc_vad(
         raise ValueError("on_threshold must be in [0, 1]")
     if min_gap_frames < 0 or margin_frames < 0:
         raise ValueError("min_gap_frames and margin_frames must be >= 0")
+    _check_blank(blank_id, emission.vocab_size)
     T = emission.frames
     speech_prob = 1.0 - np.exp(emission.data[:, blank_id])
     active = speech_prob >= on_threshold

@@ -40,9 +40,6 @@ class NGramModel:
     entries: Dict[Tuple[str, ...], Tuple[float, float]]
     vocab: frozenset
 
-    def words(self) -> List[str]:
-        return sorted(self.vocab)
-
 
 def load_arpa(path: str) -> NGramModel:
     """Parse a text ARPA file; log10 values become natural logs."""
@@ -289,23 +286,6 @@ class MultiLevelLMScorer(FullScorer):
         )
 
 
-def multilevel_score(
-    state: MultiLevelState,
-    char_token: int,
-    char_lm: FullScorer,
-    word_lm: NGramModel,
-    vocab: Vocabulary,
-    prefix: Tuple[int, ...],
-    delimiter_id: Optional[int] = None,
-    oov_logp: float = DEFAULT_OOV_LOGP,
-    emission: Optional[EmissionMatrix] = None,
-) -> Tuple[float, MultiLevelState]:
-    """Single-token multi-level scoring; functional form of the scorer."""
-    scorer = MultiLevelLMScorer(char_lm, word_lm, vocab, delimiter_id, oov_logp)
-    vec, scored = scorer.score(prefix, state, emission)
-    return float(vec[char_token]), scorer.select_state(scored, char_token)
-
-
 @dataclass(frozen=True)
 class LookAheadState:
     """Position in the prefix tree, word context, the look-ahead mass already
@@ -340,6 +320,8 @@ class LookAheadLMScorer(FullScorer):
         self.vocab = vocab
         self.delimiter_id = _resolve_delimiter(vocab, delimiter_id)
         self.oov_logp = oov_logp
+        # every label with its character; score sets the delimiter's entry last
+        self.letters = [(tok, vocab.tokens[tok]) for tok in vocab.label_ids()]
 
     def init_state(self, emission: Optional[EmissionMatrix]) -> LookAheadState:
         return LookAheadState(node=self.trie.root, context=(BOS,), accumulated=0.0, dead=False)
@@ -359,17 +341,11 @@ class LookAheadLMScorer(FullScorer):
     def score(self, prefix, state: LookAheadState, emission):
         vec = np.full(self.vocab.size, NEG_INF)
         node = state.node
-        for tok in range(self.vocab.size):
-            if tok in (self.vocab.blank_id, self.vocab.sos_id):
-                continue
-            if self.vocab.mask_id is not None and tok == self.vocab.mask_id:
-                continue
-            if tok == self.delimiter_id or tok == self.vocab.eos_id:
-                continue
+        for tok, ch in self.letters:
             if state.dead:
                 vec[tok] = 0.0
                 continue
-            child = node.children.get(self.vocab.tokens[tok])
+            child = node.children.get(ch)
             if child is None:
                 vec[tok] = self.oov_logp - state.accumulated
             else:
@@ -397,21 +373,6 @@ class LookAheadLMScorer(FullScorer):
             accumulated=state.accumulated + (child.mass - state.node.mass),
             dead=False,
         )
-
-
-def lookahead_score(
-    state: LookAheadState,
-    char_token: int,
-    trie: WordTrie,
-    word_lm: NGramModel,
-    vocab: Vocabulary,
-    delimiter_id: Optional[int] = None,
-    oov_logp: float = DEFAULT_OOV_LOGP,
-) -> Tuple[float, LookAheadState]:
-    """Single-token look-ahead scoring; functional form of the scorer."""
-    scorer = LookAheadLMScorer(trie, word_lm, vocab, delimiter_id, oov_logp)
-    vec, scored = scorer.score((vocab.sos_id,), state, None)
-    return float(vec[char_token]), scorer.select_state(scored, char_token)
 
 
 def _resolve_delimiter(vocab: Vocabulary, delimiter_id: Optional[int]) -> int:

@@ -161,11 +161,6 @@ class MaskCtcResult:
     masked_counts: Tuple[int, ...]  # masked positions before each iteration
 
 
-def mlm_call_count(result: MaskCtcResult) -> int:
-    """Number of masked-LM invocations recorded in a decode trace."""
-    return result.mlm_calls
-
-
 def mask_ctc_decode(
     emission: EmissionMatrix,
     mlm: MLMScorer,
@@ -178,6 +173,7 @@ def mask_ctc_decode(
     predictions, substituting their argmax tokens."""
     if vocab.mask_id is None:
         raise ConfigError("mask_ctc_decode needs a vocabulary with mask_id")
+    vocab.check_emission_width(emission.vocab_size)
     mask_id = vocab.mask_id
     initial, confidences = ctc_confidence_collapse(emission, vocab.blank_id)
     # a literal mask token in the collapse is unknown content by definition

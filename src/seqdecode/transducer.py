@@ -34,6 +34,7 @@ from .core import (
     NBestEntry,
     NBestList,
     ROW_TOL_EXACT,
+    hypothesis_sort_key,
 )
 from .scorers import FullScorer
 
@@ -242,13 +243,9 @@ class _LMFusion:
         return self.lm.select_state(scored, label)
 
 
-def _hyp_key(hyp: TransducerHypothesis):
-    return (-hyp.score, hyp.yseq)
-
-
 def _prune(pool: Dict[Tuple[int, ...], TransducerHypothesis], beam: int
            ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
-    ranked = sorted(pool.values(), key=_hyp_key)[:beam]
+    ranked = sorted(pool.values(), key=hypothesis_sort_key)[:beam]
     return {hyp.yseq: hyp for hyp in ranked}
 
 
@@ -453,7 +450,7 @@ def transducer_tsd(model: TransducerModel, frames: int,
         completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
         current = pool
         for round_idx in range(config.max_exp_per_step + 1):
-            items = sorted(current.values(), key=_hyp_key)
+            items = sorted(current.values(), key=hypothesis_sort_key)
             rows = model.joint_batch(t, [h.pred_state for h in items])
             for hyp, joint_row in zip(items, rows):
                 _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
@@ -491,7 +488,7 @@ def transducer_alsd(model: TransducerModel, frames: int,
         nxt: Dict[Tuple[int, ...], TransducerHypothesis] = {}
         parents: List[TransducerHypothesis] = []
         rows: List[np.ndarray] = []
-        for hyp in sorted(current.values(), key=_hyp_key):
+        for hyp in sorted(current.values(), key=hypothesis_sort_key):
             u = len(hyp.yseq)
             t = i - u
             if t >= frames:

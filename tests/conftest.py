@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from seqdecode import EmissionMatrix, TableScorer, Vocabulary
+from seqdecode import EmissionMatrix, FullScorer, PartialScorer, TableScorer, Vocabulary
 from seqdecode.transducer import TableTransducer
 
 
@@ -122,6 +122,37 @@ def frame_loop_reference(prefixes, cands, states, x, blank_id, eos_id):
         scores = np.where(prefix_scores[:, None] == -np.inf, -np.inf,
                           psi - prefix_scores[:, None])
     return scores, r, psi
+
+
+class WrappedPartialScorer(PartialScorer):
+    """Adapter presenting a full scorer through the partial-scoring contract.
+
+    score_partial gathers the requested indices from the full V-vector, so it
+    is bit-identical to the wrapped scorer on those indices.
+    """
+
+    def __init__(self, full: FullScorer):
+        self.full = full
+
+    def init_state(self, emission):
+        return self.full.init_state(emission)
+
+    def score_partial(self, prefix, candidates, state, emission):
+        vec, scored = self.full.score(prefix, state, emission)
+        cands = np.asarray(candidates, dtype=np.int64)
+        return vec[cands], scored
+
+    def select_state(self, scored_state, token):
+        return self.full.select_state(scored_state, token)
+
+    def final_score(self, prefix, state, emission):
+        return self.full.final_score(prefix, state, emission)
+
+    def batch_score_partial(self, prefixes, candidates, states, emission):
+        mat, scored = self.full.batch_score(prefixes, states, emission)
+        cands = np.asarray(candidates, dtype=np.int64)
+        gathered = np.take_along_axis(mat, cands, axis=1)
+        return gathered, scored
 
 
 def dag_transducer(rng: np.random.Generator, n_labels: int, frames: int) -> TableTransducer:

@@ -18,7 +18,6 @@ from seqdecode import (
     end_detect,
     oracle_best_sequence,
     validate_hypothesis,
-    wrap_full_as_partial,
 )
 from seqdecode.beam_search import (
     _SearchContext,
@@ -32,7 +31,13 @@ from seqdecode.beam_search import (
 from seqdecode import scorers as scorers_mod
 from seqdecode.core import hypothesis_sort_key
 
-from conftest import frame_loop_reference, make_vocab, random_emission, random_table_scorer
+from conftest import (
+    WrappedPartialScorer,
+    frame_loop_reference,
+    make_vocab,
+    random_emission,
+    random_table_scorer,
+)
 
 
 def greedy_reference(ts: TableScorer, vocab, max_steps: int):
@@ -176,6 +181,18 @@ class TestSequentialBeam:
             BeamConfig(weights={"att": 1.0}, beam_size=0)
         with pytest.raises(ConfigError):
             BeamConfig(weights={"att": 1.0}, beam_size=4, pre_beam_size=2)
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_emission_width_must_equal_vocab_size(self, rng, search, width):
+        # scorers as wide as the emission: otherwise the search would return
+        # ids the 4-token vocabulary does not have (or skip ones it has)
+        vocab = make_vocab(1)
+        em = random_emission(rng, 4, width)
+        ts = random_table_scorer(rng, 0, width)
+        cfg = BeamConfig(weights={"att": 1.0}, beam_size=2, max_steps=3)
+        with pytest.raises(ConfigError, match=f"emission has {width} columns"):
+            search(em, vocab, {"att": ts}, cfg)
 
     def test_fallback_to_live_when_nothing_finishes(self, rng):
         vocab = make_vocab(2)
@@ -409,7 +426,7 @@ def selection_instance(edge, seed):
     parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
     weights = {"att": 1.0, "ctc": 0.5 * float(rng.integers(0, 2))}
     if rng.random() < 0.5:
-        parts["lm"] = wrap_full_as_partial(QuantisedScorer(rng, vocab.size))
+        parts["lm"] = WrappedPartialScorer(QuantisedScorer(rng, vocab.size))
         weights["lm"] = 0.5
     beam = vocab.size + 2 if spec.get("beam") == "V" else int(rng.integers(1, 7))
     cfg = BeamConfig(
@@ -724,7 +741,7 @@ def pruning_instance(seed, second):
     parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
     weights = {"att": 1.0, "ctc": float(rng.choice([0.5, 1.0]))}
     if second is not None:
-        parts[second] = wrap_full_as_partial(table())
+        parts[second] = WrappedPartialScorer(table())
         weights[second] = 0.5
     beam = int(rng.integers(1, 5))
     cfg = BeamConfig(

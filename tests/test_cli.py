@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from seqdecode import EmissionMatrix, save_emission
+from seqdecode import EmissionMatrix, Vocabulary, save_emission
 from seqdecode import cli as cli_mod
 from seqdecode.cli import main
 from seqdecode.maskctc import TableMLM
@@ -83,15 +83,17 @@ class TestDecode:
         rc = main([
             "decode", "--config", str(config_path),
             "--emission", config["emission"], "--emission", str(second),
-            "--output", str(out), "--jobs", "2",
+            "--output", str(out),
         ])
         assert rc == 0
         payload = read_json(out)
         assert len(payload["utterances"]) == 2
         # single-emission runs must match the batch entries positionally
-        solo = tmp_path / "solo.json"
-        assert main(["decode", "--config", str(config_path), "--output", str(solo)]) == 0
-        assert payload["utterances"][0]["nbest"] == read_json(solo)["nbest"]
+        for i, path in enumerate([config["emission"], str(second)]):
+            solo = tmp_path / f"solo{i}.json"
+            assert main(["decode", "--config", str(config_path), "--emission", path,
+                         "--output", str(solo)]) == 0
+            assert payload["utterances"][i]["nbest"] == read_json(solo)["nbest"]
 
     def test_oracle_flag_verifies_top1(self, decode_setup):
         tmp_path, config, config_path = decode_setup
@@ -373,6 +375,57 @@ class TestErrorMapping:
         cfg = write_json(tmp_path / "bad.json", config)
         assert main(["decode", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_decode_emission_width_other_than_vocab_is_exit_2(self, tmp_path, rng, width,
+                                                             capsys):
+        vocab = make_vocab(1)  # 4 tokens
+        emission_path = tmp_path / "e.json"
+        save_emission(random_emission(rng, 4, width), str(emission_path), "json")
+        table_path = tmp_path / "table.json"
+        random_table_scorer(rng, 1, width).save(str(table_path))
+        cfg = write_json(tmp_path / "d.json", {
+            "vocab": vocab.to_dict(), "emission": str(emission_path),
+            "scorers": {"att": {"type": "table", "path": str(table_path)},
+                        "ctc": {"type": "ctc_prefix"}},
+            "beam": {"beam_size": 3, "weights": {"att": 0.7, "ctc": 0.3}, "max_steps": 3},
+        })
+        assert main(["decode", "--config", cfg]) == 2
+        assert f"emission has {width} columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [4, 7])
+    def test_maskctc_emission_width_other_than_vocab_is_exit_2(self, tmp_path, width, capsys):
+        vocab = make_vocab(1, with_mask=True)  # 5 tokens
+        probs = np.full((2, width), 0.01)
+        probs[:, width - 1] = 0.9  # the collapse emits the last column
+        emission_path = tmp_path / "e.json"
+        save_emission(EmissionMatrix.from_logits(np.log(probs)), str(emission_path), "json")
+        mlm_path = tmp_path / "mlm.json"
+        TableMLM(width, vocab.mask_id).save(str(mlm_path))
+        cfg = write_json(tmp_path / "m.json", {
+            "vocab": vocab.to_dict(), "emission": str(emission_path), "mlm": str(mlm_path),
+        })
+        assert main(["maskctc", "--config", cfg]) == 2
+        assert f"emission has {width} columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blank_id", [-1, 9])
+    def test_vad_blank_id_outside_emission_is_exit_2(self, tmp_path, blank_id, capsys):
+        emission_path = tmp_path / "e.json"
+        save_emission(EmissionMatrix.from_logits(np.zeros((3, 5))), str(emission_path), "json")
+        cfg = write_json(tmp_path / "v.json", {
+            "blank_id": blank_id, "emission": str(emission_path)})
+        assert main(["vad", "--config", cfg]) == 2
+        assert "blank_id" in capsys.readouterr().err
+
+    def test_align_blank_id_outside_emission_is_exit_2(self, tmp_path, capsys):
+        # blank is the last token, one past the emission's 3 columns
+        vocab = Vocabulary(("<sos>", "<eos>", "a", "<blank>"), blank_id=3, sos_id=0, eos_id=1)
+        emission_path = tmp_path / "e.json"
+        save_emission(EmissionMatrix.from_logits(np.zeros((3, 3))), str(emission_path), "json")
+        cfg = write_json(tmp_path / "a.json", {
+            "vocab": vocab.to_dict(), "emission": str(emission_path), "labels": [2]})
+        assert main(["align", "--config", cfg]) == 2
+        assert "blank_id" in capsys.readouterr().err
 
     def test_malformed_values_of_other_tasks_are_exit_2(self, tmp_path):
         vocab = make_vocab(1)

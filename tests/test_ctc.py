@@ -143,6 +143,18 @@ class TestForcedAlign:
             assert a.end <= b.start
 
 
+@pytest.mark.parametrize("blank_id", [-1, 3, 9])
+@pytest.mark.parametrize("run", [
+    lambda em, blank: ctc_vad(em, blank, on_threshold=0.5),
+    lambda em, blank: ctc_forward(em, [1], blank),
+    lambda em, blank: ctc_forced_align(em, [1], blank),
+], ids=["vad", "forward", "align"])
+def test_blank_id_outside_emission_is_value_error(run, blank_id):
+    em = EmissionMatrix.from_logits(np.log(np.array([[0.8, 0.1, 0.1]] * 3)))
+    with pytest.raises(ValueError, match="blank_id"):
+        run(em, blank_id)
+
+
 class TestVad:
     def test_all_blank_is_one_nonspeech_segment(self):
         em = EmissionMatrix.from_logits(np.log(np.array([[0.999, 0.001]] * 4)))

@@ -12,8 +12,6 @@ from seqdecode import (
     WordTrie,
     load_arpa,
     load_lexicon,
-    lookahead_score,
-    multilevel_score,
     ngram_score,
     sentence_logprob,
 )
@@ -308,10 +306,8 @@ class TestWordTrie:
         vocab = char_vocab()
         trie = WordTrie(["ab"], model)
         scorer = LookAheadLMScorer(trie, model, vocab)
-        state = scorer.init_state(None)
-        a_id = vocab.tokens.index("a")
-        score, state = lookahead_score(state, a_id, trie, model, vocab)
-        assert score == pytest.approx(0.0, abs=1e-12)
+        _, steps = score_tokens(scorer, vocab, [vocab.tokens.index("a")])
+        assert steps[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_word_split_mass(self, tmp_path):
         path = tmp_path / "two.arpa"
@@ -323,11 +319,8 @@ class TestWordTrie:
         vocab = char_vocab()
         trie = WordTrie(["ab", "ac"], model)
         scorer = LookAheadLMScorer(trie, model, vocab)
-        state = scorer.init_state(None)
-        b_id = vocab.tokens.index("b")
-        _, state = lookahead_score(state, vocab.tokens.index("a"), trie, model, vocab)
-        score, _ = lookahead_score(state, b_id, trie, model, vocab)
-        assert score == pytest.approx(math.log(0.5), abs=1e-9)
+        _, steps = score_tokens(scorer, vocab, [vocab.tokens.index(c) for c in "ab"])
+        assert steps[1] == pytest.approx(math.log(0.5), abs=1e-9)
 
 
 class TestLookAheadTelescoping:
@@ -397,10 +390,10 @@ class TestMultiLevel:
             char_state=char_lm.init_state(None),
         )
         space = vocab.tokens.index("<space>")
-        score, new_state = multilevel_score(
-            state, space, char_lm, model, vocab, prefix=(vocab.sos_id, 1)
-        )
-        assert score == pytest.approx(math.log(0.6) - math.log(0.5), abs=1e-9)
+        scorer = MultiLevelLMScorer(char_lm, model, vocab)
+        vec, scored = scorer.score((vocab.sos_id, 1), state, None)
+        new_state = scorer.select_state(scored, space)
+        assert float(vec[space]) == pytest.approx(math.log(0.6) - math.log(0.5), abs=1e-9)
         assert new_state.fragment == ""
         assert new_state.context == (BOS, "a")
 

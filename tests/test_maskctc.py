@@ -12,7 +12,6 @@ from seqdecode import (
     ctc_confidence_collapse,
     ctc_greedy,
     mask_ctc_decode,
-    mlm_call_count,
 )
 
 from conftest import make_vocab, random_emission
@@ -80,7 +79,7 @@ class TestMaskCtcDecode:
         mlm = TableMLM(vocab.size, vocab.mask_id)
         result = mask_ctc_decode(em, mlm, vocab, MaskCtcConfig(threshold=0.0, iterations=3))
         assert result.tokens == ctc_greedy(em, vocab.blank_id)
-        assert mlm_call_count(result) == 0
+        assert result.mlm_calls == 0
         assert result.masked_counts == ()
 
     def test_all_masked_single_iteration_fills_argmax(self):
@@ -165,6 +164,13 @@ class TestMaskCtcDecode:
         mlm = TableMLM(vocab.size, mask_id=99)
         with pytest.raises(ConfigError):
             mask_ctc_decode(em, mlm, vocab, MaskCtcConfig())
+
+    @pytest.mark.parametrize("width", [4, 7])
+    def test_emission_width_must_equal_vocab_size(self, width):
+        vocab = make_vocab(1, with_mask=True)  # 5 tokens
+        em = peaked_emission([(width - 1, 0.9)], width)
+        with pytest.raises(ConfigError, match=f"emission has {width} columns"):
+            mask_ctc_decode(em, TableMLM(width, vocab.mask_id), vocab, MaskCtcConfig())
 
     def test_unfilled_masks_raise_decode_error(self):
         # the schedule clears every mask within K >= 1 calls; a budget that

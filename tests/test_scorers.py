@@ -8,12 +8,16 @@ from seqdecode import (
     EmissionMatrix,
     TableScorer,
     ctc_forward,
-    wrap_full_as_partial,
 )
 
 from seqdecode import scorers as scorers_mod
 
-from conftest import brute_prefix_prob, frame_loop_reference, random_emission
+from conftest import (
+    WrappedPartialScorer,
+    brute_prefix_prob,
+    frame_loop_reference,
+    random_emission,
+)
 
 NEG_INF = float("-inf")
 
@@ -212,7 +216,7 @@ class TestCTCPrefixScoring:
 class TestWrapFullAsPartial:
     def test_gather_matches_full_row(self, rng):
         ts = TableScorer(0, 4, {(): np.log(rng.dirichlet(np.ones(4)))})
-        wrapped = wrap_full_as_partial(ts)
+        wrapped = WrappedPartialScorer(ts)
         state = wrapped.init_state(None)
         full_vec, _ = ts.score((9,), state, None)
         got, _ = wrapped.score_partial((9,), np.array([2]), state, None)
@@ -220,7 +224,7 @@ class TestWrapFullAsPartial:
 
     def test_request_order_preserved(self, rng):
         ts = TableScorer(0, 4, {(): np.log(rng.dirichlet(np.ones(4)))})
-        wrapped = wrap_full_as_partial(ts)
+        wrapped = WrappedPartialScorer(ts)
         state = wrapped.init_state(None)
         full_vec, _ = ts.score((9,), state, None)
         got, _ = wrapped.score_partial((9,), np.array([3, 1, 0]), state, None)
@@ -228,7 +232,7 @@ class TestWrapFullAsPartial:
 
     def test_all_candidates_equals_row(self, rng):
         ts = TableScorer(0, 5, {(): np.log(rng.dirichlet(np.ones(5)))})
-        wrapped = wrap_full_as_partial(ts)
+        wrapped = WrappedPartialScorer(ts)
         state = wrapped.init_state(None)
         full_vec, _ = ts.score((9,), state, None)
         got, _ = wrapped.score_partial((9,), np.arange(5), state, None)
