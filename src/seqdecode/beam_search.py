@@ -84,30 +84,6 @@ class BeamConfig:
             if w < 0:
                 raise ConfigError(f"weight for scorer {name!r} must be >= 0")
 
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "BeamConfig":
-        end = payload.get("end_detect", {})
-        known = {
-            "beam_size", "pre_beam_size", "weights", "max_len_ratio",
-            "min_len_ratio", "end_detect", "max_steps", "length_penalty",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown beam config keys: {sorted(unknown)}")
-        return cls(
-            weights={str(k): float(v) for k, v in payload.get("weights", {}).items()},
-            beam_size=int(payload.get("beam_size", 8)),
-            pre_beam_size=(
-                None if payload.get("pre_beam_size") is None else int(payload["pre_beam_size"])
-            ),
-            max_len_ratio=float(payload.get("max_len_ratio", 1.0)),
-            min_len_ratio=float(payload.get("min_len_ratio", 0.0)),
-            end_detect_window=int(end.get("window", 3)),
-            end_detect_margin=float(end.get("margin", -10.0)),
-            max_steps=None if payload.get("max_steps") is None else int(payload["max_steps"]),
-            length_penalty=float(payload.get("length_penalty", 0.0)),
-        )
-
 
 def end_detect(
     finished: Sequence[Hypothesis],

@@ -17,7 +17,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,37 @@ def _config_values() -> Iterator[None]:
         raise ConfigError(str(e)) from None
 
 
+def _read_block(block: Dict[str, Any], name: str, casts: Dict[str, Callable]) -> Dict[str, Any]:
+    """The keys a config block gives, each cast by ``casts``; an unknown key
+    is a config error, and a key the block leaves out keeps the default of
+    what the caller builds from it."""
+    unknown = sorted(set(block) - set(casts))
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {unknown}")
+    return {key: casts[key](value) for key, value in block.items()}
+
+
+def _optional(cast: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else cast(value)
+
+
+_BEAM_KEYS = {
+    "weights": lambda w: {str(k): float(v) for k, v in w.items()},
+    "beam_size": int, "pre_beam_size": _optional(int), "max_len_ratio": float,
+    "min_len_ratio": float, "max_steps": _optional(int), "length_penalty": float,
+    # a nested block for BeamConfig's end_detect_window and end_detect_margin
+    "end_detect": lambda b: {f"end_detect_{k}": v for k, v in _read_block(
+        b, "beam.end_detect", {"window": int, "margin": float}).items()},
+}
+_TRANSDUCER_KEYS = {
+    "beam_size": int, "algorithm": str, "max_exp_per_step": int, "u_max_ratio": float,
+    "n_steps": int, "lm_table": TableScorer.load, "lm_weight": float, "u_max": _optional(int),
+}
+_MASKCTC_KEYS = {"threshold": float, "iterations": int}
+_VAD_KEYS = {"on_threshold": float, "min_gap_frames": int, "margin_frames": int}
+_BENCH_KEYS = {"V": int, "T": int, "B": int, "repeats": int, "max_len_ratio": float}
+
+
 def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
     if path is None:
         return {}
@@ -107,6 +138,12 @@ def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
         sequential=bool(args.sequential),
         oracle=bool(getattr(args, "oracle", False)),
     )
+
+
+def _one_emission(cfg: RunConfig) -> str:
+    if len(cfg.emissions) != 1:
+        raise ConfigError(f"{cfg.task} needs exactly one emission path, got {len(cfg.emissions)}")
+    return cfg.emissions[0]
 
 
 def _vocab_from_config(raw: Dict[str, Any]) -> Vocabulary:
@@ -213,7 +250,9 @@ def run_decode(cfg: RunConfig) -> int:
         if not cfg.emissions:
             raise ConfigError("decode needs at least one emission path")
         full, partial = _build_scorers(cfg.raw, vocab)
-        beam_cfg = BeamConfig.from_json(cfg.raw.get("beam", {}))
+        opts = _read_block(cfg.raw.get("beam", {}), "beam", _BEAM_KEYS)
+        opts.update(opts.pop("end_detect", {}))
+        beam_cfg = BeamConfig(**{"weights": {}, **opts})
     results = [
         _decode_one(path, vocab, full, partial, beam_cfg, cfg.sequential, cfg.oracle)
         for path in cfg.emissions
@@ -245,20 +284,10 @@ def run_transducer(cfg: RunConfig) -> int:
             raise ConfigError(
                 f"config lists {len(tokens)} tokens but the model has {model.num_labels} labels"
             )
-        block = dict(raw.get("transducer", {}))
-        lm = None
-        if "lm_table" in block:
-            lm = TableScorer.load(block.pop("lm_table"))
-        t_cfg = TransducerBeamConfig(
-            beam_size=int(block.get("beam_size", 4)),
-            algorithm=str(block.get("algorithm", "beam")),
-            max_exp_per_step=int(block.get("max_exp_per_step", 2)),
-            u_max_ratio=float(block.get("u_max_ratio", 1.0)),
-            n_steps=int(block.get("n_steps", 2)),
-            lm=lm,
-            lm_weight=float(block.get("lm_weight", 0.0)),
-            u_max=None if block.get("u_max") is None else int(block["u_max"]),
-        )
+        opts = _read_block(raw.get("transducer", {}), "transducer", _TRANSDUCER_KEYS)
+        if "lm_table" in opts:
+            opts["lm"] = opts.pop("lm_table")
+        t_cfg = TransducerBeamConfig(**opts)
     nbest = transducer_decode(model, model.frames, t_cfg)
     payload = _nbest_payload(nbest, tokens)
     if cfg.oracle:
@@ -283,17 +312,13 @@ def run_maskctc(cfg: RunConfig) -> int:
         vocab = _vocab_from_config(cfg.raw)
         if vocab.mask_id is None:
             raise ConfigError("maskctc needs a vocabulary with mask_id")
-        if not cfg.emissions:
-            raise ConfigError("maskctc needs an emission path")
+        path = _one_emission(cfg)
         if "mlm" not in cfg.raw:
             raise ConfigError("maskctc config needs an 'mlm' path")
         mlm = maskctc_mod.TableMLM.load(cfg.raw["mlm"], mask_id=vocab.mask_id)
-        block = cfg.raw.get("maskctc", {})
         mc_cfg = maskctc_mod.MaskCtcConfig(
-            threshold=float(block.get("threshold", 0.5)),
-            iterations=int(block.get("iterations", 1)),
-        )
-    emission = load_emission(cfg.emissions[0])
+            **_read_block(cfg.raw.get("maskctc", {}), "maskctc", _MASKCTC_KEYS))
+    emission = load_emission(path)
     result = maskctc_mod.mask_ctc_decode(emission, mlm, vocab, mc_cfg)
     payload = {
         "tokens": [vocab.tokens[t] for t in result.tokens],
@@ -308,8 +333,7 @@ def run_maskctc(cfg: RunConfig) -> int:
 def run_align(cfg: RunConfig) -> int:
     with _config_values():
         vocab = _vocab_from_config(cfg.raw)
-        if not cfg.emissions:
-            raise ConfigError("align needs an emission path")
+        path = _one_emission(cfg)
         labels_raw = cfg.raw.get("labels")
         if labels_raw is None:
             raise ConfigError("align config needs a 'labels' list")
@@ -321,7 +345,7 @@ def run_align(cfg: RunConfig) -> int:
                 labels.append(vocab.tokens.index(item))
             else:
                 labels.append(int(item))
-    emission = load_emission(cfg.emissions[0])
+    emission = load_emission(path)
     try:
         alignment = ctc_forced_align(emission, labels, vocab.blank_id)
     except ValueError as e:
@@ -346,15 +370,9 @@ def run_vad(cfg: RunConfig) -> int:
             blank_id = int(raw["blank_id"])
         else:
             raise ConfigError("vad config needs 'vocab' or 'blank_id'")
-        if not cfg.emissions:
-            raise ConfigError("vad needs an emission path")
-        block = raw.get("vad", {})
-        options = {
-            "on_threshold": float(block.get("on_threshold", 0.5)),
-            "min_gap_frames": int(block.get("min_gap_frames", 0)),
-            "margin_frames": int(block.get("margin_frames", 0)),
-        }
-    emission = load_emission(cfg.emissions[0])
+        path = _one_emission(cfg)
+        options = _read_block(raw.get("vad", {}), "vad", _VAD_KEYS)
+    emission = load_emission(path)
     try:
         segments = ctc_vad(emission, blank_id, **options)
     except ValueError as e:
@@ -386,12 +404,9 @@ def _synth_bench_instance(rng: np.random.Generator, v: int, t: int):
 
 def run_bench(cfg: RunConfig) -> int:
     with _config_values():
-        block = cfg.raw.get("bench", {})
-        v = int(block.get("V", 50))
-        t = int(block.get("T", 20))
-        b = int(block.get("B", 4))
-        repeats = int(block.get("repeats", 3))
-        max_len_ratio = float(block.get("max_len_ratio", 0.5))
+        opts = {"V": 50, "T": 20, "B": 4, "repeats": 3, "max_len_ratio": 0.5,
+                **_read_block(cfg.raw.get("bench", {}), "bench", _BENCH_KEYS)}
+    v, t, b, repeats = opts["V"], opts["T"], opts["B"], opts["repeats"]
     if min(v, t, b, repeats) < 1 or v < 4:
         raise ConfigError("bench needs V >= 4 and positive T, B, repeats")
     rng = np.random.default_rng(cfg.seed)
@@ -399,7 +414,7 @@ def run_bench(cfg: RunConfig) -> int:
     beam_cfg = BeamConfig(
         weights={"att": 0.7, "ctc": 0.3},
         beam_size=b,
-        max_len_ratio=max_len_ratio,
+        max_len_ratio=opts["max_len_ratio"],
     )
 
     variants = {

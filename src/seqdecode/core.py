@@ -12,7 +12,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,6 +149,58 @@ def _check_rows(data: np.ndarray, renormalize: bool) -> np.ndarray:
     return data
 
 
+def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
+    """``data`` as a read-only float64 array of ``shape`` whose rows (last
+    axis) are log-distributions within ROW_TOL_EXACT, else a ConfigError.
+    ``label`` names the rows in the message and is called only on failure."""
+    arr = np.ascontiguousarray(data, dtype=np.float64)
+    if arr.shape != shape:
+        raise ConfigError(f"{label()} has shape {arr.shape}, expected {shape}")
+    dev = np.abs(np.logaddexp.reduce(arr, axis=-1)).ravel()
+    if not (dev <= ROW_TOL_EXACT).all():  # catches nan as well
+        i = int(np.argmin(dev <= ROW_TOL_EXACT))
+        where = f" row {i}" if arr.ndim > 1 else ""
+        raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {dev[i]!r}")
+    arr.setflags(write=False)
+    return arr
+
+
+def format_key(key: Sequence[Optional[int]]) -> str:
+    """Context key of the table model files: ids joined by commas, "_" for a
+    masked position, "" for the empty context."""
+    return ",".join("_" if t is None else str(t) for t in key)
+
+
+def parse_key(text: str, masks: bool = False) -> Tuple[Optional[int], ...]:
+    """Inverse of ``format_key``; "_" is read only where ``masks`` allows it."""
+    if not text:
+        return ()
+    return tuple(None if masks and p == "_" else int(p) for p in text.split(","))
+
+
+def write_json(path: str, payload: Any) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+
+
+def read_json(path: str, what: str, build: Callable[[Any], Any]) -> Any:
+    """Read a JSON model file and ``build`` an object from its payload. A
+    parse error, a missing key or a payload ``build`` cannot read is a
+    FormatError; a ConfigError from ``build`` (say, unnormalised rows) stays
+    one."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            payload = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{what} JSON parse error: {e}") from None
+    try:
+        return build(payload)
+    except KeyError as e:
+        raise FormatError(f"{what} JSON missing key {e}") from None
+    except (ValueError, TypeError, AttributeError) as e:
+        raise FormatError(f"bad {what} JSON: {e}") from None
+
+
 @dataclass(frozen=True)
 class EmissionMatrix:
     """T x V lattice of per-frame log-probabilities over the vocabulary.
@@ -188,13 +240,11 @@ class EmissionMatrix:
 
 def save_emission(matrix: EmissionMatrix, path: str, fmt: str = "json") -> None:
     if fmt == "json":
-        payload = {
+        write_json(path, {
             "T": matrix.frames,
             "V": matrix.vocab_size,
             "logprobs": [[float(v) for v in row] for row in matrix.data],
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
+        })
     elif fmt == "raw-f32":
         with open(path, "wb") as f:
             f.write(RAW_MAGIC)
@@ -202,6 +252,23 @@ def save_emission(matrix: EmissionMatrix, path: str, fmt: str = "json") -> None:
             f.write(matrix.data.astype("<f4").tobytes(order="C"))
     else:
         raise ConfigError(f"unknown emission format {fmt!r}")
+
+
+def _emission_rows(payload: Dict[str, Any]) -> np.ndarray:
+    rows = payload["logprobs"]
+    t_decl, v_decl = int(payload["T"]), int(payload["V"])
+    if len(rows) != t_decl:
+        raise FormatError(f"emission JSON declares T={t_decl} but has {len(rows)} rows")
+    for t, row in enumerate(rows):
+        if len(row) != v_decl:
+            raise FormatError(f"emission frame {t} has {len(row)} entries, expected V={v_decl}")
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError) as e:
+        raise FormatError(f"emission JSON has non-numeric entries: {e}") from None
+    if arr.size == 0:
+        raise FormatError("emission JSON is empty")
+    return arr
 
 
 def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
@@ -214,29 +281,7 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
         with open(path, "rb") as f:
             fmt = "raw-f32" if f.read(4) == RAW_MAGIC else "json"
     if fmt == "json":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"emission JSON parse error: {e}") from None
-        for key in ("T", "V", "logprobs"):
-            if key not in payload:
-                raise FormatError(f"emission JSON missing key {key!r}")
-        rows = payload["logprobs"]
-        t_decl, v_decl = int(payload["T"]), int(payload["V"])
-        if len(rows) != t_decl:
-            raise FormatError(f"emission JSON declares T={t_decl} but has {len(rows)} rows")
-        for t, row in enumerate(rows):
-            if len(row) != v_decl:
-                raise FormatError(
-                    f"emission frame {t} has {len(row)} entries, expected V={v_decl}"
-                )
-        try:
-            arr = np.array(rows, dtype=np.float64)
-        except (ValueError, TypeError) as e:
-            raise FormatError(f"emission JSON has non-numeric entries: {e}") from None
-        if arr.size == 0:
-            raise FormatError("emission JSON is empty")
+        arr = read_json(path, "emission", _emission_rows)
     elif fmt == "raw-f32":
         with open(path, "rb") as f:
             blob = f.read()

@@ -188,7 +188,7 @@ def merge_runs(runs: Sequence[Tuple[int, int]], min_gap: int) -> List[Tuple[int,
 def ctc_vad(
     emission: EmissionMatrix,
     blank_id: int,
-    on_threshold: float,
+    on_threshold: float = 0.5,
     min_gap_frames: int = 0,
     margin_frames: int = 0,
 ) -> List[Segment]:

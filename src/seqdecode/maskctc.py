@@ -5,7 +5,6 @@ iterations regardless of sequence length."""
 from __future__ import annotations
 
 import abc
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,9 +15,12 @@ from .core import (
     ConfigError,
     DecodeError,
     EmissionMatrix,
-    FormatError,
-    ROW_TOL_EXACT,
     Vocabulary,
+    format_key,
+    log_rows,
+    parse_key,
+    read_json,
+    write_json,
 )
 
 
@@ -48,22 +50,14 @@ class TableMLM(MLMScorer):
             raise ConfigError("vocab_size must be >= 2")
         self.vocab_size = vocab_size
         self.mask_id = mask_id
-        self.patterns: Dict[Tuple[Optional[int], ...], Dict[int, np.ndarray]] = {}
-        for pattern, dists in (patterns or {}).items():
-            checked: Dict[int, np.ndarray] = {}
-            for pos, row in dists.items():
-                arr = np.asarray(row, dtype=np.float64)
-                if arr.shape != (vocab_size,):
-                    raise ConfigError(
-                        f"pattern {pattern} position {pos}: row shape {arr.shape}"
-                    )
-                dev = abs(np.logaddexp.reduce(arr))
-                if not dev <= ROW_TOL_EXACT:
-                    raise ConfigError(
-                        f"pattern {pattern} position {pos}: row not normalised ({dev!r})"
-                    )
-                checked[int(pos)] = arr
-            self.patterns[tuple(pattern)] = checked
+        self.patterns: Dict[Tuple[Optional[int], ...], Dict[int, np.ndarray]] = {
+            tuple(pattern): {
+                int(pos): log_rows(row, (vocab_size,),
+                                   lambda: f"masked-LM row for pattern {pattern} position {pos}")
+                for pos, row in dists.items()
+            }
+            for pattern, dists in (patterns or {}).items()
+        }
 
     def predict(self, tokens: Sequence[int]) -> Dict[int, np.ndarray]:
         key = tuple(None if t == self.mask_id else int(t) for t in tokens)
@@ -78,41 +72,24 @@ class TableMLM(MLMScorer):
                 out[pos] = uniform
         return out
 
-    def to_json(self) -> Dict[str, object]:
-        return {
+    def save(self, path: str) -> None:
+        write_json(path, {
             "vocab_size": self.vocab_size,
             "patterns": {
-                ",".join("_" if t is None else str(t) for t in pattern): {
-                    str(pos): [float(v) for v in row] for pos, row in dists.items()
-                }
+                format_key(pattern): {str(pos): row.tolist() for pos, row in dists.items()}
                 for pattern, dists in self.patterns.items()
             },
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f)
+        })
 
     @classmethod
     def load(cls, path: str, mask_id: int) -> "TableMLM":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"masked-LM JSON parse error: {e}") from None
-        try:
-            patterns = {
-                tuple(None if p == "_" else int(p) for p in key.split(",")): {
-                    int(pos): np.array(row, dtype=np.float64)
-                    for pos, row in dists.items()
-                }
-                for key, dists in payload["patterns"].items()
-            }
-            return cls(
-                vocab_size=int(payload["vocab_size"]), mask_id=mask_id, patterns=patterns
-            )
-        except (KeyError, ValueError, TypeError, AttributeError) as e:
-            raise FormatError(f"bad masked-LM JSON: {e}") from None
+        return read_json(path, "masked-LM", lambda payload: cls(
+            vocab_size=int(payload["vocab_size"]), mask_id=mask_id,
+            patterns={
+                parse_key(k, masks=True): {int(pos): row for pos, row in dists.items()}
+                for k, dists in payload["patterns"].items()
+            },
+        ))
 
 
 @dataclass(frozen=True)
@@ -203,6 +180,8 @@ def mask_ctc_decode(
         fill: Dict[int, np.ndarray] = {}
         for pos in masked:
             row = np.array(preds[pos], dtype=np.float64, copy=True)
+            if row.shape != (vocab.size,):
+                raise ConfigError(f"masked-LM row {pos} has shape {row.shape}, not ({vocab.size},)")
             row[mask_id] = -np.inf  # a fill must resolve the position
             fill[pos] = row
         ranked = sorted(

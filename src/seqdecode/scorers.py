@@ -21,14 +21,15 @@ upper bound. The CTC prefix scorer does so, with the same kernel.
 from __future__ import annotations
 
 import abc
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import NEG_INF, ConfigError, EmissionMatrix, FormatError, ROW_TOL_EXACT
+from .core import (
+    NEG_INF, ConfigError, EmissionMatrix, format_key, log_rows, parse_key, read_json, write_json,
+)
 
 
 class FullScorer(abc.ABC):
@@ -139,16 +140,6 @@ class PartialScorer(abc.ABC):
         return self.batch_score_partial(prefixes, candidates, states, emission)
 
 
-def _context_key(ids: Sequence[int]) -> str:
-    return ",".join(str(i) for i in ids)
-
-
-def _parse_context_key(key: str) -> Tuple[int, ...]:
-    if key == "":
-        return ()
-    return tuple(int(p) for p in key.split(","))
-
-
 class TableScorer(FullScorer):
     """Order-k Markov scorer over token ids, backed by an explicit table.
 
@@ -171,24 +162,13 @@ class TableScorer(FullScorer):
             raise ConfigError("vocab_size must be >= 2")
         self.context_order = context_order
         self.vocab_size = vocab_size
-        self.rows: Dict[Tuple[int, ...], np.ndarray] = {}
-        for ctx, row in rows.items():
-            self.rows[tuple(ctx)] = self._freeze_row(np.asarray(row, dtype=np.float64))
+        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
+            tuple(ctx): log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}")
+            for ctx, row in rows.items()
+        }
         if fallback is None:
             fallback = np.full(vocab_size, -math.log(vocab_size))
-        self.fallback = self._freeze_row(np.asarray(fallback, dtype=np.float64))
-
-    def _freeze_row(self, row: np.ndarray) -> np.ndarray:
-        if row.shape != (self.vocab_size,):
-            raise ConfigError(
-                f"table row has shape {row.shape}, expected ({self.vocab_size},)"
-            )
-        dev = abs(np.logaddexp.reduce(row))
-        if not dev <= ROW_TOL_EXACT:
-            raise ConfigError(f"table row not normalised: logsumexp deviation {dev!r}")
-        row = np.ascontiguousarray(row)
-        row.setflags(write=False)
-        return row
+        self.fallback = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
 
     def _context(self, emitted: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.context_order == 0:
@@ -209,44 +189,22 @@ class TableScorer(FullScorer):
         rows = [self.rows.get(tuple(s), self.fallback) for s in states]
         return np.stack(rows, axis=0), list(states)
 
-    def to_json(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+    def save(self, path: str) -> None:
+        write_json(path, {
             "context_order": self.context_order,
             "vocab_size": self.vocab_size,
-            "rows": {_context_key(ctx): [float(v) for v in row] for ctx, row in self.rows.items()},
-            "fallback": [float(v) for v in self.fallback],
-        }
-        return payload
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "TableScorer":
-        try:
-            rows = {
-                _parse_context_key(k): np.array(v, dtype=np.float64)
-                for k, v in payload["rows"].items()
-            }
-            fallback = payload.get("fallback")
-            return cls(
-                context_order=int(payload["context_order"]),
-                vocab_size=int(payload["vocab_size"]),
-                rows=rows,
-                fallback=None if fallback is None else np.array(fallback, dtype=np.float64),
-            )
-        except (KeyError, ValueError, TypeError, AttributeError) as e:
-            raise FormatError(f"bad table scorer JSON: {e}") from None
+            "rows": {format_key(ctx): row.tolist() for ctx, row in self.rows.items()},
+            "fallback": self.fallback.tolist(),
+        })
 
     @classmethod
     def load(cls, path: str) -> "TableScorer":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"table scorer JSON parse error: {e}") from None
-        return cls.from_json(payload)
+        return read_json(path, "table scorer", lambda payload: cls(
+            context_order=int(payload["context_order"]),
+            vocab_size=int(payload["vocab_size"]),
+            rows={parse_key(k): row for k, row in payload["rows"].items()},
+            fallback=payload.get("fallback"),
+        ))
 
 
 class CTCPrefixState:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import abc
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -30,11 +29,14 @@ import numpy as np
 from .core import (
     NEG_INF,
     ConfigError,
-    FormatError,
     NBestEntry,
     NBestList,
-    ROW_TOL_EXACT,
+    format_key,
     hypothesis_sort_key,
+    log_rows,
+    parse_key,
+    read_json,
+    write_json,
 )
 from .scorers import FullScorer
 
@@ -82,23 +84,11 @@ class TableTransducer(TransducerModel):
         self.context_order = context_order
         self.frames = frames
         self._num_labels = num_labels
-        self.rows: Dict[Tuple[int, ...], np.ndarray] = {}
-        for ctx, mat in rows.items():
-            arr = np.asarray(mat, dtype=np.float64)
-            if arr.shape != (frames, num_labels + 1):
-                raise ConfigError(
-                    f"rows for context {ctx} have shape {arr.shape}, expected "
-                    f"({frames}, {num_labels + 1})"
-                )
-            dev = np.abs(np.logaddexp.reduce(arr, axis=1))
-            if not (dev <= ROW_TOL_EXACT).all():
-                t = int(np.argmax(dev))
-                raise ConfigError(
-                    f"context {ctx} frame {t} row not normalised (deviation {dev[t]!r})"
-                )
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            self.rows[tuple(ctx)] = arr
+        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
+            tuple(ctx): log_rows(mat, (frames, num_labels + 1),
+                                 lambda: f"transducer rows for context {ctx}")
+            for ctx, mat in rows.items()
+        }
 
     @property
     def num_labels(self) -> int:
@@ -124,46 +114,22 @@ class TableTransducer(TransducerModel):
         except KeyError as e:
             raise ConfigError(f"transducer table has no row for context {e.args[0]}") from None
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
+    def save(self, path: str) -> None:
+        write_json(path, {
             "context_order": self.context_order,
             "T": self.frames,
             "vocab_size": self._num_labels,
-            "rows": {
-                ",".join(str(i) for i in ctx): [[float(v) for v in row] for row in mat]
-                for ctx, mat in self.rows.items()
-            },
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "TableTransducer":
-        try:
-            rows = {
-                tuple(int(p) for p in key.split(",")) if key else ():
-                    np.array(mat, dtype=np.float64)
-                for key, mat in payload["rows"].items()
-            }
-            return cls(
-                context_order=int(payload["context_order"]),
-                frames=int(payload["T"]),
-                num_labels=int(payload["vocab_size"]),
-                rows=rows,
-            )
-        except (KeyError, ValueError, TypeError, AttributeError) as e:
-            raise FormatError(f"bad transducer JSON: {e}") from None
+            "rows": {format_key(ctx): mat.tolist() for ctx, mat in self.rows.items()},
+        })
 
     @classmethod
     def load(cls, path: str) -> "TableTransducer":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"transducer JSON parse error: {e}") from None
-        return cls.from_json(payload)
+        return read_json(path, "transducer", lambda payload: cls(
+            context_order=int(payload["context_order"]),
+            frames=int(payload["T"]),
+            num_labels=int(payload["vocab_size"]),
+            rows={parse_key(k): mat for k, mat in payload["rows"].items()},
+        ))
 
 
 @dataclass

@@ -21,6 +21,25 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def task_configs(tmp_path):
+    """A small valid config for each task but decode, with its emission."""
+    vocab = make_vocab(1, with_mask=True)
+    emission_path = tmp_path / "e.json"
+    save_emission(EmissionMatrix.from_logits(np.zeros((2, vocab.size))),
+                  str(emission_path), "json")
+    mlm_path, model_path = tmp_path / "mlm.json", tmp_path / "model.json"
+    TableMLM(vocab.size, vocab.mask_id).save(str(mlm_path))
+    TableTransducer(0, 1, 1, {(): np.log(np.full((1, 2), 0.5))}).save(str(model_path))
+    common = {"vocab": vocab.to_dict(), "emission": str(emission_path)}
+    return {
+        "transducer": {"model": str(model_path), "transducer": {"beam_size": 2}},
+        "maskctc": {**common, "mlm": str(mlm_path), "maskctc": {"threshold": 0.5}},
+        "align": {**common, "labels": ["l0"]},
+        "vad": {**common, "vad": {"on_threshold": 0.5}},
+        "bench": {"bench": {"V": 8, "T": 4, "B": 2, "repeats": 1}},
+    }
+
+
 @pytest.fixture
 def decode_setup(tmp_path, rng):
     vocab = make_vocab(2)
@@ -408,6 +427,23 @@ class TestErrorMapping:
         assert main(["maskctc", "--config", cfg]) == 2
         assert f"emission has {width} columns" in capsys.readouterr().err
 
+    def test_maskctc_mlm_wider_than_vocab_is_exit_2(self, tmp_path, capsys):
+        vocab = make_vocab(1, with_mask=True)  # 5 tokens
+        probs = np.full((2, vocab.size), 0.125)
+        probs[:, 1] = 0.5  # one token, below the threshold, so it is masked
+        emission_path = tmp_path / "e.json"
+        save_emission(EmissionMatrix(np.log(probs)), str(emission_path), "json")
+        row = np.full(7, 0.1 / 6)
+        row[6] = 0.9  # the fill would be id 6, past the vocabulary
+        mlm_path = tmp_path / "mlm.json"
+        TableMLM(7, vocab.mask_id, {(None,): {0: np.log(row)}}).save(str(mlm_path))
+        cfg = write_json(tmp_path / "m.json", {
+            "vocab": vocab.to_dict(), "emission": str(emission_path), "mlm": str(mlm_path),
+            "maskctc": {"threshold": 0.99},
+        })
+        assert main(["maskctc", "--config", cfg]) == 2
+        assert "masked-LM row 0 has shape (7,)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("blank_id", [-1, 9])
     def test_vad_blank_id_outside_emission_is_exit_2(self, tmp_path, blank_id, capsys):
         emission_path = tmp_path / "e.json"
@@ -426,6 +462,31 @@ class TestErrorMapping:
             "vocab": vocab.to_dict(), "emission": str(emission_path), "labels": [2]})
         assert main(["align", "--config", cfg]) == 2
         assert "blank_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [
+        "beam", "beam.end_detect", "transducer", "maskctc", "vad", "bench"])
+    def test_unknown_key_in_any_block_is_exit_2(self, decode_setup, block, capsys):
+        tmp_path, config, _ = decode_setup
+        configs = {"decode": config, **task_configs(tmp_path)}
+        task = "decode" if block.startswith("beam") else block
+        cfg = configs[task]
+        assert main([task, "--config", write_json(tmp_path / "ok.json", cfg),
+                     "--output", str(tmp_path / "out.json")]) == 0
+        if block == "beam.end_detect":
+            cfg["beam"]["end_detect"] = {"window": 2, "margn": -5.0}
+        else:
+            cfg[block]["beam_szie"] = 9
+        assert main([task, "--config", write_json(tmp_path / "typo.json", cfg)]) == 2
+        assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["maskctc", "align", "vad"])
+    def test_single_emission_tasks_reject_a_second_path(self, tmp_path, task, capsys):
+        cfg = task_configs(tmp_path)[task]
+        argv = [task, "--config", write_json(tmp_path / "c.json", cfg)]
+        assert main(argv) == 0
+        assert main(argv + ["--emission", cfg["emission"],
+                            "--emission", str(tmp_path / "nonexistent.json")]) == 2
+        assert "exactly one emission path, got 2" in capsys.readouterr().err
 
     def test_malformed_values_of_other_tasks_are_exit_2(self, tmp_path):
         vocab = make_vocab(1)

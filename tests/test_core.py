@@ -19,8 +19,36 @@ from seqdecode import (
     save_emission,
     validate_hypothesis,
 )
+from seqdecode.maskctc import TableMLM
+from seqdecode.scorers import TableScorer
+from seqdecode.transducer import TableTransducer
 
 NEG_INF = float("-inf")
+
+
+def _log_dirichlet(rng, shape):
+    return np.log(rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]))
+
+
+# kind -> (build a model, load a path, a required payload key, the rows key)
+MODEL_FILES = {
+    "table_scorer": (
+        lambda rng: TableScorer(1, 3, {(): np.array([math.log(0.5), math.log(0.5), NEG_INF]),
+                                       (2,): _log_dirichlet(rng, (3,))}),
+        TableScorer.load, "vocab_size", "rows",
+    ),
+    "table_transducer": (
+        lambda rng: TableTransducer(1, 2, 2, {ctx: _log_dirichlet(rng, (2, 3))
+                                              for ctx in [(), (0,), (1,)]}),
+        TableTransducer.load, "T", "rows",
+    ),
+    "table_mlm": (
+        lambda rng: TableMLM(4, 3, {(None, 2): {0: _log_dirichlet(rng, (4,))},
+                                    (None, None): {0: _log_dirichlet(rng, (4,)),
+                                                   1: _log_dirichlet(rng, (4,))}}),
+        lambda path: TableMLM.load(path, mask_id=3), "vocab_size", "patterns",
+    ),
+}
 
 
 class TestLogsumexp:
@@ -178,6 +206,43 @@ class TestEmissionIO:
         save_emission(m, str(pr), "raw-f32")
         assert load_emission(str(pj)).frames == 2
         assert load_emission(str(pr)).frames == 2
+
+
+class TestModelFiles:
+    """The three table model files share one reader, one row check and one
+    context-key codec."""
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_FILES))
+    def test_save_load_contract(self, kind, tmp_path, rng):
+        build, load, required, rows_key = MODEL_FILES[kind]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        build(rng).save(str(first))
+        load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()  # every float bit-identical
+
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        with pytest.raises(FormatError, match="parse error"):
+            load(str(broken))
+
+        payload = json.loads(first.read_text())
+        del payload[required]
+        broken.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="missing key"):
+            load(str(broken))
+
+        def bump(node):  # add 0.5 to every number, so no row sums to one
+            if isinstance(node, dict):
+                return {k: bump(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [bump(v) for v in node]
+            return node + 0.5
+
+        payload = json.loads(first.read_text())
+        payload[rows_key] = bump(payload[rows_key])
+        broken.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="not normalised"):
+            load(str(broken))
 
 
 class TestValidateHypothesis:

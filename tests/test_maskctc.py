@@ -172,6 +172,16 @@ class TestMaskCtcDecode:
         with pytest.raises(ConfigError, match=f"emission has {width} columns"):
             mask_ctc_decode(em, TableMLM(width, vocab.mask_id), vocab, MaskCtcConfig())
 
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_mlm_row_width_must_equal_vocab_size(self, width):
+        vocab = make_vocab(1, with_mask=True)  # 5 tokens, mask_id 4
+        em = peaked_emission([(1, 0.5), (1, 0.5)], vocab.size)
+        probs = np.full(width, 0.1 / (width - 1))
+        probs[width - 1] = 0.9  # a fill would pick id width-1
+        mlm = TableMLM(width, vocab.mask_id, {(None,): {0: np.log(probs)}})
+        with pytest.raises(ConfigError, match=f"has shape \\({width},\\)"):
+            mask_ctc_decode(em, mlm, vocab, MaskCtcConfig(threshold=0.99))
+
     def test_unfilled_masks_raise_decode_error(self):
         # the schedule clears every mask within K >= 1 calls; a budget that
         # got past validation must still fail loudly, also under python -O,
