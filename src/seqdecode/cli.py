@@ -101,6 +101,17 @@ _TRANSDUCER_KEYS = {
 _MASKCTC_KEYS = {"threshold": float, "iterations": int}
 _VAD_KEYS = {"on_threshold": float, "min_gap_frames": int, "margin_frames": int}
 _BENCH_KEYS = {"V": int, "T": int, "B": int, "repeats": int, "max_len_ratio": float}
+# the keys of a ``scorers`` entry besides "type", per type; casting loads the files
+_SCORER_KEYS = {
+    "table": {"path": TableScorer.load},
+    "ctc_prefix": {},
+    "multilevel": {"char_table": TableScorer.load, "arpa": load_arpa,
+                   "delimiter_id": _optional(int)},
+    "lookahead": {"lexicon": load_lexicon, "arpa": load_arpa, "delimiter_id": _optional(int)},
+}
+# top-level keys any task reads; a config may serve several tasks
+_TOP_KEYS = {"emission", "emissions", "output", "seed", "vocab", "scorers", "beam", "model",
+             "tokens", "transducer", "mlm", "maskctc", "labels", "blank_id", "vad", "bench"}
 
 
 def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
@@ -120,6 +131,9 @@ def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
 
 def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
     raw = _load_config_file(args.config)
+    unknown = sorted(set(raw) - _TOP_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown top-level config keys: {unknown}")
     emissions: List[str] = []
     if args.emission:
         emissions = list(args.emission)
@@ -183,26 +197,25 @@ def _build_scorers(raw: Dict[str, Any], vocab: Vocabulary):
         raise ConfigError("config needs a non-empty 'scorers' block")
     for name, entry in spec.items():
         kind = entry.get("type")
+        if kind not in _SCORER_KEYS:
+            raise ConfigError(f"scorer {name!r} has unknown type {kind!r}")
+        opts = _read_block({k: v for k, v in entry.items() if k != "type"},
+                           f"scorers.{name}", _SCORER_KEYS[kind])
         try:
             if kind == "table":
-                full[name] = TableScorer.load(entry["path"])
+                full[name] = opts["path"]
             elif kind == "ctc_prefix":
                 partial[name] = CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)
             elif kind == "multilevel":
-                word_lm = load_arpa(entry["arpa"])
-                char_lm = TableScorer.load(entry["char_table"])
                 full[name] = MultiLevelLMScorer(
-                    char_lm, word_lm, vocab, delimiter_id=entry.get("delimiter_id")
-                )
-            elif kind == "lookahead":
-                word_lm = load_arpa(entry["arpa"])
-                lexicon = load_lexicon(entry["lexicon"])
-                full[name] = LookAheadLMScorer(
-                    WordTrie(lexicon, word_lm), word_lm, vocab,
-                    delimiter_id=entry.get("delimiter_id"),
+                    opts["char_table"], opts["arpa"], vocab,
+                    delimiter_id=opts.get("delimiter_id"),
                 )
             else:
-                raise ConfigError(f"scorer {name!r} has unknown type {kind!r}")
+                full[name] = LookAheadLMScorer(
+                    WordTrie(opts["lexicon"], opts["arpa"]), opts["arpa"], vocab,
+                    delimiter_id=opts.get("delimiter_id"),
+                )
         except KeyError as e:
             raise ConfigError(f"scorer {name!r} is missing key {e}") from None
     return full, partial

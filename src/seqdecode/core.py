@@ -12,6 +12,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,7 +157,12 @@ def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigError(f"{label()} has shape {arr.shape}, expected {shape}")
-    dev = np.abs(np.logaddexp.reduce(arr, axis=-1)).ravel()
+    top = arr.max(axis=-1)
+    with np.errstate(invalid="ignore"):  # an all -inf or a +inf row gives nan
+        dev = np.abs(top + np.log(np.exp(arr - top[..., None]).sum(axis=-1))).ravel()
+    near = np.abs(dev - ROW_TOL_EXACT) <= 1e-9
+    if near.any():  # within float error of the tolerance: decide as the exact fold does
+        dev[near] = np.abs(np.logaddexp.reduce(arr.reshape(-1, shape[-1])[near], axis=-1))
     if not (dev <= ROW_TOL_EXACT).all():  # catches nan as well
         i = int(np.argmin(dev <= ROW_TOL_EXACT))
         where = f" row {i}" if arr.ndim > 1 else ""
@@ -229,6 +235,13 @@ class EmissionMatrix:
     @property
     def vocab_size(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def column_peaks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(V,) largest log-prob of each token over the frames, and the
+        first frame that has it; computed once per matrix."""
+        peak = self.data.argmax(axis=0)
+        return self.data[peak, np.arange(self.vocab_size)], peak
 
     @classmethod
     def from_logits(cls, logits: np.ndarray) -> "EmissionMatrix":

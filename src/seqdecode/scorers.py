@@ -15,7 +15,12 @@ only when it is scored in turn (or read), so pruned successors cost nothing.
 can bound its scores cheaply also implements
 ``batch_score_partial_pruned``: it hands per-cell lower and upper bounds to
 the caller, which says which cells must be exact; every other cell holds its
-upper bound. The CTC prefix scorer does so, with the same kernel.
+upper bound. The CTC prefix scorer does so, with the same kernel, in two
+tiers: on a call of at least ``_TIERED_MIN_TERMS`` frame terms, tier 1
+bounds every cell from the emission's column peaks without any frame term;
+tier 2 builds the frame terms of the cells still kept (of every cell on a
+smaller call), bounds them tighter and folds those the caller keeps. Upper
+bounds carry a float margin (``_margin``) over the fold they stand in for.
 """
 
 from __future__ import annotations
@@ -133,9 +138,12 @@ class PartialScorer(abc.ABC):
 
         A scorer that can bound its scores cheaply passes (B x P) lower and
         upper bounds ``lo <= score <= hi`` to ``keep``, which returns the
-        mask of cells that must be exact. Every other cell may hold its
-        upper bound instead of its score; the caller must not select its
-        state. The default ignores ``keep`` and scores every cell.
+        mask of cells that must be exact. It may consult ``keep`` a second
+        time with bounds at least as tight; a cell must then be exact only
+        if every call kept it. Every other cell may hold its last upper
+        bound instead of its score (a cell the first call did not keep, the
+        first call's); the caller must not select its state. The default
+        ignores ``keep`` and scores every cell.
         """
         return self.batch_score_partial(prefixes, candidates, states, emission)
 
@@ -306,6 +314,20 @@ def _materialise(states: Sequence[CTCPrefixState]) -> None:
 # exp(-_FAR) of it in the upper bound
 _FAR = 8.0
 
+# a pruned call with at least this many frame terms, (T - t0) * B * P, bounds
+# its cells from the column peaks first and builds frame terms only for the
+# cells those bounds keep. Timing both paths on every pruned call of the
+# benchmark's searches, the peak bounds won every call from 49,152 terms up
+# (0.60-0.86 of the time), were a wash between 24,576 and 49,152 (0.87-1.06,
+# by content) and lost below (1.09-1.35): their fixed cost does not pay there
+_TIERED_MIN_TERMS = 1 << 16
+
+
+def _margin(n: int, at: np.ndarray) -> np.ndarray:
+    """Float slack of a log-sum of n terms near ``at``: a few ulps of the
+    running sum per term, covered many times over."""
+    return 1e-9 + n * (np.abs(at) + 1.0) * 1e-15
+
 
 def _fold_bounds(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(lo, hi) with lo <= np.logaddexp.reduce(terms, axis=0) <= hi.
@@ -315,17 +337,67 @@ def _fold_bounds(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     max + log(near + (n - near) * exp(-_FAR)) in real numbers, where near
     counts the terms within _FAR of the max; the float fold exceeds the real
     one by a few ulps of the running sum per term (errors shrink as they
-    pass later steps), which the margin covers many times over. A cell whose
-    terms are all -inf folds to exactly -inf.
+    pass later steps), which ``_margin`` covers. A cell whose terms are all
+    -inf folds to exactly -inf.
     """
     n = terms.shape[0]
     lo = terms.max(axis=0)
     near = np.count_nonzero(terms >= lo - _FAR, axis=0)
     with np.errstate(invalid="ignore"):
-        hi = lo + (np.log(near + (n - near) * math.exp(-_FAR))
-                   + (1e-9 + n * (np.abs(lo) + 1.0) * 1e-15))
+        hi = lo + (np.log(near + (n - near) * math.exp(-_FAR)) + _margin(n, lo))
     hi[lo == NEG_INF] = NEG_INF
     return lo, hi
+
+
+def _frame_terms(x, r_sum, r_b, t0, labels, rows, repeat, psi0) -> np.ndarray:
+    """The (T - t0, k) C-ordered frame terms ``phi[t-1] + x[t, c]`` of k
+    cells, given per cell: label c, parent row, whether c repeats the
+    parent's last label (phi is then the parent's r_b, else its r_sum) and
+    psi0, the empty prefix's ``x[0, c]``, which the first frame's term folds
+    in. Folding a column over frames gives the cell's psi."""
+    T = x.shape[0]
+    terms = x[t0:, labels]
+    terms += r_sum[t0 - 1:T - 1, rows]
+    rep = np.flatnonzero(repeat)  # a repeat connects through r_b only
+    terms[:, rep] = x[t0:, labels[rep]] + r_b[t0 - 1:T - 1, rows[rep]]
+    terms[0] = np.logaddexp(psi0, terms[0])
+    return terms
+
+
+def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
+    """(lo, hi) with lo <= psi <= hi for every (B, P) cell, without its
+    frame terms: O(T B + B P) work against O((T - t0) B P) for the terms.
+
+    hi bounds each term by ``r_sum[t-1] + max_t x[t, c]`` (r_sum >= r_b,
+    so this holds for repeats too): psi <= logaddexp(psi0,
+    logsumexp_t r_sum[t-1] + max_t x[t, c]). The float fold and the float
+    log-sum over frames each stray by ``_margin``, so hi carries it twice.
+    Where all terms are -inf, hi is exactly -inf.
+
+    lo is the larger of psi0 and two of the cell's own float terms, each at
+    most the fold: one at the frame where column c peaks (or t0, if that is
+    earlier), one just after the frame where the parent's phi peaks. A
+    repeat uses r_b in both, as its terms do.
+    """
+    T = x.shape[0]
+    col_max, col_peak = peaks
+    phi = r_sum[t0 - 1:T - 1]
+    top = np.logaddexp(psi0, np.logaddexp.reduce(phi, axis=0)[:, None] + col_max[cands])
+    with np.errstate(invalid="ignore"):
+        hi = top + 2 * _margin(T - t0, top)
+    hi[top == NEG_INF] = NEG_INF
+
+    B = cands.shape[0]
+    tc = np.maximum(col_peak[cands], t0)
+    tb = t0 + phi.argmax(axis=0)
+    lo = np.maximum(r_sum[tc - 1, np.arange(B)[:, None]] + x[tc, cands],
+                    r_sum[tb - 1, np.arange(B)][:, None] + x[tb[:, None], cands])
+    rows, cols = np.nonzero(repeat)
+    labels, tc = cands[rows, cols], tc[rows, cols]
+    tb = t0 + r_b[t0 - 1:T - 1, rows].argmax(axis=0)
+    lo[rows, cols] = np.maximum(r_b[tc - 1, rows] + x[tc, labels],
+                                r_b[tb - 1, rows] + x[tb, labels])
+    return np.maximum(lo, psi0), hi
 
 
 def _minus(psi: np.ndarray, prefix_scores: np.ndarray) -> np.ndarray:
@@ -351,12 +423,26 @@ class CTCPrefixScorer(PartialScorer):
     kernel at B=1.
 
     ``batch_score_partial_pruned`` runs the same kernel but folds over
-    frames only the cells ``keep`` asks for, given bounds from the frame
-    terms (see ``_fold_bounds``). Eos cells (the parent's full-sequence
-    probability), cells of a parent with no mass and cells whose terms are
-    all -inf are exact without the fold, whatever ``keep`` says. Every other
-    cell holds its upper bound, in the scores and in the scored state's psi,
-    so its successor state must not be selected.
+    frames only the cells ``keep`` asks for, in two tiers:
+
+    - Tier 1, on calls of at least ``_TIERED_MIN_TERMS`` frame terms: bounds
+      for every cell without its terms (``_peak_bounds``): the upper bound
+      from the parent's log-sum over frames plus the column's peak over
+      frames, with twice ``_margin``; the lower bound from two of the
+      cell's own terms. ``keep`` says which cells go on to tier 2.
+    - Tier 2: the frame terms of those cells (of every cell on a smaller
+      call), the bounds over them (``_fold_bounds``), each bound tightened
+      to the better of the two tiers, and ``keep`` consulted again; the
+      cells it keeps are folded in frame order, bit-identical to
+      ``batch_score_partial``.
+
+    So ``keep`` sees at most two sets of bounds, the second at least as
+    tight, and a cell is folded only when both calls keep it. Eos cells (the
+    parent's full-sequence probability), cells of a parent with no mass and
+    cells whose terms are all -inf are exact without the fold, whatever
+    ``keep`` says. Every other cell holds its last upper bound (its tier-1
+    bound if tier 1 dropped it), in the scores and in the scored state's
+    psi, so its successor state must not be selected.
     """
 
     def __init__(self, blank_id: int, eos_id: int):
@@ -379,7 +465,7 @@ class CTCPrefixScorer(PartialScorer):
 
     def select_state(self, scored_state, token: int) -> CTCPrefixState:
         scored, row = scored_state
-        col = int(np.flatnonzero(scored.candidates[row] == token)[0])
+        col = scored.candidates[row].tolist().index(token)
         state = CTCPrefixState(None, None, float(scored.psi[row, col]),
                                int(scored.prefix_lens[row]) + 1)
         state._source = (scored, row, col)
@@ -417,20 +503,37 @@ class CTCPrefixScorer(PartialScorer):
         psi = np.where(prefix_lens[:, None] == 0, x[0, cands], NEG_INF)  # (B, C)
         t0 = max(1, int(prefix_lens.min()))
         if t0 < T:
-            terms = x[t0:, cands]  # (T - t0, B, C): log_phi[t-1] + x[t, c]
-            terms += r_sum[t0 - 1:T - 1, :, None]
-            rows, cols = np.nonzero(repeat)  # a repeat connects through r_b only
-            terms[:, rows, cols] = x[t0:, cands[rows, cols]] + r_b[t0 - 1:T - 1, rows]
-            terms[0] = np.logaddexp(psi, terms[0])
+            # per cell, in C order: label, parent row, repeat, psi0
+            cells = (cands.ravel(), np.repeat(np.arange(len(states)), cands.shape[1]),
+                     repeat.ravel(), psi.ravel())
             if keep is None:
-                psi = np.logaddexp.reduce(terms, axis=0)
+                terms = _frame_terms(x, r_sum, r_b, t0, *cells)
+                psi = np.logaddexp.reduce(terms, axis=0).reshape(cands.shape)
             else:
-                lo, psi = _fold_bounds(terms)  # psi holds the upper bound until folded
-                lo[eos_mask] = psi[eos_mask] = eos_psi
-                fold = keep(_minus(lo, prefix_scores), _minus(psi, prefix_scores)) & (lo < psi)
-                # a (T - t0, k) C-ordered gather; the fold of a cell is the
-                # same reduction in the same frame order as above
-                psi[fold] = np.logaddexp.reduce(terms[:, fold], axis=0)
+                def kept(lo, hi):  # flat mask of the cells keep asks for whose bounds differ
+                    lo, hi = lo.reshape(cands.shape), hi.reshape(cands.shape)
+                    return (keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
+                            & (lo < hi)).ravel()
+
+                # flat bounds on psi; hi stands in for psi until a cell is folded
+                eos = np.flatnonzero(eos_mask)
+                lo, hi = np.full(cands.size, NEG_INF), np.full(cands.size, np.inf)
+                built = np.arange(cands.size)  # the cells whose frame terms are built
+                if (T - t0) * cands.size >= _TIERED_MIN_TERMS:
+                    lo, hi = (a.ravel() for a in _peak_bounds(
+                        emission.column_peaks, x, cands, repeat, psi, r_sum, r_b, t0))
+                    lo[eos] = hi[eos] = eos_psi
+                    built = np.flatnonzero(kept(lo, hi))
+                # (T - t0, k) C-ordered: a cell's fold is the same reduction in
+                # the same frame order whichever cells are built with it
+                terms = _frame_terms(x, r_sum, r_b, t0, *(c[built] for c in cells))
+                lo_k, hi_k = _fold_bounds(terms)
+                lo[built] = np.maximum(lo[built], lo_k)
+                hi[built] = np.minimum(hi[built], hi_k)
+                lo[eos] = hi[eos] = eos_psi
+                fold = kept(lo, hi)[built]
+                hi[built[fold]] = np.logaddexp.reduce(terms[:, fold], axis=0)
+                psi = hi.reshape(cands.shape)
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from seqdecode import EmissionMatrix, FullScorer, PartialScorer, TableScorer, Vocabulary
+from seqdecode import scorers as scorers_mod
 from seqdecode.transducer import TableTransducer
 
 
@@ -122,6 +123,42 @@ def frame_loop_reference(prefixes, cands, states, x, blank_id, eos_id):
         scores = np.where(prefix_scores[:, None] == -np.inf, -np.inf,
                           psi - prefix_scores[:, None])
     return scores, r, psi
+
+
+def check_keep_calls(calls, scores, ref_scores):
+    """The pruned-entry contract over one scoring call's ``keep`` calls,
+    given as (lo, hi, kept) triples in call order: at most two, the second
+    with bounds at least as tight; every call's bounds contain the
+    reference. A cell is folded when every call kept it and the last call's
+    bounds differ; folded cells and cells with lo == hi are exact, every
+    other cell holds the last upper bound, and a cell the first call did not
+    keep holds the first call's upper bound. Returns the folded mask."""
+    assert len(calls) <= 2
+    if not calls:
+        assert np.array_equal(scores, ref_scores)
+        return np.zeros(scores.shape, dtype=bool)
+    folded = np.ones(scores.shape, dtype=bool)
+    for lo, hi, kept in calls:
+        assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
+        folded &= kept
+    (lo1, hi1, kept1), (lo, hi, _) = calls[0], calls[-1]
+    assert (lo1 <= lo).all() and (hi <= hi1).all()
+    folded &= lo < hi
+    exact = folded | (lo == hi)
+    assert np.array_equal(scores[exact], ref_scores[exact])
+    assert np.array_equal(scores[~exact], hi[~exact])
+    dropped = ~kept1 & (lo1 < hi1)
+    assert np.array_equal(scores[dropped], hi1[dropped])
+    return folded
+
+
+@pytest.fixture(params=["dense", "tiered"])
+def ctc_tier(request, monkeypatch):
+    """Run a test with every pruned CTC call below the size switch (all
+    frame terms built), then with every call above it (peak bounds first)."""
+    monkeypatch.setattr(scorers_mod, "_TIERED_MIN_TERMS",
+                        math.inf if request.param == "dense" else 0)
+    return request.param
 
 
 class WrappedPartialScorer(PartialScorer):

@@ -33,6 +33,7 @@ from seqdecode.core import hypothesis_sort_key
 
 from conftest import (
     WrappedPartialScorer,
+    check_keep_calls,
     frame_loop_reference,
     make_vocab,
     random_emission,
@@ -538,9 +539,10 @@ class TestSuccessorWorkBound:
 class CheckedCTC(CTCPrefixScorer):
     """CTC scorer that checks every scoring call of a search against the
     frame-loop reference, on the states the call itself filled in. On the
-    pruned entry, the cells it folds (and those exact without the fold) must
-    equal the reference, and every skipped cell must hold its upper bound,
-    with the reference inside its bounds. ``cells`` counts [requested,
+    pruned entry, every ``keep`` call must meet ``check_keep_calls``: the
+    cells every call kept (and those exact without the fold) equal the
+    reference, and every skipped cell holds its last upper bound, with the
+    reference inside every call's bounds. ``cells`` counts [requested,
     folded] cells of the pruned calls."""
 
     def __init__(self, blank_id, eos_id, log):
@@ -570,13 +572,7 @@ class CheckedCTC(CTCPrefixScorer):
         scores, scored = super().batch_score_partial_pruned(
             prefixes, candidates, states, emission, recording_keep)
         ref_scores = self.reference(prefixes, candidates, states, emission)
-        exact = np.ones(scores.shape, dtype=bool)
-        for lo, hi, kept in calls:
-            assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
-            exact = kept | (lo == hi)
-            assert np.array_equal(scores[~exact], hi[~exact])
-            self.cells[1] += np.count_nonzero(kept & (lo < hi))
-        assert np.array_equal(scores[exact], ref_scores[exact])
+        self.cells[1] += np.count_nonzero(check_keep_calls(calls, scores, ref_scores))
         self.cells[0] += scores.size
         return scores, scored
 
@@ -762,7 +758,7 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("second", [None, "lm", "bias", "word"])
     @pytest.mark.parametrize("seed", range(12))
-    def test_matches_unpruned_path(self, second, seed):
+    def test_matches_unpruned_path(self, second, seed, ctc_tier):
         em, vocab, fulls, cfg, parts = pruning_instance(seed, second)
         log = []
         checked = dict(parts, ctc=CheckedCTC(vocab.blank_id, vocab.eos_id, log))
@@ -773,7 +769,7 @@ class TestPrunedSearch:
         assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
 
     @pytest.mark.parametrize("second", [None, "lm", "bias", "word"])
-    def test_instances_skip_cells(self, second):
+    def test_instances_skip_cells(self, second, ctc_tier):
         requested = folded = 0
         for seed in range(12):
             em, vocab, fulls, cfg, parts = pruning_instance(seed, second)
@@ -824,3 +820,48 @@ class TestFoldWorkBound:
         requested, folded = ctc.cells
         assert requested >= 4 * 40 * len(labels)
         assert folded * 5 < requested
+
+    def test_wide_peaked_beam_builds_few_frame_terms(self, monkeypatch):
+        # B x P = 32 x 48 cells over T = 100 frames: calls at or above the
+        # size switch build frame terms only for the cells the peak bounds keep
+        rng = np.random.default_rng(9960)
+        vocab = make_vocab(400)
+        labels = [int(t) for t in rng.choice(vocab.label_ids(), size=25)]
+        em = planted_emission(rng, vocab, labels)
+        # an order-1 attention stand-in that favours the next reference label
+        nexts = {}
+        for ctx, tok in zip([()] + [(t,) for t in labels], labels + [vocab.eos_id]):
+            nexts.setdefault(ctx, []).append(tok)
+        rows = {}
+        for ctx, toks in nexts.items():
+            logits = rng.normal(size=vocab.size)
+            logits[toks] += 6.0
+            rows[ctx] = logits - np.logaddexp.reduce(logits)
+        att = TableScorer(1, vocab.size, rows)
+        built, calls = [], []
+        frame_terms = scorers_mod._frame_terms
+
+        def counting(*args):
+            terms = frame_terms(*args)
+            built.append(terms.size)
+            return terms
+
+        class Counting(CTCPrefixScorer):
+            def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
+                t0 = max(1, min(s.prefix_len for s in states))
+                mark = len(built)
+                out = super().batch_score_partial_pruned(
+                    prefixes, candidates, states, emission, keep)
+                calls.append((candidates.size, (emission.frames - t0) * candidates.size,
+                              sum(built[mark:])))
+                return out
+
+        monkeypatch.setattr(scorers_mod, "_frame_terms", counting)
+        cfg = BeamConfig(weights={"att": 0.3, "ctc": 0.7}, beam_size=32, pre_beam_size=48)
+        nbest = batch_beam_search(em, vocab, {"att": att}, cfg,
+                                  {"ctc": Counting(vocab.blank_id, vocab.eos_id)})
+        assert nbest.best().yseq == tuple(labels)
+        tiered = [c for c in calls if c[0] >= 1500 and c[1] >= scorers_mod._TIERED_MIN_TERMS]
+        assert len(tiered) >= 20
+        for _, requested, terms in tiered:
+            assert terms < 0.2 * requested

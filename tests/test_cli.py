@@ -479,6 +479,51 @@ class TestErrorMapping:
         assert main([task, "--config", write_json(tmp_path / "typo.json", cfg)]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_unknown_key_in_a_scorer_entry_is_exit_2(self, decode_setup, capsys):
+        tmp_path, config, _ = decode_setup
+        config["scorers"]["att"]["weight"] = 5.0
+        assert main(["decode", "--config", write_json(tmp_path / "typo.json", config)]) == 2
+        assert "unknown scorers.att config keys: ['weight']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["decode", "transducer", "maskctc", "align", "vad", "bench"])
+    def test_unknown_top_level_key_is_exit_2(self, decode_setup, task, capsys):
+        tmp_path, config, _ = decode_setup
+        cfg = {"decode": config, **task_configs(tmp_path)}[task]
+        argv = [task, "--output", str(tmp_path / "out.json"), "--config"]
+        assert main(argv + [write_json(tmp_path / "ok.json", cfg)]) == 0
+        cfg["sead"] = 3
+        assert main(argv + [write_json(tmp_path / "typo.json", cfg)]) == 2
+        assert "unknown top-level config keys: ['sead']" in capsys.readouterr().err
+
+    def test_word_lm_scorer_entries_take_their_keys(self, tmp_path, rng):
+        tokens = ("<blank>", "a", "b", "<space>", "<eos>", "<sos>")
+        vocab = Vocabulary(tokens=tokens, blank_id=0, sos_id=5, eos_id=4)
+        arpa = tmp_path / "lm.arpa"
+        arpa.write_text("\\data\\\nngram 1=4\n\n\\1-grams:\n-0.5 </s>\n-0.5 <s>\n"
+                        "-0.3 a\n-0.4 b\n\n\\end\\\n")
+        lexicon = tmp_path / "words.txt"
+        lexicon.write_text("a\nb\n")
+        table = tmp_path / "chars.json"
+        random_table_scorer(rng, 1, vocab.size).save(str(table))
+        emission = tmp_path / "e.json"
+        save_emission(random_emission(rng, 4, vocab.size), str(emission), "json")
+        config = {
+            "vocab": vocab.to_dict(), "emission": str(emission),
+            "scorers": {
+                "ml": {"type": "multilevel", "arpa": str(arpa), "char_table": str(table),
+                       "delimiter_id": 3},
+                "la": {"type": "lookahead", "arpa": str(arpa), "lexicon": str(lexicon)},
+                "ctc": {"type": "ctc_prefix"},
+            },
+            "beam": {"beam_size": 2, "weights": {"ml": 0.5, "la": 0.5, "ctc": 1.0}},
+        }
+        out = tmp_path / "out.json"
+        cfg = write_json(tmp_path / "lm.json", config)
+        assert main(["decode", "--config", cfg, "--output", str(out)]) == 0
+        assert read_json(out)["nbest"]
+        config["scorers"]["la"]["char_table"] = str(table)  # a multilevel key
+        assert main(["decode", "--config", write_json(tmp_path / "bad.json", config)]) == 2
+
     @pytest.mark.parametrize("task", ["maskctc", "align", "vad"])
     def test_single_emission_tasks_reject_a_second_path(self, tmp_path, task, capsys):
         cfg = task_configs(tmp_path)[task]

@@ -19,6 +19,7 @@ from seqdecode import (
     save_emission,
     validate_hypothesis,
 )
+from seqdecode.core import ROW_TOL_EXACT, log_rows
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
 from seqdecode.transducer import TableTransducer
@@ -243,6 +244,41 @@ class TestModelFiles:
         broken.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="not normalised"):
             load(str(broken))
+
+
+class TestLogRows:
+    """The one row check: rows within ROW_TOL_EXACT of a log-distribution."""
+
+    @pytest.mark.parametrize("bad", [[-np.inf, -np.inf], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_rows_without_a_finite_log_sum_are_rejected(self, bad):
+        rows = np.array([[0.0, -np.inf], bad])
+        with pytest.raises(ConfigError, match="rows row 1 not normalised"):
+            log_rows(rows, (2, 2), lambda: "rows")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_at_the_tolerance_are_decided_as_by_the_exact_fold(self, sign, rng):
+        tol = sign * ROW_TOL_EXACT
+        assert log_rows([tol, -np.inf], (2,), lambda: "row")[0] == tol
+        with pytest.raises(ConfigError):
+            log_rows([np.nextafter(tol, sign * np.inf), -np.inf], (2,), lambda: "row")
+        decisions = set()
+        for size in (2, 3, 31, 1000):
+            for _ in range(10):
+                row = rng.normal(size=size) * rng.choice([0.1, 1.0, 5.0])
+                row += tol - np.logaddexp.reduce(row)
+                for _ in range(6):  # start a few ulps inside, then step across
+                    row = np.nextafter(row, -np.inf * sign)
+                for _ in range(12):
+                    row = np.nextafter(row, np.inf * sign)
+                    exact = abs(np.logaddexp.reduce(row)) <= ROW_TOL_EXACT
+                    try:
+                        log_rows(row, (size,), lambda: "row")
+                        accepted = True
+                    except ConfigError:
+                        accepted = False
+                    assert accepted == exact
+                    decisions.add(exact)
+        assert decisions == {True, False}
 
 
 class TestValidateHypothesis:

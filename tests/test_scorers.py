@@ -15,6 +15,7 @@ from seqdecode import scorers as scorers_mod
 from conftest import (
     WrappedPartialScorer,
     brute_prefix_prob,
+    check_keep_calls,
     frame_loop_reference,
     random_emission,
 )
@@ -318,7 +319,7 @@ def drive_kernel(edge, seed, via):
     beam = V + 1 if spec.get("all_labels") else int(rng.integers(1, 5))
     init = scorer.init_state(em)
     hyps = [((V,), init, (init.r_nb, init.r_b, 0.0, 0))]
-    seen = {"dead_prefix": False, "eos": False, "beyond_half": False}
+    seen = {"dead_prefix": False, "eos": False, "beyond_half": False, "no_frames": False}
     for _ in range(spec.get("steps", T + 2)):
         cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in hyps])
         prefixes = [h[0] for h in hyps]
@@ -339,6 +340,7 @@ def drive_kernel(edge, seed, via):
             assert_state_equals(state, ref)
         seen["dead_prefix"] |= any(h[2][2] == NEG_INF for h in hyps)
         seen["beyond_half"] |= any(h[2][3] > T / 2 for h in hyps)
+        seen["no_frames"] |= max(1, min(h[2][3] for h in hyps)) >= T  # no frame terms
         successors = []
         for cell in rng.permutation(cands.size)[:beam]:
             i, j = divmod(int(cell), P)
@@ -362,19 +364,19 @@ def drive_kernel(edge, seed, via):
 
 def check_pruned_entry(scorer, prefixes, cands, states, em, ref_scores):
     """The pruned entry against the frame-loop scores: keeping every cell it
-    is exact and its bounds hold; keeping a random subset, the kept and the
-    exact-without-fold cells are exact and the rest hold their upper bound.
-    Returns the keep-everything call, for the caller's state checks."""
+    is exact and its bounds hold; keeping a random subset per call, the
+    cells kept by every call and the exact-without-fold cells are exact and
+    the rest hold their last upper bound (``check_keep_calls``). Returns the
+    keep-everything call, for the caller's state checks."""
     bounds = []
 
     def keep_all(lo, hi):
-        bounds.append((lo, hi))
-        return np.ones(lo.shape, dtype=bool)
+        bounds.append((lo, hi, np.ones(lo.shape, dtype=bool)))
+        return bounds[-1][2]
 
     scores, scored = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_all)
     assert np.array_equal(scores, ref_scores)
-    for lo, hi in bounds:
-        assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
+    check_keep_calls(bounds, scores, ref_scores)
 
     mask_rng = np.random.default_rng(int(cands.sum()))
     masks = []
@@ -385,12 +387,8 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, ref_scores):
 
     part, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
     # keep is consulted only when some cell needs the fold over frames
-    assert len(masks) == len(bounds) <= 1
-    exact = np.ones(cands.shape, dtype=bool)
-    for lo, hi, keep in masks:
-        exact = keep | (lo == hi)
-        assert np.array_equal(part[~exact], hi[~exact])
-    assert np.array_equal(part[exact], ref_scores[exact])
+    assert len(masks) == len(bounds)
+    check_keep_calls(masks, part, ref_scores)
     return scores, scored
 
 
@@ -413,12 +411,12 @@ class TestPrunedKernel:
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
-    def test_bounds_hold_and_skipped_cells_hold_upper_bound(self, edge, seed):
+    def test_bounds_hold_and_skipped_cells_hold_upper_bound(self, edge, seed, ctc_tier):
         drive_kernel(edge, seed, "pruned")
 
-    def test_edges_are_reached(self):
+    def test_edges_are_reached(self, ctc_tier):
         seen = [drive_kernel(edge, seed, "pruned") for edge in KERNEL_EDGES for seed in range(6)]
-        for key in ("dead_prefix", "eos", "beyond_half"):
+        for key in ("dead_prefix", "eos", "beyond_half", "no_frames"):
             assert any(s[key] for s in seen), key
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
@@ -451,3 +449,58 @@ class TestPrunedKernel:
             assert lo[0] == hi[0] == -np.inf
             finite = lo > -np.inf
             assert (lo[finite] < hi[finite]).all()
+
+
+class TestPeakBounds:
+    """Tier 1 of the pruned entry: bounds on every cell from the column
+    peaks and the parent's log-sum over frames, without its frame terms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, -1.0, -7.25, -1e3, -3e4, 2.5])
+    def test_x_constant_over_frames_is_the_tight_case(self, n, value):
+        # with x and phi constant over frames, the real log-sum is exactly
+        # the upper bound without its margin; the float fold's rounding must
+        # stay inside the margin, and the margin is about all the slack left
+        x = np.tile(np.log([0.1, 0.2, 0.3, 0.4]), (n + 1, 1))
+        cands = np.array([[1, 2, 3]])
+        repeat = np.array([[False, False, True]])  # a repeat: looser, through r_b
+        psi0 = np.full(cands.shape, NEG_INF)
+        r_sum = np.full((n + 1, 1), value)
+        r_b = r_sum - 0.5
+        peaks = (x.max(axis=0), x.argmax(axis=0))
+        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, 1)
+        terms = scorers_mod._frame_terms(
+            x, r_sum, r_b, 1, cands.ravel(), np.zeros(3, dtype=int), repeat.ravel(),
+            psi0.ravel())
+        fold = np.logaddexp.reduce(terms, axis=0).reshape(cands.shape)
+        assert (lo <= fold).all() and (fold <= hi).all()
+        # hi carries twice the margin; the float folds stray by far less than one
+        assert (hi[0, :2] - fold[0, :2] <= 3 * scorers_mod._margin(n, hi[0, :2])).all()
+
+    def test_repeat_lower_bound_comes_from_r_b(self, ctc_tier):
+        # frames favouring a keep the prefix (a) in r_nb, so r_sum is far
+        # above r_b: a repeat's lower bound built from r_sum would exceed
+        # its score
+        em = EmissionMatrix.from_logits(np.array([[0.0, 6.0, 0.0, 0.0]] * 6))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=3)
+        init = scorer.init_state(em)
+        _, scored = scorer.batch_score_partial([(9,)], np.array([[1, 2]]), [init], em)
+        state = scorer.select_state(scored[0], 1)
+        cands = np.array([[1, 2, 3]])
+        ref = frame_loop_reference([(9, 1)], cands,
+                                   [(state.r_nb, state.r_b, state.prefix_score, 1)],
+                                   em.data, 0, 3)[0]
+        calls = []
+
+        def keep_all(lo, hi):
+            calls.append((lo, hi, np.ones(lo.shape, dtype=bool)))
+            return calls[-1][2]
+
+        scores, _ = scorer.batch_score_partial_pruned([(9, 1)], cands, [state], em, keep_all)
+        assert np.array_equal(scores, ref)
+        check_keep_calls(calls, scores, ref)
+        assert len(calls) == (2 if ctc_tier == "tiered" else 1)
+        r_sum = np.logaddexp(state.r_nb, state.r_b)
+        peak = max(1, int(em.data[:, 1].argmax()))
+        assert r_sum[peak - 1] + em.data[peak, 1] - state.prefix_score > ref[0, 0] + 1.0
+
