@@ -345,7 +345,13 @@ def transducer_beam(model: TransducerModel, frames: int,
     score, its parent's expansion matrix and its label, and built only when
     popped. A frame ends once B
     completed hypotheses beat every active one, or after
-    max_pops_per_frame pops, which truncates it."""
+    max_pops_per_frame pops, which truncates it.
+
+    Completed scores only rise, so their B-th best (``floor``) does too,
+    and an active entry below it can never be popped: the frame ends
+    before it surfaces. Such an entry stays in ``active``, where later
+    expansions merge into it, but goes on the heap only once a merge lifts
+    it to the floor."""
     beam = config.beam_size
     fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
     pool = _init_pool(model, fusion)
@@ -360,14 +366,12 @@ def transducer_beam(model: TransducerModel, frames: int,
         heapq.heapify(heap)
         version = 0
         completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
+        floor = NEG_INF  # the B-th best completed score
         pops = 0
         while pops < config.max_pops_per_frame:
             while heap and active.get(heap[0][1], _STALE)[1] != heap[0][2]:
                 heapq.heappop(heap)
-            if not heap:
-                break
-            top = -heap[0][0]
-            if sum(1 for h in completed.values() if h.score > top) >= beam:
+            if not heap or floor > -heap[0][0]:
                 break
             _, yseq, _ = heapq.heappop(heap)
             score, _, node = active.pop(yseq)
@@ -379,6 +383,8 @@ def transducer_beam(model: TransducerModel, frames: int,
 
             joint_row = model.joint(t, hyp.pred_state)
             _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
+            if len(completed) >= beam and completed[yseq].score > floor:
+                floor = sorted([h.score for h in completed.values()])[-beam]
             expansions = _Expansions(model, fusion, [hyp], [joint_row])
             for label, child_score in enumerate(expansions.scores[0].tolist()):
                 if child_score == NEG_INF:
@@ -391,7 +397,8 @@ def transducer_beam(model: TransducerModel, frames: int,
                 else:
                     child_score = float(np.logaddexp(old[0], child_score))
                     active[child] = (child_score, version, old[2])
-                heapq.heappush(heap, (-child_score, child, version))
+                if child_score >= floor:
+                    heapq.heappush(heap, (-child_score, child, version))
         pool = _prune(completed, beam)
         if not pool:
             break

@@ -94,22 +94,28 @@ def brute_ctc_prob(emission: EmissionMatrix, labels: Sequence[int], blank_id: in
     return total
 
 
+def ctc_state(state):
+    """A CTCPrefixState as the (r_nb, r_b, r_sum, prefix_score, prefix_len)
+    tuple ``frame_loop_reference`` takes."""
+    return state.r_nb, state.r_b, state.r_sum, state.prefix_score, state.prefix_len
+
+
 def frame_loop_reference(prefixes, cands, states, x, blank_id, eos_id):
     """Reference: the per-frame loop over a (T, 2, B, C) tensor that the
-    kernel was first written as. ``states`` are (r_nb, r_b, prefix_score,
-    prefix_len) tuples; returns (scores, r, psi)."""
+    kernel was first written as, scoring from the parents' r_b and r_sum.
+    ``states`` are ``ctc_state`` tuples; returns (scores, r, psi), r the
+    successors' (r_nb, r_b) per frame."""
     T = x.shape[0]
     B, C = cands.shape
-    prefix_lens = np.array([s[3] for s in states])
-    r_nb_prev = np.stack([s[0] for s in states], axis=1)
+    prefix_lens = np.array([s[4] for s in states])
     r_b_prev = np.stack([s[1] for s in states], axis=1)
-    prefix_scores = np.array([s[2] for s in states])
+    r_sum = np.stack([s[2] for s in states], axis=1)
+    prefix_scores = np.array([s[3] for s in states])
     xs = x[:, cands]
     r = np.full((T, 2, B, C), -np.inf)
     empty = prefix_lens == 0
     r[0, 0, empty] = xs[0, empty]
-    r_sum = np.logaddexp(r_nb_prev, r_b_prev)
-    last = np.array([p[-1] if s[3] > 0 else -1 for p, s in zip(prefixes, states)])
+    last = np.array([p[-1] if s[4] > 0 else -1 for p, s in zip(prefixes, states)])
     repeat = cands == last[:, None]
     log_phi = np.where(repeat[None], r_b_prev[:, :, None], r_sum[:, :, None])
     psi = r[0, 0].copy()

@@ -34,6 +34,7 @@ from seqdecode.core import hypothesis_sort_key
 from conftest import (
     WrappedPartialScorer,
     check_keep_calls,
+    ctc_state,
     frame_loop_reference,
     make_vocab,
     random_emission,
@@ -551,10 +552,9 @@ class CheckedCTC(CTCPrefixScorer):
         self.cells = [0, 0]
 
     def reference(self, prefixes, candidates, states, emission):
-        ref_states = [(s.r_nb, s.r_b, s.prefix_score, s.prefix_len) for s in states]
         self.log.append(max(s.prefix_len for s in states))
         return frame_loop_reference(
-            prefixes, np.asarray(candidates), ref_states, emission.data,
+            prefixes, np.asarray(candidates), [ctc_state(s) for s in states], emission.data,
             self.blank_id, self.eos_id)[0]
 
     def batch_score_partial(self, prefixes, candidates, states, emission):

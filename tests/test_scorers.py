@@ -16,6 +16,7 @@ from conftest import (
     WrappedPartialScorer,
     brute_prefix_prob,
     check_keep_calls,
+    ctc_state,
     frame_loop_reference,
     random_emission,
 )
@@ -284,11 +285,38 @@ class TestStateContract:
         assert scorer.select_state(scored_b, 1) == advanced
 
 
-def assert_state_equals(state, ref):
-    assert np.array_equal(state.r_nb, ref[0])
-    assert np.array_equal(state.r_b, ref[1])
+def loop_variables(ref):
+    """(r_nb, r_b, r_sum) of the frame loop's (r_nb, r_b)."""
+    return ref[0], ref[1], np.logaddexp(ref[0], ref[1])
+
+
+def assert_near_loop(state, ref):
+    """A state's forward variables against the frame loop's (r_nb, r_b):
+    -inf exactly where the loop's are, every other entry within the scan's
+    bound."""
+    for got, want in zip((state.r_nb, state.r_b, state.r_sum), loop_variables(ref)):
+        assert np.array_equal(got == NEG_INF, want == NEG_INF)
+        finite = want > NEG_INF
+        err = np.abs(got[finite] - want[finite])
+        assert (err <= scorers_mod._SCAN_TOL * (np.abs(want[finite]) - scorers_mod._SCAN_FLOOR)).all()
+
+
+def assert_equals_loop(state, ref):
+    for got, want in zip((state.r_nb, state.r_b, state.r_sum), loop_variables(ref)):
+        assert np.array_equal(got, want)
+
+
+def assert_state_near(state, ref):
+    assert_near_loop(state, ref)
     assert state.prefix_score == ref[2]
     assert state.prefix_len == ref[3]
+
+
+def peaked_logits(rng, frames, vocab_size, peak=8.0, noise=0.5):
+    """Logits with a peak on a random token per frame, as a trained model's."""
+    logits = noise * rng.normal(size=(frames, vocab_size))
+    logits[np.arange(frames), rng.integers(0, vocab_size, size=frames)] += peak
+    return logits
 
 
 # each edge the lazy kernel could break, on top of random sizes
@@ -298,19 +326,22 @@ KERNEL_EDGES = {
     "t1": {"frames": 1},
     "all_labels": {"all_labels": True},  # B x P >= V, eos always a candidate
     "long_prefix": {"frames": 5, "steps": 8},
+    "peaked_t1600": {"frames": 1600, "steps": 5, "peaked": True},
 }
 
 
 def drive_kernel(edge, seed, via):
-    """Expand random prefixes step by step, checking every scoring call and
-    every successor state against the frame-loop reference. Successors are
-    random cells (eos included); some states are read as soon as they are
+    """Expand random prefixes step by step, checking every scoring call
+    against the frame-loop reference run on the states the call itself
+    filled in (scores bit-equal), and every successor state against the
+    frame-loop recursion (within the scan's bound). Successors are random
+    cells (eos included); some states are read as soon as they are
     selected, the rest are filled in by the next scoring call."""
     spec = KERNEL_EDGES[edge]
     rng = np.random.default_rng(7100 + 31 * seed + len(edge))
     V = int(rng.integers(3, 8))
     T = spec.get("frames", int(rng.integers(2, 10)))
-    logits = 1.5 * rng.normal(size=(T, V))
+    logits = peaked_logits(rng, T, V) if spec.get("peaked") else 1.5 * rng.normal(size=(T, V))
     logits[:, rng.choice(np.arange(1, V), size=spec.get("dead_labels", 0), replace=False)] = -np.inf
     em = EmissionMatrix.from_logits(logits)
     x, eos = em.data, V - 1
@@ -322,22 +353,23 @@ def drive_kernel(edge, seed, via):
     seen = {"dead_prefix": False, "eos": False, "beyond_half": False, "no_frames": False}
     for _ in range(spec.get("steps", T + 2)):
         cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in hyps])
-        prefixes = [h[0] for h in hyps]
-        ref_scores, r, psi = frame_loop_reference(
-            prefixes, cands, [h[2] for h in hyps], x, 0, eos)
+        prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
+
+        def reference():  # on the states the scoring call filled in
+            return frame_loop_reference(prefixes, cands, [ctc_state(s) for s in states], x, 0, eos)
+
         if via == "batch":
-            scores, scored = scorer.batch_score_partial(
-                prefixes, cands, [h[1] for h in hyps], em)
+            scores, scored = scorer.batch_score_partial(prefixes, cands, states, em)
         elif via == "pruned":
-            scores, scored = check_pruned_entry(
-                scorer, prefixes, cands, [h[1] for h in hyps], em, ref_scores)
+            scores, scored = check_pruned_entry(scorer, prefixes, cands, states, em, reference)
         else:
-            rows = [scorer.score_partial(p, c, h[1], em)
-                    for p, c, h in zip(prefixes, cands, hyps)]
+            rows = [scorer.score_partial(p, c, s, em)
+                    for p, c, s in zip(prefixes, cands, states)]
             scores, scored = np.stack([s for s, _ in rows]), [st for _, st in rows]
+        ref_scores, r, psi = reference()
         assert np.array_equal(scores, ref_scores)
         for _, state, ref in hyps:  # the states this call filled in
-            assert_state_equals(state, ref)
+            assert_state_near(state, ref)
         seen["dead_prefix"] |= any(h[2][2] == NEG_INF for h in hyps)
         seen["beyond_half"] |= any(h[2][3] > T / 2 for h in hyps)
         seen["no_frames"] |= max(1, min(h[2][3] for h in hyps)) >= T  # no frame terms
@@ -349,7 +381,7 @@ def drive_kernel(edge, seed, via):
             ref = (r[:, 0, i, j], r[:, 1, i, j], float(psi[i, j]), hyps[i][2][3] + 1)
             assert state.prefix_score == ref[2]
             if tok == eos or rng.random() < 0.3:
-                assert_state_equals(state, ref)
+                assert_state_near(state, ref)
             if tok == eos:
                 seen["eos"] = True
             else:
@@ -358,12 +390,13 @@ def drive_kernel(edge, seed, via):
             break
         hyps = successors
     for _, state, ref in hyps:
-        assert_state_equals(state, ref)
+        assert_state_near(state, ref)
     return seen
 
 
-def check_pruned_entry(scorer, prefixes, cands, states, em, ref_scores):
-    """The pruned entry against the frame-loop scores: keeping every cell it
+def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
+    """The pruned entry against the frame-loop scores, ``reference()`` run
+    after the first call has filled in the states: keeping every cell it
     is exact and its bounds hold; keeping a random subset per call, the
     cells kept by every call and the exact-without-fold cells are exact and
     the rest hold their last upper bound (``check_keep_calls``). Returns the
@@ -375,6 +408,7 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, ref_scores):
         return bounds[-1][2]
 
     scores, scored = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_all)
+    ref_scores = reference()[0]
     assert np.array_equal(scores, ref_scores)
     check_keep_calls(bounds, scores, ref_scores)
 
@@ -396,13 +430,138 @@ class TestPrefixKernelMatchesFrameLoop:
     @pytest.mark.parametrize("via", ["batch", "single"])
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
-    def test_scores_and_states_bit_equal(self, edge, seed, via):
+    def test_scores_bit_equal_states_within_bound(self, edge, seed, via):
         drive_kernel(edge, seed, via)
 
     def test_edges_are_reached(self):
         seen = [drive_kernel(edge, seed, "batch") for edge in KERNEL_EDGES for seed in range(6)]
         for key in ("dead_prefix", "eos", "beyond_half"):
             assert any(s[key] for s in seen), key
+
+
+@pytest.fixture
+def loop_columns(monkeypatch):
+    """The column count of every frame-loop call the recursion makes."""
+    calls = []
+    frame_loop = scorers_mod._frame_loop
+
+    def counting(phi, *args):
+        calls.append(phi.shape[1])
+        return frame_loop(phi, *args)
+
+    monkeypatch.setattr(scorers_mod, "_frame_loop", counting)
+    return calls
+
+
+def expand_all(scorer, em, hyps, cands):
+    """Score hyps, (prefix, state) pairs, on the (B, P) cands in one call and
+    select every cell. Returns (prefix, pending state, (r_nb, r_b) of the
+    frame-loop recursion) per cell, in C order."""
+    prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
+    _, scored = scorer.batch_score_partial(prefixes, cands, states, em)
+    r = frame_loop_reference(prefixes, cands, [ctc_state(s) for s in states],
+                             em.data, scorer.blank_id, scorer.eos_id)[1]
+    return [(prefixes[i] + (int(cands[i, j]),), scorer.select_state(scored[i], int(cands[i, j])),
+             (r[:, 0, i, j], r[:, 1, i, j]))
+            for i, j in np.ndindex(*cands.shape)]
+
+
+def extend(scorer, em, labels):
+    """(prefix, state) of ``labels``, one scoring call per label."""
+    hyp = ((99,), scorer.init_state(em))
+    for label in labels:
+        prefix, state, _ = expand_all(scorer, em, [hyp], np.array([[label]]))[0]
+        hyp = (prefix, state)
+    return hyp
+
+
+class TestScanRecursion:
+    """The successors' forward variables come from two scans over frames:
+    within the bound of the frame loop where they run, bit-equal to it in
+    the columns that take the loop, and a column's result the same whichever
+    columns share its call."""
+
+    def test_long_peaked_emission_takes_the_scan(self, loop_columns):
+        # the cumulative sums reach about -1e4 over 1600 frames
+        rng = np.random.default_rng(7500)
+        em = EmissionMatrix.from_logits(peaked_logits(rng, 1600, 6))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, [1, 2])]
+        for _ in range(3):
+            cells = expand_all(scorer, em, hyps, np.array([[1, 2, 3, 4]] * len(hyps)))
+            for _, state, ref in cells:
+                assert_near_loop(state, ref)
+            hyps = [(prefix, state) for prefix, state, _ in cells[::5]]
+        assert min(em.data[1:, 1].sum(), em.data[1:, 0].sum()) < -5000
+        assert loop_columns == []
+
+    def test_neg_inf_and_clean_columns_in_one_call(self, loop_columns):
+        rng = np.random.default_rng(7501)
+        logits = 1.5 * rng.normal(size=(12, 6))
+        logits[5, 1] = logits[8, 3] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        cells = expand_all(scorer, em, [extend(scorer, em, [2])], np.array([[1, 2, 3, 4]]))
+        scorers_mod._materialise([state for _, state, _ in cells])
+        assert loop_columns == [2]
+        for prefix, state, ref in cells:
+            if prefix[-1] in (1, 3):  # -inf columns: the frame loop, bit for bit
+                assert_equals_loop(state, ref)
+            assert_near_loop(state, ref)
+            assert not np.isnan(state.r_nb).any() and not np.isnan(state.r_b).any()
+
+    def test_column_below_the_floor_takes_the_loop(self, loop_columns):
+        rng = np.random.default_rng(7502)
+        logits = peaked_logits(rng, 800, 5)
+        logits[:, 1] = -100.0  # sums to about -8e4 over the frames
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        assert em.data[1:, 1].sum() < scorers_mod._SCAN_FLOOR < em.data[1:, 2].sum()
+        cells = expand_all(scorer, em, [extend(scorer, em, [3])], np.array([[1, 2]]))
+        scorers_mod._materialise([state for _, state, _ in cells])
+        assert loop_columns == [1]
+        (_, below, ref), (_, above, ref_above) = cells
+        assert_equals_loop(below, ref)
+        assert_near_loop(above, ref_above)
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_state_alone_equals_state_in_a_mixed_call(self, dead):
+        # parents of 0 and 3 labels: the call's first frame is 1, the longer
+        # parent's successors start at frame 3 when read alone
+        rng = np.random.default_rng(7503)
+        logits = 1.5 * rng.normal(size=(10, 6))
+        if dead:
+            logits[6, 2] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, []), extend(scorer, em, [1, 3, 1])]
+        cands = np.array([[1, 2, 4], [2, 3, 4]])
+        mixed = expand_all(scorer, em, hyps, cands)
+        alone = expand_all(scorer, em, hyps, cands)
+        scorers_mod._materialise([state for _, state, _ in mixed])
+        for (_, a, ref), (_, m, _) in zip(alone, mixed):
+            for name in ("r_nb", "r_b", "r_sum"):
+                assert np.array_equal(getattr(a, name), getattr(m, name))
+            assert_near_loop(a, ref)
+
+    def test_no_frames_left(self):
+        # a parent of T labels: its successors need T + 1 frames
+        em = EmissionMatrix.from_logits(np.random.default_rng(7504).normal(size=(3, 5)))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        prefix, parent = extend(scorer, em, [1, 2, 1])
+        assert parent.prefix_len == em.frames and parent.r_nb[-1] > NEG_INF
+        for _, state, ref in expand_all(scorer, em, [(prefix, parent)], np.array([[1, 2, 3]])):
+            assert (state.r_nb == NEG_INF).all() and (state.r_b == NEG_INF).all()
+            assert_equals_loop(state, ref)
+
+    def test_empty_parent(self):
+        em = EmissionMatrix.from_logits(np.random.default_rng(7505).normal(size=(7, 5)))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        for prefix, state, ref in expand_all(scorer, em, [extend(scorer, em, [])],
+                                             np.array([[1, 2, 3]])):
+            assert state.r_nb[0] == state.r_sum[0] == em.data[0, prefix[-1]]
+            assert state.r_b[0] == NEG_INF
+            assert_near_loop(state, ref)
 
 
 class TestPrunedKernel:
@@ -487,9 +646,7 @@ class TestPeakBounds:
         _, scored = scorer.batch_score_partial([(9,)], np.array([[1, 2]]), [init], em)
         state = scorer.select_state(scored[0], 1)
         cands = np.array([[1, 2, 3]])
-        ref = frame_loop_reference([(9, 1)], cands,
-                                   [(state.r_nb, state.r_b, state.prefix_score, 1)],
-                                   em.data, 0, 3)[0]
+        ref = frame_loop_reference([(9, 1)], cands, [ctc_state(state)], em.data, 0, 3)[0]
         calls = []
 
         def keep_all(lo, hi):

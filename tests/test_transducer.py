@@ -740,6 +740,39 @@ class TestTransducerTopBSelection:
             got = transducer_beam(model, frames, cfg)
             assert _nbest_triples(got) == _nbest_triples(ref_beam(model, frames, cfg))
 
+    def test_graves_beam_pops_a_child_tied_with_the_beam_th_completed_score(self):
+        # frame 1 completes (0,) at -0.5 and () at -1.0; the child (0,) of ()
+        # then scores -1.0, exactly the 2nd best completed score, so it is
+        # still popped and its completion merges into (0,)
+        model = QuantisedTransducer(np.random.default_rng(0), 1, 2)
+        model.rows = {(): np.array([[0.0, -1.0], [0.0, 0.0]]),
+                      (0,): np.array([[-np.inf, -0.5], [-np.inf, 0.0]])}
+        cfg = TransducerBeamConfig(beam_size=2)
+        got = _nbest_triples(transducer_beam(model, 2, cfg))
+        assert got == _nbest_triples(ref_beam(model, 2, cfg))
+        assert {yseq: score for yseq, score, _ in got} == {
+            (0,): float(np.logaddexp(-0.5, -1.0)), (): -1.0}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_graves_beam_truncated_by_the_pop_cap(self, seed):
+        # a frame that hits max_pops_per_frame ends with what it completed,
+        # before the B-th best completed score rules out the rest
+        rng = np.random.default_rng(64000 + seed)
+        frames = 4
+        model = random_transducer(rng, 3, frames)
+        lm = TableScorer(1, 3, {ctx: np.log(rng.dirichlet(np.ones(3)))
+                                for ctx in [(), (0,), (1,), (2,)]})
+        beam = 4
+        truncated = 0
+        for pops in (1, 2, 3, 5):
+            for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+                cfg = TransducerBeamConfig(beam_size=beam, max_pops_per_frame=pops, **fusion)
+                got = _nbest_triples(transducer_beam(model, frames, cfg))
+                assert got == _nbest_triples(ref_beam(model, frames, cfg))
+                uncapped = TransducerBeamConfig(beam_size=beam, **fusion)
+                truncated += got != _nbest_triples(transducer_beam(model, frames, uncapped))
+        assert truncated
+
     @pytest.mark.parametrize("seed", range(12))
     def test_nsc_is_tsd_with_n_steps_rounds(self, seed):
         model, lm, frames, beam = self._instance(400 + seed)
