@@ -138,9 +138,13 @@ def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
     if args.emission:
         emissions = list(args.emission)
     elif "emissions" in raw:
+        if not isinstance(raw["emissions"], list):
+            raise ConfigError(f"config key 'emissions' must be a list, got {raw['emissions']!r}")
         emissions = [str(p) for p in raw["emissions"]]
     elif "emission" in raw:
-        emissions = [str(raw["emission"])]
+        if not isinstance(raw["emission"], str):
+            raise ConfigError(f"config key 'emission' must be one path, got {raw['emission']!r}")
+        emissions = [raw["emission"]]
     output = args.output if args.output is not None else raw.get("output")
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     return RunConfig(

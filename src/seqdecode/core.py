@@ -22,10 +22,14 @@ NEG_INF = float("-inf")
 # Raw emission file layout: magic, u32-LE T, u32-LE V, then T*V f32-LE row-major.
 RAW_MAGIC = b"EMIS"
 
-# Row normalisation bounds: |logsumexp| <= ROW_TOL_EXACT is accepted as-is,
-# up to ROW_TOL_REJECT is renormalised on load, beyond that the file is rejected.
+# Row normalisation bounds, one rule for every row the package reads (table
+# rows and emission frames alike, see _row_deviations): |logsumexp| <=
+# ROW_TOL_EXACT is accepted as-is; an emission frame up to ROW_TOL_REJECT is
+# renormalised on load, beyond that the file is rejected.
 ROW_TOL_EXACT = 1e-4
 ROW_TOL_REJECT = 1e-3
+# entries per block of the row check: 512 KB of float64 at a time
+_BLOCK_ENTRIES = 1 << 16
 
 SCORE_EQ_TOL = 1e-9
 
@@ -131,23 +135,34 @@ class Vocabulary:
             raise ConfigError(f"vocabulary definition missing key {e}") from None
 
 
-def _check_rows(data: np.ndarray, renormalize: bool) -> np.ndarray:
-    """Validate per-frame normalisation; optionally renormalise small drift."""
-    lse = np.logaddexp.reduce(data, axis=1)
-    dev = np.abs(lse)
-    limit = ROW_TOL_REJECT if renormalize else ROW_TOL_EXACT
-    bad = ~(dev <= limit)  # catches nan as well
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise FormatError(
-            f"emission frame {t} is not a distribution: logsumexp deviation {dev[t]!r}"
-        )
-    if renormalize:
-        fix = dev > ROW_TOL_EXACT
-        if fix.any():
-            data = data.copy()
-            data[fix] -= lse[fix, None]
-    return data
+def _row_deviations(rows: np.ndarray, tols: Tuple[float, ...]) -> np.ndarray:
+    """|log-sum-exp| of each row of the 2-D ``rows``: a max-shifted sum, taken
+    over blocks of about _BLOCK_ENTRIES entries so no temporary the size of
+    ``rows`` is made. A row within 1e-9 of one of the ascending ``tols`` is
+    re-decided by the exact fold, so ``dev <= tol`` decides as
+    np.logaddexp.reduce does."""
+    step = max(1, _BLOCK_ENTRIES // rows.shape[1])
+    parts = []
+    with np.errstate(invalid="ignore"):  # an all -inf or a +inf row gives nan
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo:lo + step]
+            top = block.max(axis=1)
+            parts.append(top + np.log(np.exp(block - top[:, None]).sum(axis=1)))
+    dev = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    np.abs(dev, out=dev)
+    if not dev.max() < tols[0] - 1e-9:  # a row near or past a tolerance, or nan
+        near = (np.abs(dev[:, None] - np.array(tols)) <= 1e-9).any(axis=1)
+        if near.any():
+            dev[near] = np.abs(np.logaddexp.reduce(rows[near], axis=1))
+    return dev
+
+
+def _check_frames(arr: np.ndarray, dev: np.ndarray, tol: float) -> None:
+    """Reject the first frame of an emission whose deviation exceeds ``tol``."""
+    if not dev.max() <= tol:  # catches nan as well
+        t = int(np.argmin(dev <= tol))
+        raise FormatError(f"emission frame {t} is not a distribution: logsumexp "
+                          f"deviation {np.abs(np.logaddexp.reduce(arr[t]))!r}")
 
 
 def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
@@ -157,13 +172,8 @@ def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigError(f"{label()} has shape {arr.shape}, expected {shape}")
-    top = arr.max(axis=-1)
-    with np.errstate(invalid="ignore"):  # an all -inf or a +inf row gives nan
-        dev = np.abs(top + np.log(np.exp(arr - top[..., None]).sum(axis=-1))).ravel()
-    near = np.abs(dev - ROW_TOL_EXACT) <= 1e-9
-    if near.any():  # within float error of the tolerance: decide as the exact fold does
-        dev[near] = np.abs(np.logaddexp.reduce(arr.reshape(-1, shape[-1])[near], axis=-1))
-    if not (dev <= ROW_TOL_EXACT).all():  # catches nan as well
+    dev = _row_deviations(arr.reshape(-1, shape[-1]), (ROW_TOL_EXACT,))
+    if not dev.max() <= ROW_TOL_EXACT:  # catches nan as well
         i = int(np.argmin(dev <= ROW_TOL_EXACT))
         where = f" row {i}" if arr.ndim > 1 else ""
         raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {dev[i]!r}")
@@ -223,8 +233,8 @@ class EmissionMatrix:
             raise FormatError(f"emission must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
-        arr = _check_rows(arr, renormalize=False)
         arr = np.ascontiguousarray(arr)
+        _check_frames(arr, _row_deviations(arr, (ROW_TOL_EXACT,)), ROW_TOL_EXACT)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -315,7 +325,11 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
         raise ConfigError(f"unknown emission format {fmt!r}")
     if arr.shape[0] < 1 or arr.shape[1] < 2:
         raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
-    arr = _check_rows(arr, renormalize=True)
+    dev = _row_deviations(arr, (ROW_TOL_EXACT, ROW_TOL_REJECT))
+    _check_frames(arr, dev, ROW_TOL_REJECT)
+    fix = dev > ROW_TOL_EXACT
+    if fix.any():  # arr is this call's own array
+        arr[fix] -= np.logaddexp.reduce(arr[fix], axis=1)[:, None]
     return EmissionMatrix(arr)
 
 

@@ -184,31 +184,6 @@ class TransducerBeamConfig:
             raise ConfigError("max_pops_per_frame must be >= 1")
 
 
-class _LMFusion:
-    """Threads a FullScorer over the label vocabulary through a search."""
-
-    def __init__(self, model: TransducerModel, lm: FullScorer, weight: float):
-        self.lm = lm
-        self.weight = weight
-        self.num_labels = model.num_labels
-
-    def init_state(self):
-        return self.lm.init_state(None)
-
-    def label_scores(self, hyp: TransducerHypothesis) -> Tuple[np.ndarray, Any]:
-        prefix = (self.num_labels,) + hyp.yseq  # sos stand-in outside label range
-        vec, scored = self.lm.score(prefix, hyp.lm_state, None)
-        if len(vec) != self.num_labels:
-            raise ConfigError(
-                f"fusion LM scores {len(vec)} tokens but the model has "
-                f"{self.num_labels} labels"
-            )
-        return vec, scored
-
-    def advance(self, scored, label: int):
-        return self.lm.select_state(scored, label)
-
-
 def _prune(pool: Dict[Tuple[int, ...], TransducerHypothesis], beam: int
            ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
     ranked = sorted(pool.values(), key=hypothesis_sort_key)[:beam]
@@ -247,11 +222,11 @@ def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothes
     return TransducerHypothesis(yseq=yseq, score=score, pred_state=state)
 
 
-def _init_pool(model: TransducerModel, fusion: Optional[_LMFusion]
+def _init_pool(model: TransducerModel, config: TransducerBeamConfig
                ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
     hyp = TransducerHypothesis(
         yseq=(), score=0.0, pred_state=model.pred_init(),
-        lm_state=fusion.init_state() if fusion else None,
+        lm_state=config.lm.init_state(None) if config.lm is not None else None,
     )
     return {(): hyp}
 
@@ -265,18 +240,27 @@ class _Expansions:
     hypotheses: pred_step, the LM's select_state and the TransducerHypothesis
     happen for those alone."""
 
-    def __init__(self, model: TransducerModel, fusion: Optional[_LMFusion],
+    def __init__(self, model: TransducerModel, config: TransducerBeamConfig,
                  parents: Sequence[TransducerHypothesis], rows: Sequence[np.ndarray]):
         self.model = model
-        self.fusion = fusion
+        self.lm = config.lm
         self.parents = parents
         joint = np.asarray(rows, dtype=np.float64)[:, :model.num_labels]
         self.scores = np.array([h.score for h in parents], dtype=np.float64)[:, None] + joint
-        if fusion is not None:
-            pairs = [fusion.label_scores(h) for h in parents]
-            self.lm = np.array([vec for vec, _ in pairs], dtype=np.float64)
-            self.lm_scored = [scored for _, scored in pairs]
-            self.scores = self.scores + fusion.weight * self.lm
+        if self.lm is not None:
+            sos = model.num_labels  # stand-in outside the label range
+            vecs, self.lm_scored = [], []
+            for h in parents:
+                vec, scored = self.lm.score((sos,) + h.yseq, h.lm_state, None)
+                if len(vec) != model.num_labels:
+                    raise ConfigError(
+                        f"fusion LM scores {len(vec)} tokens but the model has "
+                        f"{model.num_labels} labels"
+                    )
+                vecs.append(vec)
+                self.lm_scored.append(scored)
+            self.lm_rows = np.array(vecs, dtype=np.float64)
+            self.scores = self.scores + config.lm_weight * self.lm_rows
             # 0 * -inf is nan: a label the LM rules out is no expansion
             self.scores[np.isnan(self.scores)] = NEG_INF
 
@@ -304,9 +288,9 @@ class _Expansions:
         cell's when merges have raised it."""
         parent = self.parents[r]
         lm_state, lm_raw = parent.lm_state, parent.lm_score
-        if self.fusion is not None:
-            lm_raw = lm_raw + float(self.lm[r, label])
-            lm_state = self.fusion.advance(self.lm_scored[r], label)
+        if self.lm is not None:
+            lm_raw = lm_raw + float(self.lm_rows[r, label])
+            lm_state = self.lm.select_state(self.lm_scored[r], label)
         return TransducerHypothesis(
             yseq=parent.yseq + (label,),
             score=float(self.scores[r, label]) if score is None else score,
@@ -353,8 +337,7 @@ def transducer_beam(model: TransducerModel, frames: int,
     expansions merge into it, but goes on the heap only once a merge lifts
     it to the floor."""
     beam = config.beam_size
-    fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
-    pool = _init_pool(model, fusion)
+    pool = _init_pool(model, config)
     blank = model.blank_id
 
     for t in range(frames):
@@ -385,7 +368,7 @@ def transducer_beam(model: TransducerModel, frames: int,
             _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
             if len(completed) >= beam and completed[yseq].score > floor:
                 floor = sorted([h.score for h in completed.values()])[-beam]
-            expansions = _Expansions(model, fusion, [hyp], [joint_row])
+            expansions = _Expansions(model, config, [hyp], [joint_row])
             for label, child_score in enumerate(expansions.scores[0].tolist()):
                 if child_score == NEG_INF:
                     continue
@@ -402,7 +385,7 @@ def transducer_beam(model: TransducerModel, frames: int,
         pool = _prune(completed, beam)
         if not pool:
             break
-    return _nbest_from_pool(pool, fusion)
+    return _nbest_from_pool(pool, config)
 
 
 def transducer_tsd(model: TransducerModel, frames: int,
@@ -415,8 +398,7 @@ def transducer_tsd(model: TransducerModel, frames: int,
     last round only completes with the frame-advancing blank, so merged
     scores stay alignment sums."""
     beam = config.beam_size
-    fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
-    pool = _init_pool(model, fusion)
+    pool = _init_pool(model, config)
     blank = model.blank_id
 
     for t in range(frames):
@@ -430,13 +412,13 @@ def transducer_tsd(model: TransducerModel, frames: int,
             if round_idx == config.max_exp_per_step:
                 break
             # children of distinct parents never share a yseq: nothing to merge
-            current = _Expansions(model, fusion, items, rows).best(beam)
+            current = _Expansions(model, config, items, rows).best(beam)
             if not current:
                 break
         pool = _prune(completed, beam)
         if not pool:
             break
-    return _nbest_from_pool(pool, fusion)
+    return _nbest_from_pool(pool, config)
 
 
 def transducer_alsd(model: TransducerModel, frames: int,
@@ -448,14 +430,13 @@ def transducer_alsd(model: TransducerModel, frames: int,
     B best of the blank advances and the label expansions, choosing the
     expansions from their score matrix before any is built."""
     beam = config.beam_size
-    fusion = _LMFusion(model, config.lm, config.lm_weight) if config.lm else None
     blank = model.blank_id
     if config.u_max is not None:
         u_max = config.u_max
     else:
         u_max = math.ceil(config.u_max_ratio * frames)
 
-    current = _init_pool(model, fusion)  # all entries satisfy t + u == i
+    current = _init_pool(model, config)  # all entries satisfy t + u == i
     final: Dict[Tuple[int, ...], TransducerHypothesis] = {}
     for i in range(frames + u_max):
         nxt: Dict[Tuple[int, ...], TransducerHypothesis] = {}
@@ -478,7 +459,7 @@ def transducer_alsd(model: TransducerModel, frames: int,
         if not parents:
             current = _prune(nxt, beam)
         else:
-            expansions = _Expansions(model, fusion, parents, rows)
+            expansions = _Expansions(model, config, parents, rows)
             # a label expansion may reach the yseq of a blank advance (parents
             # differ in length): merge the pair into the blank advance
             index = {h.yseq: r for r, h in enumerate(parents)}
@@ -494,7 +475,7 @@ def transducer_alsd(model: TransducerModel, frames: int,
             current = expansions.best(beam, list(nxt.values()))
         if not current:
             break
-    return _nbest_from_pool(_prune(final, beam), fusion)
+    return _nbest_from_pool(_prune(final, beam), config)
 
 
 def transducer_nsc(model: TransducerModel, frames: int,
@@ -507,13 +488,13 @@ def transducer_nsc(model: TransducerModel, frames: int,
 
 
 def _nbest_from_pool(pool: Dict[Tuple[int, ...], TransducerHypothesis],
-                     fusion: Optional[_LMFusion]) -> NBestList:
+                     config: TransducerBeamConfig) -> NBestList:
     entries = []
     for yseq, hyp in pool.items():
         scores = {"transducer": hyp.score}
-        if fusion is not None:
+        if config.lm is not None:
             scores = {
-                "transducer": hyp.score - fusion.weight * hyp.lm_score,
+                "transducer": hyp.score - config.lm_weight * hyp.lm_score,
                 "lm": hyp.lm_score,
             }
         entries.append(NBestEntry(yseq=yseq, score=hyp.score, scores=scores))

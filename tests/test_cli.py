@@ -342,6 +342,18 @@ class TestConfigHardening:
         assert main(["decode", "--config", write_json(tmp_path / "c.json", config),
                      "--emission", str(bad)]) == 3
 
+    def test_emissions_key_holding_one_path_is_exit_2(self, decode_setup, capsys):
+        tmp_path, config, _ = decode_setup
+        config["emissions"] = config.pop("emission")
+        assert main(["decode", "--config", write_json(tmp_path / "c.json", config)]) == 2
+        assert "config key 'emissions' must be a list" in capsys.readouterr().err
+
+    def test_emission_key_holding_a_list_is_exit_2(self, decode_setup, capsys):
+        tmp_path, config, _ = decode_setup
+        config["emission"] = [config["emission"]]
+        assert main(["decode", "--config", write_json(tmp_path / "c.json", config)]) == 2
+        assert "config key 'emission' must be one path" in capsys.readouterr().err
+
     def test_malformed_table_json_is_exit_3(self, decode_setup):
         tmp_path, config, _ = decode_setup
         broken = tmp_path / "broken-table.json"

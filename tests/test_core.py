@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from seqdecode import (
     save_emission,
     validate_hypothesis,
 )
-from seqdecode.core import ROW_TOL_EXACT, log_rows
+from seqdecode.core import _BLOCK_ENTRIES, ROW_TOL_EXACT, ROW_TOL_REJECT, log_rows
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
 from seqdecode.transducer import TableTransducer
@@ -29,6 +30,29 @@ NEG_INF = float("-inf")
 
 def _log_dirichlet(rng, shape):
     return np.log(rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]))
+
+
+def rows_across(rng, tol, sizes=(2, 3, 31, 1000), samples=10):
+    """Rows whose log-sum-exp steps ulp by ulp across the signed ``tol``:
+    each starts a few ulps inside and ends a few ulps beyond."""
+    sign = np.sign(tol)
+    for size in sizes:
+        for _ in range(samples):
+            row = rng.normal(size=size) * rng.choice([0.1, 1.0, 5.0])
+            row += tol - np.logaddexp.reduce(row)
+            for _ in range(6):  # start a few ulps inside, then step across
+                row = np.nextafter(row, -np.inf * sign)
+            for _ in range(12):
+                row = np.nextafter(row, np.inf * sign)
+                yield row
+
+
+def write_emission_json(path, rows):
+    """An emission file with ``rows`` as given: save_emission would check them."""
+    rows = np.atleast_2d(rows)
+    path.write_text(json.dumps({"T": rows.shape[0], "V": rows.shape[1],
+                                "logprobs": rows.tolist()}))
+    return str(path)
 
 
 # kind -> (build a model, load a path, a required payload key, the rows key)
@@ -262,23 +286,95 @@ class TestLogRows:
         with pytest.raises(ConfigError):
             log_rows([np.nextafter(tol, sign * np.inf), -np.inf], (2,), lambda: "row")
         decisions = set()
-        for size in (2, 3, 31, 1000):
-            for _ in range(10):
-                row = rng.normal(size=size) * rng.choice([0.1, 1.0, 5.0])
-                row += tol - np.logaddexp.reduce(row)
-                for _ in range(6):  # start a few ulps inside, then step across
-                    row = np.nextafter(row, -np.inf * sign)
-                for _ in range(12):
-                    row = np.nextafter(row, np.inf * sign)
-                    exact = abs(np.logaddexp.reduce(row)) <= ROW_TOL_EXACT
-                    try:
-                        log_rows(row, (size,), lambda: "row")
-                        accepted = True
-                    except ConfigError:
-                        accepted = False
-                    assert accepted == exact
-                    decisions.add(exact)
+        for row in rows_across(rng, tol):
+            exact = abs(np.logaddexp.reduce(row)) <= ROW_TOL_EXACT
+            try:
+                log_rows(row, (row.size,), lambda: "row")
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == exact
+            decisions.add(exact)
         assert decisions == {True, False}
+
+
+class TestEmissionRows:
+    """Emission frames are decided by log_rows' rule: ROW_TOL_EXACT for a
+    matrix, and on load ROW_TOL_EXACT to renormalise, ROW_TOL_REJECT to
+    reject, each decision as the exact fold makes it."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matrix_frames_at_the_tolerance_are_decided_as_by_the_exact_fold(self, sign, rng):
+        decisions = set()
+        for row in rows_across(rng, sign * ROW_TOL_EXACT):
+            exact = abs(np.logaddexp.reduce(row)) <= ROW_TOL_EXACT
+            try:
+                EmissionMatrix(row[None, :])
+                accepted = True
+            except FormatError as e:
+                assert str(e).startswith("emission frame 0 is not a distribution")
+                accepted = False
+            assert accepted == exact
+            decisions.add(exact)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("tol", [ROW_TOL_EXACT, ROW_TOL_REJECT])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_loaded_frames_at_a_tolerance_are_decided_as_by_the_exact_fold(
+            self, sign, tol, rng, tmp_path):
+        decisions = set()
+        for row in rows_across(rng, sign * tol, samples=4):
+            lse = np.logaddexp.reduce(row)
+            path = write_emission_json(tmp_path / "e.json", row)
+            if abs(lse) > ROW_TOL_REJECT:
+                with pytest.raises(FormatError, match="emission frame 0 is not"):
+                    load_emission(path)
+                decisions.add("rejected")
+            elif abs(lse) > ROW_TOL_EXACT:
+                assert np.array_equal(load_emission(path).data[0], row - lse)
+                decisions.add("renormalised")
+            else:
+                assert np.array_equal(load_emission(path).data[0], row)
+                decisions.add("kept")
+        assert decisions == ({"kept", "renormalised"} if tol == ROW_TOL_EXACT
+                             else {"renormalised", "rejected"})
+
+    @pytest.mark.parametrize("build", ["matrix", "load"])
+    def test_first_bad_frame_past_the_first_block_is_named(self, build, rng, tmp_path):
+        vocab = 1000
+        per_block = _BLOCK_ENTRIES // vocab
+        data = _log_dirichlet(rng, (4 * per_block, vocab))
+        assert data.shape[0] >= 200
+        bad = 2 * per_block + 7
+        off = 5e-4 if build == "matrix" else 5e-3  # past the tolerance each applies
+        data[bad] += off
+        data[bad + per_block] += off
+        with pytest.raises(FormatError, match=f"emission frame {bad} is not"):
+            if build == "matrix":
+                EmissionMatrix(data)
+            else:
+                load_emission(write_emission_json(tmp_path / "e.json", data))
+
+    def test_drift_frames_in_several_blocks_are_renormalised_bit_for_bit(self, rng, tmp_path):
+        vocab = 1000
+        per_block = _BLOCK_ENTRIES // vocab
+        data = _log_dirichlet(rng, (3 * per_block + 5, vocab))
+        drift = [0, per_block - 1, per_block, 2 * per_block + 3, data.shape[0] - 1]
+        data[drift] += rng.uniform(2e-4, 9e-4, size=(len(drift), 1)) * rng.choice([-1, 1], size=(len(drift), 1))
+        loaded = load_emission(write_emission_json(tmp_path / "e.json", data)).data
+        for t, row in enumerate(data):
+            expected = row - np.logaddexp.reduce(row) if t in drift else row
+            assert np.array_equal(loaded[t], expected), t
+
+    def test_matrix_check_needs_no_temporary_the_size_of_the_matrix(self, rng):
+        data = _log_dirichlet(rng, (2000, 1000))
+        tracemalloc.start()
+        try:
+            EmissionMatrix(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4
 
 
 class TestValidateHypothesis:
