@@ -13,7 +13,10 @@ Per step: full scorers rate all V extensions of every live hypothesis; the
 top-P candidates per hypothesis by weighted full-scorer total form the
 pre-beam; partial scorers rate only those. The top-B cells of the resulting
 (B x P) score matrix are chosen before any successor exists, and only those
-B successors are built (scorer states selected, hypotheses allocated).
+B successors are built (scorer states selected, hypotheses allocated). Both
+selections partition first and sort only the cells they keep: the pre-beam
+by a stable argsort per row unless ties cross a row's P-th score, the top-B
+cells by a lexsort of those at or above the B-th best total.
 Successors emitting eos move to the finished pool with per-scorer final
 adjustments added.
 
@@ -106,7 +109,10 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     score vector over ``ids``, (B, k) for a (B, len(ids)) score matrix.
 
     One partition finds each row's k-th best score; only the cells at or
-    above it are sorted, keyed (row, -score, id).
+    above it are sorted. When every row has exactly k of them and ``ids``
+    ascend, they stand in id order, so a stable argsort of -score per row
+    orders them; else (ties across the k-th score, unsorted ids) one lexsort
+    keyed (row, -score, id) does.
     """
     mat = np.atleast_2d(scores)
     B, N = mat.shape
@@ -115,9 +121,14 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
         return np.empty(np.shape(scores)[:-1] + (0,), dtype=ids.dtype)
     kth = np.partition(mat, N - k, axis=1)[:, N - k]
     rows, cols = np.nonzero(mat >= kth[:, None])
-    order = np.lexsort((ids[cols], -mat[rows, cols], rows))
-    starts = np.searchsorted(rows, np.arange(B))
-    top = ids[cols[order[starts[:, None] + np.arange(k)]]]
+    if cols.size == B * k and (ids[:-1] <= ids[1:]).all():
+        cols = cols.reshape(B, k)
+        order = np.argsort(-np.take_along_axis(mat, cols, axis=1), axis=1, kind="stable")
+        top = ids[np.take_along_axis(cols, order, axis=1)]
+    else:
+        order = np.lexsort((ids[cols], -mat[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(B))
+        top = ids[cols[order[starts[:, None] + np.arange(k)]]]
     return top.reshape(np.shape(scores)[:-1] + (k,))
 
 
@@ -211,13 +222,16 @@ def _totals(
     full_part: np.ndarray,
     part_mats: Dict[str, np.ndarray],
     parent_scores: np.ndarray,
+    start: str = "",
 ) -> np.ndarray:
     """Candidate totals: the weighted full-scorer part, plus each partial
     scorer's weighted score in name order, the length penalty and the
-    parent's score. Every step is monotone in each partial score."""
+    parent's score. Every step is monotone in each partial score. With
+    ``start``, ``full_part`` already holds the partial scorers named before it."""
     total = full_part
     for name in ctx.partial:
-        total = total + ctx.weights[name] * part_mats[name]
+        if name >= start:
+            total = total + ctx.weights[name] * part_mats[name]
     if ctx.config.length_penalty:
         total = total + ctx.config.length_penalty
     return total + parent_scores
@@ -225,7 +239,7 @@ def _totals(
 
 def _may_reach_beam(
     ctx: _SearchContext,
-    full_part: np.ndarray,
+    head: np.ndarray,
     part_mats: Dict[str, np.ndarray],
     parent_scores: np.ndarray,
     name: str,
@@ -233,7 +247,8 @@ def _may_reach_beam(
     hi: np.ndarray,
 ) -> np.ndarray:
     """Cells whose total may reach the beam, given bounds lo <= score <= hi
-    on scorer ``name`` and exact scores from every other scorer.
+    on scorer ``name`` and exact scores from every other scorer; ``head``
+    holds the full part plus the partial scorers named before ``name``.
 
     Totals from the bounds bound the real totals, since ``_totals`` is
     monotone. With theta the beam_size-th largest lower-bound total, at
@@ -244,11 +259,11 @@ def _may_reach_beam(
     cell is kept.
     """
     k = ctx.config.beam_size
-    lo_total = _totals(ctx, full_part, {**part_mats, name: lo}, parent_scores)
+    lo_total = _totals(ctx, head, {**part_mats, name: lo}, parent_scores, name)
     if lo_total.size < k:
         return np.ones(lo.shape, dtype=bool)
     theta = np.partition(lo_total, lo_total.size - k, axis=None)[lo_total.size - k]
-    return _totals(ctx, full_part, {**part_mats, name: hi}, parent_scores) >= theta
+    return _totals(ctx, head, {**part_mats, name: hi}, parent_scores, name) >= theta
 
 
 def _top_cells(
@@ -257,6 +272,9 @@ def _top_cells(
     """(rows, columns) of the k best cells of the (B x P) candidate matrix,
     best first, under the successor order (score desc, yseq asc).
 
+    One partition finds the k-th best total; only the cells at or above it
+    (all when k >= B * P) are lexsorted, keyed (-total, parent rank, token).
+
     Every live yseq has the same length, so a successor's yseq orders as its
     parent's yseq, then its token. The parent's rank must come from sorting
     the live yseqs: their position in ``live`` follows score, not yseq.
@@ -264,10 +282,11 @@ def _top_cells(
     B, P = cand_mat.shape
     parent_rank = np.empty(B, dtype=np.int64)
     parent_rank[sorted(range(B), key=lambda i: live[i].yseq)] = np.arange(B)
-    order = np.lexsort(
-        (cand_mat.ravel(), np.repeat(parent_rank, P), -cand_scores.ravel())
-    )
-    return np.divmod(order[:k], P)
+    totals = cand_scores.ravel()
+    cells = np.arange(totals.size) if k >= totals.size else np.flatnonzero(
+        totals >= np.partition(totals, -k)[-k])
+    order = np.lexsort((cand_mat.ravel()[cells], parent_rank[cells // P], -totals[cells]))
+    return np.divmod(cells[order[:k]], P)
 
 
 def _finalize(ctx: _SearchContext, hyp: Hypothesis, emission: EmissionMatrix) -> Hypothesis:
@@ -360,7 +379,10 @@ def _search(
             part_mats[name], part_scored[name] = kernel(
                 prefixes, cand_mat, [h.states[name] for h in live], emission)
         if pruner is not None:
-            keep = partial(_may_reach_beam, ctx, full_part, part_mats, parent_scores, pruner)
+            head = full_part  # plus the scorers named before the pruner, once per step
+            for name in [n for n in ctx.partial if n < pruner]:
+                head = head + ctx.weights[name] * part_mats[name]
+            keep = partial(_may_reach_beam, ctx, head, part_mats, parent_scores, pruner)
             part_mats[pruner], part_scored[pruner] = (
                 ctx.partial[pruner].batch_score_partial_pruned(
                     prefixes, cand_mat, [h.states[pruner] for h in live], emission, keep))

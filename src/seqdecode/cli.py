@@ -138,9 +138,10 @@ def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
     if args.emission:
         emissions = list(args.emission)
     elif "emissions" in raw:
-        if not isinstance(raw["emissions"], list):
-            raise ConfigError(f"config key 'emissions' must be a list, got {raw['emissions']!r}")
-        emissions = [str(p) for p in raw["emissions"]]
+        paths = raw["emissions"]
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ConfigError(f"config key 'emissions' must be a list of paths, got {paths!r}")
+        emissions = list(paths)
     elif "emission" in raw:
         if not isinstance(raw["emission"], str):
             raise ConfigError(f"config key 'emission' must be one path, got {raw['emission']!r}")

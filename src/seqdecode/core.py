@@ -235,6 +235,8 @@ class EmissionMatrix:
             raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
         arr = np.ascontiguousarray(arr)
         _check_frames(arr, _row_deviations(arr, (ROW_TOL_EXACT,)), ROW_TOL_EXACT)
+        if arr is self.data or not arr.flags.owndata:  # the caller's memory: copy it
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -330,7 +332,10 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
     fix = dev > ROW_TOL_EXACT
     if fix.any():  # arr is this call's own array
         arr[fix] -= np.logaddexp.reduce(arr[fix], axis=1)[:, None]
-    return EmissionMatrix(arr)
+    arr.setflags(write=False)  # every frame is checked: no second pass, no copy
+    matrix = object.__new__(EmissionMatrix)
+    object.__setattr__(matrix, "data", arr)
+    return matrix
 
 
 @dataclass

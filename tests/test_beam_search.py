@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import importlib
 import weakref
 
 import numpy as np
@@ -26,6 +28,7 @@ from seqdecode.beam_search import (
     _finalize,
     _initial_hypothesis,
     _resolve_lengths,
+    _top_cells,
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
@@ -40,6 +43,8 @@ from conftest import (
     random_emission,
     random_table_scorer,
 )
+
+bs_mod = importlib.import_module("seqdecode.beam_search")
 
 
 def greedy_reference(ts: TableScorer, vocab, max_steps: int):
@@ -865,3 +870,217 @@ class TestFoldWorkBound:
         assert len(tiered) >= 20
         for _, requested, terms in tiered:
             assert terms < 0.2 * requested
+
+
+def counting_lexsort(monkeypatch):
+    """Log the three-key np.lexsort calls: the selection helpers' general
+    path makes one, their fast paths none (the per-row reference sorts by
+    two keys)."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        if len(keys) == 3:
+            calls.append(3)
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+class TestTopCandidateFastPath:
+    """``top_candidate_ids`` skips its lexsort when every row has exactly k
+    cells at or above its k-th score and the ids ascend; each edge either
+    path could break must give the per-row lexsort's ids."""
+
+    per_row = staticmethod(TestTopCandidateIds.per_row)
+
+    def check(self, scores, ids, k):
+        expected = np.stack([self.per_row(row, ids, k) for row in np.atleast_2d(scores)])
+        got = top_candidate_ids(scores, ids, k)
+        assert np.array_equal(np.atleast_2d(got), expected)
+        assert got.shape == np.shape(scores)[:-1] + (min(k, len(ids)),)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_scores_take_the_fast_path(self, seed, monkeypatch):
+        rng = np.random.default_rng(9700 + seed)
+        lexsorts = counting_lexsort(monkeypatch)
+        for _ in range(50):
+            B, N = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+            ids = np.sort(rng.choice(200, size=N, replace=False))
+            self.check(rng.normal(size=(B, N)), ids, int(rng.integers(1, N + 1)))
+        assert lexsorts == []
+
+    def test_ties_across_the_kth_score_take_the_lexsort(self, monkeypatch):
+        lexsorts = counting_lexsort(monkeypatch)
+        ids = np.array([2, 3, 5, 8, 13])
+        # row 0: three cells tie at the 2nd best score; row 1: none do
+        scores = np.array([[0.0, 1.0, 1.0, -1.0, 1.0], [3.0, 2.0, 1.0, 0.0, -1.0]])
+        self.check(scores, ids, 2)
+        assert np.array_equal(top_candidate_ids(scores, ids, 2), [[3, 5], [2, 3]])
+        assert lexsorts == [3, 3]
+
+    def test_ties_inside_the_top_k_stay_on_the_fast_path(self, monkeypatch):
+        lexsorts = counting_lexsort(monkeypatch)
+        ids = np.array([1, 4, 6, 7])
+        scores = np.array([[0.5, 2.0, 0.5, -3.0], [-0.0, 0.0, -np.inf, 0.0]])
+        self.check(scores, ids, 3)
+        assert np.array_equal(top_candidate_ids(scores, ids, 3), [[4, 1, 6], [1, 4, 7]])
+        assert lexsorts == []
+
+    def test_ids_that_do_not_ascend_take_the_lexsort(self, monkeypatch):
+        lexsorts = counting_lexsort(monkeypatch)
+        rng = np.random.default_rng(9710)
+        ids = np.array([9, 3, 7, 1, 5, 2])
+        scores = rng.normal(size=(3, 6))
+        scores[:, [1, 4]] = scores[:, [0]]  # ties decided by the smaller id
+        self.check(scores, ids, 4)
+        assert lexsorts == [3]
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_all_neg_inf_rows(self, k):
+        ids = np.array([0, 2, 4, 6, 8])
+        scores = np.full((3, 5), -np.inf)
+        scores[1] = [0.5, -np.inf, 1.0, -np.inf, 0.5]
+        self.check(scores, ids, k)
+        assert np.array_equal(top_candidate_ids(scores, ids, k)[0], ids[:min(k, 5)])
+
+    @pytest.mark.parametrize("k", [6, 7, 50])
+    def test_k_at_least_n_orders_every_id(self, k, monkeypatch):
+        lexsorts = counting_lexsort(monkeypatch)
+        rng = np.random.default_rng(9720 + k)
+        ids = np.arange(3, 9)
+        self.check(rng.normal(size=(4, 6)), ids, k)
+        self.check(0.5 * rng.integers(-2, 2, size=(4, 6)), ids, k)
+        assert lexsorts == []
+
+    def test_vector_form(self, monkeypatch):
+        lexsorts = counting_lexsort(monkeypatch)
+        rng = np.random.default_rng(9730)
+        ids = np.arange(10, 30)
+        vec = rng.normal(size=20)
+        self.check(vec, ids, 7)
+        assert top_candidate_ids(vec, ids, 7).shape == (7,)
+        assert lexsorts == []
+        vec[[2, 5, 11]] = np.sort(vec)[-7]  # ties across the 7th score
+        self.check(vec, ids, 7)
+        self.check(vec, ids[::-1].copy(), 7)
+        assert lexsorts == [3, 3]
+
+
+def full_lexsort_cells(live, cand_mat, cand_scores, k):
+    """Every cell of the (B x P) matrix lexsorted (-total, parent rank,
+    token), then the first k: the selection before it partitioned."""
+    B, P = cand_mat.shape
+    parent_rank = np.empty(B, dtype=np.int64)
+    parent_rank[sorted(range(B), key=lambda i: live[i].yseq)] = np.arange(B)
+    order = np.lexsort((cand_mat.ravel(), np.repeat(parent_rank, P), -cand_scores.ravel()))
+    return np.divmod(order[:k], P)
+
+
+class TestTopCellsPartition:
+    """``_top_cells`` lexsorts only the cells at or above the k-th best
+    total; it must pick and order the cells as sorting every cell does."""
+
+    @staticmethod
+    def instance(rng, B, P, grid):
+        live = [Hypothesis(yseq=(0,) + tuple(rng.integers(0, 4, size=3).tolist()),
+                           score=0.0, scores={}, states={}) for _ in range(B)]
+        cand_mat = np.stack([np.sort(rng.choice(50, size=P, replace=False))
+                             for _ in range(B)])
+        if grid:
+            scores = 0.5 * rng.integers(-4, 1, size=(B, P)).astype(np.float64)
+        else:
+            scores = rng.normal(size=(B, P))
+        return live, cand_mat, scores
+
+    def check(self, live, cand_mat, scores, k):
+        rows, cols = _top_cells(live, cand_mat, scores, k)
+        ref_rows, ref_cols = full_lexsort_cells(live, cand_mat, scores, k)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        assert len(rows) == min(k, scores.size)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sorting_every_cell(self, seed, grid):
+        rng = np.random.default_rng(9740 + seed)
+        for _ in range(60):
+            B, P = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            live, cand_mat, scores = self.instance(rng, B, P, grid)
+            scores[rng.random(scores.shape) < 0.2] = -np.inf
+            self.check(live, cand_mat, scores, int(rng.integers(1, B * P + 3)))
+
+    def test_ties_at_the_kth_total_are_ordered_by_yseq(self):
+        rng = np.random.default_rng(9750)
+        live, cand_mat, _ = self.instance(rng, 4, 3, grid=True)
+        scores = np.array([[0.0, -1.0, -1.0], [-1.0, -1.0, -2.0],
+                           [-1.0, -3.0, -3.0], [-0.5, -1.0, -4.0]])
+        for k in range(1, 13):
+            self.check(live, cand_mat, scores, k)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_fewer_finite_totals_than_k(self, k):
+        rng = np.random.default_rng(9760 + k)
+        live, cand_mat, scores = self.instance(rng, 3, 4, grid=False)
+        scores[:] = -np.inf
+        scores[1, 2], scores[2, 0] = -1.0, -2.0
+        self.check(live, cand_mat, scores, k)
+
+    @pytest.mark.parametrize("k", [6, 7, 20])
+    def test_k_at_least_every_cell(self, k):
+        rng = np.random.default_rng(9770 + k)
+        live, cand_mat, scores = self.instance(rng, 2, 3, grid=True)
+        self.check(live, cand_mat, scores, k)
+
+
+def old_keep_totals(ctx, full_part, part_mats, parent_scores, name, score):
+    """The search totals with ``score`` for scorer ``name``, every partial
+    scorer added to the full part in name order, each keep call anew."""
+    total = full_part
+    for other in ctx.partial:
+        total = total + ctx.weights[other] * (score if other == name else part_mats[other])
+    if ctx.config.length_penalty:
+        total = total + ctx.config.length_penalty
+    return total + parent_scores
+
+
+class TestKeepTotalsOncePerStep:
+    """The search sums the full part and the partial scorers named before
+    the pruner once per step; every keep call's totals and kept mask must
+    equal summing all scorers anew in name order."""
+
+    def test_keep_masks_equal_the_per_call_formula(self, monkeypatch, ctc_tier):
+        keeps, finals = [], []
+        may_reach, totals = bs_mod._may_reach_beam, bs_mod._totals
+
+        def recording_keep(ctx, head, part_mats, parent_scores, name, lo, hi):
+            kept = may_reach(ctx, head, part_mats, parent_scores, name, lo, hi)
+            keeps.append((len(finals), ctx, dict(part_mats), parent_scores, name, lo, hi,
+                          kept, totals(ctx, head, {**part_mats, name: lo}, parent_scores, name),
+                          totals(ctx, head, {**part_mats, name: hi}, parent_scores, name)))
+            return kept
+
+        def recording_totals(ctx, full_part, part_mats, parent_scores, start=""):
+            if not start:  # the step's own totals, after every keep call
+                finals.append(full_part)
+            return totals(ctx, full_part, part_mats, parent_scores, start)
+
+        monkeypatch.setattr(bs_mod, "_may_reach_beam", recording_keep)
+        monkeypatch.setattr(bs_mod, "_totals", recording_totals)
+        for seed in range(8):
+            em, vocab, fulls, cfg, parts = pruning_instance(seed, "word")
+            rng = np.random.default_rng(9790 + seed)
+            parts["bias"] = WrappedPartialScorer(random_table_scorer(rng, 1, vocab.size))
+            cfg = dataclasses.replace(cfg, weights={**cfg.weights, "bias": 0.3},
+                                      length_penalty=0.37)
+            batch_beam_search(em, vocab, fulls, cfg, parts)
+        assert len(keeps) > 20
+        for step, ctx, part_mats, parent_scores, name, lo, hi, kept, lo_t, hi_t in keeps:
+            assert [n < name for n in ctx.partial] == [True, False, False]
+            full_part = finals[step]
+            old_lo = old_keep_totals(ctx, full_part, part_mats, parent_scores, name, lo)
+            old_hi = old_keep_totals(ctx, full_part, part_mats, parent_scores, name, hi)
+            assert np.array_equal(lo_t, old_lo) and np.array_equal(hi_t, old_hi)
+            k = ctx.config.beam_size
+            theta = np.partition(old_lo, old_lo.size - k, axis=None)[old_lo.size - k]
+            assert np.array_equal(kept, old_hi >= theta)

@@ -394,6 +394,7 @@ class TestErrorMapping:
     @pytest.mark.parametrize("edit", [
         lambda c: c.update(seed="seven"),
         lambda c: c.update(emissions=7),
+        lambda c: c.update(emissions=[7]),
         lambda c: c["beam"].update(max_steps="three"),
         lambda c: c["beam"]["weights"].update(att="heavy"),
         lambda c: c.update(beam=["beam_size", 3]),

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,15 @@ from seqdecode import (
     save_emission,
     validate_hypothesis,
 )
-from seqdecode.core import _BLOCK_ENTRIES, ROW_TOL_EXACT, ROW_TOL_REJECT, log_rows
+from seqdecode import core as core_mod
+from seqdecode.core import (
+    _BLOCK_ENTRIES,
+    RAW_MAGIC,
+    ROW_TOL_EXACT,
+    ROW_TOL_REJECT,
+    _row_deviations,
+    log_rows,
+)
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
 from seqdecode.transducer import TableTransducer
@@ -339,7 +348,7 @@ class TestEmissionRows:
         assert decisions == ({"kept", "renormalised"} if tol == ROW_TOL_EXACT
                              else {"renormalised", "rejected"})
 
-    @pytest.mark.parametrize("build", ["matrix", "load"])
+    @pytest.mark.parametrize("build", ["matrix", "load", "load-raw"])
     def test_first_bad_frame_past_the_first_block_is_named(self, build, rng, tmp_path):
         vocab = 1000
         per_block = _BLOCK_ENTRIES // vocab
@@ -352,8 +361,10 @@ class TestEmissionRows:
         with pytest.raises(FormatError, match=f"emission frame {bad} is not"):
             if build == "matrix":
                 EmissionMatrix(data)
-            else:
+            elif build == "load":
                 load_emission(write_emission_json(tmp_path / "e.json", data))
+            else:
+                load_emission(write_emission_raw(tmp_path / "e.emis", data))
 
     def test_drift_frames_in_several_blocks_are_renormalised_bit_for_bit(self, rng, tmp_path):
         vocab = 1000
@@ -368,13 +379,84 @@ class TestEmissionRows:
 
     def test_matrix_check_needs_no_temporary_the_size_of_the_matrix(self, rng):
         data = _log_dirichlet(rng, (2000, 1000))
-        tracemalloc.start()
-        try:
-            EmissionMatrix(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < data.nbytes / 4
+
+        def peak_of(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(lambda: _row_deviations(data, (ROW_TOL_EXACT,))) < data.nbytes / 4
+        # wrapping adds the one copy the matrix keeps of the caller's array
+        assert peak_of(lambda: EmissionMatrix(data)) < data.nbytes * 5 / 4
+
+
+def write_emission_raw(path, rows):
+    """A raw-f32 emission file with ``rows`` as given, rounded to float32."""
+    with open(path, "wb") as f:
+        f.write(RAW_MAGIC + struct.pack("<II", *rows.shape) + rows.astype("<f4").tobytes())
+    return str(path)
+
+
+class TestEmissionHandOver:
+    """``load_emission`` checks each frame once and hands its own array to
+    the matrix; wrapping a caller's array copies it and leaves it writable."""
+
+    @pytest.mark.parametrize("fmt", ["json", "raw-f32"])
+    def test_load_checks_each_frame_once(self, fmt, rng, tmp_path, monkeypatch):
+        data = _log_dirichlet(rng, (3 * (_BLOCK_ENTRIES // 50), 50))
+        drift = [0, 700, data.shape[0] - 1]
+        data[drift] += np.array([[5e-4], [-8e-4], [2e-4]])
+        calls = []
+
+        def counting(rows, tols):
+            calls.append(rows.shape)
+            return _row_deviations(rows, tols)
+
+        monkeypatch.setattr(core_mod, "_row_deviations", counting)
+        if fmt == "json":
+            loaded = load_emission(write_emission_json(tmp_path / "e.json", data))
+        else:
+            loaded = load_emission(write_emission_raw(tmp_path / "e.emis", data))
+            data = data.astype(np.float32).astype(np.float64)
+        assert calls == [data.shape]
+        assert not loaded.data.flags.writeable
+        for t, row in enumerate(data):
+            expected = row - np.logaddexp.reduce(row) if t in drift else row
+            assert np.array_equal(loaded.data[t], expected), t
+
+    def test_load_hands_over_its_array_without_a_copy(self, rng, tmp_path, monkeypatch):
+        parsed = []
+        emission_rows = core_mod._emission_rows
+
+        def recording(payload):
+            parsed.append(emission_rows(payload))
+            return parsed[-1]
+
+        monkeypatch.setattr(core_mod, "_emission_rows", recording)
+        loaded = load_emission(write_emission_json(tmp_path / "e.json",
+                                                   _log_dirichlet(rng, (5, 4))))
+        assert loaded.data is parsed[0]
+
+    def test_wrapping_leaves_the_callers_array_writable(self):
+        x = np.log(np.full((2, 3), 1 / 3))
+        m = EmissionMatrix(x)
+        assert x.flags.writeable and not m.data.flags.writeable
+        x[0, 0] = 0.0
+        assert m.data[0, 0] == math.log(1 / 3)
+        # a read-only view, or a subclass view, of a writable array is the
+        # caller's memory too
+        class Sub(np.ndarray):
+            pass
+
+        for view in (np.log(np.full((2, 3), 1 / 3)).view(),
+                     np.log(np.full((2, 3), 1 / 3)).view(Sub)):
+            view.setflags(write=False)
+            m = EmissionMatrix(view)
+            view.base[1, 0] = 0.0
+            assert m.data[1, 0] == math.log(1 / 3)
 
 
 class TestValidateHypothesis:
