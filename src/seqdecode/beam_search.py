@@ -222,16 +222,13 @@ def _totals(
     full_part: np.ndarray,
     part_mats: Dict[str, np.ndarray],
     parent_scores: np.ndarray,
-    start: str = "",
 ) -> np.ndarray:
     """Candidate totals: the weighted full-scorer part, plus each partial
     scorer's weighted score in name order, the length penalty and the
-    parent's score. Every step is monotone in each partial score. With
-    ``start``, ``full_part`` already holds the partial scorers named before it."""
+    parent's score. Every step is monotone in each partial score."""
     total = full_part
     for name in ctx.partial:
-        if name >= start:
-            total = total + ctx.weights[name] * part_mats[name]
+        total = total + ctx.weights[name] * part_mats[name]
     if ctx.config.length_penalty:
         total = total + ctx.config.length_penalty
     return total + parent_scores
@@ -239,7 +236,7 @@ def _totals(
 
 def _may_reach_beam(
     ctx: _SearchContext,
-    head: np.ndarray,
+    full_part: np.ndarray,
     part_mats: Dict[str, np.ndarray],
     parent_scores: np.ndarray,
     name: str,
@@ -247,8 +244,7 @@ def _may_reach_beam(
     hi: np.ndarray,
 ) -> np.ndarray:
     """Cells whose total may reach the beam, given bounds lo <= score <= hi
-    on scorer ``name`` and exact scores from every other scorer; ``head``
-    holds the full part plus the partial scorers named before ``name``.
+    on scorer ``name`` and exact scores from every other scorer.
 
     Totals from the bounds bound the real totals, since ``_totals`` is
     monotone. With theta the beam_size-th largest lower-bound total, at
@@ -259,11 +255,11 @@ def _may_reach_beam(
     cell is kept.
     """
     k = ctx.config.beam_size
-    lo_total = _totals(ctx, head, {**part_mats, name: lo}, parent_scores, name)
+    lo_total = _totals(ctx, full_part, {**part_mats, name: lo}, parent_scores)
     if lo_total.size < k:
         return np.ones(lo.shape, dtype=bool)
     theta = np.partition(lo_total, lo_total.size - k, axis=None)[lo_total.size - k]
-    return _totals(ctx, head, {**part_mats, name: hi}, parent_scores, name) >= theta
+    return _totals(ctx, full_part, {**part_mats, name: hi}, parent_scores) >= theta
 
 
 def _top_cells(
@@ -379,10 +375,7 @@ def _search(
             part_mats[name], part_scored[name] = kernel(
                 prefixes, cand_mat, [h.states[name] for h in live], emission)
         if pruner is not None:
-            head = full_part  # plus the scorers named before the pruner, once per step
-            for name in [n for n in ctx.partial if n < pruner]:
-                head = head + ctx.weights[name] * part_mats[name]
-            keep = partial(_may_reach_beam, ctx, head, part_mats, parent_scores, pruner)
+            keep = partial(_may_reach_beam, ctx, full_part, part_mats, parent_scores, pruner)
             part_mats[pruner], part_scored[pruner] = (
                 ctx.partial[pruner].batch_score_partial_pruned(
                     prefixes, cand_mat, [h.states[pruner] for h in live], emission, keep))

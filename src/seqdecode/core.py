@@ -229,16 +229,21 @@ class EmissionMatrix:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise FormatError(f"emission must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        _check_frames(arr, _row_deviations(arr, (ROW_TOL_EXACT,)), ROW_TOL_EXACT)
         if arr is self.data or not arr.flags.owndata:  # the caller's memory: copy it
             arr = arr.copy()
+        object.__setattr__(self, "data", EmissionMatrix._owned(arr).data)
+
+    @classmethod
+    def _owned(cls, arr: np.ndarray, checked: bool = False) -> "EmissionMatrix":
+        """A matrix holding ``arr``, a float64 array no caller holds, without
+        a copy; its frames are checked unless ``checked`` says they were."""
+        arr = np.ascontiguousarray(_emission_shape(arr))
+        if not checked:
+            _check_frames(arr, _row_deviations(arr, (ROW_TOL_EXACT,)), ROW_TOL_EXACT)
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "data", arr)
+        return matrix
 
     @property
     def frames(self) -> int:
@@ -259,8 +264,16 @@ class EmissionMatrix:
     def from_logits(cls, logits: np.ndarray) -> "EmissionMatrix":
         """Build a matrix from unnormalised scores by log-softmax per row."""
         arr = np.asarray(logits, dtype=np.float64)
-        arr = arr - np.logaddexp.reduce(arr, axis=1, keepdims=True)
-        return cls(arr)
+        return cls._owned(arr - np.logaddexp.reduce(arr, axis=1, keepdims=True))
+
+
+def _emission_shape(arr: np.ndarray) -> np.ndarray:
+    """``arr``, if it is 2-D with T >= 1 frames and V >= 2 tokens."""
+    if arr.ndim != 2:
+        raise FormatError(f"emission must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 2:
+        raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
+    return arr
 
 
 def save_emission(matrix: EmissionMatrix, path: str, fmt: str = "json") -> None:
@@ -325,17 +338,12 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
         arr = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t_decl, v_decl)
     else:
         raise ConfigError(f"unknown emission format {fmt!r}")
-    if arr.shape[0] < 1 or arr.shape[1] < 2:
-        raise FormatError(f"emission needs T >= 1 and V >= 2, got {arr.shape}")
-    dev = _row_deviations(arr, (ROW_TOL_EXACT, ROW_TOL_REJECT))
+    dev = _row_deviations(_emission_shape(arr), (ROW_TOL_EXACT, ROW_TOL_REJECT))
     _check_frames(arr, dev, ROW_TOL_REJECT)
     fix = dev > ROW_TOL_EXACT
     if fix.any():  # arr is this call's own array
         arr[fix] -= np.logaddexp.reduce(arr[fix], axis=1)[:, None]
-    arr.setflags(write=False)  # every frame is checked: no second pass, no copy
-    matrix = object.__new__(EmissionMatrix)
-    object.__setattr__(matrix, "data", arr)
-    return matrix
+    return EmissionMatrix._owned(arr, checked=True)  # no second row pass, no copy
 
 
 @dataclass

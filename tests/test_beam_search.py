@@ -1,6 +1,4 @@
-import dataclasses
 import gc
-import importlib
 import weakref
 
 import numpy as np
@@ -43,8 +41,6 @@ from conftest import (
     random_emission,
     random_table_scorer,
 )
-
-bs_mod = importlib.import_module("seqdecode.beam_search")
 
 
 def greedy_reference(ts: TableScorer, vocab, max_steps: int):
@@ -1031,56 +1027,3 @@ class TestTopCellsPartition:
         rng = np.random.default_rng(9770 + k)
         live, cand_mat, scores = self.instance(rng, 2, 3, grid=True)
         self.check(live, cand_mat, scores, k)
-
-
-def old_keep_totals(ctx, full_part, part_mats, parent_scores, name, score):
-    """The search totals with ``score`` for scorer ``name``, every partial
-    scorer added to the full part in name order, each keep call anew."""
-    total = full_part
-    for other in ctx.partial:
-        total = total + ctx.weights[other] * (score if other == name else part_mats[other])
-    if ctx.config.length_penalty:
-        total = total + ctx.config.length_penalty
-    return total + parent_scores
-
-
-class TestKeepTotalsOncePerStep:
-    """The search sums the full part and the partial scorers named before
-    the pruner once per step; every keep call's totals and kept mask must
-    equal summing all scorers anew in name order."""
-
-    def test_keep_masks_equal_the_per_call_formula(self, monkeypatch, ctc_tier):
-        keeps, finals = [], []
-        may_reach, totals = bs_mod._may_reach_beam, bs_mod._totals
-
-        def recording_keep(ctx, head, part_mats, parent_scores, name, lo, hi):
-            kept = may_reach(ctx, head, part_mats, parent_scores, name, lo, hi)
-            keeps.append((len(finals), ctx, dict(part_mats), parent_scores, name, lo, hi,
-                          kept, totals(ctx, head, {**part_mats, name: lo}, parent_scores, name),
-                          totals(ctx, head, {**part_mats, name: hi}, parent_scores, name)))
-            return kept
-
-        def recording_totals(ctx, full_part, part_mats, parent_scores, start=""):
-            if not start:  # the step's own totals, after every keep call
-                finals.append(full_part)
-            return totals(ctx, full_part, part_mats, parent_scores, start)
-
-        monkeypatch.setattr(bs_mod, "_may_reach_beam", recording_keep)
-        monkeypatch.setattr(bs_mod, "_totals", recording_totals)
-        for seed in range(8):
-            em, vocab, fulls, cfg, parts = pruning_instance(seed, "word")
-            rng = np.random.default_rng(9790 + seed)
-            parts["bias"] = WrappedPartialScorer(random_table_scorer(rng, 1, vocab.size))
-            cfg = dataclasses.replace(cfg, weights={**cfg.weights, "bias": 0.3},
-                                      length_penalty=0.37)
-            batch_beam_search(em, vocab, fulls, cfg, parts)
-        assert len(keeps) > 20
-        for step, ctx, part_mats, parent_scores, name, lo, hi, kept, lo_t, hi_t in keeps:
-            assert [n < name for n in ctx.partial] == [True, False, False]
-            full_part = finals[step]
-            old_lo = old_keep_totals(ctx, full_part, part_mats, parent_scores, name, lo)
-            old_hi = old_keep_totals(ctx, full_part, part_mats, parent_scores, name, hi)
-            assert np.array_equal(lo_t, old_lo) and np.array_equal(hi_t, old_hi)
-            k = ctx.config.beam_size
-            theta = np.partition(old_lo, old_lo.size - k, axis=None)[old_lo.size - k]
-            assert np.array_equal(kept, old_hi >= theta)

@@ -4,22 +4,40 @@ top-1 sequence and rounded score of every decoder on the first requests, so
 a selection fast path that reorders or drops a hypothesis changes it."""
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import run as bench  # noqa: E402
-import smoke  # noqa: E402
-
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = {"wide-beam": "8c297c557b868d1d", "long-form": "7157d4d4b66dfdcb"}
 
 
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's ``run`` and ``smoke`` modules. They import their siblings
+    by bare names (``run``, ``layers``, ``workloads``, ...), so perfbench/ is
+    on sys.path and those names are in sys.modules only while this module's
+    tests run; both are restored afterwards."""
+    names = {p.stem for p in PERFBENCH.glob("*.py")}
+    saved_path = list(sys.path)
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("run"), importlib.import_module("smoke")
+    finally:
+        sys.path[:] = saved_path
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_tiny_workload_digest_is_unchanged(workload, tmp_path):
+def test_tiny_workload_digest_is_unchanged(perfbench, workload, tmp_path):
+    bench, smoke = perfbench
     args = argparse.Namespace(workload=workload, seed=3, seconds=0.0, trace=0)
     out = bench.measure(args, smoke.TINY[workload](), str(tmp_path))
     assert out["failed"] == 0, out["failures"][:3]
     assert out["report"]["digest"].startswith(DIGESTS[workload])
+

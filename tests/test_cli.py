@@ -342,6 +342,14 @@ class TestConfigHardening:
         assert main(["decode", "--config", write_json(tmp_path / "c.json", config),
                      "--emission", str(bad)]) == 3
 
+    def test_emission_nested_a_level_too_deep_is_exit_3(self, decode_setup, capsys):
+        tmp_path, _, config_path = decode_setup
+        bad = tmp_path / "deep.json"
+        half = -0.6931471805599453
+        bad.write_text(json.dumps({"T": 1, "V": 2, "logprobs": [[[half], [half]]]}))
+        assert main(["decode", "--config", str(config_path), "--emission", str(bad)]) == 3
+        assert "emission must be 2-D, got shape (1, 2, 1)" in capsys.readouterr().err
+
     def test_emissions_key_holding_one_path_is_exit_2(self, decode_setup, capsys):
         tmp_path, config, _ = decode_setup
         config["emissions"] = config.pop("emission")

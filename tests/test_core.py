@@ -440,6 +440,40 @@ class TestEmissionHandOver:
                                                    _log_dirichlet(rng, (5, 4))))
         assert loaded.data is parsed[0]
 
+    def test_from_logits_checks_each_frame_once_and_keeps_its_array(self, rng, monkeypatch):
+        logits = rng.normal(size=(16 * (_BLOCK_ENTRIES // 100), 100))
+        calls = []
+
+        def counting(rows, tols):
+            calls.append(rows.shape)
+            return _row_deviations(rows, tols)
+
+        monkeypatch.setattr(core_mod, "_row_deviations", counting)
+        tracemalloc.start()
+        try:
+            m = EmissionMatrix.from_logits(logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [logits.shape]
+        # the log-softmax result is the matrix's data: no second T x V array
+        assert peak < logits.nbytes * 3 / 2
+        assert np.array_equal(m.data, logits - np.logaddexp.reduce(logits, axis=1)[:, None])
+        assert not m.data.flags.writeable and logits.flags.writeable
+
+    def test_from_logits_holds_a_c_ordered_array_and_rejects_bad_shapes(self, rng):
+        logits = np.asfortranarray(rng.normal(size=(5, 4)))
+        m = EmissionMatrix.from_logits(logits)
+        assert m.data.flags.c_contiguous
+        assert np.array_equal(m.data, EmissionMatrix.from_logits(np.ascontiguousarray(logits)).data)
+        with pytest.raises(FormatError, match="must be 2-D"):
+            EmissionMatrix.from_logits(np.zeros((2, 3, 1)))
+        with pytest.raises(FormatError, match="T >= 1 and V >= 2"):
+            EmissionMatrix.from_logits(np.zeros((3, 1)))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FormatError, match="frame 1 is not a distribution"):
+            EmissionMatrix.from_logits(np.array([[0.0, 1.0], [np.inf, 0.0]]))
+
     def test_wrapping_leaves_the_callers_array_writable(self):
         x = np.log(np.full((2, 3), 1 / 3))
         m = EmissionMatrix(x)
