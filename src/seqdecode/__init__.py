@@ -23,7 +23,6 @@ from .core import (
     load_emission,
     logsumexp,
     save_emission,
-    validate_hypothesis,
 )
 from .ctc import Alignment, Segment, TokenSpan, ctc_forced_align, ctc_forward, ctc_greedy, ctc_vad
 from .lm import (
@@ -49,11 +48,9 @@ from .oracle import (
     oracle_best_sequence,
     oracle_ctc_prob,
     oracle_transducer_prob,
-    score_sequence,
 )
 from .scorers import (
     CTCPrefixScorer,
-    CTCPrefixState,
     FullScorer,
     PartialScorer,
     TableScorer,

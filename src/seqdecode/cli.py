@@ -334,6 +334,9 @@ def run_maskctc(cfg: RunConfig) -> int:
         if "mlm" not in cfg.raw:
             raise ConfigError("maskctc config needs an 'mlm' path")
         mlm = maskctc_mod.TableMLM.load(cfg.raw["mlm"], mask_id=vocab.mask_id)
+        if mlm.vocab_size != vocab.size:
+            raise ConfigError(f"masked-LM vocab_size {mlm.vocab_size} differs from the "
+                              f"vocabulary's {vocab.size} tokens")
         mc_cfg = maskctc_mod.MaskCtcConfig(
             **_read_block(cfg.raw.get("maskctc", {}), "maskctc", _MASKCTC_KEYS))
     emission = load_emission(path)

@@ -87,6 +87,9 @@ class Vocabulary:
         for name, idx in (("mask_id", self.mask_id), ("unk_id", self.unk_id)):
             if idx is not None and not 0 <= idx < n:
                 raise ConfigError(f"{name}={idx} outside [0, {n})")
+        for name, idx in reserved.items():
+            if idx == self.mask_id:
+                raise ConfigError(f"mask_id must differ from {name}={idx}")
 
     @property
     def size(self) -> int:

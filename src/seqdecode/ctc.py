@@ -1,10 +1,11 @@
-"""CTC utilities: forward scoring, greedy decoding, Viterbi forced alignment
-with token time spans, and blank-posterior voice activity segmentation."""
+"""CTC utilities: forward scoring, greedy decoding and the Mask-CTC collapse,
+Viterbi forced alignment with token time spans, and blank-posterior voice
+activity segmentation; all but the forward score read runs (``_runs``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,17 +59,29 @@ def ctc_forward(emission: EmissionMatrix, labels: Sequence[int], blank_id: int) 
     return float(np.logaddexp(alpha[S - 1], alpha[S - 2]))
 
 
+def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of one value along a non-empty 1-D array: each run's
+    value, start and (half-open) end."""
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
+    ends = np.concatenate((starts[1:], [len(values)]))
+    return values[starts], starts, ends
+
+
+def ctc_confidence_collapse(
+    emission: EmissionMatrix, blank_id: int
+) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """Greedy per-frame argmax collapsed to tokens (the non-blank runs of the
+    argmax path), each with the max linear-domain posterior over its run."""
+    x = emission.data
+    tokens, starts, _ = _runs(np.argmax(x, axis=1))
+    keep = tokens != blank_id
+    confidences = np.maximum.reduceat(np.exp(np.max(x, axis=1)), starts)[keep]
+    return tuple(tokens[keep].tolist()), tuple(confidences.tolist())
+
+
 def ctc_greedy(emission: EmissionMatrix, blank_id: int) -> Tuple[int, ...]:
     """Per-frame argmax, collapse repeats, drop blanks."""
-    ids = np.argmax(emission.data, axis=1)
-    out: List[int] = []
-    prev = -1
-    for i in ids:
-        i = int(i)
-        if i != prev and i != blank_id:
-            out.append(i)
-        prev = i
-    return tuple(out)
+    return ctc_confidence_collapse(emission, blank_id)[0]
 
 
 @dataclass(frozen=True)
@@ -120,14 +133,9 @@ def ctc_forced_align(
         delta[t] += best
         back[t] = arg
 
-    if S == 1:
-        end_state, score = 0, float(delta[T - 1, 0])
-    else:
-        # on a tie prefer the final blank (the "stay"-most terminal)
-        if delta[T - 1, S - 1] >= delta[T - 1, S - 2]:
-            end_state, score = S - 1, float(delta[T - 1, S - 1])
-        else:
-            end_state, score = S - 2, float(delta[T - 1, S - 2])
+    # on a tie prefer the final blank (the "stay"-most terminal)
+    end_state = S - 1 if S == 1 or delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
+    score = float(delta[T - 1, end_state])
     if score == NEG_INF:
         raise InfeasibleError(
             f"labels of expanded length {S} cannot be aligned within {T} frames"
@@ -138,19 +146,12 @@ def ctc_forced_align(
     for t in range(T - 1, 0, -1):
         states[t - 1] = back[t, states[t]]
 
-    path = tuple(int(expanded[s]) for s in states)
-    spans: List[TokenSpan] = []
-    cur_state = -1
-    for t, s in enumerate(states):
-        s = int(s)
-        if s % 2 == 1:  # odd expanded states carry labels
-            if s != cur_state:
-                spans.append(TokenSpan(token=int(expanded[s]), start=t, end=t + 1))
-            else:
-                last = spans[-1]
-                spans[-1] = TokenSpan(token=last.token, start=last.start, end=t + 1)
-        cur_state = s
-    return Alignment(path=path, spans=tuple(spans), score=score)
+    # odd expanded states carry labels; each run of one is a token's span
+    state, starts, ends = _runs(states)
+    odd = state % 2 == 1
+    spans = tuple(map(TokenSpan, expanded[state[odd]].tolist(),
+                      starts[odd].tolist(), ends[odd].tolist()))
+    return Alignment(path=tuple(expanded[states].tolist()), spans=spans, score=score)
 
 
 @dataclass(frozen=True)
@@ -160,21 +161,7 @@ class Segment:
     kind: str  # "speech" | "nonspeech"
 
 
-def _active_runs(active: np.ndarray) -> List[Tuple[int, int]]:
-    runs: List[Tuple[int, int]] = []
-    start = None
-    for t, a in enumerate(active):
-        if a and start is None:
-            start = t
-        elif not a and start is not None:
-            runs.append((start, t))
-            start = None
-    if start is not None:
-        runs.append((start, len(active)))
-    return runs
-
-
-def merge_runs(runs: Sequence[Tuple[int, int]], min_gap: int) -> List[Tuple[int, int]]:
+def merge_runs(runs: Iterable[Tuple[int, int]], min_gap: int) -> List[Tuple[int, int]]:
     """Merge runs separated by fewer than min_gap frames. Idempotent."""
     merged: List[Tuple[int, int]] = []
     for start, end in runs:
@@ -206,21 +193,15 @@ def ctc_vad(
     _check_blank(blank_id, emission.vocab_size)
     T = emission.frames
     speech_prob = 1.0 - np.exp(emission.data[:, blank_id])
-    active = speech_prob >= on_threshold
 
-    runs = _active_runs(active)
-    runs = merge_runs(runs, min_gap_frames)
-    widened = [(max(0, s - margin_frames), min(T, e + margin_frames)) for s, e in runs]
-    # widening can make neighbours touch or overlap; collapse them
-    runs = merge_runs(widened, 1)
-
-    segments: List[Segment] = []
-    cursor = 0
+    active, starts, ends = _runs(speech_prob >= on_threshold)
+    runs = merge_runs(zip(starts[active].tolist(), ends[active].tolist()), min_gap_frames)
+    # widening can make neighbours touch or overlap; the mask joins them
+    speech = np.zeros(T, dtype=bool)
     for start, end in runs:
-        if start > cursor:
-            segments.append(Segment(cursor, start, "nonspeech"))
-        segments.append(Segment(start, end, "speech"))
-        cursor = end
-    if cursor < T:
-        segments.append(Segment(cursor, T, "nonspeech"))
-    return segments
+        speech[max(0, start - margin_frames):end + margin_frames] = True
+    kinds, starts, ends = _runs(speech)
+    return [
+        Segment(start, end, "speech" if kind else "nonspeech")
+        for kind, start, end in zip(kinds.tolist(), starts.tolist(), ends.tolist())
+    ]

@@ -22,6 +22,7 @@ from .core import (
     read_json,
     write_json,
 )
+from .ctc import ctc_confidence_collapse  # a module global: a tracer may swap it
 
 
 class MLMScorer(abc.ABC):
@@ -102,30 +103,6 @@ class MaskCtcConfig:
             raise ConfigError("threshold must be in [0, 1]")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-
-
-def ctc_confidence_collapse(
-    emission: EmissionMatrix, blank_id: int
-) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-    """Greedy per-frame argmax collapsed to tokens, each with the max
-    linear-domain posterior over its contributing frames."""
-    ids = np.argmax(emission.data, axis=1)
-    probs = np.exp(np.max(emission.data, axis=1))
-    tokens: List[int] = []
-    confidences: List[float] = []
-    prev = -1
-    for t, tok in enumerate(ids):
-        tok = int(tok)
-        if tok == blank_id:
-            prev = tok
-            continue
-        if tok != prev:
-            tokens.append(tok)
-            confidences.append(float(probs[t]))
-        else:
-            confidences[-1] = max(confidences[-1], float(probs[t]))
-        prev = tok
-    return tuple(tokens), tuple(confidences)
 
 
 @dataclass(frozen=True)

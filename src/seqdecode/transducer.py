@@ -148,9 +148,6 @@ class TransducerHypothesis:
                                     self.lm_state, self.lm_score)
 
 
-ALGORITHMS = ("greedy", "beam", "tsd", "alsd", "nsc")
-
-
 @dataclass(frozen=True)
 class TransducerBeamConfig:
     beam_size: int = 4
@@ -169,7 +166,7 @@ class TransducerBeamConfig:
         if self.beam_size < 1:
             raise ConfigError("beam_size must be >= 1")
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
+            raise ConfigError(f"algorithm must be one of {tuple(ALGORITHMS)}")
         if self.max_exp_per_step < 1:
             raise ConfigError("max_exp_per_step must be >= 1")
         if self.u_max_ratio <= 0:
@@ -501,20 +498,20 @@ def _nbest_from_pool(pool: Dict[Tuple[int, ...], TransducerHypothesis],
     return NBestList.from_entries(entries)
 
 
+def _greedy_nbest(model: TransducerModel, frames: int,
+                  config: TransducerBeamConfig) -> NBestList:
+    """transducer_greedy wrapped as a 1-best list."""
+    hyp = transducer_greedy(model, frames)
+    return NBestList.from_entries(
+        [NBestEntry(yseq=hyp.yseq, score=hyp.score, scores={"transducer": hyp.score})]
+    )
+
+
+ALGORITHMS = {"greedy": _greedy_nbest, "beam": transducer_beam, "tsd": transducer_tsd,
+              "alsd": transducer_alsd, "nsc": transducer_nsc}
+
+
 def transducer_decode(model: TransducerModel, frames: int,
                       config: TransducerBeamConfig) -> NBestList:
-    """Dispatch on config.algorithm; greedy is wrapped as a 1-best list."""
-    if config.algorithm == "greedy":
-        hyp = transducer_greedy(model, frames)
-        return NBestList.from_entries(
-            [NBestEntry(yseq=hyp.yseq, score=hyp.score, scores={"transducer": hyp.score})]
-        )
-    if config.algorithm == "beam":
-        return transducer_beam(model, frames, config)
-    if config.algorithm == "tsd":
-        return transducer_tsd(model, frames, config)
-    if config.algorithm == "alsd":
-        return transducer_alsd(model, frames, config)
-    if config.algorithm == "nsc":
-        return transducer_nsc(model, frames, config)
-    raise ConfigError(f"unknown transducer algorithm {config.algorithm!r}")
+    """Dispatch on config.algorithm (checked by the config)."""
+    return ALGORITHMS[config.algorithm](model, frames, config)

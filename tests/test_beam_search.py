@@ -17,7 +17,6 @@ from seqdecode import (
     beam_search,
     end_detect,
     oracle_best_sequence,
-    validate_hypothesis,
 )
 from seqdecode.beam_search import (
     _SearchContext,
@@ -30,7 +29,7 @@ from seqdecode.beam_search import (
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
-from seqdecode.core import hypothesis_sort_key
+from seqdecode.core import hypothesis_sort_key, validate_hypothesis
 
 from conftest import (
     WrappedPartialScorer,

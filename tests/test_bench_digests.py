@@ -1,7 +1,7 @@
-"""The benchmark's tiny wide-beam and long-form workloads, run once untraced
-at seed 3, decode to the digests they have always had. A digest covers the
-top-1 sequence and rounded score of every decoder on the first requests, so
-a selection fast path that reorders or drops a hypothesis changes it."""
+"""The benchmark's four tiny workloads, run once untraced at seed 3, decode
+to the digests they have always had. A digest covers the top-1 sequence and
+rounded score of every decoder on the first requests, so a selection fast
+path that reorders or drops a hypothesis changes it."""
 
 import argparse
 import importlib
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-DIGESTS = {"wide-beam": "8c297c557b868d1d", "long-form": "7157d4d4b66dfdcb"}
+DIGESTS = {"wide-beam": "8c297c557b868d1d", "long-form": "7157d4d4b66dfdcb",
+           "char-word-lm": "04b139cd2ab388b7", "transducer": "bf097cc04650f177"}
 
 
 @pytest.fixture(scope="module")

@@ -441,29 +441,40 @@ class TestErrorMapping:
         emission_path = tmp_path / "e.json"
         save_emission(EmissionMatrix.from_logits(np.log(probs)), str(emission_path), "json")
         mlm_path = tmp_path / "mlm.json"
-        TableMLM(width, vocab.mask_id).save(str(mlm_path))
+        TableMLM(vocab.size, vocab.mask_id).save(str(mlm_path))
         cfg = write_json(tmp_path / "m.json", {
             "vocab": vocab.to_dict(), "emission": str(emission_path), "mlm": str(mlm_path),
         })
         assert main(["maskctc", "--config", cfg]) == 2
         assert f"emission has {width} columns" in capsys.readouterr().err
 
-    def test_maskctc_mlm_wider_than_vocab_is_exit_2(self, tmp_path, capsys):
-        vocab = make_vocab(1, with_mask=True)  # 5 tokens
-        probs = np.full((2, vocab.size), 0.125)
-        probs[:, 1] = 0.5  # one token, below the threshold, so it is masked
+    @pytest.mark.parametrize("threshold", [0.0, 0.99])
+    @pytest.mark.parametrize("mlm_size", [4, 7])
+    def test_maskctc_mlm_size_other_than_vocab_is_exit_2(self, tmp_path, mlm_size, threshold,
+                                                         capsys):
+        """The size check does not wait for a masked position: at threshold
+        0 nothing is masked and the masked LM is never asked."""
+        vocab = make_vocab(2, with_mask=True)  # 6 tokens
+        probs = np.full((2, vocab.size), 0.1)
+        probs[:, 1] = 0.5
         emission_path = tmp_path / "e.json"
         save_emission(EmissionMatrix(np.log(probs)), str(emission_path), "json")
-        row = np.full(7, 0.1 / 6)
-        row[6] = 0.9  # the fill would be id 6, past the vocabulary
         mlm_path = tmp_path / "mlm.json"
-        TableMLM(7, vocab.mask_id, {(None,): {0: np.log(row)}}).save(str(mlm_path))
+        TableMLM(mlm_size, vocab.mask_id).save(str(mlm_path))
         cfg = write_json(tmp_path / "m.json", {
             "vocab": vocab.to_dict(), "emission": str(emission_path), "mlm": str(mlm_path),
-            "maskctc": {"threshold": 0.99},
+            "maskctc": {"threshold": threshold},
         })
         assert main(["maskctc", "--config", cfg]) == 2
-        assert "masked-LM row 0 has shape (7,)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"masked-LM vocab_size {mlm_size} differs from the vocabulary's 6" in err
+
+    @pytest.mark.parametrize("reserved", ["blank_id", "sos_id", "eos_id"])
+    def test_mask_id_equal_to_a_reserved_id_is_exit_2(self, decode_setup, reserved, capsys):
+        tmp_path, config, _ = decode_setup
+        config["vocab"]["mask_id"] = config["vocab"][reserved]
+        assert main(["decode", "--config", write_json(tmp_path / "mask.json", config)]) == 2
+        assert f"mask_id must differ from {reserved}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("blank_id", [-1, 9])
     def test_vad_blank_id_outside_emission_is_exit_2(self, tmp_path, blank_id, capsys):

@@ -19,7 +19,6 @@ from seqdecode import (
     load_emission,
     logsumexp,
     save_emission,
-    validate_hypothesis,
 )
 from seqdecode import core as core_mod
 from seqdecode.core import (
@@ -29,6 +28,7 @@ from seqdecode.core import (
     ROW_TOL_REJECT,
     _row_deviations,
     log_rows,
+    validate_hypothesis,
 )
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
@@ -124,6 +124,14 @@ class TestVocabulary:
     def test_reserved_must_be_distinct(self):
         with pytest.raises(ConfigError):
             Vocabulary(tokens=("a", "b", "c"), blank_id=0, sos_id=0, eos_id=1)
+
+    @pytest.mark.parametrize("reserved", ["blank_id", "sos_id", "eos_id"])
+    def test_mask_id_must_differ_from_reserved(self, reserved):
+        """A mask equal to eos would drop eos from candidate_ids(), and a
+        search could then only end in the live fallback."""
+        ids = {"blank_id": 0, "sos_id": 4, "eos_id": 3}
+        with pytest.raises(ConfigError, match=f"mask_id must differ from {reserved}"):
+            Vocabulary(tokens=("<b>", "a", "b", "<eos>", "<sos>"), **ids, mask_id=ids[reserved])
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ConfigError):

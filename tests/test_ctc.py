@@ -12,7 +12,9 @@ from seqdecode import (
     ctc_greedy,
     ctc_vad,
 )
-from seqdecode.ctc import merge_runs
+from seqdecode import ctc as ctc_mod
+from seqdecode import maskctc as maskctc_mod
+from seqdecode.ctc import Segment, TokenSpan, merge_runs
 
 from conftest import brute_ctc_prob, collapse, random_emission
 
@@ -363,3 +365,194 @@ class TestVectorisedMatchesScalarReference:
         assert any(np.isinf(em.data).any() for em, _ in cases)
         assert any(any(a == b for a, b in zip(lab, lab[1:])) for _, lab in cases)
         assert any(scalar_ctc_viterbi(em, lab, 0) is None for em, lab in cases)
+
+
+# The run rule: greedy decoding, the Mask-CTC collapse, VAD and the
+# alignment spans all read maximal runs of one value along the frames from
+# ``ctc._runs``. The references below are the per-frame loops the collapse,
+# VAD and the spans were first written as; every output must equal theirs
+# exactly, and greedy decoding must return the collapse's tokens.
+
+
+def collapse_loop_reference(emission, blank_id):
+    """Reference: the per-frame collapse with confidences."""
+    ids = np.argmax(emission.data, axis=1)
+    probs = np.exp(np.max(emission.data, axis=1))
+    tokens, confidences = [], []
+    prev = -1
+    for t, tok in enumerate(ids):
+        tok = int(tok)
+        if tok == blank_id:
+            prev = tok
+            continue
+        if tok != prev:
+            tokens.append(tok)
+            confidences.append(float(probs[t]))
+        else:
+            confidences[-1] = max(confidences[-1], float(probs[t]))
+        prev = tok
+    return tuple(tokens), tuple(confidences)
+
+
+def active_runs_reference(active):
+    """Reference: the per-frame scan for runs of active frames."""
+    runs, start = [], None
+    for t, a in enumerate(active):
+        if a and start is None:
+            start = t
+        elif not a and start is not None:
+            runs.append((start, t))
+            start = None
+    if start is not None:
+        runs.append((start, len(active)))
+    return runs
+
+
+def vad_loop_reference(emission, blank_id, on_threshold, min_gap_frames, margin_frames):
+    """Reference: active runs merged by the gap, widened, merged again where
+    they touch, and tiled with a cursor. Also returns the widened runs."""
+    T = emission.frames
+    active = 1.0 - np.exp(emission.data[:, blank_id]) >= on_threshold
+    runs = merge_runs(active_runs_reference(active), min_gap_frames)
+    widened = [(max(0, s - margin_frames), min(T, e + margin_frames)) for s, e in runs]
+    segments, cursor = [], 0
+    for start, end in merge_runs(widened, 1):
+        if start > cursor:
+            segments.append(Segment(cursor, start, "nonspeech"))
+        segments.append(Segment(start, end, "speech"))
+        cursor = end
+    if cursor < T:
+        segments.append(Segment(cursor, T, "nonspeech"))
+    return segments, widened
+
+
+def states_of(path, blank_id):
+    """Expanded-state path of a CTC label path: blanks sit in even states,
+    and a label enters the next odd state unless it repeats the frame before
+    (a repeated label needs a blank between its two states)."""
+    states, k = [], 0
+    for t, tok in enumerate(path):
+        if tok != blank_id and (t == 0 or path[t - 1] != tok):
+            k += 1
+        states.append(2 * k if tok == blank_id else 2 * k - 1)
+    return states
+
+
+def span_loop_reference(states, expanded):
+    """Reference: the per-frame span loop over the Viterbi state path."""
+    spans, cur_state = [], -1
+    for t, s in enumerate(states):
+        if s % 2 == 1:
+            if s != cur_state:
+                spans.append(TokenSpan(token=int(expanded[s]), start=t, end=t + 1))
+            else:
+                spans[-1] = TokenSpan(spans[-1].token, spans[-1].start, t + 1)
+        cur_state = s
+    return tuple(spans)
+
+
+def run_rule_cases():
+    """Emissions over blank id 0: the edges by hand, then random ones (some
+    with tied maxima, some with -inf entries, the blank column included)."""
+    p = [[0.1, 0.8, 0.1]]  # label 1 wins
+    b = [[0.8, 0.1, 0.1]]  # blank wins
+    yield emission_from_probs([[0.2, 0.5, 0.3]])  # T=1
+    yield emission_from_probs(b * 4)  # all blank
+    yield emission_from_probs(p * 5)  # one run over every frame
+    yield emission_from_probs(p + b + p * 2 + b + p)  # blank-separated repeats
+    yield emission_from_probs(p * 2 + b * 2 + p * 2 + b * 3 + p)  # widened runs touch
+    with np.errstate(divide="ignore"):  # -inf entries, blank -inf twice
+        dead = emission_from_probs([[0, 1, 0], [1, 0, 0], [0.5, 0.5, 0], [0, 0.2, 0.8]])
+    yield dead
+    rng = np.random.default_rng(1212)
+    for case in range(40):
+        frames = int(rng.choice([1, 2, 5, 12, 30]))
+        vocab = int(rng.integers(2, 6))
+        logits = 1.5 * rng.normal(size=(frames, vocab))
+        logits[:, 0] += float(rng.choice([-1.0, 0.0, 1.0]))
+        if case % 3 == 0:
+            logits = np.round(logits)  # tied maxima
+        if case % 2 == 0:
+            dead = rng.random(logits.shape) < 0.25
+            dead[:, 1] = False  # keep every row normalisable
+            logits[dead] = -np.inf
+        yield EmissionMatrix.from_logits(logits)
+
+
+RUN_RULE_CASES = list(run_rule_cases())
+VAD_GRID = list(itertools.product((0.0, 0.3, 0.5, 0.9, 1.0), (0, 1, 2, 1000), (0, 1, 2, 6)))
+
+
+class TestRunRule:
+    @pytest.mark.parametrize("values", [
+        [7], [0, 0, 0], [1, 2, 2, 1, 1, 1], [True, False, False, True], [3, 3, 4],
+    ])
+    def test_runs_are_maximal(self, values):
+        value, start, end = ctc_mod._runs(np.array(values))
+        expected = []
+        for t, v in enumerate(values):
+            if expected and expected[-1][0] == v:
+                expected[-1] = (v, expected[-1][1], t + 1)
+            else:
+                expected.append((v, t, t + 1))
+        assert list(zip(value.tolist(), start.tolist(), end.tolist())) == expected
+
+    @pytest.mark.parametrize("case", range(len(RUN_RULE_CASES)))
+    def test_collapse_and_greedy_equal_the_frame_loop(self, case):
+        em = RUN_RULE_CASES[case]
+        tokens, confidences = ctc_mod.ctc_confidence_collapse(em, 0)
+        assert (tokens, confidences) == collapse_loop_reference(em, 0)
+        assert ctc_greedy(em, 0) == tokens
+        assert all(type(v) is int for v in tokens)
+        assert all(type(v) is float for v in confidences)
+
+    def test_maskctc_reads_the_ctc_collapse(self):
+        assert maskctc_mod.ctc_confidence_collapse is ctc_mod.ctc_confidence_collapse
+
+    @pytest.mark.parametrize("case", range(len(RUN_RULE_CASES)))
+    def test_vad_equals_the_cursor_tiling(self, case):
+        em = RUN_RULE_CASES[case]
+        for on, gap, margin in VAD_GRID:
+            got = ctc_vad(em, 0, on_threshold=on, min_gap_frames=gap, margin_frames=margin)
+            assert got == vad_loop_reference(em, 0, on, gap, margin)[0], (on, gap, margin)
+            assert all(type(s.start) is int and type(s.end) is int for s in got)
+
+    @pytest.mark.parametrize("case", range(len(RUN_RULE_CASES)))
+    def test_alignment_spans_equal_the_span_loop(self, case):
+        em = RUN_RULE_CASES[case]
+        rng = np.random.default_rng(3100 + case)
+        label_sets = [[1], [1, 1], [1, 1, 1]]
+        label_sets += [rng.integers(1, em.vocab_size, size=n).tolist() for n in (2, 3, 5)]
+        for labels in label_sets:
+            try:
+                ali = ctc_forced_align(em, labels, 0)
+            except InfeasibleError:
+                continue
+            expanded = [0] + [x for lab in labels for x in (lab, 0)]
+            assert ali.spans == span_loop_reference(states_of(ali.path, 0), expanded)
+            assert [s.token for s in ali.spans] == labels
+            assert all(type(v) is int for s in ali.spans for v in (s.token, s.start, s.end))
+            assert all(type(v) is int for v in ali.path)
+
+    def test_repeated_labels_get_one_span_each(self):
+        a, blank = [[0.05, 0.9, 0.05]], [[0.9, 0.05, 0.05]]
+        ali = ctc_forced_align(emission_from_probs(a * 2 + blank + a * 3), [1, 1], 0)
+        assert ali.spans == (TokenSpan(1, 0, 2), TokenSpan(1, 3, 6))
+
+    def test_cases_cover_the_edges(self):
+        ems = RUN_RULE_CASES
+        assert any(em.frames == 1 for em in ems)
+        assert any(collapse_loop_reference(em, 0)[0] == () for em in ems if em.frames > 1)
+        assert any(em.frames > 1 and set(np.argmax(em.data, axis=1).tolist()) == {1}
+                   for em in ems)
+        assert any(len(set(toks := collapse_loop_reference(em, 0)[0])) < len(toks) for em in ems)
+        assert any(np.isneginf(em.data[:, 0]).any() for em in ems)
+        assert any(np.isneginf(em.data[:, 1:]).any() for em in ems)
+        touch = overlap = False
+        for em in ems:
+            for on, gap, margin in VAD_GRID:
+                widened = vad_loop_reference(em, 0, on, gap, margin)[1]
+                for (_, e), (s, _) in zip(widened, widened[1:]):
+                    touch |= s == e
+                    overlap |= s < e
+        assert touch and overlap

@@ -459,8 +459,9 @@ class TestFusionInBeamSearch:
     def test_word_scorers_run_in_both_search_variants(self, tmp_path, seed):
         from seqdecode import (
             BeamConfig, CTCPrefixScorer, EmissionMatrix, Hypothesis,
-            batch_beam_search, beam_search, validate_hypothesis,
+            batch_beam_search, beam_search,
         )
+        from seqdecode.core import validate_hypothesis
 
         rng = np.random.default_rng(27000 + seed)
         path = tmp_path / "fuse.arpa"
