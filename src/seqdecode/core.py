@@ -263,6 +263,14 @@ class EmissionMatrix:
         peak = self.data.argmax(axis=0)
         return self.data[peak, np.arange(self.vocab_size)], peak
 
+    @cached_property
+    def neg_inf_columns(self) -> np.ndarray:
+        """(V,) read-only: whether each token has a -inf log-prob at some
+        frame; computed once per matrix."""
+        flags = np.isneginf(self.data).any(axis=0)
+        flags.setflags(write=False)
+        return flags
+
     @classmethod
     def from_logits(cls, logits: np.ndarray) -> "EmissionMatrix":
         """Build a matrix from unnormalised scores by log-softmax per row."""

@@ -228,9 +228,8 @@ class CTCPrefixState:
     column) in the scoring call that rated it. Its variables are computed
     when first read, or by the next scoring call, which runs the recursion
     once for all the pending states it is given: two scans over frames,
-    within ``_SCAN_TOL * (|r| - _SCAN_FLOOR)`` of the frame-by-frame
-    recursion (bit-identical to it, with r_sum = logaddexp(r_nb, r_b), for a
-    column with a -inf emission or emission sums below ``_SCAN_FLOOR``; see
+    restarted at -inf emissions, within ``_SCAN_TOL * (|r| - _SCAN_FLOOR)``
+    of the frame-by-frame recursion and -inf exactly where it is (see
     ``_recursion``). The values do not depend on which other states are
     filled in with it.
     """
@@ -275,7 +274,7 @@ class _CTCScoredState:
     """What one scoring call keeps for building its selected successors:
     the parents' forward variables, not the (T, B, C) recursion."""
 
-    x: np.ndarray  # (T, V) emission log-probs
+    emission: EmissionMatrix
     blank_id: int
     candidates: np.ndarray  # (B, C)
     psi: np.ndarray  # (B, C) log prefix probability of prefix + candidate
@@ -288,11 +287,18 @@ class _CTCScoredState:
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
 # the frame loop's r: the scan's rounding grows with the magnitudes it
 # handles, |r| and the emission sums, so a column whose label or blank
-# emissions sum to less than _SCAN_FLOOR over a recursion's frames (or to
-# -inf) takes the frame loop. On random and peaked emissions of 100-1600
-# frames the scan stayed within 4e-15 * (|r| + 1) of the loop
+# emissions sum to less than _SCAN_FLOOR over a recursion's frames (-inf
+# emissions left out) scans in blocks of frames whose sums stay above it.
+# On random and peaked emissions of 100-1600 frames the scan stayed within
+# 4e-15 * (|r| + 1) of the loop
 _SCAN_FLOOR = -float(1 << 16)
 _SCAN_TOL = 1e-13
+
+# a scan restarted at a -inf emission lifts each segment's terms this far
+# above every running sum before it: exp of the difference underflows to 0
+# (it does below about -745.2), so logaddexp drops the earlier segments
+# exactly
+_RESTART_GAP = 800.0
 
 
 def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
@@ -309,70 +315,124 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     d[t] + q[t-1]: two scans over frames per call, not two ufunc calls per
     frame, and r_sum comes without a third.
 
+    Where the label's (blank's) emission is -inf, r_nb (r_b) is exactly
+    -inf, so that scan restarts there with no carry: a segmented scan
+    (Blelloch 1990), still one accumulate per scan over all columns and
+    segments (``_scan``). A call none of whose columns has a -inf emission
+    (``EmissionMatrix.neg_inf_columns``, an O(k) lookup) skips the segments'
+    work. A column whose sums fall below ``_SCAN_FLOOR`` scans again in
+    blocks of frames, carrying the state from block to block.
+
     The scan rounds differently from the frame loop: each entry is within
     ``_SCAN_TOL * (|r| - _SCAN_FLOOR)`` of the loop's r, and -inf exactly
-    where the loop's is. A column whose label or blank sums fall below
-    ``_SCAN_FLOOR`` or reach -inf (a -inf emission, where the scan would
-    take inf - inf) takes the frame loop instead, bit-identical to it.
-    Frames before a column's first frame, max(1, parent's label count), are
-    -inf whatever the emissions (a prefix of n+1 labels needs n+1 frames),
-    and its sums start there, so a column's result does not depend on which
-    other columns share the call.
+    where the loop's is. Frames before a column's first frame, max(1,
+    parent's label count), are -inf whatever the emissions (a prefix of n+1
+    labels needs n+1 frames), and its sums start there, so a column's result
+    does not depend on which other columns share the call.
     """
-    x = scored.x
+    x = scored.emission.data
+    blank = scored.blank_id
     T = x.shape[0]
-    xs = x[:, scored.candidates[rows, cols]]  # (T, k)
+    labels = scored.candidates[rows, cols]
+    xs = x[:, labels]  # (T, k)
     n = scored.prefix_lens[rows]
     phi = scored.r_sum[:, rows]
     rep = np.flatnonzero(scored.repeat[rows, cols])  # a repeat connects through r_b only
     phi[:, rep] = scored.r_b[:, rows[rep]]
-    r_nb, r_b, r_sum = np.full((3,) + xs.shape, NEG_INF)
-    r_nb[0, n == 0] = r_sum[0, n == 0] = xs[0, n == 0]
+    r = np.full((3,) + xs.shape, NEG_INF)  # r_nb, r_b, r_sum
+    r[0, 0, n == 0] = r[2, 0, n == 0] = xs[0, n == 0]
     t0 = max(1, int(n.min()))
     if t0 >= T:
-        return r_nb, r_b, r_sum
+        return r
+    first = np.maximum(n, 1)
+    neg_inf = scored.emission.neg_inf_columns
+    segmented = bool(neg_inf[blank] or neg_inf[labels].any())
+    low = _scan(phi, xs, x[:, blank], first, segmented, r, t0, T)
+    if low.size:
+        # again in blocks of K frames, K times the worst finite emission of
+        # these columns at least _SCAN_FLOOR, so no block's sums fall below
+        # it. Each block hands on r_sum = logaddexp(r_nb, r_b), so a block
+        # of one frame (an emission below the floor) is the frame loop's step
+        phi, xs, first, sub = phi[:, low], xs[:, low], first[low], r[:, :, low]
+        ex = np.concatenate((xs[t0:], x[t0:, blank, None]), axis=1)
+        K = max(1, int(_SCAN_FLOOR / np.min(ex, where=ex > NEG_INF, initial=-1.0)))
+        for s in range(t0, T, K):
+            e = min(s + K, T)
+            _scan(phi, xs, x[:, blank], first, segmented, sub, s, e)
+            np.logaddexp(sub[0, e - 1], sub[1, e - 1], out=sub[2, e - 1])
+        r[:, :, low] = sub
+    return r
+
+
+def _scan(phi, xs, x_blank, first, segmented, r, s, e):
+    """Frames s..e-1 of the recursion in place in r = (r_nb, r_b, r_sum),
+    from its values at frame s - 1, as two scans over the frames, restarted
+    at -inf emissions if ``segmented``. Returns the columns whose label or
+    blank sums fall below ``_SCAN_FLOOR``; their values are not to be used.
+    """
+    r_nb, r_b, r_sum = r[0, s - 1:e], r[1, s - 1:e], r[2, s - 1:e]
     # sums[:, j] = the (label, blank) emissions summed over frames
-    # t0..t0-1+j, from each column's first frame on
-    sums = np.empty((2, T - t0 + 1, len(rows)))
+    # s..s-1+j, from each column's first frame on
+    sums = np.empty((2, e - s + 1, xs.shape[1]))
     sums[:, 0] = 0.0
-    sums[0, 1:] = xs[t0:]
-    sums[1, 1:] = x[t0:, scored.blank_id, None]
-    sums[:, 1:][:, np.arange(t0, T)[:, None] < np.maximum(n, 1)] = 0.0
+    sums[0, 1:] = xs[s:e]
+    sums[1, 1:] = x_blank[s:e, None]
+    sums[:, 1:][:, np.arange(s, e)[:, None] < first] = 0.0
+    if segmented:
+        restart = np.isneginf(sums)
+        sums[restart] = 0.0
     np.cumsum(sums, axis=1, out=sums)
-    loop = np.flatnonzero(~(sums[:, -1] >= _SCAN_FLOOR).all(axis=0))  # -inf fails too
-    if loop.size < len(rows):
-        # the loop's columns come out as nan here and are overwritten below
-        c, d = sums
-        with np.errstate(invalid="ignore"):
-            acc = np.empty(c.shape)
-            acc[0] = r_nb[t0 - 1]
-            np.subtract(phi[t0 - 1:T - 1], c[:-1], out=acc[1:])
-            np.logaddexp.accumulate(acc, axis=0, out=acc)
-            np.add(acc[1:], c[1:], out=r_nb[t0:])
-            q = np.subtract(r_nb[t0 - 1:], d)
-            np.logaddexp.accumulate(q, axis=0, out=q)
-            np.add(q[:-1], d[1:], out=r_b[t0:])
-            np.add(q, d, out=r_sum[t0 - 1:])
-    if loop.size:
-        r_nb[:, loop], r_b[:, loop] = _frame_loop(
-            phi[:, loop], xs[:, loop], x[:, scored.blank_id], r_nb[:, loop], t0)
-        r_sum[:, loop] = np.logaddexp(r_nb[:, loop], r_b[:, loop])
-    return r_nb, r_b, r_sum
+    c, d = sums
+    with np.errstate(invalid="ignore"):  # columns below the floor may come out nan
+        acc = np.empty(c.shape)
+        acc[0] = r_nb[0]
+        np.subtract(phi[s - 1:e - 1], c[:-1], out=acc[1:])
+        if segmented:
+            acc[restart[0]] = NEG_INF  # r_nb is -inf there
+            off, stale = _offsets(acc, restart[0])
+            acc += off
+        np.logaddexp.accumulate(acc, axis=0, out=acc)
+        if segmented:
+            acc -= off
+            acc[acc < stale] = NEG_INF
+        np.add(acc[1:], c[1:], out=r_nb[1:])
+        q = np.subtract(r_nb, d)
+        q[0] = r_sum[0]
+        if segmented:
+            off, stale = _offsets(q, restart[1])
+            q += off
+        np.logaddexp.accumulate(q, axis=0, out=q)
+        if segmented:
+            # r_b[t] reads the running sum before t in t's own segment:
+            # -inf at a restart, where r_b is -inf
+            prev = q[:-1] - off[1:]
+            prev[prev < stale] = NEG_INF
+            q -= off
+            q[q < stale] = NEG_INF
+        else:
+            prev = q[:-1]
+        np.add(prev, d[1:], out=r_b[1:])
+        np.add(q[1:], d[1:], out=r_sum[1:])
+    return np.flatnonzero(~(sums[:, -1] >= _SCAN_FLOOR).all(axis=0))
 
 
-def _frame_loop(phi, xs, x_blank, r_nb, t0):
-    """The recursion frame by frame from t0, two ufunc calls per frame;
-    ``r_nb`` gives the frames before t0 (r_b is -inf there)."""
-    # y[t] = (phi[t], r_b[t], r_nb[t]), so one frame is two ufunc calls:
-    # (r_b, r_nb)[t] = logaddexp(r_nb[t-1], (r_b, phi)[t-1]) + (x_blank, xs)[t]
-    y = np.full((xs.shape[0], 3, xs.shape[1]), NEG_INF)
-    y[:, 0] = phi
-    y[:t0, 2] = r_nb[:t0]
-    emit = np.stack((np.broadcast_to(x_blank[:, None], xs.shape), xs), axis=1)
-    for r, prev, out, e in zip(y[t0 - 1:-1, 2], y[t0 - 1:-1, 1::-1], y[t0:, 1:], emit[t0:]):
-        np.logaddexp(r, prev, out=out)
-        out += e
-    return y[:, 2], y[:, 1]
+def _offsets(a: np.ndarray, restart: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(off, stale) for one segmented scan of the (L, k) terms ``a``, a
+    segment starting at each True of ``restart``.
+
+    A segment's offset exceeds the one before by the column's spread of
+    finite terms, plus log(L) and ``_RESTART_GAP``, so its first finite term
+    sits ``_RESTART_GAP`` above any running sum of earlier segments, which
+    logaddexp then drops exactly. Less its offset, a running sum that has
+    met its segment's first finite term is at least the column's smallest
+    term, and one that has not (it still holds earlier segments) is
+    ``_RESTART_GAP`` below it: ``stale`` splits the two. A column without
+    restarts gets offsets of 0.0, which leave its terms bit for bit.
+    """
+    hi = a.max(axis=0)
+    lo = np.min(a, axis=0, where=a > NEG_INF, initial=np.inf)
+    step = np.maximum(hi - lo, 0.0) + (math.log(len(a)) + _RESTART_GAP)
+    return np.cumsum(restart, axis=0) * step, lo - _RESTART_GAP / 2
 
 
 def _materialise(states: Sequence[CTCPrefixState]) -> None:
@@ -499,9 +559,9 @@ class CTCPrefixScorer(PartialScorer):
     log-sum over frames t of ``phi[t-1] + x[t, c]``, one reduction over the
     (T, B, C) candidate cells, exact given those variables. The recursion
     runs only for the successors the search keeps (see ``CTCPrefixState``),
-    as two scans over frames per scoring call whose values are within a
-    stated bound of the frame loop (``_recursion``). ``score_partial`` is the
-    batched kernel at B=1.
+    as two scans over frames per scoring call, restarted at -inf emissions,
+    whose values are within a stated bound of the frame loop
+    (``_recursion``). ``score_partial`` is the batched kernel at B=1.
 
     ``batch_score_partial_pruned`` runs the same kernel but folds over
     frames only the cells ``keep`` asks for, in two tiers:
@@ -618,7 +678,7 @@ class CTCPrefixScorer(PartialScorer):
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(
-            x=x, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
+            emission=emission, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
             r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens,
         )
         return _minus(psi, prefix_scores), [(scored, i) for i in range(len(states))]

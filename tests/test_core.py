@@ -172,6 +172,20 @@ class TestEmissionMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 1.0
 
+    def test_neg_inf_columns_computed_once_and_read_only(self, monkeypatch):
+        logits = np.random.default_rng(3).normal(size=(5, 4))
+        logits[2, 1] = logits[4, 3] = logits[0, 3] = -np.inf
+        m = EmissionMatrix.from_logits(logits)
+        calls = []
+        isneginf = np.isneginf
+        monkeypatch.setattr(np, "isneginf", lambda a: calls.append(1) or isneginf(a))
+        flags = m.neg_inf_columns
+        assert m.neg_inf_columns is flags and len(calls) == 1
+        assert np.array_equal(flags, np.isneginf(m.data).any(axis=0))
+        assert flags.tolist() == [False, True, False, True]
+        with pytest.raises(ValueError):
+            flags[0] = True
+
 
 class TestEmissionIO:
     def test_json_single_frame(self, tmp_path):

@@ -439,20 +439,6 @@ class TestPrefixKernelMatchesFrameLoop:
             assert any(s[key] for s in seen), key
 
 
-@pytest.fixture
-def loop_columns(monkeypatch):
-    """The column count of every frame-loop call the recursion makes."""
-    calls = []
-    frame_loop = scorers_mod._frame_loop
-
-    def counting(phi, *args):
-        calls.append(phi.shape[1])
-        return frame_loop(phi, *args)
-
-    monkeypatch.setattr(scorers_mod, "_frame_loop", counting)
-    return calls
-
-
 def expand_all(scorer, em, hyps, cands):
     """Score hyps, (prefix, state) pairs, on the (B, P) cands in one call and
     select every cell. Returns (prefix, pending state, (r_nb, r_b) of the
@@ -475,54 +461,140 @@ def extend(scorer, em, labels):
     return hyp
 
 
+def scan_reference(hyps, cands, x, blank_id):
+    """The recursion as two scans over frames, in the arithmetic the kernel
+    uses for every column with no -inf emission from its first frame on and
+    sums above ``_SCAN_FLOOR``: one call for all (B, P) cells of the parents
+    ``hyps``, (prefix, state) pairs. Returns r_nb, r_b, r_sum (T, B * P) per
+    cell in C order, as ``expand_all`` lists them."""
+    T = x.shape[0]
+    states = [h[1] for h in hyps]
+    n = np.repeat([s.prefix_len for s in states], cands.shape[1])
+    phi = np.stack([s.r_b if s.prefix_len > 0 and c == p[-1] else s.r_sum
+                    for (p, s), row in zip(hyps, cands) for c in row], axis=1)
+    xs = x[:, cands.ravel()]
+    r_nb, r_b, r_sum = np.full((3,) + xs.shape, NEG_INF)
+    r_nb[0, n == 0] = r_sum[0, n == 0] = xs[0, n == 0]
+    t0 = max(1, int(n.min()))
+    if t0 >= T:
+        return r_nb, r_b, r_sum
+    sums = np.empty((2, T - t0 + 1, xs.shape[1]))
+    sums[:, 0] = 0.0
+    sums[0, 1:] = xs[t0:]
+    sums[1, 1:] = x[t0:, blank_id, None]
+    sums[:, 1:][:, np.arange(t0, T)[:, None] < np.maximum(n, 1)] = 0.0
+    np.cumsum(sums, axis=1, out=sums)
+    c, d = sums
+    with np.errstate(invalid="ignore"):  # columns with -inf come out nan
+        acc = np.empty(c.shape)
+        acc[0] = r_nb[t0 - 1]
+        np.subtract(phi[t0 - 1:T - 1], c[:-1], out=acc[1:])
+        np.logaddexp.accumulate(acc, axis=0, out=acc)
+        np.add(acc[1:], c[1:], out=r_nb[t0:])
+        q = np.subtract(r_nb[t0 - 1:], d)
+        np.logaddexp.accumulate(q, axis=0, out=q)
+        np.add(q[:-1], d[1:], out=r_b[t0:])
+        np.add(q, d, out=r_sum[t0 - 1:])
+    return r_nb, r_b, r_sum
+
+
+def assert_equals_scan(cells, ref, keep=None):
+    """The ``expand_all`` cells at indices ``keep`` (all by default)
+    bit-equal to ``scan_reference``'s columns."""
+    for k in range(len(cells)) if keep is None else keep:
+        state = cells[k][1]
+        for got, want in zip((state.r_nb, state.r_b, state.r_sum), ref):
+            assert np.array_equal(got, want[:, k])
+
+
+def clean_from_first_frame(x, hyps, cands, blank_id):
+    """(B * P,) per cell in C order: no -inf label or blank emission from the
+    successor's first frame, max(1, parent's label count), on."""
+    first = np.repeat([max(1, h[1].prefix_len) for h in hyps], cands.shape[1])
+    on = np.arange(x.shape[0])[:, None] >= first
+    dead = np.isneginf(x[:, cands.ravel()]) | np.isneginf(x[:, [blank_id]])
+    return ~(dead & on).any(axis=0)
+
+
 class TestScanRecursion:
-    """The successors' forward variables come from two scans over frames:
-    within the bound of the frame loop where they run, bit-equal to it in
-    the columns that take the loop, and a column's result the same whichever
+    """The successors' forward variables come from two scans over frames,
+    restarted where an emission is -inf: within the bound of the frame loop
+    and -inf exactly where it is, bit-equal to the scan's reference in the
+    columns with no -inf emission, and a column's result the same whichever
     columns share its call."""
 
-    def test_long_peaked_emission_takes_the_scan(self, loop_columns):
+    def test_long_peaked_emission_takes_the_scan(self):
         # the cumulative sums reach about -1e4 over 1600 frames
         rng = np.random.default_rng(7500)
         em = EmissionMatrix.from_logits(peaked_logits(rng, 1600, 6))
         scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
         hyps = [extend(scorer, em, [1, 2])]
         for _ in range(3):
-            cells = expand_all(scorer, em, hyps, np.array([[1, 2, 3, 4]] * len(hyps)))
+            cands = np.array([[1, 2, 3, 4]] * len(hyps))
+            cells = expand_all(scorer, em, hyps, cands)
+            assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0))
             for _, state, ref in cells:
                 assert_near_loop(state, ref)
             hyps = [(prefix, state) for prefix, state, _ in cells[::5]]
         assert min(em.data[1:, 1].sum(), em.data[1:, 0].sum()) < -5000
-        assert loop_columns == []
 
-    def test_neg_inf_and_clean_columns_in_one_call(self, loop_columns):
+    def test_neg_inf_and_clean_columns_in_one_call(self):
         rng = np.random.default_rng(7501)
         logits = 1.5 * rng.normal(size=(12, 6))
         logits[5, 1] = logits[8, 3] = -np.inf
         em = EmissionMatrix.from_logits(logits)
         scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
-        cells = expand_all(scorer, em, [extend(scorer, em, [2])], np.array([[1, 2, 3, 4]]))
+        hyps = [extend(scorer, em, [2])]
+        cands = np.array([[1, 2, 3, 4]])
+        cells = expand_all(scorer, em, hyps, cands)
         scorers_mod._materialise([state for _, state, _ in cells])
-        assert loop_columns == [2]
+        # -inf columns: within the bound; the others: the scan, bit for bit
+        assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0), [1, 3])
         for prefix, state, ref in cells:
-            if prefix[-1] in (1, 3):  # -inf columns: the frame loop, bit for bit
-                assert_equals_loop(state, ref)
             assert_near_loop(state, ref)
             assert not np.isnan(state.r_nb).any() and not np.isnan(state.r_b).any()
 
-    def test_column_below_the_floor_takes_the_loop(self, loop_columns):
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_clean_columns_equal_the_scan_reference(self, mixed):
+        # parents of 0, 1 and 3 labels; labels 5 and 6 are -inf at frames
+        # 0-2, before the 3-label parent's successors start, and 6 later on
+        rng = np.random.default_rng(7506)
+        logits = 1.5 * rng.normal(size=(40, 9))
+        logits[:3, 5:7] = logits[[9, 20, 21], 6] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=8)
+        hyps = [extend(scorer, em, []), extend(scorer, em, [3]), extend(scorer, em, [1, 4, 2])]
+        cands = np.array([[1, 2, 3, 4] + [6] * mixed, [2, 3, 4, 1] + [5] * mixed,
+                          [2, 5, 3, 4] + [6] * mixed])
+        cells = expand_all(scorer, em, hyps, cands)
+        scorers_mod._materialise([state for _, state, _ in cells])
+        clean = clean_from_first_frame(em.data, hyps, cands, 0).reshape(cands.shape)
+        assert clean[2, 1] and clean.all() != mixed
+        assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0),
+                           np.flatnonzero(clean))
+        for _, state, ref in cells:
+            assert_near_loop(state, ref)
+
+    def test_column_below_the_floor_scans_in_blocks(self, monkeypatch):
         rng = np.random.default_rng(7502)
         logits = peaked_logits(rng, 800, 5)
         logits[:, 1] = -100.0  # sums to about -8e4 over the frames
         em = EmissionMatrix.from_logits(logits)
         scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
         assert em.data[1:, 1].sum() < scorers_mod._SCAN_FLOOR < em.data[1:, 2].sum()
-        cells = expand_all(scorer, em, [extend(scorer, em, [3])], np.array([[1, 2]]))
+        hyps = [extend(scorer, em, [3])]
+        cands = np.array([[1, 2]])
+        cells = expand_all(scorer, em, hyps, cands)
+        scans = []  # the column count of each scan: the call, then the blocks
+        scan = scorers_mod._scan
+        monkeypatch.setattr(scorers_mod, "_scan",
+                            lambda *a: scans.append(a[1].shape[1]) or scan(*a))
         scorers_mod._materialise([state for _, state, _ in cells])
-        assert loop_columns == [1]
+        assert scans[0] == 2 and len(scans) > 2 and set(scans[1:]) == {1}
         (_, below, ref), (_, above, ref_above) = cells
-        assert_equals_loop(below, ref)
+        assert_near_loop(below, ref)
         assert_near_loop(above, ref_above)
+        assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0), [1])
 
     @pytest.mark.parametrize("dead", [False, True])
     def test_state_alone_equals_state_in_a_mixed_call(self, dead):
@@ -562,6 +634,121 @@ class TestScanRecursion:
             assert state.r_nb[0] == state.r_sum[0] == em.data[0, prefix[-1]]
             assert state.r_b[0] == NEG_INF
             assert_near_loop(state, ref)
+
+
+# each edge a segmented scan could break: (frames, parent labels,
+# candidates, -inf (frame, token) cells); token 0 is the blank, and a
+# parent of n labels has successors from frame max(1, n) on
+SEGMENT_EDGES = {
+    "first_and_last_frame": (12, [2], [1, 3], [(1, 1), (11, 1), (1, 0), (11, 0)]),
+    "consecutive_frames": (12, [2], [1, 3], [(3, 1), (4, 1), (5, 1), (7, 0), (8, 0)]),
+    "label_and_blank_at_one_frame": (12, [2], [1, 3], [(6, 1), (6, 0)]),
+    "label_dead_from_its_first_frame": (12, [2], [1, 3], [(t, 1) for t in range(1, 12)]),
+    "only_before_the_first_frame": (12, [2, 3, 2, 4], [1, 3],
+                                    [(t, 1) for t in range(4)] + [(2, 0)]),
+    "repeat": (12, [1], [1, 3], [(4, 1), (7, 1), (5, 0)]),
+    # the parent's r_sum is -inf at frames 4 and 5 only, so the segment of
+    # label 1 after frame 4 starts with -inf terms
+    "phi_dead_at_a_segment_start": (12, [3, 2], [1, 4],
+                                    [(4, 1), (4, 2), (5, 2), (4, 0), (5, 0)]),
+    "t1": (1, [], [1, 2, 3], [(0, 2)]),
+    "parent_beyond_half": (8, [1, 2, 3, 1, 2], [3, 4], [(6, 3), (7, 0)]),
+}
+
+
+class _Counting:
+    """``target`` (numpy, or one of its functions, ufuncs or ufunc methods),
+    counting in ``calls[0]`` each call made through it or its attributes."""
+
+    def __init__(self, target, calls):
+        self._target, self._calls = target, calls
+
+    def __call__(self, *args, **kwargs):
+        self._calls[0] += 1
+        return self._target(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if callable(attr) and not isinstance(attr, type):
+            return _Counting(attr, self._calls)
+        return attr
+
+
+class TestSegmentedScan:
+    """A scan restarts where the label's or the blank's emission is -inf.
+    Every column stays within the frame loop's bound and is -inf exactly
+    where the loop is, whatever the -inf pattern."""
+
+    @pytest.mark.parametrize("edge", sorted(SEGMENT_EDGES))
+    def test_edge_within_bound_of_the_loop(self, edge):
+        frames, labels, cands, dead = SEGMENT_EDGES[edge]
+        logits = 1.5 * np.random.default_rng(7510).normal(size=(frames, 6))
+        for t, v in dead:
+            logits[t, v] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, labels)]
+        cands = np.array([cands])
+        cells = expand_all(scorer, em, hyps, cands)
+        scorers_mod._materialise([state for _, state, _ in cells])
+        for _, state, ref in cells:
+            assert_near_loop(state, ref)
+        if edge == "only_before_the_first_frame":  # no restart: the scan, bit for bit
+            assert clean_from_first_frame(em.data, hyps, cands, 0).all()
+            assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0))
+        if edge == "phi_dead_at_a_segment_start":
+            r_nb = cells[0][2][0]
+            assert r_nb[5] == r_nb[6] == NEG_INF < r_nb[7]
+        if edge == "repeat":
+            assert cells[0][0][-2:] == (1, 1)
+
+    def test_sums_below_the_floor_after_a_restart(self):
+        rng = np.random.default_rng(7511)
+        logits = peaked_logits(rng, 800, 5)
+        logits[:, 1] = -100.0  # sums to about -8e4 over the frames
+        logits[[40, 41, 300, 799], 1] = logits[[41, 500], 0] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        live = em.data[1:, 1][em.data[1:, 1] > NEG_INF]
+        assert live.sum() < scorers_mod._SCAN_FLOOR
+        for _, state, ref in expand_all(scorer, em, [extend(scorer, em, [3])],
+                                        np.array([[1, 2]])):
+            assert_near_loop(state, ref)
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_emissions_below_the_floor(self, dead):
+        # a finite emission below _SCAN_FLOOR: blocks of one frame
+        rng = np.random.default_rng(7513)
+        logits = peaked_logits(rng, 60, 5)
+        logits[[10, 30], 0] = logits[[20, 40], 1] = -1e10
+        if dead:
+            logits[[15, 45], 1] = logits[25, 0] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        for _, state, ref in expand_all(scorer, em, [extend(scorer, em, [3])],
+                                        np.array([[1, 2]])):
+            assert_near_loop(state, ref)
+
+    def test_calls_do_not_grow_with_frames(self, monkeypatch):
+        # a loop over frames would make more numpy calls at T=400 than at 50
+        counts = []
+        for frames in (50, 400):
+            rng = np.random.default_rng(7512)
+            logits = peaked_logits(rng, frames, 8)
+            logits[:, :7][rng.random((frames, 7)) < 0.05] = -np.inf
+            em = EmissionMatrix.from_logits(logits)
+            scorer = CTCPrefixScorer(blank_id=0, eos_id=7)
+            hyps = [extend(scorer, em, [2]), extend(scorer, em, [3, 1])]
+            cells = expand_all(scorer, em, hyps, np.array([[1, 3, 4, 5], [2, 4, 5, 6]]))
+            assert em.neg_inf_columns[0]  # the segmented path
+            calls = [0]
+            with monkeypatch.context() as m:
+                m.setattr(scorers_mod, "np", _Counting(np, calls))
+                scorers_mod._materialise([state for _, state, _ in cells])
+            counts.append(calls[0])
+            for _, state, ref in cells:
+                assert_near_loop(state, ref)
+        assert counts[0] == counts[1] > 0
 
 
 class TestPrunedKernel:
