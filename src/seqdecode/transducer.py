@@ -12,8 +12,9 @@ No search builds a hypothesis it does not keep. TSD and ALSD score the label
 expansions of a round as one (n, V) matrix (``_Expansions``, the only place
 fusion arithmetic lives), pick the top B cells by (-score, child yseq), and
 only then call pred_step and the LM's select_state for those; NSC is TSD
-with n_steps expansion rounds. The Graves beam pops from a heap and builds a
-label expansion only when it is popped.
+with n_steps expansion rounds. The Graves beam keeps the label expansions
+of each popped parent as one row of V scores with one heap entry, at its
+best pending cell, and builds an expansion only when it is popped.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ class TransducerBeamConfig:
             raise ConfigError("u_max must be >= 0")
         if self.lm_weight < 0:
             raise ConfigError("lm_weight must be >= 0")
+        if self.lm is None and self.lm_weight > 0:
+            raise ConfigError("lm_weight is set but no lm is given to fuse")
+        if self.lm is not None and self.algorithm == "greedy":
+            raise ConfigError("greedy decoding fuses no lm; use a beam algorithm")
         if self.max_pops_per_frame < 1:
             raise ConfigError("max_pops_per_frame must be >= 1")
 
@@ -310,9 +315,6 @@ class _Expansions:
         }
 
 
-_STALE = (None, -1, None)  # matches no heap entry's version
-
-
 def transducer_beam(model: TransducerModel, frames: int,
                     config: TransducerBeamConfig) -> NBestList:
     """Breadth-first beam over output labels (Graves 2012, arXiv:1211.3711,
@@ -322,63 +324,88 @@ def transducer_beam(model: TransducerModel, frames: int,
 
     Within a frame the best active hypothesis is popped from a heap keyed
     by (-score, yseq, version); a merge pushes a new version and the stale
-    entry is skipped when it surfaces. A label expansion is kept as its
-    score, its parent's expansion matrix and its label, and built only when
-    popped. A frame ends once B
-    completed hypotheses beat every active one, or after
-    max_pops_per_frame pops, which truncates it.
+    entry is skipped when it surfaces. The label expansions of a popped
+    parent are one row of V cell scores, and the row has one heap entry,
+    at its best pending cell (ties go to the lower label, so the child
+    yseq orders them). Popping it builds that one child, consumes the
+    cell and pushes the row again at its next best cell. A parent popped
+    again merges its new row into the pending cells; a pool hypothesis
+    that is a child of the popped parent absorbs its cell instead. A
+    frame ends once B completed hypotheses beat every active one, or
+    after max_pops_per_frame pops, which truncates it.
 
     Completed scores only rise, so their B-th best (``floor``) does too,
     and an active entry below it can never be popped: the frame ends
-    before it surfaces. Such an entry stays in ``active``, where later
-    expansions merge into it, but goes on the heap only once a merge lifts
-    it to the floor."""
+    before it surfaces. Such an entry stays in ``active`` or its row,
+    where later expansions merge into it, but goes on the heap only once
+    a merge lifts it to the floor."""
     beam = config.beam_size
     pool = _init_pool(model, config)
     blank = model.blank_id
+    version = 0
+
+    def push_row(parent: Tuple[int, ...], row: list) -> None:
+        """New version for the row; push it at its best pending cell if
+        that cell can still be popped (reads this frame's heap and floor)."""
+        nonlocal version
+        version += 1
+        row[0] = version
+        best = max(row[1])
+        if best > NEG_INF and best >= floor:
+            heapq.heappush(heap, (-best, parent + (row[1].index(best),), version, row))
 
     for t in range(frames):
-        # yseq -> (score, version, hypothesis or (parent's _Expansions, label))
-        active: Dict[Tuple[int, ...], Tuple[float, int, Any]] = {
-            yseq: (hyp.score, 0, hyp) for yseq, hyp in pool.items()
-        }
-        heap = [(-hyp.score, yseq, 0) for yseq, hyp in pool.items()]
+        # Nodes: yseq -> [version, score, hypothesis] for pool hypotheses
+        # not yet popped, parent yseq -> [version, cell scores (-inf once
+        # popped or absorbed), _Expansions] for rows. Heap entries are
+        # (-score, yseq, version, node), live while node[0] == version.
+        active = {yseq: [0, hyp.score, hyp] for yseq, hyp in pool.items()}
+        rows: Dict[Tuple[int, ...], list] = {}
+        pool_children: Dict[Tuple[int, ...], List[int]] = {}
+        for yseq in pool:
+            if yseq:
+                pool_children.setdefault(yseq[:-1], []).append(yseq[-1])
+        heap = [(-node[1], yseq, 0, node) for yseq, node in active.items()]
         heapq.heapify(heap)
-        version = 0
         completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
         floor = NEG_INF  # the B-th best completed score
         pops = 0
         while pops < config.max_pops_per_frame:
-            while heap and active.get(heap[0][1], _STALE)[1] != heap[0][2]:
+            while heap and heap[0][3][0] != heap[0][2]:
                 heapq.heappop(heap)
             if not heap or floor > -heap[0][0]:
                 break
-            _, yseq, _ = heapq.heappop(heap)
-            score, _, node = active.pop(yseq)
+            neg_score, yseq, _, node = heapq.heappop(heap)
             pops += 1
-            if isinstance(node, TransducerHypothesis):
-                hyp = node if node.score == score else node.rescored(score)
+            if isinstance(node[2], TransducerHypothesis):
+                del active[yseq]
+                hyp = node[2] if node[2].score == node[1] else node[2].rescored(node[1])
             else:
-                hyp = node[0].child(0, node[1], score)
+                hyp = node[2].child(0, yseq[-1], -neg_score)
+                node[1][yseq[-1]] = NEG_INF
+                push_row(yseq[:-1], node)
 
             joint_row = model.joint(t, hyp.pred_state)
             _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
             if len(completed) >= beam and completed[yseq].score > floor:
                 floor = sorted([h.score for h in completed.values()])[-beam]
             expansions = _Expansions(model, config, [hyp], [joint_row])
-            for label, child_score in enumerate(expansions.scores[0].tolist()):
-                if child_score == NEG_INF:
-                    continue
+            cells = expansions.scores[0].tolist()
+            for label in pool_children.get(yseq, ()):
                 child = yseq + (label,)
-                version += 1
-                old = active.get(child)
-                if old is None:
-                    active[child] = (child_score, version, (expansions, label))
-                else:
-                    child_score = float(np.logaddexp(old[0], child_score))
-                    active[child] = (child_score, version, old[2])
-                if child_score >= floor:
-                    heapq.heappush(heap, (-child_score, child, version))
+                kid = active.get(child)
+                if kid is not None and cells[label] > NEG_INF:
+                    version += 1
+                    kid[0], kid[1] = version, float(np.logaddexp(kid[1], cells[label]))
+                    if kid[1] >= floor:
+                        heapq.heappush(heap, (-kid[1], child, version, kid))
+                    cells[label] = NEG_INF
+            row = rows.get(yseq)
+            if row is None:
+                row = rows[yseq] = [0, cells, expansions]
+            else:
+                row[1] = np.logaddexp(row[1], cells).tolist()
+            push_row(yseq, row)
         pool = _prune(completed, beam)
         if not pool:
             break

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from seqdecode import EmissionMatrix, Vocabulary, save_emission
+from seqdecode import EmissionMatrix, TableScorer, Vocabulary, save_emission
 from seqdecode import cli as cli_mod
 from seqdecode.cli import main
 from seqdecode.maskctc import TableMLM
@@ -177,6 +177,25 @@ class TestTransducer:
         rc = main(["transducer", "--config", config, "--output", str(out), "--oracle"])
         assert rc == 0
         assert read_json(out)["oracle"]["match"] is True
+
+    def test_lm_weight_without_lm_table_is_exit_2(self, tmp_path, model_path, capsys):
+        config = write_json(tmp_path / "t.json", {
+            "model": str(model_path),
+            "transducer": {"algorithm": "beam", "lm_weight": 0.5},
+        })
+        assert main(["transducer", "--config", config]) == 2
+        assert "no lm" in capsys.readouterr().err
+
+    def test_greedy_with_lm_table_is_exit_2(self, tmp_path, model_path, capsys):
+        lm_path = tmp_path / "lm.json"
+        TableScorer(0, 2, {(): np.log(np.array([0.2, 0.8]))}).save(str(lm_path))
+        config = write_json(tmp_path / "t.json", {
+            "model": str(model_path),
+            "transducer": {"algorithm": "greedy", "lm_table": str(lm_path),
+                           "lm_weight": 0.5},
+        })
+        assert main(["transducer", "--config", config]) == 2
+        assert "greedy" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path, model_path):
         config = write_json(tmp_path / "t.json", {

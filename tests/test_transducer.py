@@ -1,3 +1,5 @@
+import collections
+import heapq
 import itertools
 import math
 
@@ -12,6 +14,7 @@ from seqdecode import (
     TableScorer,
     TableTransducer,
     TransducerBeamConfig,
+    TransducerHypothesis,
     TransducerModel,
     oracle_transducer_prob,
     transducer_alsd,
@@ -21,6 +24,7 @@ from seqdecode import (
     transducer_nsc,
     transducer_tsd,
 )
+from seqdecode import transducer as transducer_mod
 
 from conftest import dag_transducer, increasing_sequences
 
@@ -299,6 +303,17 @@ class TestLMFusion:
         assert [e.yseq for e in plain.entries] == [e.yseq for e in fused.entries]
         for a, b in zip(plain.entries, fused.entries):
             assert a.score == pytest.approx(b.score, abs=1e-12)
+
+    def test_weight_without_lm_is_config_error(self):
+        # a weight with nothing to weigh would decode plain scores silently
+        with pytest.raises(ConfigError, match="no lm"):
+            TransducerBeamConfig(algorithm="beam", lm_weight=0.5)
+
+    def test_greedy_with_lm_is_config_error(self):
+        # greedy decoding never consults an LM, so fusion would be ignored
+        lm = TableScorer(0, 2, {(): np.log(np.array([0.2, 0.8]))})
+        with pytest.raises(ConfigError, match="greedy"):
+            TransducerBeamConfig(algorithm="greedy", lm=lm, lm_weight=0.5)
 
     @pytest.mark.parametrize("alg", ["beam", "tsd", "alsd", "nsc"])
     def test_weight_zero_with_impossible_lm_label_drops_it(self, alg):
@@ -843,3 +858,259 @@ class TestTransducerExpansionWorkBound:
         assert "pred_step" in model.events
         assert model.max_pred_steps_between_joints() <= 1
         assert model.events.count("pred_step") <= model.events.count("joint")
+
+
+class RowHeapSpy:
+    """Observes transducer_beam's heap and its expansion rows. A frame
+    starts at each heapify; every heappush and every _Expansions row (one
+    per pop) is logged with its frame."""
+
+    def __init__(self, monkeypatch):
+        self.frame = -1
+        self.pushes, self.rows = [], []
+        spy = self
+
+        class Heapq:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heapify(heap):
+                spy.frame += 1
+                heapq.heapify(heap)
+
+            @staticmethod
+            def heappush(heap, entry):
+                spy.pushes.append((spy.frame, entry))
+                heapq.heappush(heap, entry)
+
+        class Rows(transducer_mod._Expansions):
+            def __init__(self, model, config, parents, rows):
+                super().__init__(model, config, parents, rows)
+                spy.rows.append((spy.frame, self))
+
+        monkeypatch.setattr(transducer_mod, "heapq", Heapq)
+        monkeypatch.setattr(transducer_mod, "_Expansions", Rows)
+
+    def pops(self):
+        """(frame, popped yseq, its score) in pop order."""
+        return [(f, exp.parents[0].yseq, exp.parents[0].score) for f, exp in self.rows]
+
+    def popped_twice(self):
+        """(frame, yseq) of each parent popped more than once in a frame."""
+        seen = collections.Counter((f, yseq) for f, yseq, _ in self.pops())
+        return {key for key, n in seen.items() if n > 1}
+
+    def pool_pushes(self):
+        """Pushes that re-rank a pool hypothesis (its cell was absorbed)."""
+        return [(f, entry[1]) for f, entry in self.pushes
+                if isinstance(entry[3][2], TransducerHypothesis)]
+
+    def unpushed_rows(self):
+        """Rows that never had a heap entry."""
+        pushed = {id(entry[3][2]) for _, entry in self.pushes}
+        return [exp for _, exp in self.rows if id(exp) not in pushed]
+
+
+def _quantised(rows):
+    """A QuantisedTransducer holding the given order-1 rows (lists of frames)."""
+    n_labels = len(rows[()][0]) - 1
+    model = QuantisedTransducer(np.random.default_rng(0), n_labels, len(rows[()]))
+    model.rows = {ctx: np.array(mat, dtype=np.float64) for ctx, mat in rows.items()}
+    return model
+
+
+NEG = -np.inf
+
+
+class TestGravesRowHeap:
+    """Edges of the Graves beam's row heap (one row of label scores per
+    popped parent, one heap entry per row), each exact against ref_beam and
+    each shown to take its path through RowHeapSpy."""
+
+    @staticmethod
+    def _exact(model, frames, cfg):
+        got = _nbest_triples(transducer_beam(model, frames, cfg))
+        assert got == _nbest_triples(ref_beam(model, frames, cfg))
+        return got
+
+    def test_pool_parent_above_its_child_absorbs_the_cell(self, monkeypatch):
+        # frame 0 leaves the pool (0,) at -1.0 above (0, 1) at -1.5; in
+        # frame 1 (0,) pops first and its cell for label 1 merges into the
+        # waiting pool hypothesis (0, 1)
+        model = _quantised({
+            (): [[-0.5, NEG, -3.0], [-1.0, -1.0, -1.0]],
+            (0,): [[NEG, -0.5, -0.5], [-1.0, -0.5, -1.0]],
+            (1,): [[NEG, NEG, -0.5], [-1.0, -1.0, -0.5]],
+        })
+        spy = RowHeapSpy(monkeypatch)
+        got = self._exact(model, 2, TransducerBeamConfig(beam_size=2))
+        assert (1, (0, 1)) in spy.pool_pushes()
+        assert [p[1] for p in spy.pops() if p[0] == 1][:2] == [(0,), (0, 1)]
+        assert dict((y, s) for y, s, _ in got)[(0, 1)] > -1.5
+
+    def test_pool_parent_below_its_child_leaves_the_cell_pending(self, monkeypatch):
+        # frame 0 leaves (0, 1) at -0.5 above (0,) at -2.5; in frame 1
+        # (0, 1) pops first, so the cell of (0,) for label 1 has no pool
+        # hypothesis left to merge into: it waits in its row and is popped
+        # from there, (0, 1)'s second pop of the frame
+        model = _quantised({
+            (): [[-0.5, NEG, -3.0], [-1.0, -1.0, -1.0]],
+            (0,): [[NEG, 0.0, -2.0], [NEG, -0.5, -3.0]],
+            (1,): [[NEG, NEG, 0.0], [NEG, NEG, -0.5]],
+        })
+        spy = RowHeapSpy(monkeypatch)
+        self._exact(model, 2, TransducerBeamConfig(beam_size=2))
+        assert not [p for p in spy.pool_pushes() if p[0] == 1]
+        assert [p[1] for p in spy.pops() if p[0] == 1] == [(0, 1), (0,), (0, 1)]
+        assert (1, (0, 1)) in spy.popped_twice()
+
+    def test_parent_popped_twice_merges_its_rows(self, monkeypatch):
+        # frame 1 pops (0,) from the pool, then its child (0, 0), then ();
+        # the cell () -> (0,) pops (0,) again, whose new row merges into the
+        # old one: (0, 1) was pending and log-sum-exp merges, (0, 0) was
+        # consumed and starts fresh, so it is popped again
+        model = _quantised({
+            (): [[0.0, NEG, -1.0], [0.0, NEG, -0.5]],
+            (0,): [[NEG, NEG, -0.5], [-0.3, -1.5, -0.5]],
+            (1,): [[NEG, NEG, 0.0], [NEG, NEG, 0.0]],
+        })
+        # a flat LM leaves the pops as they are, and the merged row's
+        # children take their LM state from the parent's first row
+        lm = QuantisedLM(np.random.default_rng(1), 2)
+        lm.rows = {ctx: np.zeros(2) for ctx in lm.rows}
+        for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+            spy = RowHeapSpy(monkeypatch)
+            self._exact(model, 2, TransducerBeamConfig(beam_size=2, **fusion))
+            assert [p[1] for p in spy.pops() if p[0] == 1] == [
+                (0,), (0, 0), (), (0,), (0, 0, 0), (0, 0)]
+
+    def test_rows_below_the_floor_are_never_pushed(self, monkeypatch):
+        # B=1: each frame's first pop completes above all of its label
+        # expansions, so its row never enters the heap
+        model = _quantised({
+            (): [[-1.0, -2.0, 0.0], [-1.0, -0.5, -0.5], [-1.5, -1.0, 0.0]],
+            (0,): [[-1.0, -1.0, -0.5], [-2.0, -0.5, 0.0], [-1.0, -1.5, -0.5]],
+            (1,): [[-0.5, -1.0, -0.5], [-0.5, -2.0, -0.5], [-2.0, -1.0, 0.0]],
+        })
+        spy = RowHeapSpy(monkeypatch)
+        self._exact(model, 3, TransducerBeamConfig(beam_size=1))
+        assert any(np.isfinite(exp.scores).any() for exp in spy.unpushed_rows())
+
+    def test_all_neg_inf_rows_from_the_joint(self, monkeypatch):
+        # after label 0 the joint allows only blank: every row of a parent
+        # ending in 0 is -inf throughout and never enters the heap
+        model = _quantised({
+            (): [[-0.5, -1.0, -1.0], [-0.5, -1.5, -0.5]],
+            (0,): [[NEG, NEG, -0.5], [NEG, NEG, 0.0]],
+            (1,): [[-0.5, -1.0, -0.5], [-1.0, -0.5, -0.5]],
+        })
+        spy = RowHeapSpy(monkeypatch)
+        self._exact(model, 2, TransducerBeamConfig(beam_size=3))
+        dead = [exp for exp in spy.unpushed_rows() if exp.parents[0].yseq[-1:] == (0,)]
+        assert dead and all(np.isneginf(exp.scores).all() for exp in dead)
+
+    def test_all_neg_inf_rows_from_an_lm_at_weight_zero(self, monkeypatch):
+        # the LM rules out every label after label 0; at weight 0 each cell
+        # is 0 * -inf = nan, which must become -inf. The reference decodes
+        # the same ban written into the joint, with the LM's banned entries
+        # made finite, so its arithmetic never meets a nan
+        joint = {
+            (): [[-0.5, -1.0, -1.0], [-0.5, -1.5, -0.5]],
+            (0,): [[-1.0, -0.5, -0.5], [-0.5, -1.0, 0.0]],
+            (1,): [[-0.5, -1.0, -0.5], [-1.0, -0.5, -0.5]],
+        }
+        model = _quantised(joint)
+        lm = QuantisedLM(np.random.default_rng(2), 2)
+        lm.rows[(0,)] = np.full(2, NEG)
+        spy = RowHeapSpy(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            got = _nbest_triples(transducer_beam(
+                model, 2, TransducerBeamConfig(beam_size=3, lm=lm, lm_weight=0.0)))
+        dead = [exp for exp in spy.unpushed_rows() if exp.parents[0].yseq[-1:] == (0,)]
+        assert dead and all(np.isneginf(exp.scores).all() and np.isneginf(exp.lm_rows).all()
+                            for exp in dead)
+
+        banned = _quantised({**joint, (0,): [[NEG, NEG, row[2]] for row in joint[(0,)]]})
+        finite_lm = QuantisedLM(np.random.default_rng(2), 2)
+        finite_lm.rows[(0,)] = np.zeros(2)
+        want = ref_beam(banned, 2, TransducerBeamConfig(beam_size=3, lm=finite_lm,
+                                                        lm_weight=0.0))
+        assert got == _nbest_triples(want)
+
+    def test_ties_across_rows_on_the_half_grid(self, monkeypatch):
+        # equal scores from different parents are popped in child-yseq
+        # order, as the reference's min over (-score, yseq) does
+        spy = RowHeapSpy(monkeypatch)
+        for seed in range(12):
+            rng = np.random.default_rng(65000 + seed)
+            n_labels, frames = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            model = QuantisedTransducer(rng, n_labels, frames)
+            lm = QuantisedLM(rng, n_labels)
+            for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+                self._exact(model, frames, TransducerBeamConfig(
+                    beam_size=3, max_pops_per_frame=40, **fusion))
+        pops = spy.pops()
+        ties = [(a, b) for a, b in zip(pops, pops[1:])
+                if a[0] == b[0] and a[2] == b[2] and a[1] and b[1] and a[1][:-1] != b[1][:-1]]
+        assert ties
+        assert all(a[1] < b[1] for a, b in ties)
+
+
+def _planted_table(rng, n_labels, frames):
+    """A normalised order-1 table peaked on a planted transcript, like the
+    transducer benchmark's: label ref[u] is due at frame 3u + 1, where every
+    context but the one it leads to prefers it; elsewhere blank is preferred."""
+    ref = rng.permutation(n_labels)[:frames // 3]
+    contexts = [()] + [(j,) for j in range(n_labels)]
+    noise = np.exp(rng.normal(size=(len(contexts), frames, n_labels + 1)))
+    noise /= noise.sum(axis=-1, keepdims=True)
+    peak = rng.uniform(0.5, 0.95, size=(len(contexts), frames, 1))
+    probs = (1 - peak) * noise
+    for t in range(frames):
+        u, r = divmod(t, 3)
+        due = int(ref[u]) if r == 1 and u < len(ref) else n_labels
+        probs[:, t, due] += peak[:, t, 0]
+        if due != n_labels:
+            after = contexts.index((due,))
+            probs[after, t, due] -= peak[after, t, 0]
+            probs[after, t, n_labels] += peak[after, t, 0]
+    return TableTransducer(context_order=1, frames=frames, num_labels=n_labels,
+                           rows={ctx: np.log(probs[i]) for i, ctx in enumerate(contexts)})
+
+
+class TestGravesBeamAtWorkloadShape:
+    """The Graves beam at the transducer benchmark's shape: 30 labels,
+    B = 4, order-1 table and LM, plain and fused at weight 0.3."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(66000 + seed)
+        model = _planted_table(rng, 30, 20)
+        lm = TableScorer(1, 30, {ctx: np.log(rng.dirichlet(np.full(30, 0.3)))
+                                 for ctx in [()] + [(j,) for j in range(30)]})
+        for fusion in ({}, dict(lm=lm, lm_weight=0.3)):
+            cfg = TransducerBeamConfig(beam_size=4, **fusion)
+            got = _nbest_triples(transducer_beam(model, 20, cfg))
+            assert len(got) == 4
+            assert got == _nbest_triples(ref_beam(model, 20, cfg))
+
+
+class TestGravesBeamPushBound:
+    """A pop pushes its parent's row once, re-pushes the row it came from
+    and re-ranks at most B pool hypotheses: at most (2 + B) pushes per pop,
+    whatever V is."""
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_pushes_per_frame_do_not_grow_with_vocabulary(self, fused, monkeypatch):
+        rng = np.random.default_rng(67000)
+        labels, frames, beam = 200, 4, 4
+        model = random_transducer(rng, labels, frames)
+        lm = TableScorer(0, labels, {(): np.log(rng.dirichlet(np.ones(labels)))})
+        spy = RowHeapSpy(monkeypatch)
+        transducer_beam(model, frames, TransducerBeamConfig(
+            beam_size=beam, lm=lm if fused else None, lm_weight=0.5 if fused else 0.0))
+        pops = collections.Counter(f for f, _ in spy.rows)
+        pushes = collections.Counter(f for f, _ in spy.pushes)
+        assert max(pops.values()) >= 2
+        for frame, n in pops.items():
+            assert pushes[frame] <= (2 + beam) * n
