@@ -23,7 +23,7 @@ adjustments added.
 Selection by bound: in the batched search, one partial scorer that bounds
 its scores (the CTC prefix scorer) is scored after the others and rates
 exactly only the cells whose upper-bound total reaches the beam_size-th
-largest lower-bound total (asked again if the scorer tightens its bounds).
+largest lower-bound total (asked at most once per step).
 The other cells cannot enter the beam, so the selected cells, their order
 and their states are those of scoring every cell exactly. The sequential
 search scores every cell.

@@ -15,12 +15,14 @@ only when it is scored in turn (or read), so pruned successors cost nothing.
 can bound its scores cheaply also implements
 ``batch_score_partial_pruned``: it hands per-cell lower and upper bounds to
 the caller, which says which cells must be exact; every other cell holds its
-upper bound. The CTC prefix scorer does so, with the same kernel, in two
-tiers: on a call of at least ``_TIERED_MIN_TERMS`` frame terms, tier 1
-bounds every cell from the emission's column peaks without any frame term;
-tier 2 builds the frame terms of the cells still kept (of every cell on a
-smaller call), bounds them tighter and folds those the caller keeps. Upper
-bounds carry a float margin (``_margin``) over the fold they stand in for.
+upper bound. The CTC prefix scorer rates a cell as a blocked product in the
+probability domain (``_block_psi``), within a stated bound of the
+frame-order log-sum (``_psi_tol``). Its pruned entry runs the same kernel:
+on a call of at least ``_TIERED_MIN_TERMS`` frame terms it bounds every
+cell from the emission's column peaks without any frame term, consults the
+caller once, and computes only the cells kept; a smaller call computes
+every cell. The bounds carry float margins (``_margin``, ``_psi_tol``) over
+the values they stand in for.
 """
 
 from __future__ import annotations
@@ -137,13 +139,12 @@ class PartialScorer(abc.ABC):
         exactly.
 
         A scorer that can bound its scores cheaply passes (B x P) lower and
-        upper bounds ``lo <= score <= hi`` to ``keep``, which returns the
-        mask of cells that must be exact. It may consult ``keep`` a second
-        time with bounds at least as tight; a cell must then be exact only
-        if every call kept it. Every other cell may hold its last upper
-        bound instead of its score (a cell the first call did not keep, the
-        first call's); the caller must not select its state. The default
-        ignores ``keep`` and scores every cell.
+        upper bounds ``lo <= score <= hi`` to ``keep``, at most once per
+        call, which returns the mask of cells that must be exact. Every
+        other cell may hold its upper bound instead of its score; the
+        caller must not select its state. A call that does not consult
+        ``keep`` scores every cell. The default ignores ``keep`` and scores
+        every cell.
         """
         return self.batch_score_partial(prefixes, candidates, states, emission)
 
@@ -241,6 +242,7 @@ class CTCPrefixState:
         self.prefix_score = prefix_score
         self.prefix_len = prefix_len
         self._source = None  # (_CTCScoredState, row, column) while pending
+        self._table = None  # the decode's _BlockTable
 
     @property
     def r_nb(self) -> np.ndarray:
@@ -282,6 +284,7 @@ class _CTCScoredState:
     r_b: np.ndarray  # (T, B) parents' blank variable
     r_sum: np.ndarray  # (T, B) parents' total
     prefix_lens: np.ndarray  # (B,) parents' label counts
+    table: "_BlockTable"  # the decode's emission blocks, handed to the successors
 
 
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
@@ -449,17 +452,28 @@ def _materialise(states: Sequence[CTCPrefixState]) -> None:
             s._r_nb, s._r_b, s._r_sum, s._source = r_nb[:, k], r_b[:, k], r_sum[:, k], None
 
 
-# a frame term more than _FAR below a cell's largest term counts as
-# exp(-_FAR) of it in the upper bound
-_FAR = 8.0
-
 # a pruned call with at least this many frame terms, (T - t0) * B * P, bounds
-# its cells from the column peaks first and builds frame terms only for the
-# cells those bounds keep. Timing both paths on every pruned call of the
-# benchmark's searches, the peak bounds won every call from 49,152 terms up
-# (0.60-0.86 of the time), were a wash between 24,576 and 49,152 (0.87-1.06,
-# by content) and lost below (1.09-1.35): their fixed cost does not pay there
+# its cells from the column peaks first and computes psi only for the cells
+# those bounds keep. Timing both ways every pruned call of the benchmark's
+# searches at seed 777 (2 vCPUs, numpy 2.4.6), the peak bounds took 0.25-0.76
+# of the time of psi for every cell from 65,536 terms up and 0.80-0.94 from
+# 49,152 (four wide-beam calls); between 24,576 and 49,152 they were a wash
+# on wide-beam (0.90-1.08) and lost on long-form and char-word-lm
+# (1.10-1.71), and below they lost everywhere (1.07-2.09): their fixed cost
+# does not pay there
 _TIERED_MIN_TERMS = 1 << 16
+
+# frames per block of the product: a cell's psi is a log-sum over blocks of
+# _BLOCK absolute frames, each the log of a sum of _BLOCK products
+_BLOCK = 16
+
+# a block whose two shifts sum to more than _UNDERFLOW_GAP above the cell's
+# best block log-sum may have lost to underflow mass the cell needs, so the
+# cell takes the frame-order fold instead. Below the gap a block loses at
+# most 3 * _BLOCK * 2^-1074 * e^640 < 2^-144 of the cell's mass: an
+# exponential or a product of at most 1 that underflows loses less than
+# 2^-1074 of its block's scale
+_UNDERFLOW_GAP = 640.0
 
 
 def _margin(n: int, at: np.ndarray) -> np.ndarray:
@@ -468,62 +482,130 @@ def _margin(n: int, at: np.ndarray) -> np.ndarray:
     return 1e-9 + n * (np.abs(at) + 1.0) * 1e-15
 
 
-def _fold_bounds(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo <= np.logaddexp.reduce(terms, axis=0) <= hi.
+def _psi_tol(T: int, at: np.ndarray) -> np.ndarray:
+    """Bound on how far a cell's psi by blocks (``_block_psi``) lies from
+    the frame-order fold of its T frame terms, for psi near ``at``.
 
-    Each float logaddexp is at least the larger of its arguments, so the
-    fold is at least the largest term. Over n terms it is at most
-    max + log(near + (n - near) * exp(-_FAR)) in real numbers, where near
-    counts the terms within _FAR of the max; the float fold exceeds the real
-    one by a few ulps of the running sum per term (errors shrink as they
-    pass later steps), which ``_margin`` covers. A cell whose terms are all
-    -inf folds to exactly -inf.
+    With u = 2^-53, log-probabilities at most 0 and numpy's exp and log
+    within 4 ulps, each against the real log-sum of the float terms:
+
+    - psi by blocks strays by at most 2u (6 |psi| + 10 ln nb + nb / 16 +
+      20), nb = ceil(T / _BLOCK): a product's exponent is rounded by at
+      most u times its distance below the block's shifts, which the terms'
+      shares average to at most u (|psi| + ln T); the shift sums, logs and
+      exponentials add u to 8u of |psi| each over the blocks' shares, the
+      sums of _BLOCK products and of nb blocks their pairwise rounding, and
+      underflow less than 2^-144 (``_UNDERFLOW_GAP``);
+    - the fold strays by at most u (T + 1) (|psi| + 3.1) + u ln T: each
+      logaddexp rounds by at most u |r| + 2.7u of a running sum r, each
+      error reaches the end scaled by at most 1, and each term's own
+      rounding counts at its share.
+
+    Their sum is below 2u (T + 8) (|psi| + 4) for every T >= 1.
     """
-    n = terms.shape[0]
-    lo = terms.max(axis=0)
-    near = np.count_nonzero(terms >= lo - _FAR, axis=0)
-    with np.errstate(invalid="ignore"):
-        hi = lo + (np.log(near + (n - near) * math.exp(-_FAR)) + _margin(n, lo))
-    hi[lo == NEG_INF] = NEG_INF
-    return lo, hi
+    return 2.0 ** -52 * (T + 8) * (np.abs(at) + 4.0)
 
 
-def _frame_terms(x, r_sum, r_b, t0, labels, rows, repeat, psi0) -> np.ndarray:
-    """The (T - t0, k) C-ordered frame terms ``phi[t-1] + x[t, c]`` of k
-    cells, given per cell: label c, parent row, whether c repeats the
-    parent's last label (phi is then the parent's r_b, else its r_sum) and
-    psi0, the empty prefix's ``x[0, c]``, which the first frame's term folds
-    in. Folding a column over frames gives the cell's psi."""
-    T = x.shape[0]
-    terms = x[t0:, labels]
-    terms += r_sum[t0 - 1:T - 1, rows]
-    rep = np.flatnonzero(repeat)  # a repeat connects through r_b only
-    terms[:, rep] = x[t0:, labels[rep]] + r_b[t0 - 1:T - 1, rows[rep]]
-    terms[0] = np.logaddexp(psi0, terms[0])
-    return terms
+def _blocks(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(e, shift) of the (L, n) log-domain columns ``a`` in nb blocks of
+    ``_BLOCK`` frames, padded with -inf: shift (n, nb) is each block's
+    largest entry (-inf for a block without mass), and e (n, nb, _BLOCK)
+    its entries less that shift, exponentiated, so at most 1 (0 where
+    -inf)."""
+    L, n = a.shape
+    nb = -(-L // _BLOCK)
+    e = np.full((nb * _BLOCK, n), NEG_INF)
+    e[:L] = a
+    e = e.reshape(nb, _BLOCK, n)
+    shift = e.max(axis=1)
+    e -= np.where(shift > NEG_INF, shift, 0.0)[:, None]
+    np.exp(e, out=e)
+    return np.ascontiguousarray(e.transpose(2, 0, 1)), shift.T
+
+
+class _BlockTable:
+    """One decode's emissions in the blocks of ``_blocks``, label-major:
+    ``rows(labels)`` gives each label's (nb, _BLOCK) exponentiated block
+    entries and (nb,) shifts. A label's row is built the first time a call
+    scores it, so a decode pays only for the labels it rates. The decode's
+    CTC states hold the table, not the emission, so it goes with them."""
+
+    def __init__(self, emission: EmissionMatrix):
+        self.emission = emission
+        V, nb = emission.vocab_size, -(-emission.frames // _BLOCK)
+        self.e = np.empty((V, nb, _BLOCK))
+        self.shift = np.empty((V, nb))
+        self.built = np.zeros(V, dtype=bool)
+
+    def rows(self, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        new = np.unique(labels[~self.built[labels]])
+        if new.size:
+            self.e[new], self.shift[new] = _blocks(self.emission.data[:, new])
+            self.built[new] = True
+        return self.e[labels], self.shift[labels]
+
+
+def _block_psi(table: _BlockTable, phi: np.ndarray, labels: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """psi of k cells, the log-sum over frames t of ``phi[t, row] + x[t,
+    label]`` given per cell (phi the (T, n) parent columns), as a blocked
+    product: per block of ``_BLOCK`` frames, the log of the sum of the
+    label's and the parent's exponentiated block entries multiplied, plus
+    their two shifts; then a log-sum over the blocks.
+
+    Every step is elementwise or a reduction along a cell's own last axis,
+    so a cell's psi does not depend on the other cells of the call. It is
+    within ``_psi_tol`` of the frame-order fold and -inf exactly where the
+    fold is: a cell with a block whose shifts lie more than
+    ``_UNDERFLOW_GAP`` above its best block (which covers a finite cell
+    whose blocks all underflowed) takes the fold itself.
+    """
+    e, shift = table.rows(labels)
+    pe, ps = _blocks(phi)
+    a = shift + ps[rows]  # (k, nb) the blocks' shifts; -inf where a block has no mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.log(np.einsum("ijk,ijk->ij", e, pe[rows]))
+        z += a
+        best = z.max(axis=1)
+        base = np.where(best > NEG_INF, best, 0.0)
+        # a block more than 700 below the best adds under 2^-1009 to a sum
+        # of at least 1 whatever it holds; clipped there, exp skips its slow
+        # underflow path
+        z -= base[:, None]
+        np.maximum(z, -700.0, out=z)
+        psi = np.log(np.exp(z).sum(axis=1))
+        psi += base
+        psi[best == NEG_INF] = NEG_INF
+        exposed = np.flatnonzero(a.max(axis=1) - best > _UNDERFLOW_GAP)
+    if exposed.size:
+        x = table.emission.data
+        psi[exposed] = np.logaddexp.reduce(
+            phi[:, rows[exposed]] + x[:, labels[exposed]], axis=0)
+    return psi
 
 
 def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     """(lo, hi) with lo <= psi <= hi for every (B, P) cell, without its
-    frame terms: O(T B + B P) work against O((T - t0) B P) for the terms.
+    frame terms: O(T B + B P) work against O((T - t0) B P) for psi.
 
     hi bounds each term by ``r_sum[t-1] + max_t x[t, c]`` (r_sum >= r_b,
     so this holds for repeats too): psi <= logaddexp(psi0,
-    logsumexp_t r_sum[t-1] + max_t x[t, c]). The float fold and the float
-    log-sum over frames each stray by ``_margin``, so hi carries it twice.
-    Where all terms are -inf, hi is exactly -inf.
+    logsumexp_t r_sum[t-1] + max_t x[t, c]). That float log-sum over frames
+    strays by ``_margin`` and psi by blocks by ``_psi_tol``, so hi carries
+    both. Where all terms are -inf, hi is exactly -inf.
 
     lo is the larger of psi0 and two of the cell's own float terms, each at
-    most the fold: one at the frame where column c peaks (or t0, if that is
-    earlier), one just after the frame where the parent's phi peaks. A
-    repeat uses r_b in both, as its terms do.
+    most the frame-order fold, less ``_psi_tol``: one at the frame where
+    column c peaks (or t0, if that is earlier), one just after the frame
+    where the parent's phi peaks. A repeat uses r_b in both, as its terms
+    do.
     """
     T = x.shape[0]
     col_max, col_peak = peaks
     phi = r_sum[t0 - 1:T - 1]
     top = np.logaddexp(psi0, np.logaddexp.reduce(phi, axis=0)[:, None] + col_max[cands])
     with np.errstate(invalid="ignore"):
-        hi = top + 2 * _margin(T - t0, top)
+        hi = top + (_margin(T - t0, top) + _psi_tol(T, top))
     hi[top == NEG_INF] = NEG_INF
 
     B = cands.shape[0]
@@ -536,7 +618,8 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     tb = t0 + r_b[t0 - 1:T - 1, rows].argmax(axis=0)
     lo[rows, cols] = np.maximum(r_b[tc - 1, rows] + x[tc, labels],
                                 r_b[tb - 1, rows] + x[tb, labels])
-    return np.maximum(lo, psi0), hi
+    lo = np.maximum(lo, psi0)
+    return lo - _psi_tol(T, lo), hi
 
 
 def _minus(psi: np.ndarray, prefix_scores: np.ndarray) -> np.ndarray:
@@ -556,34 +639,32 @@ class CTCPrefixScorer(PartialScorer):
     makes finished totals comparable to plain CTC forward probabilities.
 
     Scoring needs only the parent's variables: ``log p(prefix+c...)`` is the
-    log-sum over frames t of ``phi[t-1] + x[t, c]``, one reduction over the
-    (T, B, C) candidate cells, exact given those variables. The recursion
-    runs only for the successors the search keeps (see ``CTCPrefixState``),
-    as two scans over frames per scoring call, restarted at -inf emissions,
-    whose values are within a stated bound of the frame loop
-    (``_recursion``). ``score_partial`` is the batched kernel at B=1.
+    log-sum over frames t of ``phi[t-1] + x[t, c]``. Each cell's psi is
+    that log-sum as a blocked product (``_block_psi``): per block of
+    ``_BLOCK`` frames, the parent's and the label's exponentiated entries
+    multiplied and summed, then a log-sum over the blocks. The label's
+    entries come from a table built once per decode and held by its states
+    (``_BlockTable``). psi is within ``_psi_tol`` of the frame-order fold,
+    -inf exactly where the fold is, and does not depend on the other cells
+    of the call; a cell a block's underflow could have cost mass takes the
+    fold itself. The recursion runs only for the successors the search
+    keeps (see ``CTCPrefixState``), as two scans over frames per scoring
+    call, restarted at -inf emissions, whose values are within a stated
+    bound of the frame loop (``_recursion``). ``score_partial`` is the
+    batched kernel at B=1.
 
-    ``batch_score_partial_pruned`` runs the same kernel but folds over
-    frames only the cells ``keep`` asks for, in two tiers:
-
-    - Tier 1, on calls of at least ``_TIERED_MIN_TERMS`` frame terms: bounds
-      for every cell without its terms (``_peak_bounds``): the upper bound
-      from the parent's log-sum over frames plus the column's peak over
-      frames, with twice ``_margin``; the lower bound from two of the
-      cell's own terms. ``keep`` says which cells go on to tier 2.
-    - Tier 2: the frame terms of those cells (of every cell on a smaller
-      call), the bounds over them (``_fold_bounds``), each bound tightened
-      to the better of the two tiers, and ``keep`` consulted again; the
-      cells it keeps are folded in frame order, bit-identical to
-      ``batch_score_partial``.
-
-    So ``keep`` sees at most two sets of bounds, the second at least as
-    tight, and a cell is folded only when both calls keep it. Eos cells (the
-    parent's full-sequence probability), cells of a parent with no mass and
-    cells whose terms are all -inf are exact without the fold, whatever
-    ``keep`` says. Every other cell holds its last upper bound (its tier-1
-    bound if tier 1 dropped it), in the scores and in the scored state's
-    psi, so its successor state must not be selected.
+    ``batch_score_partial_pruned`` runs the same kernel. On a call of at
+    least ``_TIERED_MIN_TERMS`` frame terms it first bounds every cell
+    without its terms (``_peak_bounds``): the upper bound from the parent's
+    log-sum over frames plus the column's peak over frames, the lower bound
+    from two of the cell's own terms, each with its float margins. It
+    consults ``keep`` once with those bounds and computes psi only for the
+    cells it keeps. A smaller call computes every cell and does not consult
+    ``keep``. Eos cells (the parent's full-sequence probability) and cells
+    whose bounds meet (all terms -inf) are exact whatever ``keep`` says.
+    Every other cell ``keep`` dropped holds its upper bound, in the scores
+    and in the scored state's psi, so its successor state must not be
+    selected.
     """
 
     def __init__(self, blank_id: int, eos_id: int):
@@ -596,7 +677,9 @@ class CTCPrefixScorer(PartialScorer):
         x = emission.data
         r_b = np.cumsum(x[:, self.blank_id])
         r_nb = np.full(emission.frames, NEG_INF)
-        return CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0)
+        state = CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0)
+        state._table = _BlockTable(emission)
+        return state
 
     def score_partial(self, prefix, candidates, state, emission):
         scores, scored = self.batch_score_partial(
@@ -610,6 +693,7 @@ class CTCPrefixScorer(PartialScorer):
         state = CTCPrefixState(None, None, None, float(scored.psi[row, col]),
                                int(scored.prefix_lens[row]) + 1)
         state._source = (scored, row, col)
+        state._table = scored.table
         return state
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
@@ -626,8 +710,10 @@ class CTCPrefixScorer(PartialScorer):
             raise ValueError("blank is not a label and cannot be a CTC candidate")
         x = emission.data
         T = emission.frames
+        B, P = cands.shape
 
         _materialise(states)
+        table = states[0]._table
         prefix_lens = np.array([s.prefix_len for s in states])
         r_b = np.stack([s._r_b for s in states], axis=1)  # (T, B)
         r_sum = np.stack([s._r_sum for s in states], axis=1)
@@ -639,46 +725,35 @@ class CTCPrefixScorer(PartialScorer):
         eos_mask = cands == self.eos_id
         eos_psi = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
 
-        # psi = log-sum over t of phi[t-1] + x[t, c] (x[0, c] for the empty
-        # prefix), reduced in frame order; frames before t0 add only -inf
+        # psi = log-sum over t of phi[t-1] + x[t, c], the frame-0 term x[0, c]
+        # for the empty prefix; frames before t0 add only -inf
         psi = np.where(prefix_lens[:, None] == 0, x[0, cands], NEG_INF)  # (B, C)
         t0 = max(1, int(prefix_lens.min()))
         if t0 < T:
-            # per cell, in C order: label, parent row, repeat, psi0
-            cells = (cands.ravel(), np.repeat(np.arange(len(states)), cands.shape[1]),
-                     repeat.ravel(), psi.ravel())
-            if keep is None:
-                terms = _frame_terms(x, r_sum, r_b, t0, *cells)
-                psi = np.logaddexp.reduce(terms, axis=0).reshape(cands.shape)
-            else:
-                def kept(lo, hi):  # flat mask of the cells keep asks for whose bounds differ
-                    lo, hi = lo.reshape(cands.shape), hi.reshape(cands.shape)
-                    return (keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
-                            & (lo < hi)).ravel()
-
-                # flat bounds on psi; hi stands in for psi until a cell is folded
-                eos = np.flatnonzero(eos_mask)
-                lo, hi = np.full(cands.size, NEG_INF), np.full(cands.size, np.inf)
-                built = np.arange(cands.size)  # the cells whose frame terms are built
-                if (T - t0) * cands.size >= _TIERED_MIN_TERMS:
-                    lo, hi = (a.ravel() for a in _peak_bounds(
-                        emission.column_peaks, x, cands, repeat, psi, r_sum, r_b, t0))
-                    lo[eos] = hi[eos] = eos_psi
-                    built = np.flatnonzero(kept(lo, hi))
-                # (T - t0, k) C-ordered: a cell's fold is the same reduction in
-                # the same frame order whichever cells are built with it
-                terms = _frame_terms(x, r_sum, r_b, t0, *(c[built] for c in cells))
-                lo_k, hi_k = _fold_bounds(terms)
-                lo[built] = np.maximum(lo[built], lo_k)
-                hi[built] = np.minimum(hi[built], hi_k)
-                lo[eos] = hi[eos] = eos_psi
-                fold = kept(lo, hi)[built]
-                hi[built[fold]] = np.logaddexp.reduce(terms[:, fold], axis=0)
-                psi = hi.reshape(cands.shape)
+            built = np.flatnonzero(~eos_mask)  # the cells whose psi is computed
+            if keep is not None and (T - t0) * cands.size >= _TIERED_MIN_TERMS:
+                lo, hi = _peak_bounds(
+                    emission.column_peaks, x, cands, repeat, psi, r_sum, r_b, t0)
+                lo[eos_mask] = hi[eos_mask] = eos_psi
+                kept = keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
+                built = np.flatnonzero(kept & (lo < hi))
+                psi = hi  # stands in for psi where no psi is computed
+            # phi by absolute frame, one column per parent: r_sum, then r_b
+            # of each parent with a repeat, which connects through r_b only;
+            # frame 0 holds the empty prefix's x[0, c] term
+            rows, cols = np.divmod(built, P)
+            rep = np.flatnonzero(repeat[rows, cols])
+            phi = np.empty((T, B + rep.size))
+            phi[0] = NEG_INF
+            phi[0, :B][prefix_lens == 0] = 0.0
+            phi[1:, :B] = r_sum[:T - 1]
+            phi[1:, B:] = r_b[:T - 1, rows[rep]]
+            rows[rep] = B + np.arange(rep.size)
+            psi.ravel()[built] = _block_psi(table, phi, cands.ravel()[built], rows)
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(
             emission=emission, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
-            r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens,
+            r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens, table=table,
         )
         return _minus(psi, prefix_scores), [(scored, i) for i in range(len(states))]

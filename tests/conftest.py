@@ -131,37 +131,76 @@ def frame_loop_reference(prefixes, cands, states, x, blank_id, eos_id):
     return scores, r, psi
 
 
-def check_keep_calls(calls, scores, ref_scores):
+def psi_near(got, want, frames, psi=None):
+    """Whether CTC psi (or scores, psi less the prefix score, given the
+    reference's psi) are within the block product's stated bound
+    (``_psi_tol``) of the frame-loop reference's ``want``, and -inf exactly
+    where ``want`` is. A score carries the bound through its subtraction:
+    plus an ulp of the score."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    dead = want == -np.inf
+    if not np.array_equal(got == -np.inf, dead) or np.isnan(got).any():
+        return False
+    at = want if psi is None else np.asarray(psi, dtype=float)
+    tol = scorers_mod._psi_tol(frames, at) * (1 + 2.0 ** -52) + 2.0 ** -52 * np.abs(want)
+    return bool((np.abs(got[~dead] - want[~dead]) <= tol[~dead]).all())
+
+
+def check_keep_calls(calls, scores, full_scores, ref):
     """The pruned-entry contract over one scoring call's ``keep`` calls,
-    given as (lo, hi, kept) triples in call order: at most two, the second
-    with bounds at least as tight; every call's bounds contain the
-    reference. A cell is folded when every call kept it and the last call's
-    bounds differ; folded cells and cells with lo == hi are exact, every
-    other cell holds the last upper bound, and a cell the first call did not
-    keep holds the first call's upper bound. Returns the folded mask."""
-    assert len(calls) <= 2
+    given as (lo, hi, kept) triples: at most one, whose bounds contain the
+    scores of the unpruned call ``full_scores`` and the frame-loop
+    reference ``ref`` (scores, psi, frames). The cells it kept whose bounds
+    differ are built and equal the unpruned call's; cells with lo == hi are
+    exact; every other cell holds its upper bound. With no call every cell
+    is built. The unpruned call is within the stated bound of the
+    reference. Returns the built mask."""
+    ref_scores, ref_psi, frames = ref
+    assert psi_near(full_scores, ref_scores, frames, ref_psi)
+    assert len(calls) <= 1
     if not calls:
-        assert np.array_equal(scores, ref_scores)
-        return np.zeros(scores.shape, dtype=bool)
-    folded = np.ones(scores.shape, dtype=bool)
-    for lo, hi, kept in calls:
-        assert (lo <= ref_scores).all() and (ref_scores <= hi).all()
-        folded &= kept
-    (lo1, hi1, kept1), (lo, hi, _) = calls[0], calls[-1]
-    assert (lo1 <= lo).all() and (hi <= hi1).all()
-    folded &= lo < hi
-    exact = folded | (lo == hi)
-    assert np.array_equal(scores[exact], ref_scores[exact])
-    assert np.array_equal(scores[~exact], hi[~exact])
-    dropped = ~kept1 & (lo1 < hi1)
-    assert np.array_equal(scores[dropped], hi1[dropped])
-    return folded
+        assert np.array_equal(scores, full_scores)
+        return np.ones(scores.shape, dtype=bool)
+    (lo, hi, kept), = calls
+    for exact in (full_scores, ref_scores):
+        assert (lo <= exact).all() and (exact <= hi).all()
+    built = kept & (lo < hi)
+    assert np.array_equal(scores[built], full_scores[built])
+    assert np.array_equal(scores[lo == hi], ref_scores[lo == hi])
+    held = ~built & (lo < hi)
+    assert np.array_equal(scores[held], hi[held])
+    return built
+
+
+def counting_fold(monkeypatch):
+    """Log the cells of each call that take the frame-order fold in place
+    of the product: the only ``logaddexp.reduce`` of an unpruned call, over
+    a (T, cells) array."""
+    cells = []
+
+    class Logaddexp:
+        def __call__(self, *args, **kwargs):
+            return np.logaddexp(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.logaddexp, name)
+
+        def reduce(self, a, axis=0):
+            cells.append(a.shape[1])
+            return np.logaddexp.reduce(a, axis=axis)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return Logaddexp() if name == "logaddexp" else getattr(np, name)
+
+    monkeypatch.setattr(scorers_mod, "np", Numpy())
+    return cells
 
 
 @pytest.fixture(params=["dense", "tiered"])
 def ctc_tier(request, monkeypatch):
-    """Run a test with every pruned CTC call below the size switch (all
-    frame terms built), then with every call above it (peak bounds first)."""
+    """Run a test with every pruned CTC call below the size switch (psi
+    for every cell), then with every call above it (peak bounds first)."""
     monkeypatch.setattr(scorers_mod, "_TIERED_MIN_TERMS",
                         math.inf if request.param == "dense" else 0)
     return request.param

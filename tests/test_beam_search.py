@@ -34,9 +34,11 @@ from seqdecode.core import hypothesis_sort_key, validate_hypothesis
 from conftest import (
     WrappedPartialScorer,
     check_keep_calls,
+    counting_fold,
     ctc_state,
     frame_loop_reference,
     make_vocab,
+    psi_near,
     random_emission,
     random_table_scorer,
 )
@@ -539,12 +541,12 @@ class TestSuccessorWorkBound:
 
 class CheckedCTC(CTCPrefixScorer):
     """CTC scorer that checks every scoring call of a search against the
-    frame-loop reference, on the states the call itself filled in. On the
-    pruned entry, every ``keep`` call must meet ``check_keep_calls``: the
-    cells every call kept (and those exact without the fold) equal the
-    reference, and every skipped cell holds its last upper bound, with the
-    reference inside every call's bounds. ``cells`` counts [requested,
-    folded] cells of the pruned calls."""
+    frame-loop reference, on the states the call itself filled in: within
+    the block product's stated bound. On the pruned entry, its ``keep``
+    call must meet ``check_keep_calls``: the cells it kept (and those exact
+    without a product) equal the unpruned call's, and every skipped cell
+    holds its upper bound, with both inside the bounds. ``cells`` counts
+    [requested, built] cells of the pruned calls."""
 
     def __init__(self, blank_id, eos_id, log):
         super().__init__(blank_id, eos_id)
@@ -553,13 +555,15 @@ class CheckedCTC(CTCPrefixScorer):
 
     def reference(self, prefixes, candidates, states, emission):
         self.log.append(max(s.prefix_len for s in states))
-        return frame_loop_reference(
+        scores, _, psi = frame_loop_reference(
             prefixes, np.asarray(candidates), [ctc_state(s) for s in states], emission.data,
-            self.blank_id, self.eos_id)[0]
+            self.blank_id, self.eos_id)
+        return scores, psi, emission.frames
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
         scores, scored = super().batch_score_partial(prefixes, candidates, states, emission)
-        assert np.array_equal(scores, self.reference(prefixes, candidates, states, emission))
+        ref_scores, psi, frames = self.reference(prefixes, candidates, states, emission)
+        assert psi_near(scores, ref_scores, frames, psi)
         return scores, scored
 
     def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
@@ -571,8 +575,9 @@ class CheckedCTC(CTCPrefixScorer):
 
         scores, scored = super().batch_score_partial_pruned(
             prefixes, candidates, states, emission, recording_keep)
-        ref_scores = self.reference(prefixes, candidates, states, emission)
-        self.cells[1] += np.count_nonzero(check_keep_calls(calls, scores, ref_scores))
+        full = CTCPrefixScorer.batch_score_partial(self, prefixes, candidates, states, emission)[0]
+        ref = self.reference(prefixes, candidates, states, emission)
+        self.cells[1] += np.count_nonzero(check_keep_calls(calls, scores, full, ref))
         self.cells[0] += scores.size
         return scores, scored
 
@@ -770,14 +775,19 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("second", [None, "lm", "bias", "word"])
     def test_instances_skip_cells(self, second, ctc_tier):
-        requested = folded = 0
+        # the cells built after tier 1: some but not all; every cell when
+        # no call is large enough for tier 1
+        requested = built = 0
         for seed in range(12):
             em, vocab, fulls, cfg, parts = pruning_instance(seed, second)
             checked = CheckedCTC(vocab.blank_id, vocab.eos_id, [])
             batch_beam_search(em, vocab, fulls, cfg, dict(parts, ctc=checked))
             requested += checked.cells[0]
-            folded += checked.cells[1]
-        assert 0 < folded < requested
+            built += checked.cells[1]
+        if ctc_tier == "tiered":
+            assert 0 < built < requested
+        else:
+            assert built == requested > 0
 
     def test_wrappers_and_kernel_overrides_take_unpruned_path(self):
         em, vocab, fulls, cfg, parts = pruning_instance(0, "lm")
@@ -804,8 +814,103 @@ def planted_emission(rng, vocab, labels, frames_per_label=3, peak=8.0):
     return EmissionMatrix.from_logits(logits)
 
 
+def edge_instance(edge, seed):
+    """A search instance on one edge of the block product: -inf emission
+    entries, T=1, B >= V, no eos reached (prefixes past T/2), finite
+    entries of -1e10 standing for masked tokens, and swings of hundreds of
+    nats from frame to frame (blocks whose products underflow)."""
+    rng = np.random.default_rng(9800 + 13 * seed + len(edge))
+    vocab = make_vocab(5)
+    frames = {"t1": 1, "no_eos": 9}.get(edge, int(rng.integers(12, 40)))
+    logits = 1.5 * rng.normal(size=(frames, vocab.size))
+    labels = vocab.label_ids()
+    if edge == "neg_inf":
+        logits[:, labels] = np.where(rng.random((frames, len(labels))) < 0.3, -np.inf,
+                                     logits[:, labels])
+    elif edge == "masked":
+        logits[:, labels] = np.where(rng.random((frames, len(labels))) < 0.5, -1e10,
+                                     logits[:, labels])
+    elif edge == "swing":
+        logits *= 300.0
+    em = EmissionMatrix.from_logits(logits)
+    beam = vocab.size + 1 if edge == "b_ge_v" else 3
+    cfg = BeamConfig(
+        weights={"att": 1.0, "ctc": 0.5}, beam_size=beam, pre_beam_size=max(beam, 5),
+        max_steps=frames - 1 if edge == "no_eos" else frames + 1,
+        min_len_ratio=0.99 if edge == "no_eos" else 0.0, end_detect_margin=-1e9)
+    return em, vocab, random_table_scorer(rng, 1, vocab.size), cfg
+
+
+class TestBlockProductEdges:
+    """The searches on each edge of the block product: every CTC call
+    within the stated bound of the frame loop, the pruned search equal to
+    the unpruned one and the sequential search to the batched one, bit for
+    bit."""
+
+    EDGES = ["neg_inf", "t1", "b_ge_v", "no_eos", "masked", "swing"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_searches_agree_and_stay_within_bound(self, edge, seed, ctc_tier):
+        em, vocab, ts, cfg = edge_instance(edge, seed)
+        log = []
+        checked = CheckedCTC(vocab.blank_id, vocab.eos_id, log)
+        ctc = CTCPrefixScorer(vocab.blank_id, vocab.eos_id)
+        ref = nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": UnprunedCTC(ctc)}))
+        assert nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})) == ref
+        assert nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": checked})) == ref
+        assert nbest_rows(beam_search(em, vocab, {"att": ts}, cfg, {"ctc": checked})) == ref
+        if edge == "no_eos":
+            assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
+            assert max(log) > em.frames / 2
+
+    @pytest.mark.parametrize("edge", ["masked", "swing"])
+    def test_underflowing_edges_take_the_fold(self, edge, monkeypatch):
+        folded = 0
+        for seed in range(3):
+            em, vocab, ts, cfg = edge_instance(edge, seed)
+            with monkeypatch.context() as m:
+                cells = counting_fold(m)
+                # the sequential search: unpruned calls, whose only
+                # logaddexp.reduce is the fold
+                beam_search(em, vocab, {"att": ts}, cfg,
+                            {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
+            folded += sum(cells)
+        assert folded > 0
+
+
+class TestBlockTableScope:
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_table_dies_with_the_decode(self, search):
+        # the table lives with the decode's CTC states: none outlives the
+        # search, cycles or not, and the emission gains no attribute
+        em, vocab, ts = lazy_ctc_instance(2, frames=40)
+        before = set(vars(em))
+        tables = []
+
+        class Recording(CTCPrefixScorer):
+            def init_state(self, emission):
+                state = super().init_state(emission)
+                tables.append(weakref.ref(state._table))
+                return state
+
+        cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6)
+        ctc = Recording(vocab.blank_id, vocab.eos_id)  # outlives the search, as in a server
+        gc.disable()
+        try:
+            nbest = search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})
+            assert nbest.entries and len(tables) == 1
+            assert tables[0]() is None
+        finally:
+            gc.enable()
+        assert set(vars(em)) - before <= {"column_peaks", "neg_inf_columns"}
+
+
 class TestFoldWorkBound:
-    def test_peaked_emission_folds_few_cells(self):
+    def test_peaked_emission_builds_few_cells(self, monkeypatch):
+        # tier 1 on every call: it keeps the labels of the transcript, whose
+        # column peaks reach the beam wherever the parent is, and few others
+        monkeypatch.setattr(scorers_mod, "_TIERED_MIN_TERMS", 0)
         rng = np.random.default_rng(9950)
         vocab = make_vocab(40)
         labels = [int(t) for t in rng.choice(vocab.label_ids(), size=10)]
@@ -817,13 +922,13 @@ class TestFoldWorkBound:
                          pre_beam_size=vocab.size)
         nbest = batch_beam_search(em, vocab, {"att": uniform}, cfg, {"ctc": ctc})
         assert nbest.best().yseq == tuple(labels)
-        requested, folded = ctc.cells
+        requested, built = ctc.cells
         assert requested >= 4 * 40 * len(labels)
-        assert folded * 5 < requested
+        assert built * 2 < requested
 
-    def test_wide_peaked_beam_builds_few_frame_terms(self, monkeypatch):
+    def test_wide_peaked_beam_builds_few_cells(self, monkeypatch):
         # B x P = 32 x 48 cells over T = 100 frames: calls at or above the
-        # size switch build frame terms only for the cells the peak bounds keep
+        # size switch compute psi only for the cells the peak bounds keep
         rng = np.random.default_rng(9960)
         vocab = make_vocab(400)
         labels = [int(t) for t in rng.choice(vocab.label_ids(), size=25)]
@@ -839,12 +944,11 @@ class TestFoldWorkBound:
             rows[ctx] = logits - np.logaddexp.reduce(logits)
         att = TableScorer(1, vocab.size, rows)
         built, calls = [], []
-        frame_terms = scorers_mod._frame_terms
+        block_psi = scorers_mod._block_psi
 
-        def counting(*args):
-            terms = frame_terms(*args)
-            built.append(terms.size)
-            return terms
+        def counting(table, phi, labels, rows):
+            built.append(labels.size)
+            return block_psi(table, phi, labels, rows)
 
         class Counting(CTCPrefixScorer):
             def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
@@ -856,15 +960,15 @@ class TestFoldWorkBound:
                               sum(built[mark:])))
                 return out
 
-        monkeypatch.setattr(scorers_mod, "_frame_terms", counting)
+        monkeypatch.setattr(scorers_mod, "_block_psi", counting)
         cfg = BeamConfig(weights={"att": 0.3, "ctc": 0.7}, beam_size=32, pre_beam_size=48)
         nbest = batch_beam_search(em, vocab, {"att": att}, cfg,
                                   {"ctc": Counting(vocab.blank_id, vocab.eos_id)})
         assert nbest.best().yseq == tuple(labels)
         tiered = [c for c in calls if c[0] >= 1500 and c[1] >= scorers_mod._TIERED_MIN_TERMS]
         assert len(tiered) >= 20
-        for _, requested, terms in tiered:
-            assert terms < 0.2 * requested
+        for requested, _, cells in tiered:
+            assert cells < 0.2 * requested
 
 
 def counting_lexsort(monkeypatch):

@@ -16,8 +16,10 @@ from conftest import (
     WrappedPartialScorer,
     brute_prefix_prob,
     check_keep_calls,
+    counting_fold,
     ctc_state,
     frame_loop_reference,
+    psi_near,
     random_emission,
 )
 
@@ -308,7 +310,7 @@ def assert_equals_loop(state, ref):
 
 def assert_state_near(state, ref):
     assert_near_loop(state, ref)
-    assert state.prefix_score == ref[2]
+    assert psi_near(state.prefix_score, ref[2], len(ref[0]))
     assert state.prefix_len == ref[3]
 
 
@@ -333,10 +335,12 @@ KERNEL_EDGES = {
 def drive_kernel(edge, seed, via):
     """Expand random prefixes step by step, checking every scoring call
     against the frame-loop reference run on the states the call itself
-    filled in (scores bit-equal), and every successor state against the
-    frame-loop recursion (within the scan's bound). Successors are random
-    cells (eos included); some states are read as soon as they are
-    selected, the rest are filled in by the next scoring call."""
+    filled in (scores within the block product's bound), and every
+    successor state against the frame-loop recursion (within the scan's
+    bound). The call under test and a random cell scored alone are
+    bit-equal to the batched call. Successors are random cells (eos
+    included); some states are read as soon as they are selected, the rest
+    are filled in by the next scoring call."""
     spec = KERNEL_EDGES[edge]
     rng = np.random.default_rng(7100 + 31 * seed + len(edge))
     V = int(rng.integers(3, 8))
@@ -367,7 +371,12 @@ def drive_kernel(edge, seed, via):
                     for p, c, s in zip(prefixes, cands, states)]
             scores, scored = np.stack([s for s, _ in rows]), [st for _, st in rows]
         ref_scores, r, psi = reference()
-        assert np.array_equal(scores, ref_scores)
+        assert psi_near(scores, ref_scores, T, psi)
+        full = scorer.batch_score_partial(prefixes, cands, states, em)[0]
+        assert np.array_equal(scores, full)
+        i, j = divmod(int(rng.integers(cands.size)), P)
+        alone = scorer.batch_score_partial([prefixes[i]], cands[i:i + 1, j:j + 1], [states[i]], em)
+        assert alone[0][0, 0] == full[i, j]
         for _, state, ref in hyps:  # the states this call filled in
             assert_state_near(state, ref)
         seen["dead_prefix"] |= any(h[2][2] == NEG_INF for h in hyps)
@@ -379,7 +388,9 @@ def drive_kernel(edge, seed, via):
             tok = int(cands[i, j])
             state = scorer.select_state(scored[i], tok)
             ref = (r[:, 0, i, j], r[:, 1, i, j], float(psi[i, j]), hyps[i][2][3] + 1)
-            assert state.prefix_score == ref[2]
+            call, row = scored[i]
+            assert state.prefix_score == call.psi[row, j]
+            assert psi_near(state.prefix_score, ref[2], T)
             if tok == eos or rng.random() < 0.3:
                 assert_state_near(state, ref)
             if tok == eos:
@@ -395,12 +406,13 @@ def drive_kernel(edge, seed, via):
 
 
 def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
-    """The pruned entry against the frame-loop scores, ``reference()`` run
-    after the first call has filled in the states: keeping every cell it
-    is exact and its bounds hold; keeping a random subset per call, the
-    cells kept by every call and the exact-without-fold cells are exact and
-    the rest hold their last upper bound (``check_keep_calls``). Returns the
-    keep-everything call, for the caller's state checks."""
+    """The pruned entry against the unpruned call and the frame-loop
+    reference, ``reference()`` run after the first call has filled in the
+    states: keeping every cell it equals the unpruned call and its bounds
+    hold; keeping a random subset, the cells it kept and the exact cells
+    equal the unpruned call and the rest hold their upper bound
+    (``check_keep_calls``). Returns the keep-everything call, for the
+    caller's state checks."""
     bounds = []
 
     def keep_all(lo, hi):
@@ -408,9 +420,11 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
         return bounds[-1][2]
 
     scores, scored = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_all)
-    ref_scores = reference()[0]
-    assert np.array_equal(scores, ref_scores)
-    check_keep_calls(bounds, scores, ref_scores)
+    ref_scores, _, ref_psi = reference()
+    ref = (ref_scores, ref_psi, em.frames)
+    full = scorer.batch_score_partial(prefixes, cands, states, em)[0]
+    assert np.array_equal(scores, full)
+    check_keep_calls(bounds, scores, full, ref)
 
     mask_rng = np.random.default_rng(int(cands.sum()))
     masks = []
@@ -420,9 +434,9 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
         return masks[-1][2]
 
     part, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
-    # keep is consulted only when some cell needs the fold over frames
+    # keep is consulted only on a call that bounds its cells
     assert len(masks) == len(bounds)
-    check_keep_calls(masks, part, ref_scores)
+    check_keep_calls(masks, part, full, ref)
     return scores, scored
 
 
@@ -752,8 +766,8 @@ class TestSegmentedScan:
 
 
 class TestPrunedKernel:
-    """``batch_score_partial_pruned``: bounds that hold on every cell, folds
-    only the cells the caller keeps."""
+    """``batch_score_partial_pruned``: bounds that hold on every cell, psi
+    only for the cells the caller keeps."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
@@ -765,36 +779,129 @@ class TestPrunedKernel:
         for key in ("dead_prefix", "eos", "beyond_half", "no_frames"):
             assert any(s[key] for s in seen), key
 
+
+class TestBlockProduct:
+    """psi as a blocked product: within the stated bound of the frame-order
+    fold, -inf exactly where the fold is, and the same bits for a cell
+    whatever else its call scores."""
+
+    @staticmethod
+    def score(scorer, hyps, cands, em):
+        prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
+        scores, scored = scorer.batch_score_partial(prefixes, cands, states, em)
+        ref_scores, _, psi = frame_loop_reference(
+            prefixes, cands, [ctc_state(s) for s in states], em.data, scorer.blank_id,
+            scorer.eos_id)
+        assert psi_near(scores, ref_scores, em.frames, psi)
+        return scores, scored[0][0].psi, psi
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
     @pytest.mark.parametrize("value", [0.0, -1e-3, -1.0, -7.25, -1e3, -3e4, 2.5])
     def test_equal_terms_are_the_tight_case(self, n, value):
-        # the real log-sum is max + log n, exactly the upper bound without
-        # its margin; the float fold's rounding must stay inside the margin
-        terms = np.full((n, 3), value)
-        terms[:, 1] = np.nextafter(value, -np.inf)
-        terms[:, 2] = value - 1e-13
-        lo, hi = scorers_mod._fold_bounds(terms)
-        fold = np.logaddexp.reduce(terms, axis=0)
-        assert (lo <= fold).all() and (fold <= hi).all()
-        assert (hi - lo <= math.log(n) + 1e-8 + n * (abs(value) + 1.0) * 1e-14).all()
+        # n equal float terms a have the real log-sum a + ln n; psi by
+        # blocks must stay within the stated bound of it, for every cell
+        # alone and in one call
+        em = EmissionMatrix(np.tile(np.log([0.1, 0.2, 0.3, 0.4]), (n, 1)))
+        table = scorers_mod._BlockTable(em)
+        phi = np.stack([np.full(n, value), np.full(n, np.nextafter(value, -np.inf))], axis=1)
+        labels, rows = np.array([1, 2, 3, 2]), np.array([0, 0, 0, 1])
+        psi = scorers_mod._block_psi(table, phi, labels, rows)
+        real = (phi[0, rows] + em.data[0, labels]) + math.log(n)
+        assert (np.abs(psi - real) <= scorers_mod._psi_tol(n, real)).all()
+        for k in range(len(labels)):
+            alone = scorers_mod._block_psi(table, phi, labels[k:k + 1], rows[k:k + 1])
+            assert alone[0] == psi[k]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_terms(self, seed):
         rng = np.random.default_rng(7300 + seed)
         for _ in range(40):
-            n, cells = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+            n, V = int(rng.integers(1, 300)), int(rng.integers(2, 9))
             scale = float(rng.choice([1e-3, 1.0, 10.0, 1e3]))
-            terms = scale * rng.normal(size=(n, cells)) + float(rng.normal()) * 10 * scale
-            if rng.random() < 0.5:  # clusters of near-equal terms
-                terms = np.round(terms, int(rng.integers(0, 3)))
-            terms[rng.random(terms.shape) < 0.2] = -np.inf
-            terms[:, 0] = -np.inf  # a cell with no mass folds to exactly -inf
-            lo, hi = scorers_mod._fold_bounds(terms)
-            fold = np.logaddexp.reduce(terms, axis=0)
-            assert (lo <= fold).all() and (fold <= hi).all()
-            assert lo[0] == hi[0] == -np.inf
-            finite = lo > -np.inf
-            assert (lo[finite] < hi[finite]).all()
+            logits = scale * rng.normal(size=(n, V))
+            logits[rng.random(logits.shape) < 0.2] = -np.inf
+            logits[:, 0] = 0.0  # every frame keeps some mass
+            em = EmissionMatrix.from_logits(logits)
+            phi = scale * rng.normal(size=(n, 3)) - float(rng.random()) * 10 * scale
+            phi[rng.random(phi.shape) < 0.2] = -np.inf
+            phi[:, 2] = -np.inf  # a parent with no mass gives exactly -inf
+            labels = rng.integers(0, V, size=12)
+            rows = rng.integers(0, 3, size=12)
+            psi = scorers_mod._block_psi(scorers_mod._BlockTable(em), phi, labels, rows)
+            fold = np.logaddexp.reduce(phi[:, rows] + em.data[:, labels], axis=0)
+            assert psi_near(psi, fold, n)
+            assert (psi[rows == 2] == NEG_INF).all()
+
+    def test_finite_entry_far_below_takes_the_fold(self, monkeypatch):
+        # -1e10 standing for a masked token: label 1 is masked from frame 10
+        # on, and the parent (2) has mass only from frame 10 on, so in the
+        # first block every product of finite terms underflows
+        logits = np.zeros((40, 5))
+        logits[:10, 2] = -np.inf
+        logits[10:, 1] = -1e10
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        hyp = extend(scorer, em, [2])
+        folded = counting_fold(monkeypatch)
+        _, psi, ref = self.score(scorer, [hyp], np.array([[1, 3]]), em)
+        assert folded == [1]
+        assert -1.1e10 < psi[0, 0] == ref[0, 0] < -1e10  # the fold itself
+
+    def test_swing_inside_one_block_takes_the_fold(self, monkeypatch):
+        # one label near 1 per frame: 2 up to frame 15, 3 at 16, 1 at 17,
+        # then blank. In frames 16..31 the parent (2) is near 1 where label
+        # 1 is near e^-900 and the reverse, so every product underflows
+        # although the block holds as much mass as the first
+        logits = np.zeros((32, 5))
+        logits[:16, 2] = logits[16, 3] = logits[17, 1] = logits[18:, 0] = 900.0
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=4)
+        hyp = extend(scorer, em, [2])
+        folded = counting_fold(monkeypatch)
+        _, psi, ref = self.score(scorer, [hyp], np.array([[1, 3]]), em)
+        assert folded == [1]
+        assert -900.0 < psi[0, 0] == ref[0, 0] < -890.0
+
+    @pytest.mark.parametrize("frames", [1, 2, 17, 40])
+    def test_neg_inf_entries_and_no_mass(self, frames):
+        rng = np.random.default_rng(7600 + frames)
+        logits = 1.5 * rng.normal(size=(frames, 6))
+        logits[rng.random(logits.shape) < 0.3] = -np.inf
+        logits[:, 0] = 0.0
+        logits[:, 2] = -np.inf  # a label with no mass at any frame
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [((9,), scorer.init_state(em)), extend(scorer, em, [3])]
+        scores, _, _ = self.score(scorer, hyps, np.array([[1, 2, 3, 4], [1, 2, 3, 4]]), em)
+        assert (scores[:, 1] == NEG_INF).all()
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_cells_alone_pruned_and_in_full_call_are_bit_equal(self, beam, ctc_tier):
+        # B >= V: every label of every hypothesis in one call
+        rng = np.random.default_rng(7610 + beam)
+        em = EmissionMatrix.from_logits(peaked_logits(rng, 70, 6))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, labels)
+                for labels in ([1], [2, 3], [4, 4, 1], [3, 1, 2, 4])[:beam]]
+        cands = np.tile(np.arange(1, 6), (len(hyps), 1))
+        prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
+        full, _, _ = self.score(scorer, hyps, cands, em)
+        calls = []
+
+        def keep_some(lo, hi):
+            calls.append((lo, hi, rng.random(lo.shape) < 0.5))
+            return calls[-1][2]
+
+        pruned, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
+        assert len(calls) == (ctc_tier == "tiered")
+        built = calls[0][2] & (calls[0][0] < calls[0][1]) if calls else np.ones(cands.shape, bool)
+        assert built.any() and np.array_equal(pruned[built], full[built])
+        for i, j in np.ndindex(*cands.shape):
+            alone = scorer.batch_score_partial(
+                [prefixes[i]], cands[i:i + 1, j:j + 1], [states[i]], em)[0]
+            assert alone[0, 0] == full[i, j]
+            single = scorer.score_partial(prefixes[i], cands[i], states[i], em)[0]
+            assert np.array_equal(single, full[i])
 
 
 class TestPeakBounds:
@@ -815,11 +922,14 @@ class TestPeakBounds:
         r_b = r_sum - 0.5
         peaks = (x.max(axis=0), x.argmax(axis=0))
         lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, 1)
-        terms = scorers_mod._frame_terms(
-            x, r_sum, r_b, 1, cands.ravel(), np.zeros(3, dtype=int), repeat.ravel(),
-            psi0.ravel())
-        fold = np.logaddexp.reduce(terms, axis=0).reshape(cands.shape)
+        phi = np.where(repeat, r_b[:-1], r_sum[:-1])  # (n, 3): a repeat reads r_b
+        fold = np.logaddexp.reduce(phi + x[1:, cands[0]], axis=0)[None]
         assert (lo <= fold).all() and (fold <= hi).all()
+        # and psi by blocks: per cell, phi by absolute frame, none at frame 0
+        rows = np.concatenate((np.full((1, 3), NEG_INF), phi))
+        psi = scorers_mod._block_psi(scorers_mod._BlockTable(EmissionMatrix(x)), rows,
+                                     cands[0], np.arange(3))[None]
+        assert (lo <= psi).all() and (psi <= hi).all()
         # hi carries twice the margin; the float folds stray by far less than one
         assert (hi[0, :2] - fold[0, :2] <= 3 * scorers_mod._margin(n, hi[0, :2])).all()
 
@@ -833,7 +943,7 @@ class TestPeakBounds:
         _, scored = scorer.batch_score_partial([(9,)], np.array([[1, 2]]), [init], em)
         state = scorer.select_state(scored[0], 1)
         cands = np.array([[1, 2, 3]])
-        ref = frame_loop_reference([(9, 1)], cands, [ctc_state(state)], em.data, 0, 3)[0]
+        ref, _, psi = frame_loop_reference([(9, 1)], cands, [ctc_state(state)], em.data, 0, 3)
         calls = []
 
         def keep_all(lo, hi):
@@ -841,9 +951,10 @@ class TestPeakBounds:
             return calls[-1][2]
 
         scores, _ = scorer.batch_score_partial_pruned([(9, 1)], cands, [state], em, keep_all)
-        assert np.array_equal(scores, ref)
-        check_keep_calls(calls, scores, ref)
-        assert len(calls) == (2 if ctc_tier == "tiered" else 1)
+        full = scorer.batch_score_partial([(9, 1)], cands, [state], em)[0]
+        assert np.array_equal(scores, full)
+        check_keep_calls(calls, scores, full, (ref, psi, em.frames))
+        assert len(calls) == (1 if ctc_tier == "tiered" else 0)
         r_sum = np.logaddexp(state.r_nb, state.r_b)
         peak = max(1, int(em.data[:, 1].argmax()))
         assert r_sum[peak - 1] + em.data[peak, 1] - state.prefix_score > ref[0, 0] + 1.0
