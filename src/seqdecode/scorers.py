@@ -242,7 +242,7 @@ class CTCPrefixState:
         self.prefix_score = prefix_score
         self.prefix_len = prefix_len
         self._source = None  # (_CTCScoredState, row, column) while pending
-        self._table = None  # the decode's _BlockTable
+        self._table = None  # the decode's _label_blocks(x)
 
     @property
     def r_nb(self) -> np.ndarray:
@@ -284,7 +284,7 @@ class _CTCScoredState:
     r_b: np.ndarray  # (T, B) parents' blank variable
     r_sum: np.ndarray  # (T, B) parents' total
     prefix_lens: np.ndarray  # (B,) parents' label counts
-    table: "_BlockTable"  # the decode's emission blocks, handed to the successors
+    table: Tuple[np.ndarray, np.ndarray]  # the decode's _label_blocks(x), for the successors
 
 
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
@@ -523,35 +523,26 @@ def _blocks(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(e.transpose(2, 0, 1)), shift.T
 
 
-class _BlockTable:
-    """One decode's emissions in the blocks of ``_blocks``, label-major:
-    ``rows(labels)`` gives each label's (nb, _BLOCK) exponentiated block
-    entries and (nb,) shifts. A label's row is built the first time a call
-    scores it, so a decode pays only for the labels it rates. The decode's
-    CTC states hold the table, not the emission, so it goes with them."""
-
-    def __init__(self, emission: EmissionMatrix):
-        self.emission = emission
-        V, nb = emission.vocab_size, -(-emission.frames // _BLOCK)
-        self.e = np.empty((V, nb, _BLOCK))
-        self.shift = np.empty((V, nb))
-        self.built = np.zeros(V, dtype=bool)
-
-    def rows(self, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        new = np.unique(labels[~self.built[labels]])
-        if new.size:
-            self.e[new], self.shift[new] = _blocks(self.emission.data[:, new])
-            self.built[new] = True
-        return self.e[labels], self.shift[labels]
+def _label_blocks(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_blocks(x)`` of a decode's (T, V) emissions, the table its CTC
+    states hold, built 256 labels at a time: the build's scratch is that of
+    one such slice, not a second (V, nb, _BLOCK) array."""
+    T, V = x.shape
+    nb = -(-T // _BLOCK)
+    e, shift = np.empty((V, nb, _BLOCK)), np.empty((V, nb))
+    for j in range(0, V, 256):
+        e[j:j + 256], shift[j:j + 256] = _blocks(x[:, j:j + 256])
+    return e, shift
 
 
-def _block_psi(table: _BlockTable, phi: np.ndarray, labels: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
+def _block_psi(x: np.ndarray, table: Tuple[np.ndarray, np.ndarray], phi: np.ndarray,
+               labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """psi of k cells, the log-sum over frames t of ``phi[t, row] + x[t,
     label]`` given per cell (phi the (T, n) parent columns), as a blocked
     product: per block of ``_BLOCK`` frames, the log of the sum of the
     label's and the parent's exponentiated block entries multiplied, plus
-    their two shifts; then a log-sum over the blocks.
+    their two shifts; then a log-sum over the blocks. ``table`` is
+    ``_label_blocks(x)``.
 
     Every step is elementwise or a reduction along a cell's own last axis,
     so a cell's psi does not depend on the other cells of the call. It is
@@ -560,7 +551,7 @@ def _block_psi(table: _BlockTable, phi: np.ndarray, labels: np.ndarray,
     ``_UNDERFLOW_GAP`` above its best block (which covers a finite cell
     whose blocks all underflowed) takes the fold itself.
     """
-    e, shift = table.rows(labels)
+    e, shift = table[0][labels], table[1][labels]
     pe, ps = _blocks(phi)
     a = shift + ps[rows]  # (k, nb) the blocks' shifts; -inf where a block has no mass
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -578,7 +569,6 @@ def _block_psi(table: _BlockTable, phi: np.ndarray, labels: np.ndarray,
         psi[best == NEG_INF] = NEG_INF
         exposed = np.flatnonzero(a.max(axis=1) - best > _UNDERFLOW_GAP)
     if exposed.size:
-        x = table.emission.data
         psi[exposed] = np.logaddexp.reduce(
             phi[:, rows[exposed]] + x[:, labels[exposed]], axis=0)
     return psi
@@ -643,15 +633,16 @@ class CTCPrefixScorer(PartialScorer):
     that log-sum as a blocked product (``_block_psi``): per block of
     ``_BLOCK`` frames, the parent's and the label's exponentiated entries
     multiplied and summed, then a log-sum over the blocks. The label's
-    entries come from a table built once per decode and held by its states
-    (``_BlockTable``). psi is within ``_psi_tol`` of the frame-order fold,
-    -inf exactly where the fold is, and does not depend on the other cells
-    of the call; a cell a block's underflow could have cost mass takes the
-    fold itself. The recursion runs only for the successors the search
-    keeps (see ``CTCPrefixState``), as two scans over frames per scoring
-    call, restarted at -inf emissions, whose values are within a stated
-    bound of the frame loop (``_recursion``). ``score_partial`` is the
-    batched kernel at B=1.
+    entries come from a table of every label's blocks (``_label_blocks``),
+    built once per decode by ``init_state`` and held by its states. psi is
+    within ``_psi_tol`` of the frame-order fold, -inf exactly where the
+    fold is, and does not depend on the other cells of the call; a cell a
+    block's underflow could have cost mass takes the fold itself. The
+    recursion runs only for the successors the search keeps (see
+    ``CTCPrefixState``), as two scans over frames per scoring call,
+    restarted at -inf emissions, whose values are within a stated bound of
+    the frame loop (``_recursion``). ``score_partial`` is the batched
+    kernel at B=1.
 
     ``batch_score_partial_pruned`` runs the same kernel. On a call of at
     least ``_TIERED_MIN_TERMS`` frame terms it first bounds every cell
@@ -678,7 +669,7 @@ class CTCPrefixScorer(PartialScorer):
         r_b = np.cumsum(x[:, self.blank_id])
         r_nb = np.full(emission.frames, NEG_INF)
         state = CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0)
-        state._table = _BlockTable(emission)
+        state._table = _label_blocks(x)
         return state
 
     def score_partial(self, prefix, candidates, state, emission):
@@ -749,7 +740,7 @@ class CTCPrefixScorer(PartialScorer):
             phi[1:, :B] = r_sum[:T - 1]
             phi[1:, B:] = r_b[:T - 1, rows[rep]]
             rows[rep] = B + np.arange(rep.size)
-            psi.ravel()[built] = _block_psi(table, phi, cands.ravel()[built], rows)
+            psi.ravel()[built] = _block_psi(x, table, phi, cands.ravel()[built], rows)
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(

@@ -891,7 +891,7 @@ class TestBlockTableScope:
         class Recording(CTCPrefixScorer):
             def init_state(self, emission):
                 state = super().init_state(emission)
-                tables.append(weakref.ref(state._table))
+                tables.extend(weakref.ref(a) for a in state._table)
                 return state
 
         cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6)
@@ -899,8 +899,8 @@ class TestBlockTableScope:
         gc.disable()
         try:
             nbest = search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})
-            assert nbest.entries and len(tables) == 1
-            assert tables[0]() is None
+            assert nbest.entries and len(tables) == 2  # the blocks and their shifts
+            assert all(table() is None for table in tables)
         finally:
             gc.enable()
         assert set(vars(em)) - before <= {"column_peaks", "neg_inf_columns"}
@@ -946,9 +946,9 @@ class TestFoldWorkBound:
         built, calls = [], []
         block_psi = scorers_mod._block_psi
 
-        def counting(table, phi, labels, rows):
+        def counting(x, table, phi, labels, rows):
             built.append(labels.size)
-            return block_psi(table, phi, labels, rows)
+            return block_psi(x, table, phi, labels, rows)
 
         class Counting(CTCPrefixScorer):
             def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):

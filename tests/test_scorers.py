@@ -795,6 +795,14 @@ class TestBlockProduct:
         assert psi_near(scores, ref_scores, em.frames, psi)
         return scores, scored[0][0].psi, psi
 
+    @pytest.mark.parametrize("shape", [(1, 3), (17, 256), (40, 257), (33, 600)])
+    def test_table_built_in_slices_equals_one_build(self, shape):
+        x = np.random.default_rng(7700 + shape[1]).normal(size=shape) - 4.0
+        x[::3, ::5] = -np.inf
+        e, shift = scorers_mod._label_blocks(x)
+        whole_e, whole_shift = scorers_mod._blocks(x)
+        assert np.array_equal(e, whole_e) and np.array_equal(shift, whole_shift)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
     @pytest.mark.parametrize("value", [0.0, -1e-3, -1.0, -7.25, -1e3, -3e4, 2.5])
     def test_equal_terms_are_the_tight_case(self, n, value):
@@ -802,14 +810,14 @@ class TestBlockProduct:
         # blocks must stay within the stated bound of it, for every cell
         # alone and in one call
         em = EmissionMatrix(np.tile(np.log([0.1, 0.2, 0.3, 0.4]), (n, 1)))
-        table = scorers_mod._BlockTable(em)
+        table = scorers_mod._label_blocks(em.data)
         phi = np.stack([np.full(n, value), np.full(n, np.nextafter(value, -np.inf))], axis=1)
         labels, rows = np.array([1, 2, 3, 2]), np.array([0, 0, 0, 1])
-        psi = scorers_mod._block_psi(table, phi, labels, rows)
+        psi = scorers_mod._block_psi(em.data, table, phi, labels, rows)
         real = (phi[0, rows] + em.data[0, labels]) + math.log(n)
         assert (np.abs(psi - real) <= scorers_mod._psi_tol(n, real)).all()
         for k in range(len(labels)):
-            alone = scorers_mod._block_psi(table, phi, labels[k:k + 1], rows[k:k + 1])
+            alone = scorers_mod._block_psi(em.data, table, phi, labels[k:k + 1], rows[k:k + 1])
             assert alone[0] == psi[k]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -827,7 +835,8 @@ class TestBlockProduct:
             phi[:, 2] = -np.inf  # a parent with no mass gives exactly -inf
             labels = rng.integers(0, V, size=12)
             rows = rng.integers(0, 3, size=12)
-            psi = scorers_mod._block_psi(scorers_mod._BlockTable(em), phi, labels, rows)
+            table = scorers_mod._label_blocks(em.data)
+            psi = scorers_mod._block_psi(em.data, table, phi, labels, rows)
             fold = np.logaddexp.reduce(phi[:, rows] + em.data[:, labels], axis=0)
             assert psi_near(psi, fold, n)
             assert (psi[rows == 2] == NEG_INF).all()
@@ -927,11 +936,14 @@ class TestPeakBounds:
         assert (lo <= fold).all() and (fold <= hi).all()
         # and psi by blocks: per cell, phi by absolute frame, none at frame 0
         rows = np.concatenate((np.full((1, 3), NEG_INF), phi))
-        psi = scorers_mod._block_psi(scorers_mod._BlockTable(EmissionMatrix(x)), rows,
-                                     cands[0], np.arange(3))[None]
+        table = scorers_mod._label_blocks(x)
+        psi = scorers_mod._block_psi(x, table, rows, cands[0], np.arange(3))[None]
         assert (lo <= psi).all() and (psi <= hi).all()
-        # hi carries twice the margin; the float folds stray by far less than one
-        assert (hi[0, :2] - fold[0, :2] <= 3 * scorers_mod._margin(n, hi[0, :2])).all()
+        # hi carries one _margin plus _psi_tol over the float fold of its
+        # bound, and that fold strays from the cells' fold by far less than
+        # another _margin
+        slack = 2 * scorers_mod._margin(n, hi[0, :2]) + scorers_mod._psi_tol(n, hi[0, :2])
+        assert (hi[0, :2] - fold[0, :2] <= slack).all()
 
     def test_repeat_lower_bound_comes_from_r_b(self, ctc_tier):
         # frames favouring a keep the prefix (a) in r_nb, so r_sum is far
