@@ -12,13 +12,19 @@ smaller token sequence).
 Per step: full scorers rate all V extensions of every live hypothesis; the
 top-P candidates per hypothesis by weighted full-scorer total form the
 pre-beam; partial scorers rate only those. The top-B cells of the resulting
-(B x P) score matrix are chosen before any successor exists, and only those
-B successors are built (scorer states selected, hypotheses allocated). Both
+(B x P) score matrix are chosen before any successor exists. Both
 selections partition first and sort only the cells they keep: the pre-beam
 by a stable argsort per row unless ties cross a row's P-th score, the top-B
 cells by a lexsort of those at or above the B-th best total.
-Successors emitting eos move to the finished pool with per-scorer final
-adjustments added.
+
+The live beam is held as arrays, best first: the yseqs, a vector of totals
+and one vector of scores per scorer. The kept cells' tokens and scores come
+from one gather per scorer, and each scorer selects the kept cells' states
+at once (``select_states``; the CTC prefix scorer's are one batch whose
+recursion the next scoring call runs whole). Successors emitting eos become
+``Hypothesis`` objects in the finished pool, with per-scorer final
+adjustments added; the only other one is the live fallback, the best live
+hypothesis when nothing finished.
 
 Selection by bound: in the batched search, one partial scorer that bounds
 its scores (the CTC prefix scorer) is scored after the others and rates
@@ -45,7 +51,6 @@ from .core import (
     NBestEntry,
     NBestList,
     Vocabulary,
-    hypothesis_sort_key,
 )
 from .scorers import FullScorer, PartialScorer
 
@@ -120,7 +125,7 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     if k == 0:
         return np.empty(np.shape(scores)[:-1] + (0,), dtype=ids.dtype)
     kth = np.partition(mat, N - k, axis=1)[:, N - k]
-    rows, cols = np.nonzero(mat >= kth[:, None])
+    rows, cols = np.divmod(np.flatnonzero(mat >= kth[:, None]), N)
     if cols.size == B * k and (ids[:-1] <= ids[1:]).all():
         cols = cols.reshape(B, k)
         order = np.argsort(-np.take_along_axis(mat, cols, axis=1), axis=1, kind="stable")
@@ -203,20 +208,6 @@ class _SearchContext:
             )
 
 
-def _initial_hypothesis(ctx: _SearchContext, emission: EmissionMatrix) -> Hypothesis:
-    names = ctx.all_names()
-    states = {}
-    for name in names:
-        scorer = ctx.full.get(name) or ctx.partial[name]
-        states[name] = scorer.init_state(emission)
-    return Hypothesis(
-        yseq=(ctx.vocab.sos_id,),
-        score=0.0,
-        scores={name: 0.0 for name in names},
-        states=states,
-    )
-
-
 def _totals(
     ctx: _SearchContext,
     full_part: np.ndarray,
@@ -263,7 +254,7 @@ def _may_reach_beam(
 
 
 def _top_cells(
-    live: Sequence[Hypothesis], cand_mat: np.ndarray, cand_scores: np.ndarray, k: int
+    yseqs: Sequence[Tuple[int, ...]], cand_mat: np.ndarray, cand_scores: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, columns) of the k best cells of the (B x P) candidate matrix,
     best first, under the successor order (score desc, yseq asc).
@@ -273,11 +264,11 @@ def _top_cells(
 
     Every live yseq has the same length, so a successor's yseq orders as its
     parent's yseq, then its token. The parent's rank must come from sorting
-    the live yseqs: their position in ``live`` follows score, not yseq.
+    the live yseqs: their position in the beam follows score, not yseq.
     """
     B, P = cand_mat.shape
     parent_rank = np.empty(B, dtype=np.int64)
-    parent_rank[sorted(range(B), key=lambda i: live[i].yseq)] = np.arange(B)
+    parent_rank[sorted(range(B), key=yseqs.__getitem__)] = np.arange(B)
     totals = cand_scores.ravel()
     cells = np.arange(totals.size) if k >= totals.size else np.flatnonzero(
         totals >= np.partition(totals, -k)[-k])
@@ -285,28 +276,28 @@ def _top_cells(
     return np.divmod(cells[order[:k]], P)
 
 
-def _finalize(ctx: _SearchContext, hyp: Hypothesis, emission: EmissionMatrix) -> Hypothesis:
-    score = hyp.score
-    scores = dict(hyp.scores)
+def _finalize(
+    ctx: _SearchContext,
+    yseq: Tuple[int, ...],
+    score: float,
+    scores: Dict[str, float],
+    states: Dict[str, Any],
+    emission: EmissionMatrix,
+) -> Hypothesis:
+    """The finished hypothesis of an eos successor, with each scorer's
+    final adjustment added. Nothing reads its states afterwards, so it
+    keeps none."""
     for name in ctx.all_names():
         scorer = ctx.full.get(name) or ctx.partial[name]
-        adj = float(scorer.final_score(hyp.yseq, hyp.states[name], emission))
+        adj = float(scorer.final_score(yseq, states[name], emission))
         if adj != 0.0:
             scores[name] = scores[name] + adj
             score = score + ctx.weights[name] * adj
-    # nothing reads a finished hypothesis's states; dropping them frees the
-    # scoring call a pending state points into
-    return Hypothesis(yseq=hyp.yseq, score=score, scores=scores, finished=True)
+    return Hypothesis(yseq=yseq, score=score, scores=scores, finished=True)
 
 
-def _collect_nbest(
-    ctx: _SearchContext, finished: List[Hypothesis], live: List[Hypothesis]
-) -> NBestList:
+def _collect_nbest(ctx: _SearchContext, pool: List[Hypothesis]) -> NBestList:
     vocab = ctx.vocab
-    pool = finished
-    if not pool:
-        # nothing ever emitted eos: fall back to the best live hypothesis
-        pool = sorted(live, key=hypothesis_sort_key)[:1]
     entries = []
     for hyp in pool:
         yseq = hyp.yseq[1:]
@@ -337,7 +328,15 @@ def _search(
         vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
     )
     max_steps, min_len = _resolve_lengths(config, emission.frames)
-    live = [_initial_hypothesis(ctx, emission)]
+    scorers = {**ctx.full, **ctx.partial}
+    names = ctx.all_names()
+    # the live beam, best first (score desc, yseq asc): the yseqs, the
+    # totals, and per scorer the scores and the states
+    yseqs: List[Tuple[int, ...]] = [(vocab.sos_id,)]
+    score = np.zeros(1)
+    scores = {name: np.zeros(1) for name in names}
+    states: Dict[str, Sequence[Any]] = {
+        name: [scorers[name].init_state(emission)] for name in names}
     finished: List[Hypothesis] = []
     step_best: List[float] = []
 
@@ -346,24 +345,21 @@ def _search(
         n_cand = min(ctx.pre_beam_size, len(allowed))
         if n_cand == 0:
             break
-        prefixes = [h.yseq for h in live]
 
-        weighted = np.zeros((len(live), ctx.vocab_size))
+        weighted = np.zeros((len(yseqs), ctx.vocab_size))
         full_mats: Dict[str, np.ndarray] = {}
-        full_scored: Dict[str, List[Any]] = {}
+        scored: Dict[str, Sequence[Any]] = {}
         for name, scorer in ctx.full.items():
             kernel = scorer.batch_score if batched else partial(FullScorer.batch_score, scorer)
-            mat, scored = kernel(prefixes, [h.states[name] for h in live], emission)
+            mat, scored[name] = kernel(yseqs, states[name], emission)
             ctx.check_width(name, mat)
             weighted += ctx.weights[name] * mat
             full_mats[name] = mat
-            full_scored[name] = scored
 
         cand_mat = top_candidate_ids(weighted[:, allowed], allowed, n_cand)
         full_part = np.take_along_axis(weighted, cand_mat, axis=1)
-        parent_scores = np.array([h.score for h in live])[:, None]
+        parent_scores = score[:, None]
         part_mats: Dict[str, np.ndarray] = {}
-        part_scored: Dict[str, List[Any]] = {}
         pruner = ctx.pruner if batched else None
         for name, scorer in ctx.partial.items():
             if name == pruner:
@@ -372,43 +368,48 @@ def _search(
                 scorer.batch_score_partial if batched
                 else partial(PartialScorer.batch_score_partial, scorer)
             )
-            part_mats[name], part_scored[name] = kernel(
-                prefixes, cand_mat, [h.states[name] for h in live], emission)
+            part_mats[name], scored[name] = kernel(yseqs, cand_mat, states[name], emission)
         if pruner is not None:
             keep = partial(_may_reach_beam, ctx, full_part, part_mats, parent_scores, pruner)
-            part_mats[pruner], part_scored[pruner] = (
-                ctx.partial[pruner].batch_score_partial_pruned(
-                    prefixes, cand_mat, [h.states[pruner] for h in live], emission, keep))
+            part_mats[pruner], scored[pruner] = ctx.partial[pruner].batch_score_partial_pruned(
+                yseqs, cand_mat, states[pruner], emission, keep)
         cand_scores = _totals(ctx, full_part, part_mats, parent_scores)
 
-        rows, cols = _top_cells(live, cand_mat, cand_scores, config.beam_size)
+        # the kept cells' scores in one gather per scorer, best first
+        rows, cols = _top_cells(yseqs, cand_mat, cand_scores, config.beam_size)
+        tokens = cand_mat[rows, cols]
         step_best.append(float(cand_scores[rows[0], cols[0]]))
-        survivors: List[Hypothesis] = []
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            hyp = live[i]
-            token = int(cand_mat[i, j])
-            scores = dict(hyp.scores)
-            states = dict(hyp.states)
-            for name, mat in full_mats.items():
-                scores[name] = scores[name] + float(mat[i, token])
-                states[name] = ctx.full[name].select_state(full_scored[name][i], token)
-            for name, pmat in part_mats.items():
-                scores[name] = scores[name] + float(pmat[i, j])
-                states[name] = ctx.partial[name].select_state(part_scored[name][i], token)
-            succ = Hypothesis(
-                yseq=hyp.yseq + (token,), score=float(cand_scores[i, j]),
-                scores=scores, states=states,
-            )
-            if token == vocab.eos_id:
-                finished.append(_finalize(ctx, succ, emission))
-            else:
-                survivors.append(succ)
-        live = survivors
+        score = cand_scores[rows, cols]
+        for name, mat in full_mats.items():
+            scores[name] = scores[name][rows] + mat[rows, tokens]
+        for name, pmat in part_mats.items():
+            scores[name] = scores[name][rows] + pmat[rows, cols]
+
+        ends = tokens == vocab.eos_id
+        done = np.flatnonzero(ends)
+        if done.size:
+            done_states = {name: scorers[name].select_states(
+                scored[name], rows[done], tokens[done]) for name in names}
+            for n, k in enumerate(done.tolist()):
+                finished.append(_finalize(
+                    ctx, yseqs[rows[k]] + (vocab.eos_id,), float(score[k]),
+                    {name: float(scores[name][k]) for name in names},
+                    {name: done_states[name][n] for name in names}, emission))
+        live = np.flatnonzero(~ends)
+        yseqs = [yseqs[i] + (t,) for i, t in zip(rows[live].tolist(), tokens[live].tolist())]
+        score = score[live]
+        scores = {name: v[live] for name, v in scores.items()}
+        states = {name: scorers[name].select_states(scored[name], rows[live], tokens[live])
+                  for name in names}
         if end_detect(finished, step_best, config.end_detect_window, config.end_detect_margin):
             break
-        if not live:
+        if not yseqs:
             break
-    return _collect_nbest(ctx, finished, live)
+    if not finished and yseqs:
+        # nothing ever emitted eos: fall back to the best live hypothesis
+        finished = [Hypothesis(yseq=yseqs[0], score=float(score[0]),
+                               scores={name: float(v[0]) for name, v in scores.items()})]
+    return _collect_nbest(ctx, finished)
 
 
 def beam_search(

@@ -7,7 +7,8 @@ partial scorer rates only a pre-selected candidate subset, which is how the
 comparatively expensive CTC prefix computation joins the search. Scorer
 states are per-hypothesis values threaded by the search: ``score`` returns a
 "scored state" from which ``select_state`` extracts the successor state for
-the token actually chosen. The CTC prefix scorer rates candidates from the
+the token actually chosen; ``select_states`` does so for all the cells a
+search step keeps. The CTC prefix scorer rates candidates from the
 parents' forward variables alone; a successor's own variables are computed
 only when it is scored in turn (or read), so pruned successors cost nothing.
 
@@ -59,6 +60,14 @@ class FullScorer(abc.ABC):
     def select_state(self, scored_state: Any, token: int) -> Any:
         return scored_state
 
+    def select_states(self, scored: Sequence[Any], rows: np.ndarray, tokens: np.ndarray
+                      ) -> Sequence[Any]:
+        """Successor states of the cells (rows[k], tokens[k]) of one
+        scoring call, whose scored states are ``scored``: the states
+        ``select_state`` gives, as a sequence ``batch_score`` accepts. The
+        default loops over ``select_state``."""
+        return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
+
     def final_score(
         self, prefix: Tuple[int, ...], state: Any, emission: Optional[EmissionMatrix]
     ) -> float:
@@ -105,6 +114,11 @@ class PartialScorer(abc.ABC):
 
     def select_state(self, scored_state: Any, token: int) -> Any:
         return scored_state
+
+    def select_states(self, scored: Sequence[Any], rows: np.ndarray, tokens: np.ndarray
+                      ) -> Sequence[Any]:
+        """As ``FullScorer.select_states``, for ``batch_score_partial``."""
+        return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
 
     def final_score(
         self, prefix: Tuple[int, ...], state: Any, emission: Optional[EmissionMatrix]
@@ -225,10 +239,11 @@ class CTCPrefixState:
     accumulated log prefix probability (0.0 for the empty prefix, whose
     prefix set is everything).
 
-    A state made by ``select_state`` is pending: it holds only its cell (row,
-    column) in the scoring call that rated it. Its variables are computed
-    when first read, or by the next scoring call, which runs the recursion
-    once for all the pending states it is given: two scans over frames,
+    A state made by ``select_state``, or read from a ``_CTCBatch``, is
+    pending: it holds only its cell (row, column) in the scoring call that
+    rated it. Its variables are computed when first read, or by the next
+    scoring call, which runs the recursion once per scoring call for the
+    pending states it is given (``_materialise``): two scans over frames,
     restarted at -inf emissions, within ``_SCAN_TOL * (|r| - _SCAN_FLOOR)``
     of the frame-by-frame recursion and -inf exactly where it is (see
     ``_recursion``). The values do not depend on which other states are
@@ -274,7 +289,9 @@ class CTCPrefixState:
 @dataclass(eq=False)
 class _CTCScoredState:
     """What one scoring call keeps for building its selected successors:
-    the parents' forward variables, not the (T, B, C) recursion."""
+    the parents' forward variables, not the (T, B, C) recursion. It is the
+    call's sequence of scored states: item i is (self, i), parent i's
+    scored state, which ``select_state`` takes."""
 
     emission: EmissionMatrix
     blank_id: int
@@ -285,6 +302,42 @@ class _CTCScoredState:
     r_sum: np.ndarray  # (T, B) parents' total
     prefix_lens: np.ndarray  # (B,) parents' label counts
     table: Tuple[np.ndarray, np.ndarray]  # the decode's _label_blocks(x), for the successors
+
+    def __len__(self) -> int:
+        return len(self.prefix_lens)
+
+    def __getitem__(self, row: int) -> Tuple["_CTCScoredState", int]:
+        if not 0 <= row < len(self):
+            raise IndexError(row)
+        return self, row
+
+
+def _pending(scored: _CTCScoredState, row: int, col: int) -> CTCPrefixState:
+    """The pending successor state of cell (row, col) of a scoring call."""
+    state = CTCPrefixState(None, None, None, float(scored.psi[row, col]),
+                           int(scored.prefix_lens[row]) + 1)
+    state._source = (scored, row, col)
+    state._table = scored.table
+    return state
+
+
+class _CTCBatch(Sequence):
+    """The successor states of the cells (rows, cols) of one scoring call,
+    as one batch: the next scoring call runs the recursion once for all of
+    them and reads r_b and r_sum as rows of its (3, T, k) result, with no
+    per-state work. Item k is the pending ``CTCPrefixState`` of cell k,
+    built when asked for."""
+
+    def __init__(self, scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
+        self.scored, self.rows, self.cols = scored, rows, cols
+        self.prefix_scores = scored.psi[rows, cols]
+        self.prefix_lens = scored.prefix_lens[rows] + 1
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> CTCPrefixState:
+        return _pending(self.scored, self.rows[k], self.cols[k])
 
 
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
@@ -324,7 +377,8 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     segments (``_scan``). A call none of whose columns has a -inf emission
     (``EmissionMatrix.neg_inf_columns``, an O(k) lookup) skips the segments'
     work. A column whose sums fall below ``_SCAN_FLOOR`` scans again in
-    blocks of frames, carrying the state from block to block.
+    blocks of frames of its own (``_floor_blocks``), carrying the state
+    from block to block.
 
     The scan rounds differently from the frame loop: each entry is within
     ``_SCAN_TOL * (|r| - _SCAN_FLOOR)`` of the loop's r, and -inf exactly
@@ -351,20 +405,48 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     neg_inf = scored.emission.neg_inf_columns
     segmented = bool(neg_inf[blank] or neg_inf[labels].any())
     low = _scan(phi, xs, x[:, blank], first, segmented, r, t0, T)
-    if low.size:
-        # again in blocks of K frames, K times the worst finite emission of
-        # these columns at least _SCAN_FLOOR, so no block's sums fall below
-        # it. Each block hands on r_sum = logaddexp(r_nb, r_b), so a block
-        # of one frame (an emission below the floor) is the frame loop's step
-        phi, xs, first, sub = phi[:, low], xs[:, low], first[low], r[:, :, low]
-        ex = np.concatenate((xs[t0:], x[t0:, blank, None]), axis=1)
-        K = max(1, int(_SCAN_FLOOR / np.min(ex, where=ex > NEG_INF, initial=-1.0)))
-        for s in range(t0, T, K):
-            e = min(s + K, T)
-            _scan(phi, xs, x[:, blank], first, segmented, sub, s, e)
+    # a column whose sums fall below the floor scans again in blocks of its
+    # own (``_floor_blocks``), with the columns whose blocks are the same
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for j in low.tolist():
+        groups.setdefault(_floor_blocks(xs[:, j], x[:, blank], int(first[j])), []).append(j)
+    for bounds, js in groups.items():
+        sub = r[:, :, js]
+        for s, e in zip(bounds, bounds[1:]):
+            _scan(phi[:, js], xs[:, js], x[:, blank], first[js], segmented, sub, s, e)
+            # each block hands on r_sum = logaddexp(r_nb, r_b), so a block
+            # of one frame is the frame loop's step
             np.logaddexp(sub[0, e - 1], sub[1, e - 1], out=sub[2, e - 1])
-        r[:, :, low] = sub
+        r[:, :, js] = sub
     return r
+
+
+def _floor_blocks(x_label: np.ndarray, x_blank: np.ndarray, first: int) -> Tuple[int, ...]:
+    """Frames at which the blocks of one column's scan start and end, from
+    its label's and the blank's emissions and its first frame: a function
+    of the column alone, so its values do not depend on the other columns
+    of its call.
+
+    A block spans at most K frames, K times the column's worst emission
+    above ``_SCAN_FLOOR`` at least ``_SCAN_FLOOR``, so its sums stay above
+    the floor before its last frame, whose emissions the scans only add. A
+    frame with a finite emission below the floor (-1e10 standing for a
+    masked token, say) ends its block. A column that also has a -inf
+    emission takes blocks of one frame, the frame loop's steps: a restart's
+    offset spans every term of its block, and a state carried in from such
+    a frame is one of them.
+    """
+    T = len(x_label)
+    ex = np.column_stack((x_label[first:], x_blank[first:]))
+    below = ((ex < _SCAN_FLOOR) & (ex > NEG_INF)).any(axis=1)
+    if below.any() and np.isneginf(ex).any():
+        return tuple(range(first, T + 1))
+    K = max(1, int(_SCAN_FLOOR / np.min(ex, where=ex >= _SCAN_FLOOR, initial=-1.0)))
+    bounds = [first]
+    for stop in (first + np.flatnonzero(below)).tolist() + [T - 1]:
+        while bounds[-1] <= stop:
+            bounds.append(min(bounds[-1] + K, stop + 1))
+    return tuple(bounds)
 
 
 def _scan(phi, xs, x_blank, first, segmented, r, s, e):
@@ -641,7 +723,9 @@ class CTCPrefixScorer(PartialScorer):
     recursion runs only for the successors the search keeps (see
     ``CTCPrefixState``), as two scans over frames per scoring call,
     restarted at -inf emissions, whose values are within a stated bound of
-    the frame loop (``_recursion``). ``score_partial`` is the batched
+    the frame loop (``_recursion``). ``select_states`` keeps one call's
+    successors as one ``_CTCBatch``, whose recursion the next call runs
+    and reads as its parents' arrays. ``score_partial`` is the batched
     kernel at B=1.
 
     ``batch_score_partial_pruned`` runs the same kernel. On a call of at
@@ -680,12 +764,17 @@ class CTCPrefixScorer(PartialScorer):
 
     def select_state(self, scored_state, token: int) -> CTCPrefixState:
         scored, row = scored_state
-        col = scored.candidates[row].tolist().index(token)
-        state = CTCPrefixState(None, None, None, float(scored.psi[row, col]),
-                               int(scored.prefix_lens[row]) + 1)
-        state._source = (scored, row, col)
-        state._table = scored.table
-        return state
+        return _pending(scored, row, scored.candidates[row].tolist().index(token))
+
+    def select_states(self, scored, rows, tokens):
+        """One ``_CTCBatch`` of the cells, given the sequence of one
+        scoring call; rows of separate calls (the sequential search's, a
+        wrapper's) take the default loop."""
+        if not isinstance(scored, _CTCScoredState):
+            return super().select_states(scored, rows, tokens)
+        # a row's candidates are distinct, so its token's column is its first match
+        cols = np.argmax(scored.candidates[rows] == tokens[:, None], axis=1)
+        return _CTCBatch(scored, rows, cols)
 
     def batch_score_partial(self, prefixes, candidates, states, emission):
         return self._score(prefixes, candidates, states, emission, keep=None)
@@ -703,15 +792,23 @@ class CTCPrefixScorer(PartialScorer):
         T = emission.frames
         B, P = cands.shape
 
-        _materialise(states)
-        table = states[0]._table
-        prefix_lens = np.array([s.prefix_len for s in states])
-        r_b = np.stack([s._r_b for s in states], axis=1)  # (T, B)
-        r_sum = np.stack([s._r_sum for s in states], axis=1)
-        prefix_scores = np.array([s.prefix_score for s in states])[:, None]
-        last = np.array(
-            [p[-1] if s.prefix_len > 0 else -1 for p, s in zip(prefixes, states)]
-        )
+        if isinstance(states, _CTCBatch):
+            _, r_b, r_sum = _recursion(states.scored, states.rows, states.cols)  # (T, B) each
+            table = states.scored.table
+            prefix_lens, prefix_scores = states.prefix_lens, states.prefix_scores
+        else:
+            _materialise(states)
+            table = states[0]._table
+            prefix_lens = np.array([s.prefix_len for s in states])
+            prefix_scores = np.array([s.prefix_score for s in states])
+            if len(states) == 1:  # a view of its columns, no copy
+                r_b, r_sum = states[0]._r_b[:, None], states[0]._r_sum[:, None]
+            else:
+                r_b = np.stack([s._r_b for s in states], axis=1)
+                r_sum = np.stack([s._r_sum for s in states], axis=1)
+        prefix_scores = prefix_scores[:, None]
+        last = np.array([p[-1] if p else -1 for p in prefixes])
+        last[prefix_lens == 0] = -1
         repeat = cands == last[:, None]  # (B, C)
         eos_mask = cands == self.eos_id
         eos_psi = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
@@ -747,4 +844,4 @@ class CTCPrefixScorer(PartialScorer):
             emission=emission, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
             r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens, table=table,
         )
-        return _minus(psi, prefix_scores), [(scored, i) for i in range(len(states))]
+        return _minus(psi, prefix_scores), scored

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import weakref
 
 import numpy as np
@@ -23,7 +24,6 @@ from seqdecode.beam_search import (
     _collect_nbest,
     _may_reach_beam,
     _finalize,
-    _initial_hypothesis,
     _resolve_lengths,
     _top_cells,
     top_candidate_ids,
@@ -42,6 +42,9 @@ from conftest import (
     random_emission,
     random_table_scorer,
 )
+
+# the package re-exports the function under the module's own name
+bs_mod = importlib.import_module("seqdecode.beam_search")
 
 
 def greedy_reference(ts: TableScorer, vocab, max_steps: int):
@@ -339,7 +342,12 @@ def build_all_successors_search(em, vocab, fulls, cfg, parts):
     all by ``hypothesis_sort_key`` and keep the best B."""
     ctx = _SearchContext(vocab, fulls, parts, cfg, em.vocab_size)
     max_steps, min_len = _resolve_lengths(cfg, em.frames)
-    live, finished, step_best = [_initial_hypothesis(ctx, em)], [], []
+    names = ctx.all_names()
+    initial = Hypothesis(
+        yseq=(vocab.sos_id,), score=0.0, scores={name: 0.0 for name in names},
+        states={name: (ctx.full.get(name) or ctx.partial[name]).init_state(em)
+                for name in names})
+    live, finished, step_best = [initial], [], []
     for step in range(max_steps):
         allowed = ctx.allowed(eos_ok=step >= min_len)
         n_cand = min(ctx.pre_beam_size, len(allowed))
@@ -377,13 +385,15 @@ def build_all_successors_search(em, vocab, fulls, cfg, parts):
         successors.sort(key=hypothesis_sort_key)
         top = successors[: cfg.beam_size]
         step_best.append(top[0].score)
-        finished += [_finalize(ctx, h, em) for h in top if h.yseq[-1] == vocab.eos_id]
+        finished += [_finalize(ctx, h.yseq, h.score, dict(h.scores), h.states, em)
+                     for h in top if h.yseq[-1] == vocab.eos_id]
         live = [h for h in top if h.yseq[-1] != vocab.eos_id]
         if end_detect(finished, step_best, cfg.end_detect_window, cfg.end_detect_margin):
             break
         if not live:
             break
-    return _collect_nbest(ctx, finished, live)
+    # nothing finished: the best live hypothesis
+    return _collect_nbest(ctx, finished or sorted(live, key=hypothesis_sort_key)[:1])
 
 
 class QuantisedScorer(FullScorer):
@@ -444,14 +454,32 @@ def selection_instance(edge, seed):
     return em, vocab, fulls, cfg, parts
 
 
+def batched_in_batches(monkeypatch, *args):
+    """``batch_beam_search``'s n-best rows, checking that the CTC scorer
+    never filled in a pending state one by one: each step's successors
+    reached the next scoring call as the step's ``_CTCBatch``."""
+    pending = []
+    materialise = scorers_mod._materialise
+
+    def logged(states):
+        pending.extend(s for s in states if s._source is not None)
+        materialise(states)
+
+    with monkeypatch.context() as m:
+        m.setattr(scorers_mod, "_materialise", logged)
+        rows = nbest_rows(batch_beam_search(*args))
+    assert pending == []
+    return rows
+
+
 class TestTopBSelection:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("edge", sorted(SELECTION_EDGES))
-    def test_matches_building_every_successor(self, edge, seed):
+    def test_matches_building_every_successor(self, edge, seed, monkeypatch):
         em, vocab, fulls, cfg, parts = selection_instance(edge, seed)
         ref = nbest_rows(build_all_successors_search(em, vocab, fulls, cfg, parts))
         assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
-        assert nbest_rows(batch_beam_search(em, vocab, fulls, cfg, parts)) == ref
+        assert batched_in_batches(monkeypatch, em, vocab, fulls, cfg, parts) == ref
         if edge == "no_eos":
             # live fallback: one unfinished hypothesis of full length
             assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
@@ -513,9 +541,9 @@ class CountingCTC(CTCPrefixScorer):
         super().__init__(blank_id, eos_id)
         self.log = log
 
-    def select_state(self, scored_state, token):
-        self.log.append("partial")
-        return super().select_state(scored_state, token)
+    def select_states(self, scored, rows, tokens):
+        self.log.extend(["partial"] * len(rows))
+        return super().select_states(scored, rows, tokens)
 
 
 class TestSuccessorWorkBound:
@@ -537,6 +565,62 @@ class TestSuccessorWorkBound:
         for picks in selections:
             assert 0 < picks.count("f") <= cfg.beam_size
             assert picks.count("p") == picks.count("f")
+
+
+    @pytest.mark.parametrize("reaches_eos", [True, False])
+    def test_batched_successors_build_no_per_successor_objects(self, reaches_eos,
+                                                                 monkeypatch):
+        # the batched search selects the CTC successors as one batch: no
+        # CTC select_state call, no np.stack in the CTC scorer, and a
+        # Hypothesis only for each finished hypothesis and the live fallback
+        rng = np.random.default_rng(9610)
+        vocab = make_vocab(12)
+        em = planted_emission(rng, vocab, [int(t) for t in rng.choice(vocab.label_ids(), 4)])
+        calls = {"select_state": 0, "stack": 0}
+        select_state, score = CTCPrefixScorer.select_state, CTCPrefixScorer._score
+
+        def counted_select_state(self, scored_state, token):
+            calls["select_state"] += 1
+            return select_state(self, scored_state, token)
+
+        inside = []
+
+        def counted_score(self, *args):
+            inside.append(True)
+            try:
+                return score(self, *args)
+            finally:
+                inside.pop()
+
+        def counted_stack(*args, **kwargs):
+            calls["stack"] += bool(inside)
+            return np.stack(*args, **kwargs)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return counted_stack if name == "stack" else getattr(np, name)
+
+        built = []
+
+        class Counted(Hypothesis):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(CTCPrefixScorer, "select_state", counted_select_state)
+        monkeypatch.setattr(CTCPrefixScorer, "_score", counted_score)
+        monkeypatch.setattr(scorers_mod, "np", Numpy())
+        monkeypatch.setattr(bs_mod, "Hypothesis", Counted)
+        cfg = BeamConfig(weights={"att": 0.3, "ctc": 0.7}, beam_size=8, pre_beam_size=12,
+                         min_len_ratio=0.0 if reaches_eos else 0.99, max_steps=10)
+        nbest = batch_beam_search(em, vocab, {"att": random_table_scorer(rng, 1, vocab.size)},
+                                  cfg, {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
+        assert calls == {"select_state": 0, "stack": 0}
+        if reaches_eos:
+            assert len(nbest.entries) > 1
+            assert len(built) == len(nbest.entries) and all(h.finished for h in built)
+        else:
+            assert len(built) == len(nbest.entries) == 1 and not built[0].finished
 
 
 class CheckedCTC(CTCPrefixScorer):
@@ -851,13 +935,14 @@ class TestBlockProductEdges:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("edge", EDGES)
-    def test_searches_agree_and_stay_within_bound(self, edge, seed, ctc_tier):
+    def test_searches_agree_and_stay_within_bound(self, edge, seed, ctc_tier, monkeypatch):
         em, vocab, ts, cfg = edge_instance(edge, seed)
         log = []
         checked = CheckedCTC(vocab.blank_id, vocab.eos_id, log)
         ctc = CTCPrefixScorer(vocab.blank_id, vocab.eos_id)
+        # the wrapper selects state by state: pending states, filled in per call
         ref = nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": UnprunedCTC(ctc)}))
-        assert nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})) == ref
+        assert batched_in_batches(monkeypatch, em, vocab, {"att": ts}, cfg, {"ctc": ctc}) == ref
         assert nbest_rows(batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": checked})) == ref
         assert nbest_rows(beam_search(em, vocab, {"att": ts}, cfg, {"ctc": checked})) == ref
         if edge == "no_eos":
@@ -1067,12 +1152,12 @@ class TestTopCandidateFastPath:
         assert lexsorts == [3, 3]
 
 
-def full_lexsort_cells(live, cand_mat, cand_scores, k):
+def full_lexsort_cells(yseqs, cand_mat, cand_scores, k):
     """Every cell of the (B x P) matrix lexsorted (-total, parent rank,
     token), then the first k: the selection before it partitioned."""
     B, P = cand_mat.shape
     parent_rank = np.empty(B, dtype=np.int64)
-    parent_rank[sorted(range(B), key=lambda i: live[i].yseq)] = np.arange(B)
+    parent_rank[sorted(range(B), key=lambda i: yseqs[i])] = np.arange(B)
     order = np.lexsort((cand_mat.ravel(), np.repeat(parent_rank, P), -cand_scores.ravel()))
     return np.divmod(order[:k], P)
 
@@ -1083,19 +1168,18 @@ class TestTopCellsPartition:
 
     @staticmethod
     def instance(rng, B, P, grid):
-        live = [Hypothesis(yseq=(0,) + tuple(rng.integers(0, 4, size=3).tolist()),
-                           score=0.0, scores={}, states={}) for _ in range(B)]
+        yseqs = [(0,) + tuple(rng.integers(0, 4, size=3).tolist()) for _ in range(B)]
         cand_mat = np.stack([np.sort(rng.choice(50, size=P, replace=False))
                              for _ in range(B)])
         if grid:
             scores = 0.5 * rng.integers(-4, 1, size=(B, P)).astype(np.float64)
         else:
             scores = rng.normal(size=(B, P))
-        return live, cand_mat, scores
+        return yseqs, cand_mat, scores
 
-    def check(self, live, cand_mat, scores, k):
-        rows, cols = _top_cells(live, cand_mat, scores, k)
-        ref_rows, ref_cols = full_lexsort_cells(live, cand_mat, scores, k)
+    def check(self, yseqs, cand_mat, scores, k):
+        rows, cols = _top_cells(yseqs, cand_mat, scores, k)
+        ref_rows, ref_cols = full_lexsort_cells(yseqs, cand_mat, scores, k)
         assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
         assert len(rows) == min(k, scores.size)
 
@@ -1105,28 +1189,28 @@ class TestTopCellsPartition:
         rng = np.random.default_rng(9740 + seed)
         for _ in range(60):
             B, P = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-            live, cand_mat, scores = self.instance(rng, B, P, grid)
+            yseqs, cand_mat, scores = self.instance(rng, B, P, grid)
             scores[rng.random(scores.shape) < 0.2] = -np.inf
-            self.check(live, cand_mat, scores, int(rng.integers(1, B * P + 3)))
+            self.check(yseqs, cand_mat, scores, int(rng.integers(1, B * P + 3)))
 
     def test_ties_at_the_kth_total_are_ordered_by_yseq(self):
         rng = np.random.default_rng(9750)
-        live, cand_mat, _ = self.instance(rng, 4, 3, grid=True)
+        yseqs, cand_mat, _ = self.instance(rng, 4, 3, grid=True)
         scores = np.array([[0.0, -1.0, -1.0], [-1.0, -1.0, -2.0],
                            [-1.0, -3.0, -3.0], [-0.5, -1.0, -4.0]])
         for k in range(1, 13):
-            self.check(live, cand_mat, scores, k)
+            self.check(yseqs, cand_mat, scores, k)
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_fewer_finite_totals_than_k(self, k):
         rng = np.random.default_rng(9760 + k)
-        live, cand_mat, scores = self.instance(rng, 3, 4, grid=False)
+        yseqs, cand_mat, scores = self.instance(rng, 3, 4, grid=False)
         scores[:] = -np.inf
         scores[1, 2], scores[2, 0] = -1.0, -2.0
-        self.check(live, cand_mat, scores, k)
+        self.check(yseqs, cand_mat, scores, k)
 
     @pytest.mark.parametrize("k", [6, 7, 20])
     def test_k_at_least_every_cell(self, k):
         rng = np.random.default_rng(9770 + k)
-        live, cand_mat, scores = self.instance(rng, 2, 3, grid=True)
-        self.check(live, cand_mat, scores, k)
+        yseqs, cand_mat, scores = self.instance(rng, 2, 3, grid=True)
+        self.check(yseqs, cand_mat, scores, k)

@@ -1,7 +1,10 @@
-"""The benchmark's four tiny workloads, run once untraced at seed 3, decode
-to the digests they have always had. A digest covers the top-1 sequence and
-rounded score of every decoder on the first requests, so a selection fast
-path that reorders or drops a hypothesis changes it."""
+"""The benchmark's four tiny workloads, run at seed 3 untraced and traced,
+decode to the digests they have always had. A digest covers the top-1
+sequence and rounded score of every decoder on the first requests, so a
+selection fast path that reorders or drops a hypothesis changes it. The
+traced run's scorer proxies forward only ``select_state``, so it takes the
+default ``select_states`` loop and the CTC scorer's list of pending states,
+where the untraced run takes the CTC batch."""
 
 import argparse
 import importlib
@@ -34,11 +37,19 @@ def perfbench():
         sys.modules.update(saved)
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_tiny_workload_digest_is_unchanged(perfbench, workload, tmp_path):
+def check_digest(perfbench, workload, trace, tmp_path):
     bench, smoke = perfbench
-    args = argparse.Namespace(workload=workload, seed=3, seconds=0.0, trace=0)
+    args = argparse.Namespace(workload=workload, seed=3, seconds=0.0, trace=trace)
     out = bench.measure(args, smoke.TINY[workload](), str(tmp_path))
     assert out["failed"] == 0, out["failures"][:3]
     assert out["report"]["digest"].startswith(DIGESTS[workload])
 
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_tiny_workload_digest_is_unchanged(perfbench, workload, tmp_path):
+    check_digest(perfbench, workload, 0, tmp_path)
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_traced_tiny_workload_gives_the_same_digest(perfbench, workload, tmp_path):
+    check_digest(perfbench, workload, 1, tmp_path)

@@ -743,6 +743,28 @@ class TestSegmentedScan:
                                         np.array([[1, 2]])):
             assert_near_loop(state, ref)
 
+    def test_masked_entries_end_blocks_of_their_own_columns(self, monkeypatch):
+        # a (400, 8) call with 5% of its label emissions -1e10 (masked
+        # tokens): each such entry ends a block of its own column only, so
+        # the block path makes far fewer scans than one per frame
+        rng = np.random.default_rng(7514)
+        T = 400
+        logits = peaked_logits(rng, T, 10)
+        labels = np.arange(1, 9)
+        logits[:, labels] = np.where(rng.random((T, 8)) < 0.05, -1e10, logits[:, labels])
+        em = EmissionMatrix.from_logits(logits)
+        assert not em.neg_inf_columns.any()
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=9)
+        hyps = [extend(scorer, em, [])]
+        cells = expand_all(scorer, em, hyps, labels[None, :])
+        scans = []
+        scan = scorers_mod._scan
+        monkeypatch.setattr(scorers_mod, "_scan", lambda *a: scans.append(a[1].shape[1]) or scan(*a))
+        scorers_mod._materialise([state for _, state, _ in cells])
+        assert scans[0] == 8 and len(scans) < T / 2
+        for _, state, ref in cells:
+            assert_near_loop(state, ref)
+
     def test_calls_do_not_grow_with_frames(self, monkeypatch):
         # a loop over frames would make more numpy calls at T=400 than at 50
         counts = []
