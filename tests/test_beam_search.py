@@ -566,7 +566,6 @@ class TestSuccessorWorkBound:
             assert 0 < picks.count("f") <= cfg.beam_size
             assert picks.count("p") == picks.count("f")
 
-
     @pytest.mark.parametrize("reaches_eos", [True, False])
     def test_batched_successors_build_no_per_successor_objects(self, reaches_eos,
                                                                  monkeypatch):
