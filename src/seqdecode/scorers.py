@@ -466,6 +466,11 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     if segmented:
         restart = np.isneginf(sums)
         sums[restart] = 0.0
+        # a column's finite terms lie from the later of s and its first
+        # frame to e: a count the column fixes, whatever shares the call
+        # (one bounds a column that starts past e, which has none)
+        terms = np.maximum(e + 1 - np.maximum(first, s), 1).tolist()
+        gap = np.array([math.log(n) + _RESTART_GAP for n in terms])
     np.cumsum(sums, axis=1, out=sums)
     c, d = sums
     with np.errstate(invalid="ignore"):  # columns below the floor may come out nan
@@ -474,7 +479,7 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
         np.subtract(phi[s - 1:e - 1], c[:-1], out=acc[1:])
         if segmented:
             acc[restart[0]] = NEG_INF  # r_nb is -inf there
-            off, stale = _offsets(acc, restart[0])
+            off, stale = _offsets(acc, restart[0], gap)
             acc += off
         np.logaddexp.accumulate(acc, axis=0, out=acc)
         if segmented:
@@ -484,7 +489,7 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
         q = np.subtract(r_nb, d)
         q[0] = r_sum[0]
         if segmented:
-            off, stale = _offsets(q, restart[1])
+            off, stale = _offsets(q, restart[1], gap)
             q += off
         np.logaddexp.accumulate(q, axis=0, out=q)
         if segmented:
@@ -501,13 +506,14 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     return np.flatnonzero(~(sums[:, -1] >= _SCAN_FLOOR).all(axis=0))
 
 
-def _offsets(a: np.ndarray, restart: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _offsets(a: np.ndarray, restart: np.ndarray, gap: np.ndarray) -> Tuple[np.ndarray, ...]:
     """(off, stale) for one segmented scan of the (L, k) terms ``a``, a
-    segment starting at each True of ``restart``.
+    segment starting at each True of ``restart``; ``gap`` is log(n) +
+    ``_RESTART_GAP`` per column, n a bound on its count of finite terms.
 
     A segment's offset exceeds the one before by the column's spread of
-    finite terms, plus log(L) and ``_RESTART_GAP``, so its first finite term
-    sits ``_RESTART_GAP`` above any running sum of earlier segments, which
+    finite terms plus its gap, so its first finite term sits
+    ``_RESTART_GAP`` above any running sum of earlier segments, which
     logaddexp then drops exactly. Less its offset, a running sum that has
     met its segment's first finite term is at least the column's smallest
     term, and one that has not (it still holds earlier segments) is
@@ -516,7 +522,7 @@ def _offsets(a: np.ndarray, restart: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     """
     hi = a.max(axis=0)
     lo = np.min(a, axis=0, where=a > NEG_INF, initial=np.inf)
-    step = np.maximum(hi - lo, 0.0) + (math.log(len(a)) + _RESTART_GAP)
+    step = np.maximum(hi - lo, 0.0) + gap
     return np.cumsum(restart, axis=0) * step, lo - _RESTART_GAP / 2
 
 

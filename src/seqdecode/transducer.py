@@ -8,13 +8,16 @@ that makes merged beam scores directly comparable to brute-force alignment
 sums. Optional shallow fusion adds a weighted LM score to label expansions
 (blank expansions are never LM-scored).
 
-No search builds a hypothesis it does not keep. TSD and ALSD score the label
-expansions of a round as one (n, V) matrix (``_Expansions``, the only place
-fusion arithmetic lives), pick the top B cells by (-score, child yseq), and
-only then call pred_step and the LM's select_state for those; NSC is TSD
-with n_steps expansion rounds. The Graves beam keeps the label expansions
-of each popped parent as one row of V scores with one heap entry, at its
-best pending cell, and builds an expansion only when it is popped.
+No search builds a hypothesis it does not keep. Each round's joint rows,
+plus the parents' scores, hold the blank completions in one column and the
+label expansions in the rest (``_fuse``, the only place fusion arithmetic
+lives). Blank completions enter a yseq -> [score, hypothesis] map and are
+rescored only if they survive pruning. TSD and ALSD pick the top B cells of
+a round by (-score, child yseq) and only then call pred_step and the LM's
+select_state for those; NSC is TSD with n_steps expansion rounds. The Graves beam keeps
+the label expansions of each popped parent as one row of V scores with one
+heap entry, at its best pending cell, and builds an expansion only when it
+is popped.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .core import (
     NBestEntry,
     NBestList,
     format_key,
-    hypothesis_sort_key,
     log_rows,
     parse_key,
     read_json,
@@ -133,7 +135,7 @@ class TableTransducer(TransducerModel):
         ))
 
 
-@dataclass
+@dataclass(slots=True)
 class TransducerHypothesis:
     """Label sequence (blank excluded) with its merged alignment-sum score."""
 
@@ -186,20 +188,27 @@ class TransducerBeamConfig:
             raise ConfigError("max_pops_per_frame must be >= 1")
 
 
-def _prune(pool: Dict[Tuple[int, ...], TransducerHypothesis], beam: int
-           ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
-    ranked = sorted(pool.values(), key=hypothesis_sort_key)[:beam]
-    return {hyp.yseq: hyp for hyp in ranked}
+Pool = Dict[Tuple[int, ...], TransducerHypothesis]
 
 
-def _merge(pool: Dict[Tuple[int, ...], TransducerHypothesis],
-           hyp: TransducerHypothesis) -> None:
-    """Insert hyp, log-sum-exp-merging with an existing identical yseq."""
-    old = pool.get(hyp.yseq)
-    if old is None:
-        pool[hyp.yseq] = hyp
+def _complete(pool: Dict[Tuple[int, ...], list], hyp: TransducerHypothesis,
+              score: float) -> list:
+    """Enter hyp at score into a yseq -> [score, hypothesis] pool,
+    log-sum-exp-merging into an identical yseq already there; returns the
+    entry."""
+    entry = pool.get(hyp.yseq)
+    if entry is None:
+        entry = pool[hyp.yseq] = [score, hyp]
     else:
-        pool[hyp.yseq] = old.rescored(float(np.logaddexp(old.score, hyp.score)))
+        entry[0] = float(np.logaddexp(entry[0], score))
+    return entry
+
+
+def _prune(pool: Dict[Tuple[int, ...], list], beam: int) -> Pool:
+    """The beam best of a yseq -> [score, hypothesis] pool by (-score, yseq),
+    in that order; only these are rescored."""
+    ranked = sorted(pool.items(), key=lambda item: (-item[1][0], item[0]))[:beam]
+    return {yseq: hyp.rescored(score) for yseq, (score, hyp) in ranked}
 
 
 def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothesis:
@@ -224,8 +233,7 @@ def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothes
     return TransducerHypothesis(yseq=yseq, score=score, pred_state=state)
 
 
-def _init_pool(model: TransducerModel, config: TransducerBeamConfig
-               ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
+def _init_pool(model: TransducerModel, config: TransducerBeamConfig) -> Pool:
     hyp = TransducerHypothesis(
         yseq=(), score=0.0, pred_state=model.pred_init(),
         lm_state=config.lm.init_state(None) if config.lm is not None else None,
@@ -233,86 +241,69 @@ def _init_pool(model: TransducerModel, config: TransducerBeamConfig
     return {(): hyp}
 
 
-class _Expansions:
-    """Label expansions of n parents as one (n, V) score matrix.
+def _fuse(model: TransducerModel, config: TransducerBeamConfig,
+          parents: Sequence[TransducerHypothesis], total: np.ndarray
+          ) -> Tuple[np.ndarray, Any, Sequence[Any]]:
+    """(cells, LM rows, LM scored states) of n parents' label expansions from
+    ``total``, their scores plus their (n, V+1) joint rows (or one parent's
+    row). Each cell is ``score + joint[label]``, plus ``weight * lm[label]``
+    under fusion, added in that order, so it equals the score the child gets.
+    The LM rows take the cells' shape; without an LM both are n Nones."""
+    n_labels = model.num_labels
+    cells = total[..., :n_labels]
+    if config.lm is None:
+        return cells, (None,) * len(parents), (None,) * len(parents)
+    sos = n_labels  # stand-in outside the label range
+    vecs, scored = [], []
+    for h in parents:
+        vec, state = config.lm.score((sos,) + h.yseq, h.lm_state, None)
+        if len(vec) != n_labels:
+            raise ConfigError(
+                f"fusion LM scores {len(vec)} tokens but the model has {n_labels} labels"
+            )
+        vecs.append(vec)
+        scored.append(state)
+    lm_rows = np.array(vecs, dtype=np.float64).reshape(cells.shape)
+    # 0 * -inf is nan: a label the LM rules out is no expansion (fmax
+    # drops the nan for -inf and leaves every other cell as it is)
+    return np.fmax(cells + config.lm_weight * lm_rows, NEG_INF), lm_rows, scored
 
-    Each cell is ``parent.score + joint[label]``, plus ``weight * lm[label]``
-    under fusion, added in that order, so it equals the score the child
-    hypothesis gets. Only the cells a search keeps are built into
-    hypotheses: pred_step, the LM's select_state and the TransducerHypothesis
-    happen for those alone."""
 
-    def __init__(self, model: TransducerModel, config: TransducerBeamConfig,
-                 parents: Sequence[TransducerHypothesis], rows: Sequence[np.ndarray]):
-        self.model = model
-        self.lm = config.lm
-        self.parents = parents
-        joint = np.asarray(rows, dtype=np.float64)[:, :model.num_labels]
-        self.scores = np.array([h.score for h in parents], dtype=np.float64)[:, None] + joint
-        if self.lm is not None:
-            sos = model.num_labels  # stand-in outside the label range
-            vecs, self.lm_scored = [], []
-            for h in parents:
-                vec, scored = self.lm.score((sos,) + h.yseq, h.lm_state, None)
-                if len(vec) != model.num_labels:
-                    raise ConfigError(
-                        f"fusion LM scores {len(vec)} tokens but the model has "
-                        f"{model.num_labels} labels"
-                    )
-                vecs.append(vec)
-                self.lm_scored.append(scored)
-            self.lm_rows = np.array(vecs, dtype=np.float64)
-            self.scores = self.scores + config.lm_weight * self.lm_rows
-            # 0 * -inf is nan: a label the LM rules out is no expansion
-            self.scores[np.isnan(self.scores)] = NEG_INF
+def _child(model: TransducerModel, lm: Optional[FullScorer], parent: TransducerHypothesis,
+           lm_row: Any, lm_scored: Any, label: int, score: float) -> TransducerHypothesis:
+    """The expansion of parent by label at score, from the parent's LM row
+    and scored state (None without an LM)."""
+    lm_state, lm_raw = parent.lm_state, parent.lm_score
+    if lm is not None:
+        lm_raw = lm_raw + float(lm_row[label])
+        lm_state = lm.select_state(lm_scored, label)
+    return TransducerHypothesis(parent.yseq + (label,), score,
+                                model.pred_step(parent.pred_state, label), lm_state, lm_raw)
 
-    def _top_cells(self, k: int) -> List[Tuple[float, Tuple[int, ...], int, int]]:
-        """The k best finite cells as (-score, child yseq, row, label), in
-        (-score, child yseq) order. Parents differ in length, so ties are
-        broken on the whole child tuple, not on (parent, label)."""
-        flat = self.scores.ravel()
-        k = min(k, int(np.count_nonzero(flat > NEG_INF)))
-        if k == 0:
-            return []
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
-        rows, labels = np.nonzero(self.scores >= kth)
-        yseqs = [h.yseq for h in self.parents]
-        cells = sorted(
-            (-score, yseqs[r] + (label,), r, label)
-            for score, r, label in zip(
-                self.scores[rows, labels].tolist(), rows.tolist(), labels.tolist())
-        )
-        return cells[:k]
 
-    def child(self, r: int, label: int, score: Optional[float] = None
-              ) -> TransducerHypothesis:
-        """Build the expansion of parent r by label; ``score`` overrides the
-        cell's when merges have raised it."""
-        parent = self.parents[r]
-        lm_state, lm_raw = parent.lm_state, parent.lm_score
-        if self.lm is not None:
-            lm_raw = lm_raw + float(self.lm_rows[r, label])
-            lm_state = self.lm.select_state(self.lm_scored[r], label)
-        return TransducerHypothesis(
-            yseq=parent.yseq + (label,),
-            score=float(self.scores[r, label]) if score is None else score,
-            pred_state=self.model.pred_step(parent.pred_state, label),
-            lm_state=lm_state,
-            lm_score=lm_raw,
-        )
-
-    def best(self, k: int, built: Sequence[TransducerHypothesis] = ()
-             ) -> Dict[Tuple[int, ...], TransducerHypothesis]:
-        """The k best of the finite cells and the hypotheses in ``built``
-        (whose yseqs must not be cells), ranked by (-score, yseq); children
-        are built for the selected cells only."""
-        ranked = sorted(
-            [(-h.score, h.yseq, -1, h) for h in built] + self._top_cells(k)
-        )[:k]
-        return {
-            yseq: (item if r < 0 else self.child(r, item))
-            for _, yseq, r, item in ranked
-        }
+def _keep(model: TransducerModel, config: TransducerBeamConfig,
+          parents: Sequence[TransducerHypothesis], fused: tuple, k: int,
+          built: Optional[Dict[Tuple[int, ...], list]] = None) -> Pool:
+    """The k best of the finite cells of ``fused`` (from ``_fuse``) and the
+    yseq -> [score, hypothesis] entries of ``built`` (whose yseqs must not
+    be cells), by (-score, yseq) and in that order. Only these become
+    hypotheses. Parents differ in length, so ties are broken on the whole
+    child tuple, not on (parent, label)."""
+    cells, lm_rows, lm_scored = fused
+    n_labels = cells.shape[1]
+    flat = cells.ravel()
+    kth = np.sort(flat)[flat.size - k] if k < flat.size else NEG_INF
+    idx = (flat >= kth if kth > NEG_INF else flat > NEG_INF).nonzero()[0]
+    ranked = [(-score, parents[r].yseq + (label,), r, label)
+              for score, (r, label) in zip(flat[idx].tolist(),
+                                           [divmod(i, n_labels) for i in idx.tolist()])]
+    if built:
+        ranked += [(-score, yseq, -1, hyp) for yseq, (score, hyp) in built.items()]
+    return {
+        yseq: (item.rescored(-neg) if r < 0 else
+               _child(model, config.lm, parents[r], lm_rows[r], lm_scored[r], item, -neg))
+        for neg, yseq, r, item in sorted(ranked)[:k]
+    }
 
 
 def transducer_beam(model: TransducerModel, frames: int,
@@ -357,8 +348,9 @@ def transducer_beam(model: TransducerModel, frames: int,
     for t in range(frames):
         # Nodes: yseq -> [version, score, hypothesis] for pool hypotheses
         # not yet popped, parent yseq -> [version, cell scores (-inf once
-        # popped or absorbed), _Expansions] for rows. Heap entries are
-        # (-score, yseq, version, node), live while node[0] == version.
+        # popped or absorbed), (parent, LM row, LM scored state)] for rows.
+        # Heap entries are (-score, yseq, version, node), live while
+        # node[0] == version.
         active = {yseq: [0, hyp.score, hyp] for yseq, hyp in pool.items()}
         rows: Dict[Tuple[int, ...], list] = {}
         pool_children: Dict[Tuple[int, ...], List[int]] = {}
@@ -367,7 +359,7 @@ def transducer_beam(model: TransducerModel, frames: int,
                 pool_children.setdefault(yseq[:-1], []).append(yseq[-1])
         heap = [(-node[1], yseq, 0, node) for yseq, node in active.items()]
         heapq.heapify(heap)
-        completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
+        completed: Dict[Tuple[int, ...], list] = {}
         floor = NEG_INF  # the B-th best completed score
         pops = 0
         while pops < config.max_pops_per_frame:
@@ -377,20 +369,21 @@ def transducer_beam(model: TransducerModel, frames: int,
                 break
             neg_score, yseq, _, node = heapq.heappop(heap)
             pops += 1
+            score = -neg_score
             if isinstance(node[2], TransducerHypothesis):
                 del active[yseq]
-                hyp = node[2] if node[2].score == node[1] else node[2].rescored(node[1])
+                hyp = node[2]  # ``score`` holds its merges, hyp.score may not
             else:
-                hyp = node[2].child(0, yseq[-1], -neg_score)
+                hyp = _child(model, config.lm, *node[2], yseq[-1], score)
                 node[1][yseq[-1]] = NEG_INF
                 push_row(yseq[:-1], node)
 
-            joint_row = model.joint(t, hyp.pred_state)
-            _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
-            if len(completed) >= beam and completed[yseq].score > floor:
-                floor = sorted([h.score for h in completed.values()])[-beam]
-            expansions = _Expansions(model, config, [hyp], [joint_row])
-            cells = expansions.scores[0].tolist()
+            total = score + np.asarray(model.joint(t, hyp.pred_state), dtype=np.float64)
+            done = _complete(completed, hyp, float(total[blank]))
+            if len(completed) >= beam and done[0] > floor:
+                floor = sorted([c[0] for c in completed.values()])[-beam]
+            fused, lm_row, lm_scored = _fuse(model, config, (hyp,), total)
+            cells = fused.tolist()
             for label in pool_children.get(yseq, ()):
                 child = yseq + (label,)
                 kid = active.get(child)
@@ -402,7 +395,7 @@ def transducer_beam(model: TransducerModel, frames: int,
                     cells[label] = NEG_INF
             row = rows.get(yseq)
             if row is None:
-                row = rows[yseq] = [0, cells, expansions]
+                row = rows[yseq] = [0, cells, (hyp, lm_row, lm_scored[0])]
             else:
                 row[1] = np.logaddexp(row[1], cells).tolist()
             push_row(yseq, row)
@@ -426,17 +419,18 @@ def transducer_tsd(model: TransducerModel, frames: int,
     blank = model.blank_id
 
     for t in range(frames):
-        completed: Dict[Tuple[int, ...], TransducerHypothesis] = {}
+        completed: Dict[Tuple[int, ...], list] = {}
         current = pool
         for round_idx in range(config.max_exp_per_step + 1):
-            items = sorted(current.values(), key=hypothesis_sort_key)
-            rows = model.joint_batch(t, [h.pred_state for h in items])
-            for hyp, joint_row in zip(items, rows):
-                _merge(completed, hyp.rescored(hyp.score + float(joint_row[blank])))
+            parents = list(current.values())
+            total = np.array([h.score for h in parents])[:, None] + model.joint_batch(
+                t, [h.pred_state for h in parents])
+            for hyp, score in zip(parents, total[:, blank].tolist()):
+                _complete(completed, hyp, score)
             if round_idx == config.max_exp_per_step:
                 break
             # children of distinct parents never share a yseq: nothing to merge
-            current = _Expansions(model, config, items, rows).best(beam)
+            current = _keep(model, config, parents, _fuse(model, config, parents, total), beam)
             if not current:
                 break
         pool = _prune(completed, beam)
@@ -455,48 +449,38 @@ def transducer_alsd(model: TransducerModel, frames: int,
     expansions from their score matrix before any is built."""
     beam = config.beam_size
     blank = model.blank_id
-    if config.u_max is not None:
-        u_max = config.u_max
-    else:
-        u_max = math.ceil(config.u_max_ratio * frames)
+    u_max = config.u_max if config.u_max is not None else math.ceil(
+        config.u_max_ratio * frames)
 
     current = _init_pool(model, config)  # all entries satisfy t + u == i
-    final: Dict[Tuple[int, ...], TransducerHypothesis] = {}
+    final: Dict[Tuple[int, ...], list] = {}
     for i in range(frames + u_max):
-        nxt: Dict[Tuple[int, ...], TransducerHypothesis] = {}
-        parents: List[TransducerHypothesis] = []
-        rows: List[np.ndarray] = []
-        for hyp in sorted(current.values(), key=hypothesis_sort_key):
-            u = len(hyp.yseq)
-            t = i - u
-            if t >= frames:
-                continue
-            joint_row = model.joint(t, hyp.pred_state)
-            blank_hyp = hyp.rescored(hyp.score + float(joint_row[blank]))
-            if t == frames - 1:
-                _merge(final, blank_hyp)
+        live = [h for h in current.values() if i - len(h.yseq) < frames]
+        if not live:
+            break
+        total = np.array([h.score for h in live])[:, None] + np.array(
+            [model.joint(i - len(h.yseq), h.pred_state) for h in live])
+        nxt: Dict[Tuple[int, ...], list] = {}
+        for hyp, score in zip(live, total[:, blank].tolist()):
+            if i - len(hyp.yseq) == frames - 1:
+                _complete(final, hyp, score)
             else:
-                nxt[hyp.yseq] = blank_hyp
-            if u < u_max:
-                parents.append(hyp)
-                rows.append(joint_row)
-        if not parents:
-            current = _prune(nxt, beam)
-        else:
-            expansions = _Expansions(model, config, parents, rows)
-            # a label expansion may reach the yseq of a blank advance (parents
-            # differ in length): merge the pair into the blank advance
-            index = {h.yseq: r for r, h in enumerate(parents)}
-            pairs = [(yseq, index[yseq[:-1]], yseq[-1]) for yseq in nxt
-                     if yseq and yseq[:-1] in index]
-            if pairs:
-                ys, rs, ls = zip(*pairs)
-                merged = np.logaddexp([nxt[y].score for y in ys],
-                                      expansions.scores[rs, ls]).tolist()
-                for yseq, score in zip(ys, merged):
-                    nxt[yseq] = nxt[yseq].rescored(score)
-                expansions.scores[rs, ls] = NEG_INF
-            current = expansions.best(beam, list(nxt.values()))
+                nxt[hyp.yseq] = [score, hyp]
+        grow = [r for r, h in enumerate(live) if len(h.yseq) < u_max]
+        parents = [live[r] for r in grow]
+        fused = _fuse(model, config, parents, total[grow])
+        # a label expansion may reach the yseq of a blank advance (parents
+        # differ in length): merge the pair into the blank advance
+        index = {h.yseq: r for r, h in enumerate(parents)}
+        pairs = [(yseq, index[yseq[:-1]], yseq[-1]) for yseq in nxt
+                 if yseq and yseq[:-1] in index]
+        if pairs:
+            ys, rs, ls = zip(*pairs)
+            merged = np.logaddexp([nxt[y][0] for y in ys], fused[0][rs, ls]).tolist()
+            for yseq, score in zip(ys, merged):
+                nxt[yseq][0] = score
+            fused[0][rs, ls] = NEG_INF
+        current = _keep(model, config, parents, fused, beam, nxt)
         if not current:
             break
     return _nbest_from_pool(_prune(final, beam), config)

@@ -79,13 +79,6 @@ class TestCtcGreedy:
         em = EmissionMatrix.from_logits(np.log(np.array(rows)))
         assert ctc_greedy(em, 0) == (1, 2)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_independent_collapse(self, seed):
-        rng = np.random.default_rng(4000 + seed)
-        em = random_emission(rng, 5, 4)
-        path = tuple(int(i) for i in np.argmax(em.data, axis=1))
-        assert ctc_greedy(em, 0) == collapse(path, 0)
-
 
 class TestForcedAlign:
     def test_blank_then_label(self):

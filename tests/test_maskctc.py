@@ -47,26 +47,6 @@ class TestConfidenceCollapse:
         assert tokens == (1,)
         assert conf == pytest.approx((0.95,))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_ctc_greedy(self, seed):
-        rng = np.random.default_rng(26000 + seed)
-        em = random_emission(rng, 5, 4)
-        tokens, conf = ctc_confidence_collapse(em, 0)
-        assert tokens == ctc_greedy(em, 0)
-        assert len(conf) == len(tokens)
-        # naive reimplementation: group the argmax path by runs
-        path = [int(i) for i in np.argmax(em.data, axis=1)]
-        probs = np.exp(np.max(em.data, axis=1))
-        expected = []
-        prev = -1
-        for t, tok in enumerate(path):
-            if tok != 0 and tok != prev:
-                expected.append(probs[t])
-            elif tok != 0:
-                expected[-1] = max(expected[-1], probs[t])
-            prev = tok
-        assert conf == pytest.approx(tuple(expected))
-
 
 class TestMaskCtcDecode:
     def test_threshold_zero_keeps_collapse_without_calls(self, rng):

@@ -610,6 +610,18 @@ class TestScanRecursion:
         assert_near_loop(above, ref_above)
         assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0), [1])
 
+    @staticmethod
+    def assert_alone_equals_mixed(scorer, em, hyps, cands):
+        """Each state of one call for hyps x cands, filled in alone, bit for
+        bit as filled in with all of them, and near the frame loop."""
+        mixed = expand_all(scorer, em, hyps, cands)
+        alone = expand_all(scorer, em, hyps, cands)
+        scorers_mod._materialise([state for _, state, _ in mixed])
+        for (_, a, ref), (_, m, _) in zip(alone, mixed):
+            for name in ("r_nb", "r_b", "r_sum"):
+                assert np.array_equal(getattr(a, name), getattr(m, name))
+            assert_near_loop(a, ref)
+
     @pytest.mark.parametrize("dead", [False, True])
     def test_state_alone_equals_state_in_a_mixed_call(self, dead):
         # parents of 0 and 3 labels: the call's first frame is 1, the longer
@@ -621,14 +633,38 @@ class TestScanRecursion:
         em = EmissionMatrix.from_logits(logits)
         scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
         hyps = [extend(scorer, em, []), extend(scorer, em, [1, 3, 1])]
-        cands = np.array([[1, 2, 4], [2, 3, 4]])
-        mixed = expand_all(scorer, em, hyps, cands)
-        alone = expand_all(scorer, em, hyps, cands)
-        scorers_mod._materialise([state for _, state, _ in mixed])
-        for (_, a, ref), (_, m, _) in zip(alone, mixed):
-            for name in ("r_nb", "r_b", "r_sum"):
-                assert np.array_equal(getattr(a, name), getattr(m, name))
-            assert_near_loop(a, ref)
+        self.assert_alone_equals_mixed(scorer, em, hyps, np.array([[1, 2, 4], [2, 3, 4]]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_state_alone_equals_state_in_a_mixed_call_with_restarts(self, seed):
+        # 8% of the label emissions -inf, so columns restart their scans;
+        # parents of 0 and of 1-4 labels, 20-120 frames. A restart's offset
+        # must come from the column and the emission alone, not from the
+        # call's first frame, which the other parent sets
+        rng = np.random.default_rng(7520 + seed)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        for _ in range(5):
+            frames = int(rng.integers(20, 121))
+            logits = 1.5 * rng.normal(size=(frames, 6))
+            logits[:, 1:5][rng.random((frames, 4)) < 0.08] = -np.inf
+            em = EmissionMatrix.from_logits(logits)
+            labels = rng.integers(1, 5, size=int(rng.integers(1, 5))).tolist()
+            hyps = [extend(scorer, em, []), extend(scorer, em, labels)]
+            self.assert_alone_equals_mixed(scorer, em, hyps, np.array([[1, 2, 3], [2, 3, 4]]))
+
+    def test_mixed_call_with_parents_past_the_last_frame(self):
+        # parents of 0, T and T + 1 labels on an emission with a -inf label
+        # entry: the call starts at frame 1, and the successors of the two
+        # long parents would start at frames T and T + 1
+        rng = np.random.default_rng(7530)
+        logits = 1.5 * rng.normal(size=(6, 6))
+        logits[2, 3] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, []), extend(scorer, em, [1, 2, 1, 4, 2, 1]),
+                extend(scorer, em, [1, 2, 1, 4, 2, 1, 4])]
+        self.assert_alone_equals_mixed(scorer, em, hyps,
+                                       np.array([[1, 3, 4], [2, 3, 4], [2, 3, 4]]))
 
     def test_no_frames_left(self):
         # a parent of T labels: its successors need T + 1 frames

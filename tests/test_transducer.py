@@ -2,6 +2,7 @@ import collections
 import heapq
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -860,18 +861,120 @@ class TestTransducerExpansionWorkBound:
         assert model.events.count("pred_step") <= model.events.count("joint")
 
 
+class HistoryTransducer(TransducerModel):
+    """Delegating order-1 model whose prediction state is the whole label
+    history, so each joint call names the hypotheses it scores. Logs
+    ("joint", t, yseqs) per joint or joint_batch call and ("pred_step",)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.events = []
+
+    @property
+    def num_labels(self):
+        return self.inner.num_labels
+
+    def pred_init(self):
+        return ()
+
+    def pred_step(self, state, label):
+        self.events.append(("pred_step",))
+        return state + (label,)
+
+    def joint(self, t, state):
+        self.events.append(("joint", t, [state]))
+        return self.inner.joint(t, state[-1:])
+
+    def joint_batch(self, t, states):
+        self.events.append(("joint", t, list(states)))
+        return self.inner.joint_batch(t, [s[-1:] for s in states])
+
+
+def log_hypotheses(monkeypatch, events):
+    """Log ("hyp", yseq) for each TransducerHypothesis the searches build."""
+
+    class Logged(TransducerHypothesis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            events.append(("hyp", self.yseq))
+
+    monkeypatch.setattr(transducer_mod, "TransducerHypothesis", Logged)
+
+
+def _unexpanded(events):
+    """Hypotheses built without a pred_step just before (not a child), as
+    (index of the last joint event before, yseq)."""
+    out, last_joint = [], None
+    for i, event in enumerate(events):
+        if event[0] == "joint":
+            last_joint = i
+        elif event[0] == "hyp" and (i == 0 or events[i - 1][0] != "pred_step"):
+            out.append((last_joint, event[1]))
+    return out
+
+
+class TestTransducerHypothesesBuiltPerFrame:
+    """Blank completions are scores until pruning keeps them: every
+    hypothesis a search builds that is not an expansion (built right after
+    its pred_step) is one the search keeps. For TSD, NSC and ALSD it is
+    scored by the next run of joint calls (the next frame's or step's
+    hypotheses) or is in the n-best; the Graves beam builds at most B per
+    frame besides the children it pops."""
+
+    @staticmethod
+    def _decode(monkeypatch, rng, alg, fused):
+        model = HistoryTransducer(random_transducer(rng, 6, 5))
+        lm = TableScorer(0, 6, {(): np.log(rng.dirichlet(np.ones(6)))})
+        log_hypotheses(monkeypatch, model.events)
+        cfg = TransducerBeamConfig(beam_size=2, algorithm=alg, max_exp_per_step=3,
+                                   n_steps=3, lm=lm if fused else None,
+                                   lm_weight=0.5 if fused else 0.0)
+        return model.events, transducer_decode(model, 5, cfg)
+
+    @pytest.mark.parametrize("alg", ["tsd", "nsc", "alsd"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_every_built_completion_is_kept(self, monkeypatch, rng, alg, fused):
+        events, nbest = self._decode(monkeypatch, rng, alg, fused)
+        built = _unexpanded(events)
+        assert len(built) > 5
+        for i, yseq in built:
+            run = []
+            for event in itertools.dropwhile(lambda e: e[0] != "joint", events[(i or 0) + 1:]):
+                if event[0] != "joint":
+                    break
+                run.extend(event[2])
+            kept = run if run else [e.yseq for e in nbest.entries]
+            assert yseq in kept
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_graves_beam_builds_at_most_beam_per_frame_besides_children(
+            self, monkeypatch, rng, fused):
+        events, _ = self._decode(monkeypatch, rng, "beam", fused)
+        frames = [events[i][1] for i, _ in _unexpanded(events) if i is not None]
+        assert frames and max(collections.Counter(frames).values()) <= 2  # beam_size
+
+
+FUSE = transducer_mod._fuse
+
+
 class RowHeapSpy:
     """Observes transducer_beam's heap and its expansion rows. A frame
-    starts at each heapify; every heappush and every _Expansions row (one
-    per pop) is logged with its frame."""
+    starts at each heapify; every heappush, and every row a pop scores
+    through _fuse (one per pop), is logged with its frame. A row is logged
+    as its parent, the popped score (from the heap entry just popped), its
+    cells and its LM row."""
 
     def __init__(self, monkeypatch):
         self.frame = -1
         self.pushes, self.rows = [], []
+        popped = []
         spy = self
 
         class Heapq:
-            heappop = staticmethod(heapq.heappop)
+            @staticmethod
+            def heappop(heap):
+                popped[:] = [heapq.heappop(heap)]
+                return popped[0]
 
             @staticmethod
             def heapify(heap):
@@ -883,17 +986,19 @@ class RowHeapSpy:
                 spy.pushes.append((spy.frame, entry))
                 heapq.heappush(heap, entry)
 
-        class Rows(transducer_mod._Expansions):
-            def __init__(self, model, config, parents, rows):
-                super().__init__(model, config, parents, rows)
-                spy.rows.append((spy.frame, self))
+        def rows(model, config, parents, total):
+            cells, lm_rows, lm_scored = FUSE(model, config, parents, total)
+            assert len(parents) == 1 and parents[0].yseq == popped[0][1]
+            spy.rows.append((spy.frame, types.SimpleNamespace(
+                parents=parents, score=-popped[0][0], scores=cells, lm_rows=lm_rows)))
+            return cells, lm_rows, lm_scored
 
         monkeypatch.setattr(transducer_mod, "heapq", Heapq)
-        monkeypatch.setattr(transducer_mod, "_Expansions", Rows)
+        monkeypatch.setattr(transducer_mod, "_fuse", rows)
 
     def pops(self):
         """(frame, popped yseq, its score) in pop order."""
-        return [(f, exp.parents[0].yseq, exp.parents[0].score) for f, exp in self.rows]
+        return [(f, row.parents[0].yseq, row.score) for f, row in self.rows]
 
     def popped_twice(self):
         """(frame, yseq) of each parent popped more than once in a frame."""
@@ -906,9 +1011,12 @@ class RowHeapSpy:
                 if isinstance(entry[3][2], TransducerHypothesis)]
 
     def unpushed_rows(self):
-        """Rows that never had a heap entry."""
-        pushed = {id(entry[3][2]) for _, entry in self.pushes}
-        return [exp for _, exp in self.rows if id(exp) not in pushed]
+        """Rows that never had a heap entry: a row node holds the parent of
+        the pop that made it, and a parent popped again merges its new row
+        into that node."""
+        pushed = {id(entry[3][2][0]) for _, entry in self.pushes
+                  if isinstance(entry[3][2], tuple)}
+        return [row for _, row in self.rows if id(row.parents[0]) not in pushed]
 
 
 def _quantised(rows):
@@ -1079,20 +1187,37 @@ def _planted_table(rng, n_labels, frames):
 
 
 class TestGravesBeamAtWorkloadShape:
-    """The Graves beam at the transducer benchmark's shape: 30 labels,
-    B = 4, order-1 table and LM, plain and fused at weight 0.3."""
+    """The searches at the transducer benchmark's shape: 30 labels, B = 4,
+    order-1 table and LM, plain and fused at weight 0.3, each equal to its
+    reference bit for bit (the class keeps the name it had when it held
+    the Graves beam alone)."""
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_matches_reference(self, seed):
+    @staticmethod
+    def _instance(seed):
         rng = np.random.default_rng(66000 + seed)
         model = _planted_table(rng, 30, 20)
         lm = TableScorer(1, 30, {ctx: np.log(rng.dirichlet(np.full(30, 0.3)))
                                  for ctx in [()] + [(j,) for j in range(30)]})
-        for fusion in ({}, dict(lm=lm, lm_weight=0.3)):
+        return model, ({}, dict(lm=lm, lm_weight=0.3))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_reference(self, seed):
+        model, fusions = self._instance(seed)
+        for fusion in fusions:
             cfg = TransducerBeamConfig(beam_size=4, **fusion)
             got = _nbest_triples(transducer_beam(model, 20, cfg))
             assert len(got) == 4
             assert got == _nbest_triples(ref_beam(model, 20, cfg))
+
+    @pytest.mark.parametrize("alg", ["tsd", "nsc", "alsd"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_round_searches_match_reference(self, seed, alg):
+        model, fusions = self._instance(seed)
+        for fusion in fusions:
+            cfg = TransducerBeamConfig(beam_size=4, algorithm=alg, **fusion)
+            got = _nbest_triples(transducer_decode(model, 20, cfg))
+            assert len(got) == 4
+            assert got == _nbest_triples(REFERENCES[alg](model, 20, cfg))
 
 
 class TestGravesBeamPushBound:
