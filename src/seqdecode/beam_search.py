@@ -17,10 +17,11 @@ selections partition first and sort only the cells they keep: the pre-beam
 by a stable argsort per row unless ties cross a row's P-th score, the top-B
 cells by a lexsort of those at or above the B-th best total.
 
-The live beam is held as arrays, best first: the yseqs, a vector of totals
-and one vector of scores per scorer. The kept cells' tokens and scores come
-from one gather per scorer, and each scorer selects the kept cells' states
-at once (``select_states``; the CTC prefix scorer's are one batch whose
+The live beam is held as arrays, best first: the yseqs, their ranks sorted
+(carried on by one lexsort of (parent rank, token)), a vector of totals and
+one vector of scores per scorer. The kept cells' tokens and scores come from
+one gather per scorer, and each scorer selects the kept cells' states at
+once (``select_states``; the CTC prefix scorer's are one batch whose
 recursion the next scoring call runs whole). Successors emitting eos become
 ``Hypothesis`` objects in the finished pool, with per-scorer final
 adjustments added; the only other one is the live fallback, the best live
@@ -125,12 +126,14 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     if k == 0:
         return np.empty(np.shape(scores)[:-1] + (0,), dtype=ids.dtype)
     kth = np.partition(mat, N - k, axis=1)[:, N - k]
-    rows, cols = np.divmod(np.flatnonzero(mat >= kth[:, None]), N)
-    if cols.size == B * k and (ids[:-1] <= ids[1:]).all():
-        cols = cols.reshape(B, k)
-        order = np.argsort(-np.take_along_axis(mat, cols, axis=1), axis=1, kind="stable")
-        top = ids[np.take_along_axis(cols, order, axis=1)]
+    cells = np.flatnonzero(mat >= kth[:, None])
+    if cells.size == B * k and (ids[:-1] <= ids[1:]).all():
+        cells = cells.reshape(B, k)
+        order = np.argsort(-mat.take(cells), axis=1, kind="stable")
+        order += np.arange(0, B * k, k)[:, None]
+        top = ids.take(cells.take(order) - np.arange(0, B * N, N)[:, None])
     else:
+        rows, cols = np.divmod(cells, N)
         order = np.lexsort((ids[cols], -mat[rows, cols], rows))
         starts = np.searchsorted(rows, np.arange(B))
         top = ids[cols[order[starts[:, None] + np.arange(k)]]]
@@ -254,7 +257,7 @@ def _may_reach_beam(
 
 
 def _top_cells(
-    yseqs: Sequence[Tuple[int, ...]], cand_mat: np.ndarray, cand_scores: np.ndarray, k: int
+    parent_rank: np.ndarray, cand_mat: np.ndarray, cand_scores: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, columns) of the k best cells of the (B x P) candidate matrix,
     best first, under the successor order (score desc, yseq asc).
@@ -263,12 +266,10 @@ def _top_cells(
     (all when k >= B * P) are lexsorted, keyed (-total, parent rank, token).
 
     Every live yseq has the same length, so a successor's yseq orders as its
-    parent's yseq, then its token. The parent's rank must come from sorting
-    the live yseqs: their position in the beam follows score, not yseq.
+    parent's yseq, then its token. ``parent_rank`` is each live yseq's rank
+    among them sorted: their position in the beam follows score, not yseq.
     """
-    B, P = cand_mat.shape
-    parent_rank = np.empty(B, dtype=np.int64)
-    parent_rank[sorted(range(B), key=yseqs.__getitem__)] = np.arange(B)
+    P = cand_mat.shape[1]
     totals = cand_scores.ravel()
     cells = np.arange(totals.size) if k >= totals.size else np.flatnonzero(
         totals >= np.partition(totals, -k)[-k])
@@ -330,9 +331,10 @@ def _search(
     max_steps, min_len = _resolve_lengths(config, emission.frames)
     scorers = {**ctx.full, **ctx.partial}
     names = ctx.all_names()
-    # the live beam, best first (score desc, yseq asc): the yseqs, the
-    # totals, and per scorer the scores and the states
+    # the live beam, best first (score desc, yseq asc): the yseqs, their
+    # ranks sorted, the totals, and per scorer the scores and the states
     yseqs: List[Tuple[int, ...]] = [(vocab.sos_id,)]
+    rank = np.zeros(1, dtype=np.int64)
     score = np.zeros(1)
     scores = {name: np.zeros(1) for name in names}
     states: Dict[str, Sequence[Any]] = {
@@ -356,7 +358,8 @@ def _search(
             weighted += ctx.weights[name] * mat
             full_mats[name] = mat
 
-        cand_mat = top_candidate_ids(weighted[:, allowed], allowed, n_cand)
+        # weighted[:, allowed] comes out column-major, which slows the row partition
+        cand_mat = top_candidate_ids(weighted.take(allowed, axis=1), allowed, n_cand)
         full_part = np.take_along_axis(weighted, cand_mat, axis=1)
         parent_scores = score[:, None]
         part_mats: Dict[str, np.ndarray] = {}
@@ -376,7 +379,7 @@ def _search(
         cand_scores = _totals(ctx, full_part, part_mats, parent_scores)
 
         # the kept cells' scores in one gather per scorer, best first
-        rows, cols = _top_cells(yseqs, cand_mat, cand_scores, config.beam_size)
+        rows, cols = _top_cells(rank, cand_mat, cand_scores, config.beam_size)
         tokens = cand_mat[rows, cols]
         step_best.append(float(cand_scores[rows[0], cols[0]]))
         score = cand_scores[rows, cols]
@@ -397,6 +400,8 @@ def _search(
                     {name: done_states[name][n] for name in names}, emission))
         live = np.flatnonzero(~ends)
         yseqs = [yseqs[i] + (t,) for i, t in zip(rows[live].tolist(), tokens[live].tolist())]
+        # a successor's yseq sorts as (parent's rank, token)
+        rank = np.lexsort((tokens[live], rank[rows[live]])).argsort()
         score = score[live]
         scores = {name: v[live] for name, v in scores.items()}
         states = {name: scorers[name].select_states(scored[name], rows[live], tokens[live])

@@ -167,9 +167,12 @@ class TableScorer(FullScorer):
     """Order-k Markov scorer over token ids, backed by an explicit table.
 
     Each row is a normalised V-vector of log-probs keyed by the last-k
-    emitted token ids (shorter contexts occur near the start of a prefix).
+    emitted token ids (shorter contexts occur near the start of a prefix);
+    a key longer than k could never be reached and is a ConfigError.
     Unknown contexts fall back to a configurable row, uniform by default, so
-    toy models stay total without full context coverage.
+    toy models stay total without full context coverage. ``rows`` and
+    ``fallback`` (last) are views of one read-only matrix, filled row by
+    row, whose rows ``batch_score`` gathers at once.
     """
 
     def __init__(
@@ -185,13 +188,21 @@ class TableScorer(FullScorer):
             raise ConfigError("vocab_size must be >= 2")
         self.context_order = context_order
         self.vocab_size = vocab_size
-        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
-            tuple(ctx): log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}")
-            for ctx, row in rows.items()
-        }
+        longer = [ctx for ctx in rows if len(ctx) > context_order]
+        if longer:
+            raise ConfigError(f"table context {tuple(longer[0])} is longer than "
+                              f"context_order {context_order}")
+        self._matrix = np.empty((len(rows) + 1, vocab_size))
+        for i, (ctx, row) in enumerate(rows.items()):
+            self._matrix[i] = log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}")
+        self._index = {tuple(ctx): i for i, ctx in enumerate(rows)}
         if fallback is None:
             fallback = np.full(vocab_size, -math.log(vocab_size))
-        self.fallback = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
+        self._matrix[-1] = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
+        self._matrix.setflags(write=False)
+        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
+            ctx: self._matrix[i] for ctx, i in self._index.items()}
+        self.fallback = self._matrix[-1]
 
     def _context(self, emitted: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.context_order == 0:
@@ -209,8 +220,8 @@ class TableScorer(FullScorer):
         return self._context(tuple(scored_state) + (token,))
 
     def batch_score(self, prefixes, states, emission):
-        rows = [self.rows.get(tuple(s), self.fallback) for s in states]
-        return np.stack(rows, axis=0), list(states)
+        rows = [self._index.get(tuple(s), -1) for s in states]  # -1: the fallback
+        return self._matrix.take(rows, axis=0), list(states)
 
     def save(self, path: str) -> None:
         write_json(path, {
@@ -462,7 +473,8 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     sums[:, 0] = 0.0
     sums[0, 1:] = xs[s:e]
     sums[1, 1:] = x_blank[s:e, None]
-    sums[:, 1:][:, np.arange(s, e)[:, None] < first] = 0.0
+    if first.max() > s:
+        sums[:, 1:][:, np.arange(s, e)[:, None] < first] = 0.0
     if segmented:
         restart = np.isneginf(sums)
         sums[restart] = 0.0
@@ -668,9 +680,12 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
 
     hi bounds each term by ``r_sum[t-1] + max_t x[t, c]`` (r_sum >= r_b,
     so this holds for repeats too): psi <= logaddexp(psi0,
-    logsumexp_t r_sum[t-1] + max_t x[t, c]). That float log-sum over frames
-    strays by ``_margin`` and psi by blocks by ``_psi_tol``, so hi carries
-    both. Where all terms are -inf, hi is exactly -inf.
+    logsumexp_t r_sum[t-1] + max_t x[t, c]). That log-sum over frames,
+    the log of a sum of exponentials shifted by the parent's peak, strays by
+    far less than ``_margin`` (an underflowing term is below 2^-1074 of the
+    peak's) and psi by blocks by ``_psi_tol``, so hi carries both. Only the
+    rows with a finite psi0 (empty prefixes) take the logaddexp. Where all
+    terms are -inf, hi is exactly -inf.
 
     lo is the larger of psi0 and two of the cell's own float terms, each at
     most the frame-order fold, less ``_psi_tol``: one at the frame where
@@ -678,19 +693,25 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     where the parent's phi peaks. A repeat uses r_b in both, as its terms
     do.
     """
-    T = x.shape[0]
+    T, V = x.shape
+    B = cands.shape[0]
     col_max, col_peak = peaks
     phi = r_sum[t0 - 1:T - 1]
-    top = np.logaddexp(psi0, np.logaddexp.reduce(phi, axis=0)[:, None] + col_max[cands])
+    tb = t0 + phi.argmax(axis=0)
+    flat, xf, b = np.ravel(r_sum), np.ravel(x), np.arange(B)  # r_sum[t, b] is flat[t * B + b]
+    peak = flat.take((tb - 1) * B + b)
+    shift = np.where(peak > NEG_INF, peak, 0.0)
+    with np.errstate(divide="ignore"):
+        top = (np.log(np.exp(phi - shift).sum(axis=0)) + shift)[:, None] + col_max[cands]
+    first = np.flatnonzero((psi0 > NEG_INF).any(axis=1))
+    top[first] = np.logaddexp(psi0[first], top[first])
     with np.errstate(invalid="ignore"):
         hi = top + (_margin(T - t0, top) + _psi_tol(T, top))
     hi[top == NEG_INF] = NEG_INF
 
-    B = cands.shape[0]
     tc = np.maximum(col_peak[cands], t0)
-    tb = t0 + phi.argmax(axis=0)
-    lo = np.maximum(r_sum[tc - 1, np.arange(B)[:, None]] + x[tc, cands],
-                    r_sum[tb - 1, np.arange(B)][:, None] + x[tb[:, None], cands])
+    lo = np.maximum(flat.take((tc - 1) * B + b[:, None]) + xf.take(tc * V + cands),
+                    peak[:, None] + xf.take(tb[:, None] * V + cands))
     rows, cols = np.nonzero(repeat)
     labels, tc = cands[rows, cols], tc[rows, cols]
     tb = t0 + r_b[t0 - 1:T - 1, rows].argmax(axis=0)
@@ -817,7 +838,7 @@ class CTCPrefixScorer(PartialScorer):
         last[prefix_lens == 0] = -1
         repeat = cands == last[:, None]  # (B, C)
         eos_mask = cands == self.eos_id
-        eos_psi = np.broadcast_to(r_sum[T - 1][:, None], cands.shape)[eos_mask]
+        eos_psi = r_sum[T - 1, np.flatnonzero(eos_mask) // P]
 
         # psi = log-sum over t of phi[t-1] + x[t, c], the frame-0 term x[0, c]
         # for the empty prefix; frames before t0 add only -inf

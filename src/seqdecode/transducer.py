@@ -87,6 +87,10 @@ class TableTransducer(TransducerModel):
         self.context_order = context_order
         self.frames = frames
         self._num_labels = num_labels
+        longer = [ctx for ctx in rows if len(ctx) > context_order]
+        if longer:
+            raise ConfigError(f"transducer context {tuple(longer[0])} is longer than "
+                              f"context_order {context_order}")
         self.rows: Dict[Tuple[int, ...], np.ndarray] = {
             tuple(ctx): log_rows(mat, (frames, num_labels + 1),
                                  lambda: f"transducer rows for context {ctx}")

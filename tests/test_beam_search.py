@@ -262,6 +262,24 @@ class TestBatchEquivalence:
             assert a.score == pytest.approx(b.score, abs=1e-9)
             assert a.scores.keys() == b.scores.keys()
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_table_with_missing_contexts(self, order, seed):
+        # contexts without a row take the fallback, one gather in the
+        # batched table scorer and one dict lookup per prefix in the other
+        rng = np.random.default_rng(9790 + 10 * order + seed)
+        vocab = make_vocab(3)
+        em = random_emission(rng, 6, vocab.size)
+        ts = random_table_scorer(rng, order, vocab.size, n_contexts=3)
+        ctc = CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)
+        cfg = BeamConfig(weights={"att": 0.6, "ctc": 0.4}, beam_size=4, max_steps=6)
+        seq = beam_search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})
+        bat = batch_beam_search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})
+        assert [e.yseq for e in seq.entries] == [e.yseq for e in bat.entries]
+        for a, b in zip(seq.entries, bat.entries):
+            assert a.score == pytest.approx(b.score, abs=1e-9)
+            assert a.scores["att"] == b.scores["att"]
+
     def test_b1_matches_sequential_greedy(self, rng):
         vocab = make_vocab(3)
         em = random_emission(rng, 5, vocab.size)
@@ -1151,13 +1169,19 @@ class TestTopCandidateFastPath:
         assert lexsorts == [3, 3]
 
 
+def sorted_ranks(yseqs):
+    """Each yseq's rank among ``yseqs`` sorted (equal ones in list order)."""
+    rank = np.empty(len(yseqs), dtype=np.int64)
+    rank[sorted(range(len(yseqs)), key=lambda i: yseqs[i])] = np.arange(len(yseqs))
+    return rank
+
+
 def full_lexsort_cells(yseqs, cand_mat, cand_scores, k):
     """Every cell of the (B x P) matrix lexsorted (-total, parent rank,
     token), then the first k: the selection before it partitioned."""
-    B, P = cand_mat.shape
-    parent_rank = np.empty(B, dtype=np.int64)
-    parent_rank[sorted(range(B), key=lambda i: yseqs[i])] = np.arange(B)
-    order = np.lexsort((cand_mat.ravel(), np.repeat(parent_rank, P), -cand_scores.ravel()))
+    P = cand_mat.shape[1]
+    order = np.lexsort((cand_mat.ravel(), np.repeat(sorted_ranks(yseqs), P),
+                        -cand_scores.ravel()))
     return np.divmod(order[:k], P)
 
 
@@ -1177,7 +1201,7 @@ class TestTopCellsPartition:
         return yseqs, cand_mat, scores
 
     def check(self, yseqs, cand_mat, scores, k):
-        rows, cols = _top_cells(yseqs, cand_mat, scores, k)
+        rows, cols = _top_cells(sorted_ranks(yseqs), cand_mat, scores, k)
         ref_rows, ref_cols = full_lexsort_cells(yseqs, cand_mat, scores, k)
         assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
         assert len(rows) == min(k, scores.size)
@@ -1213,3 +1237,42 @@ class TestTopCellsPartition:
         rng = np.random.default_rng(9770 + k)
         yseqs, cand_mat, scores = self.instance(rng, 2, 3, grid=True)
         self.check(yseqs, cand_mat, scores, k)
+
+
+class TestCarriedRanks:
+    """The search carries each live yseq's rank among them sorted from one
+    step to the next; at every step it must equal the rank that sorting the
+    live yseqs gives."""
+
+    @staticmethod
+    def ranks_per_step(monkeypatch, em, vocab, fulls, cfg, parts):
+        """(live yseqs, ranks handed to ``_top_cells``) of each step."""
+        steps = []
+        att, top_cells = fulls["att"], bs_mod._top_cells
+
+        def recording_score(prefixes, states, emission):
+            steps.append([list(prefixes)])
+            return FullScorer.batch_score(att, prefixes, states, emission)
+
+        def recording_top_cells(rank, *args):
+            steps[-1].append(rank.copy())
+            return top_cells(rank, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(att, "batch_score", recording_score)
+            m.setattr(bs_mod, "_top_cells", recording_top_cells)
+            batch_beam_search(em, vocab, fulls, cfg, parts)
+        return steps
+
+    def test_equal_to_the_sorted_yseq_ranks_at_every_step(self, monkeypatch):
+        reordered = 0
+        for edge in sorted(SELECTION_EDGES):
+            for seed in range(8):
+                args = selection_instance(edge, seed)
+                for yseqs, rank in self.ranks_per_step(monkeypatch, *args):
+                    assert len(set(yseqs)) == len(yseqs)
+                    assert np.array_equal(rank, sorted_ranks(yseqs)), (edge, seed, yseqs)
+                    reordered += not np.array_equal(rank, np.arange(len(rank)))
+        # the instances' tied totals put yseqs out of order in the beam
+        assert reordered >= 50
+

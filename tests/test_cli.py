@@ -381,6 +381,25 @@ class TestConfigHardening:
         assert main(["decode", "--config", write_json(tmp_path / "c.json", config)]) == 2
         assert "config key 'emission' must be one path" in capsys.readouterr().err
 
+    def test_table_key_longer_than_its_order_is_exit_2(self, decode_setup, capsys):
+        tmp_path, config, _ = decode_setup
+        table = tmp_path / "long-key.json"
+        row = [-0.6931471805599453] * 2 + [float("-inf")] * 3
+        table.write_text(json.dumps({"context_order": 1, "vocab_size": 5,
+                                     "rows": {"": row, "3,4": row}}))
+        config["scorers"]["att"]["path"] = str(table)
+        assert main(["decode", "--config", write_json(tmp_path / "c.json", config)]) == 2
+        assert "longer than context_order" in capsys.readouterr().err
+
+    def test_transducer_context_longer_than_its_order_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "long-key.json"
+        mat = [[-0.6931471805599453, -0.6931471805599453]]
+        model.write_text(json.dumps({"context_order": 0, "T": 1, "vocab_size": 1,
+                                     "rows": {"": mat, "0": mat}}))
+        config = write_json(tmp_path / "t.json", {"model": str(model)})
+        assert main(["transducer", "--config", config]) == 2
+        assert "longer than context_order" in capsys.readouterr().err
+
     def test_malformed_table_json_is_exit_3(self, decode_setup):
         tmp_path, config, _ = decode_setup
         broken = tmp_path / "broken-table.json"

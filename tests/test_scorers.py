@@ -21,6 +21,7 @@ from conftest import (
     frame_loop_reference,
     psi_near,
     random_emission,
+    random_table_scorer,
 )
 
 NEG_INF = float("-inf")
@@ -70,6 +71,37 @@ class TestTableScorer:
         for ctx in rows:
             assert np.array_equal(ts.rows[ctx], ts2.rows[ctx])
         assert np.array_equal(ts.fallback, ts2.fallback)
+
+    @pytest.mark.parametrize("order, key", [(0, (1,)), (1, (1, 2)), (2, (0, 1, 2))])
+    def test_key_longer_than_the_order_is_a_config_error(self, order, key):
+        # such a row could never be reached: every context would silently
+        # take the fallback
+        from seqdecode import ConfigError
+        row = np.log(np.full(3, 1 / 3))
+        with pytest.raises(ConfigError, match="longer than context_order"):
+            TableScorer(order, 3, {(): row, key: row})
+
+    def test_rows_and_fallback_are_views_of_one_read_only_matrix(self, rng):
+        ts = random_table_scorer(rng, 2, 4, n_contexts=6)
+        matrix = ts._matrix
+        assert matrix.shape == (len(ts.rows) + 1, 4) and not matrix.flags.writeable
+        assert np.shares_memory(ts.fallback, matrix)
+        for row in ts.rows.values():
+            assert np.shares_memory(row, matrix) and not row.flags.writeable
+        with pytest.raises(ValueError):
+            ts.fallback[0] = 0.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_batch_score_equals_stacked_score_rows(self, order, rng):
+        V = 4
+        ts = random_table_scorer(rng, order, V, n_contexts=3 if order else None)
+        contexts = [()] + [(a,) for a in range(V)] + [(a, b) for a in range(V) for b in range(V)]
+        states = [ctx[len(ctx) - order:] if order else () for ctx in contexts]
+        assert any(s not in ts.rows for s in states) == (order > 0)  # fallback contexts
+        prefixes = [(9,) + s for s in states]
+        mat, scored = ts.batch_score(prefixes, states, None)
+        want = np.stack([ts.score(p, s, None)[0] for p, s in zip(prefixes, states)])
+        assert np.array_equal(mat, want) and scored == states
 
 
 class TestCTCPrefixInit:
@@ -1029,3 +1061,93 @@ class TestPeakBounds:
         peak = max(1, int(em.data[:, 1].argmax()))
         assert r_sum[peak - 1] + em.data[peak, 1] - state.prefix_score > ref[0, 0] + 1.0
 
+    @staticmethod
+    def check_against_fold(x, cands, repeat, empty, r_sum, r_b, t0):
+        """lo <= the frame-order fold <= hi on every cell, psi by blocks
+        between them too, and lo -inf where the fold is. Rows of ``empty``
+        are empty prefixes: their psi0 is x[0, c], the others' -inf.
+        Returns (lo, hi, fold)."""
+        T = x.shape[0]
+        psi0 = np.where(empty[:, None], x[0, cands], NEG_INF)
+        peaks = (x.max(axis=0), x.argmax(axis=0))
+        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0)
+        # (T - t0, B, P) the cells' terms, a repeat reading r_b
+        phi = np.where(repeat, r_b[t0 - 1:T - 1, :, None], r_sum[t0 - 1:T - 1, :, None])
+        terms = phi + x[t0:][:, cands]
+        fold = np.logaddexp.reduce(np.concatenate((psi0[None], terms)), axis=0)
+        assert (lo <= fold).all() and (fold <= hi).all()
+        assert (lo[fold == NEG_INF] == NEG_INF).all()
+        # psi by blocks: per cell, phi by absolute frame, 0 at frame 0 on
+        # an empty prefix's row
+        B, P = cands.shape
+        cols = np.full((T, B, P), NEG_INF)
+        cols[0] = np.where(empty, 0.0, NEG_INF)[:, None]
+        cols[t0:] = phi
+        table = scorers_mod._label_blocks(x)
+        psi = scorers_mod._block_psi(x, table, cols.reshape(T, -1), cands.ravel(),
+                                     np.arange(B * P)).reshape(B, P)
+        assert (lo <= psi).all() and (psi <= hi).all()
+        return lo, hi, fold
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parent_mass_spans_more_than_underflow(self, seed):
+        # each parent's r_sum spans 800-3000 nats over the frames, so the
+        # log-sum shifted by its peak underflows most terms to 0; with x
+        # constant over frames the bound is tight, and only the margin
+        # covers the two sums' rounding
+        rng = np.random.default_rng(9810 + seed)
+        T, V, B = 90, 12, 16
+        x = np.tile(np.log(rng.dirichlet(np.ones(V))), (T, 1))
+        spans = rng.uniform(800.0, 3000.0, size=B)
+        ramp = np.linspace(0.0, 1.0, T)[:, None] * spans
+        r_sum = np.where(rng.random(B) < 0.5, -ramp, ramp - spans)
+        r_sum += rng.normal(scale=0.3, size=r_sum.shape) - rng.uniform(0.0, 50.0, size=B)
+        r_b = r_sum - rng.uniform(0.0, 3.0, size=r_sum.shape)
+        cands = np.stack([rng.choice(V, size=6, replace=False) for _ in range(B)])
+        repeat = np.zeros(cands.shape, dtype=bool)
+        repeat[:4, 0] = True
+        lo, hi, fold = self.check_against_fold(
+            x, cands, repeat, np.zeros(B, dtype=bool), r_sum, r_b, 1)
+        tight = ~repeat
+        slack = 2 * scorers_mod._margin(T - 1, hi) + scorers_mod._psi_tol(T, hi)
+        assert (hi - fold <= slack)[tight].all()
+
+    def test_all_neg_inf_parent_columns(self):
+        rng = np.random.default_rng(9820)
+        T, V = 40, 8
+        x = np.log(rng.dirichlet(np.ones(V), size=T))
+        x[:, 5] = NEG_INF  # a label that never fires
+        r_sum = np.cumsum(np.log(rng.uniform(0.3, 0.9, size=(T, 4))), axis=0)
+        r_sum[:, [1, 3]] = NEG_INF  # parents without mass
+        r_b = r_sum - 0.7
+        cands = np.array([[1, 2, 5], [1, 2, 5], [3, 5, 6], [4, 6, 7]])
+        repeat = np.zeros(cands.shape, dtype=bool)
+        repeat[2, 0] = repeat[3, 2] = True
+        lo, hi, fold = self.check_against_fold(
+            x, cands, repeat, np.zeros(4, dtype=bool), r_sum, r_b, 3)
+        dead = np.zeros(cands.shape, dtype=bool)
+        dead[[1, 3]] = True
+        dead[cands == 5] = True
+        assert np.array_equal(fold == NEG_INF, dead)
+        # a parent without mass, or a label that never fires, bounds its
+        # cells by exactly -inf
+        assert (lo[dead] == NEG_INF).all() and (hi[dead] == NEG_INF).all()
+        assert (hi[~dead] > NEG_INF).all()
+
+    def test_psi0_finite_only_on_the_empty_prefix_row(self):
+        rng = np.random.default_rng(9830)
+        T, V = 30, 8
+        x = np.log(rng.dirichlet(np.ones(V), size=T))
+        x[0, 2] = NEG_INF  # its first candidate has no frame-0 term
+        x[1:, 6] = NEG_INF  # its mass is the frame-0 term alone
+        r_sum = np.cumsum(np.log(rng.uniform(0.3, 0.9, size=(T, 3))), axis=0)
+        r_sum[:, 1] = np.cumsum(x[:, 0])  # the empty prefix: blanks only
+        r_b = r_sum - 0.4
+        cands = np.array([[2, 3, 6], [2, 3, 6], [2, 4, 6]])
+        empty = np.array([False, True, False])
+        lo, hi, fold = self.check_against_fold(
+            x, cands, np.zeros(cands.shape, dtype=bool), empty, r_sum, r_b, 1)
+        # the empty prefix's cell whose mass is its frame-0 term alone, and
+        # the same label on the other rows, which have none
+        assert fold[1, 2] == x[0, 6] and hi[1, 2] >= x[0, 6]
+        assert fold[0, 2] == fold[2, 2] == NEG_INF

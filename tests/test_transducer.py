@@ -436,6 +436,14 @@ class TestDispatchAndTable:
         with pytest.raises(ConfigError):
             TableTransducer(0, 1, 1, {(): np.log(np.array([[0.5, 0.3]]))})
 
+    @pytest.mark.parametrize("order, key", [(0, (0,)), (1, (0, 1))])
+    def test_context_longer_than_the_order_is_config_error(self, order, key):
+        # a row no prediction state can reach: rejected when the model is
+        # built, not at its first joint
+        mat = np.log(np.full((1, 3), 1 / 3))
+        with pytest.raises(ConfigError, match="longer than context_order"):
+            TableTransducer(order, 1, 2, {(): mat, key: mat})
+
 
 class TestExactnessOnGeneralModels:
     """Alignment-sum exactness does not need finite-support models: it holds
