@@ -15,7 +15,11 @@ pre-beam; partial scorers rate only those. The top-B cells of the resulting
 (B x P) score matrix are chosen before any successor exists. Both
 selections partition first and sort only the cells they keep: the pre-beam
 by a stable argsort per row unless ties cross a row's P-th score, the top-B
-cells by a lexsort of those at or above the B-th best total.
+cells by a lexsort of those at or above the B-th best total. A pre-beam
+that keeps every allowed id is not sorted: each row holds the ids in id
+order. Nothing reads a candidate's column position: the top-B cells order
+by (total, parent rank, token), a CTC cell's score does not depend on the
+other cells of its call, and ``select_states`` finds a token by value.
 
 The live beam is held as arrays, best first: the yseqs, their ranks sorted
 (carried on by one lexsort of (parent rank, token)), a vector of totals and
@@ -358,9 +362,13 @@ def _search(
             weighted += ctx.weights[name] * mat
             full_mats[name] = mat
 
-        # weighted[:, allowed] comes out column-major, which slows the row partition
-        cand_mat = top_candidate_ids(weighted.take(allowed, axis=1), allowed, n_cand)
-        full_part = np.take_along_axis(weighted, cand_mat, axis=1)
+        if n_cand == len(allowed):  # every id a candidate, in id order
+            cand_mat = allowed[None].repeat(len(yseqs), axis=0)
+            full_part = weighted.take(allowed, axis=1)
+        else:
+            # weighted[:, allowed] comes out column-major, which slows the row partition
+            cand_mat = top_candidate_ids(weighted.take(allowed, axis=1), allowed, n_cand)
+            full_part = np.take_along_axis(weighted, cand_mat, axis=1)
         parent_scores = score[:, None]
         part_mats: Dict[str, np.ndarray] = {}
         pruner = ctx.pruner if batched else None

@@ -168,10 +168,13 @@ def _check_frames(arr: np.ndarray, dev: np.ndarray, tol: float) -> None:
                           f"deviation {np.abs(np.logaddexp.reduce(arr[t]))!r}")
 
 
-def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
-    """``data`` as a read-only float64 array of ``shape`` whose rows (last
-    axis) are log-distributions within ROW_TOL_EXACT, else a ConfigError.
-    ``label`` names the rows in the message and is called only on failure."""
+def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str],
+             freeze: bool = True) -> np.ndarray:
+    """``data`` as a float64 array of ``shape`` whose rows (last axis) are
+    log-distributions within ROW_TOL_EXACT, else a ConfigError. ``label``
+    names the rows in the message and is called only on failure. The array
+    is ``data`` itself when that is a C-contiguous float64 array; ``freeze``
+    makes it read-only."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigError(f"{label()} has shape {arr.shape}, expected {shape}")
@@ -180,7 +183,8 @@ def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.
         i = int(np.argmin(dev <= ROW_TOL_EXACT))
         where = f" row {i}" if arr.ndim > 1 else ""
         raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {dev[i]!r}")
-    arr.setflags(write=False)
+    if freeze:
+        arr.setflags(write=False)
     return arr
 
 

@@ -3,6 +3,11 @@ letter-emitting searches: the multi-level scorer (char-level scores replaced
 by word-level probability at boundaries) and the look-ahead scorer (word mass
 distributed per character over a lexical prefix tree).
 
+Each scorer has one scoring kernel, ``batch_score``, which rates the whole
+beam at once (``score`` is that kernel at B=1): a (B, V) matrix from cached
+per-node letter rows or one char-LM call, then each state's delimiter and
+eos columns. Both read the word LM through a memo of ``ngram_score``.
+
 ARPA files store log10 probabilities; everything is converted to natural log
 at load time so a single convention holds package-wide.
 """
@@ -210,6 +215,48 @@ class WordTrie:
         return node.mass
 
 
+class _WordFusionScorer(FullScorer):
+    """What both word-fusion scorers share: the delimiter, the OOV penalty,
+    the memoised word LM and the closing columns. ``score`` is the batch
+    kernel at B=1.
+
+    The memo keys ``ngram_score`` by the word and the context cut to its
+    last order - 1 words, all that ``ngram_score`` reads (its <unk> mapping
+    works word by word). It holds one entry per (context tail, word) pair
+    met; a miss calls ``ngram_score`` through the module global.
+    """
+
+    def __init__(self, word_lm: NGramModel, vocab: Vocabulary,
+                 delimiter_id: Optional[int], oov_logp: float):
+        self.word_lm = word_lm
+        self.vocab = vocab
+        self.delimiter_id = _resolve_delimiter(vocab, delimiter_id)
+        self.oov_logp = oov_logp
+        self._tail = word_lm.order - 1
+        self._memo: Dict[Tuple[Tuple[str, ...], str], float] = {}
+
+    def _ngram(self, context: Tuple[str, ...], word: str) -> float:
+        key = (context[-self._tail:] if self._tail else (), word)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = ngram_score(self.word_lm, *key)
+        return value
+
+    def score(self, prefix, state, emission):
+        mat, scored = self.batch_score([prefix], [state], emission)
+        return mat[0], scored[0]
+
+    def _fill_closings(self, mat: np.ndarray,
+                       closings: Sequence[Tuple[float, Tuple[str, ...]]]) -> np.ndarray:
+        """Given each state's (closing score, context after closing): the
+        delimiter column takes the score, then the eos column the score
+        plus ln P(</s> | that context)."""
+        mat[:, self.delimiter_id] = [close_score for close_score, _ in closings]
+        mat[:, self.vocab.eos_id] = [close_score + self._ngram(context, EOS_WORD)
+                                     for close_score, context in closings]
+        return mat
+
+
 @dataclass(frozen=True)
 class MultiLevelState:
     """Open word fragment, word-LM context, the char-LM score accumulated for
@@ -221,14 +268,16 @@ class MultiLevelState:
     char_state: object
 
 
-class MultiLevelLMScorer(FullScorer):
+class MultiLevelLMScorer(_WordFusionScorer):
     """Character-level scoring with word-level substitution at boundaries.
 
     Non-delimiter tokens score under the char LM and extend the fragment. The
     delimiter (or eos) replaces the fragment's accumulated char-LM estimate
     with the word LM's probability, so per-word totals telescope to
     ln P_word(word | context) exactly. OOV fragments keep the char-LM
-    estimate plus a fixed log-penalty.
+    estimate plus a fixed log-penalty. A batch is one ``batch_score`` call
+    of the char LM (one gather for a ``TableScorer``) plus each state's
+    closing columns.
     """
 
     def __init__(
@@ -239,11 +288,8 @@ class MultiLevelLMScorer(FullScorer):
         delimiter_id: Optional[int] = None,
         oov_logp: float = DEFAULT_OOV_LOGP,
     ):
+        super().__init__(word_lm, vocab, delimiter_id, oov_logp)
         self.char_lm = char_lm
-        self.word_lm = word_lm
-        self.vocab = vocab
-        self.delimiter_id = _resolve_delimiter(vocab, delimiter_id)
-        self.oov_logp = oov_logp
 
     def init_state(self, emission: Optional[EmissionMatrix]) -> MultiLevelState:
         return MultiLevelState(
@@ -253,31 +299,28 @@ class MultiLevelLMScorer(FullScorer):
             char_state=self.char_lm.init_state(emission),
         )
 
-    def _close_fragment(self, state: MultiLevelState) -> Tuple[float, str]:
-        """Score for ending the open fragment; returns (score, context word)."""
+    def _close_fragment(self, state: MultiLevelState) -> Tuple[float, Tuple[str, ...]]:
+        """Score for ending the open fragment, and the context after it."""
         if not state.fragment:
-            return 0.0, ""
+            return 0.0, state.context
         if state.fragment in self.word_lm.vocab:
-            word_logp = ngram_score(self.word_lm, state.context, state.fragment)
-            return word_logp - state.fragment_score, state.fragment
-        return self.oov_logp, UNK
+            word_logp = self._ngram(state.context, state.fragment)
+            return word_logp - state.fragment_score, state.context + (state.fragment,)
+        return self.oov_logp, state.context + (UNK,)
 
-    def score(self, prefix, state: MultiLevelState, emission):
-        char_vec, char_scored = self.char_lm.score(prefix, state.char_state, emission)
-        vec = np.array(char_vec, dtype=np.float64, copy=True)
-        close_score, closed_word = self._close_fragment(state)
-        vec[self.delimiter_id] = close_score
-        eos_ctx = state.context + ((closed_word,) if closed_word else ())
-        vec[self.vocab.eos_id] = close_score + ngram_score(self.word_lm, eos_ctx, EOS_WORD)
-        return vec, (state, char_scored, char_vec)
+    def batch_score(self, prefixes, states, emission):
+        """Scored states are (state, char scored state, char-LM row)."""
+        char_mat, char_scored = self.char_lm.batch_score(
+            prefixes, [s.char_state for s in states], emission)
+        mat = np.array(char_mat, dtype=np.float64)
+        self._fill_closings(mat, [self._close_fragment(s) for s in states])
+        return mat, list(zip(states, char_scored, char_mat))
 
     def select_state(self, scored_state, token: int) -> MultiLevelState:
         state, char_scored, char_vec = scored_state
         char_next = self.char_lm.select_state(char_scored, token)
         if token == self.delimiter_id or token == self.vocab.eos_id:
-            _, closed_word = self._close_fragment(state)
-            context = state.context + ((closed_word,) if closed_word else ())
-            return MultiLevelState("", context, 0.0, char_next)
+            return MultiLevelState("", self._close_fragment(state)[1], 0.0, char_next)
         return MultiLevelState(
             fragment=state.fragment + self.vocab.tokens[token],
             context=state.context,
@@ -297,7 +340,7 @@ class LookAheadState:
     dead: bool
 
 
-class LookAheadLMScorer(FullScorer):
+class LookAheadLMScorer(_WordFusionScorer):
     """Word-LM look-ahead over a lexical prefix tree.
 
     Each in-lexicon character scores the unigram mass ratio of the child node
@@ -305,6 +348,11 @@ class LookAheadLMScorer(FullScorer):
     equals ln P_word(word | context) under the full-context model. Characters
     leaving the tree take a fixed OOV penalty (net of the mass already
     granted) and park the state until the next delimiter.
+
+    A batch is one (B, V) matrix: each state's row is a copy of its node's
+    letter row, built the first time the scorer meets the node and cached
+    (at most one per trie node), with the OOV penalty in the letters that
+    have no child; then each state's closing columns.
     """
 
     def __init__(
@@ -315,53 +363,60 @@ class LookAheadLMScorer(FullScorer):
         delimiter_id: Optional[int] = None,
         oov_logp: float = DEFAULT_OOV_LOGP,
     ):
+        super().__init__(word_lm, vocab, delimiter_id, oov_logp)
         self.trie = trie
-        self.word_lm = word_lm
-        self.vocab = vocab
-        self.delimiter_id = _resolve_delimiter(vocab, delimiter_id)
-        self.oov_logp = oov_logp
-        # every label with its character; score sets the delimiter's entry last
+        # every label with its character; a dead state scores 0 on each
         self.letters = [(tok, vocab.tokens[tok]) for tok in vocab.label_ids()]
+        dead_row = np.full(vocab.size, NEG_INF)
+        dead_row[[tok for tok, _ in self.letters]] = 0.0
+        self._dead_row = (dead_row, np.zeros(vocab.size, dtype=bool))
+        self._node_rows: Dict[_TrieNode, Tuple[np.ndarray, np.ndarray]] = {}
 
     def init_state(self, emission: Optional[EmissionMatrix]) -> LookAheadState:
         return LookAheadState(node=self.trie.root, context=(BOS,), accumulated=0.0, dead=False)
 
-    def _close(self, state: LookAheadState) -> Tuple[float, str]:
+    def _close(self, state: LookAheadState) -> Tuple[float, Tuple[str, ...]]:
+        """Score for ending the open word, and the context after it."""
         if state.dead:
-            return 0.0, UNK
+            return 0.0, state.context + (UNK,)
         node = state.node
         if node is self.trie.root:
-            return 0.0, ""
+            return 0.0, state.context
         if node.word is not None:
-            word_logp = ngram_score(self.word_lm, state.context, node.word)
-            return word_logp - state.accumulated, node.word
+            word_logp = self._ngram(state.context, node.word)
+            return word_logp - state.accumulated, state.context + (node.word,)
         # fragment traverses the tree but is no word: net the word to the penalty
-        return self.oov_logp - state.accumulated, UNK
+        return self.oov_logp - state.accumulated, state.context + (UNK,)
 
-    def score(self, prefix, state: LookAheadState, emission):
-        vec = np.full(self.vocab.size, NEG_INF)
+    def _letter_row(self, state: LookAheadState) -> Tuple[np.ndarray, np.ndarray]:
+        """(letter scores, mask of the letters without a child) of the
+        state's node, or the dead row and an empty mask."""
+        if state.dead:
+            return self._dead_row
         node = state.node
-        for tok, ch in self.letters:
-            if state.dead:
-                vec[tok] = 0.0
-                continue
-            child = node.children.get(ch)
-            if child is None:
-                vec[tok] = self.oov_logp - state.accumulated
-            else:
-                vec[tok] = child.mass - node.mass if node.mass != NEG_INF else NEG_INF
-        close_score, closed_word = self._close(state)
-        vec[self.delimiter_id] = close_score
-        eos_ctx = state.context + ((closed_word,) if closed_word else ())
-        vec[self.vocab.eos_id] = close_score + ngram_score(self.word_lm, eos_ctx, EOS_WORD)
-        return vec, state
+        cached = self._node_rows.get(node)
+        if cached is None:
+            row = np.full(self.vocab.size, NEG_INF)
+            no_child = np.zeros(self.vocab.size, dtype=bool)
+            for tok, ch in self.letters:
+                child = node.children.get(ch)
+                if child is None:
+                    no_child[tok] = True
+                elif node.mass != NEG_INF:
+                    row[tok] = child.mass - node.mass
+            cached = self._node_rows[node] = (row, no_child)
+        return cached
+
+    def batch_score(self, prefixes, states, emission):
+        rows, no_child = zip(*map(self._letter_row, states))
+        accumulated = np.array([s.accumulated for s in states])
+        mat = np.where(np.array(no_child), self.oov_logp - accumulated[:, None], np.array(rows))
+        return self._fill_closings(mat, [self._close(s) for s in states]), list(states)
 
     def select_state(self, scored_state: LookAheadState, token: int) -> LookAheadState:
         state = scored_state
         if token == self.delimiter_id or token == self.vocab.eos_id:
-            _, closed_word = self._close(state)
-            context = state.context + ((closed_word,) if closed_word else ())
-            return LookAheadState(self.trie.root, context, 0.0, False)
+            return LookAheadState(self.trie.root, self._close(state)[1], 0.0, False)
         if state.dead:
             return state
         child = state.node.children.get(self.vocab.tokens[token])

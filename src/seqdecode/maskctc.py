@@ -38,7 +38,8 @@ class TableMLM(MLMScorer):
     """Pattern table stand-in for a trained masked LM.
 
     Patterns key on the masked sequence (mask positions as None); unknown
-    patterns fall back to uniform predictions.
+    patterns fall back to uniform predictions. It keeps the caller's row
+    arrays without a copy and makes them read-only.
     """
 
     def __init__(

@@ -172,7 +172,8 @@ class TableScorer(FullScorer):
     Unknown contexts fall back to a configurable row, uniform by default, so
     toy models stay total without full context coverage. ``rows`` and
     ``fallback`` (last) are views of one read-only matrix, filled row by
-    row, whose rows ``batch_score`` gathers at once.
+    row with copies of the caller's arrays (which stay writeable), whose
+    rows ``batch_score`` gathers at once.
     """
 
     def __init__(
@@ -194,11 +195,13 @@ class TableScorer(FullScorer):
                               f"context_order {context_order}")
         self._matrix = np.empty((len(rows) + 1, vocab_size))
         for i, (ctx, row) in enumerate(rows.items()):
-            self._matrix[i] = log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}")
+            self._matrix[i] = log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}",
+                                       freeze=False)
         self._index = {tuple(ctx): i for i, ctx in enumerate(rows)}
         if fallback is None:
             fallback = np.full(vocab_size, -math.log(vocab_size))
-        self._matrix[-1] = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
+        self._matrix[-1] = log_rows(fallback, (vocab_size,), lambda: "table fallback row",
+                                    freeze=False)
         self._matrix.setflags(write=False)
         self.rows: Dict[Tuple[int, ...], np.ndarray] = {
             ctx: self._matrix[i] for ctx, i in self._index.items()}
@@ -218,6 +221,12 @@ class TableScorer(FullScorer):
 
     def select_state(self, scored_state, token):
         return self._context(tuple(scored_state) + (token,))
+
+    def select_states(self, scored, rows, tokens):
+        k = self.context_order
+        if k == 0:
+            return [()] * len(rows)
+        return [(*scored[r], t)[-k:] for r, t in zip(rows.tolist(), tokens.tolist())]
 
     def batch_score(self, prefixes, states, emission):
         rows = [self._index.get(tuple(s), -1) for s in states]  # -1: the fallback

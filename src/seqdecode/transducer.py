@@ -76,7 +76,9 @@ class TransducerModel(abc.ABC):
 
 class TableTransducer(TransducerModel):
     """Reference model: per-frame (V+1)-rows keyed by the last-k emitted
-    labels. Exercises prediction-state threading without neural inference."""
+    labels. Exercises prediction-state threading without neural inference.
+    It keeps the caller's row arrays without a copy and makes them
+    read-only."""
 
     def __init__(self, context_order: int, frames: int, num_labels: int,
                  rows: Dict[Tuple[int, ...], np.ndarray]):
@@ -252,25 +254,26 @@ def _fuse(model: TransducerModel, config: TransducerBeamConfig,
     ``total``, their scores plus their (n, V+1) joint rows (or one parent's
     row). Each cell is ``score + joint[label]``, plus ``weight * lm[label]``
     under fusion, added in that order, so it equals the score the child gets.
-    The LM rows take the cells' shape; without an LM both are n Nones."""
+    The LM rows, from one ``batch_score`` call, take the cells' shape;
+    without an LM both are n Nones."""
     n_labels = model.num_labels
     cells = total[..., :n_labels]
-    if config.lm is None:
+    if config.lm is None or not parents:
         return cells, (None,) * len(parents), (None,) * len(parents)
     sos = n_labels  # stand-in outside the label range
-    vecs, scored = [], []
-    for h in parents:
-        vec, state = config.lm.score((sos,) + h.yseq, h.lm_state, None)
-        if len(vec) != n_labels:
-            raise ConfigError(
-                f"fusion LM scores {len(vec)} tokens but the model has {n_labels} labels"
-            )
-        vecs.append(vec)
-        scored.append(state)
-    lm_rows = np.array(vecs, dtype=np.float64).reshape(cells.shape)
+    lm_rows, scored = config.lm.batch_score(
+        [(sos,) + h.yseq for h in parents], [h.lm_state for h in parents], None)
+    if lm_rows.shape[-1] != n_labels:
+        raise ConfigError(
+            f"fusion LM scores {lm_rows.shape[-1]} tokens but the model has {n_labels} labels"
+        )
+    lm_rows = lm_rows.reshape(cells.shape)
+    fused = cells + config.lm_weight * lm_rows
+    if config.lm_weight:  # no score is +inf, so a positive weight makes no nan
+        return fused, lm_rows, scored
     # 0 * -inf is nan: a label the LM rules out is no expansion (fmax
     # drops the nan for -inf and leaves every other cell as it is)
-    return np.fmax(cells + config.lm_weight * lm_rows, NEG_INF), lm_rows, scored
+    return np.fmax(fused, NEG_INF), lm_rows, scored
 
 
 def _child(model: TransducerModel, lm: Optional[FullScorer], parent: TransducerHypothesis,

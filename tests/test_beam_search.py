@@ -12,11 +12,15 @@ from seqdecode import (
     EmissionMatrix,
     FullScorer,
     Hypothesis,
+    LookAheadLMScorer,
+    MultiLevelLMScorer,
     PartialScorer,
     TableScorer,
+    WordTrie,
     batch_beam_search,
     beam_search,
     end_detect,
+    load_arpa,
     oracle_best_sequence,
 )
 from seqdecode.beam_search import (
@@ -42,6 +46,7 @@ from conftest import (
     random_emission,
     random_table_scorer,
 )
+from test_lm import char_vocab, random_proper_arpa
 
 # the package re-exports the function under the module's own name
 bs_mod = importlib.import_module("seqdecode.beam_search")
@@ -500,6 +505,61 @@ class TestTopBSelection:
         assert batched_in_batches(monkeypatch, em, vocab, fulls, cfg, parts) == ref
         if edge == "no_eos":
             # live fallback: one unfinished hypothesis of full length
+            assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
+        if edge == "long_prefix":
+            assert all(len(yseq) > em.frames / 2 for yseq, _, _ in ref)
+
+
+def word_fusion_instance(tmp_path, kind, edge, seed):
+    """A letter vocabulary, a table scorer, one word-fusion scorer and CTC,
+    with a pre-beam that keeps every allowed id: the search takes the ids
+    in id order, the reference sorts them."""
+    spec = SELECTION_EDGES[edge]
+    rng = np.random.default_rng(9700 + 13 * seed + len(edge))
+    path = tmp_path / "words.arpa"
+    words = random_proper_arpa(rng, path, n_words=5)
+    model = load_arpa(str(path))
+    vocab = char_vocab()
+    frames = spec.get("frames", int(rng.integers(2, 7)))
+    em = EmissionMatrix.from_logits(1.5 * rng.normal(size=(frames, vocab.size)))
+    if kind == "multilevel":
+        lm = MultiLevelLMScorer(random_table_scorer(rng, 1, vocab.size), model, vocab)
+    else:
+        lm = LookAheadLMScorer(WordTrie(words, model), model, vocab)
+    fulls = {"att": random_table_scorer(rng, 1, vocab.size), "lm": lm}
+    parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
+    beam = vocab.size + 2 if spec.get("beam") == "V" else int(rng.integers(1, 5))
+    cfg = BeamConfig(
+        weights={"att": 0.5, "lm": 0.5, "ctc": 1.0},
+        beam_size=beam,
+        pre_beam_size=max(beam, vocab.size),
+        max_steps=spec.get("max_steps", frames + 1),
+        min_len_ratio=spec.get("min_len_ratio", float(rng.choice([0.0, 0.25]))),
+        end_detect_margin=-4.0,
+    )
+    return em, vocab, fulls, cfg, parts
+
+
+class TestFullPreBeamWordFusion:
+    """A pre-beam that keeps every id is not sorted; the n-best must equal
+    the reference's, which sorts it, for both word-fusion scorers."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("edge", sorted(set(SELECTION_EDGES) - {"neg_inf_columns"}))
+    @pytest.mark.parametrize("kind", ["multilevel", "lookahead"])
+    def test_matches_building_every_successor(self, tmp_path, kind, edge, seed, ctc_tier,
+                                              monkeypatch):
+        em, vocab, fulls, cfg, parts = word_fusion_instance(tmp_path, kind, edge, seed)
+        ref = nbest_rows(build_all_successors_search(em, vocab, fulls, cfg, parts))
+
+        def unsorted(*args):
+            raise AssertionError("a full pre-beam is not sorted")
+
+        with monkeypatch.context() as m:
+            m.setattr(bs_mod, "top_candidate_ids", unsorted)
+            assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
+            assert batched_in_batches(monkeypatch, em, vocab, fulls, cfg, parts) == ref
+        if edge == "no_eos":
             assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
         if edge == "long_prefix":
             assert all(len(yseq) > em.frames / 2 for yseq, _, _ in ref)

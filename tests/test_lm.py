@@ -15,6 +15,7 @@ from seqdecode import (
     ngram_score,
     sentence_logprob,
 )
+from seqdecode import lm as lm_mod
 from seqdecode.lm import BOS, EOS_WORD, UNK, MultiLevelState
 
 from conftest import random_table_scorer
@@ -485,3 +486,177 @@ class TestFusionInBeamSearch:
             assert a.score == b.score or abs(a.score - b.score) <= 1e-9
             hyp = Hypothesis(yseq=a.yseq, score=a.score, scores=a.scores)
             assert validate_hypothesis(hyp, weights)
+
+
+# --- the batch kernels against per-hypothesis reference loops ---------------
+
+def reference_multilevel_score(scorer, prefix, state, emission):
+    """``MultiLevelLMScorer.score`` as one hypothesis at a time, calling
+    ``ngram_score`` directly."""
+    char_vec, char_scored = scorer.char_lm.score(prefix, state.char_state, emission)
+    vec = np.array(char_vec, dtype=np.float64, copy=True)
+    if not state.fragment:
+        close_score, closed_word = 0.0, ""
+    elif state.fragment in scorer.word_lm.vocab:
+        close_score = ngram_score(scorer.word_lm, state.context, state.fragment) - (
+            state.fragment_score)
+        closed_word = state.fragment
+    else:
+        close_score, closed_word = scorer.oov_logp, UNK
+    vec[scorer.delimiter_id] = close_score
+    eos_ctx = state.context + ((closed_word,) if closed_word else ())
+    vec[scorer.vocab.eos_id] = close_score + ngram_score(scorer.word_lm, eos_ctx, EOS_WORD)
+    return vec, (state, char_scored, char_vec)
+
+
+def reference_lookahead_score(scorer, prefix, state, emission):
+    """``LookAheadLMScorer.score`` as one hypothesis at a time: one numpy
+    store per letter, ``ngram_score`` called directly."""
+    vec = np.full(scorer.vocab.size, -np.inf)
+    node = state.node
+    for tok, ch in scorer.letters:
+        if state.dead:
+            vec[tok] = 0.0
+            continue
+        child = node.children.get(ch)
+        if child is None:
+            vec[tok] = scorer.oov_logp - state.accumulated
+        else:
+            vec[tok] = child.mass - node.mass if node.mass != -np.inf else -np.inf
+    if state.dead:
+        close_score, closed_word = 0.0, UNK
+    elif node is scorer.trie.root:
+        close_score, closed_word = 0.0, ""
+    elif node.word is not None:
+        close_score = ngram_score(scorer.word_lm, state.context, node.word) - state.accumulated
+        closed_word = node.word
+    else:
+        close_score, closed_word = scorer.oov_logp - state.accumulated, UNK
+    vec[scorer.delimiter_id] = close_score
+    eos_ctx = state.context + ((closed_word,) if closed_word else ())
+    vec[scorer.vocab.eos_id] = close_score + ngram_score(scorer.word_lm, eos_ctx, EOS_WORD)
+    return vec, state
+
+
+def bits_equal(got, want):
+    """Equal bit for bit, except that any two nans are equal."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    same = got.view(np.int64) == want.view(np.int64)
+    return got.shape == want.shape and bool((same | (np.isnan(got) & np.isnan(want))).all())
+
+
+def random_walk_states(rng, scorer, vocab, steps, lexicon):
+    """(prefix, state) pairs along random walks: mostly letters that spell
+    a lexicon word, else any label (leaving the tree, or an OOV fragment),
+    the delimiter or eos (back to the root with a longer context)."""
+    labels = list(vocab.label_ids()) + [vocab.eos_id]
+    pairs = []
+    prefix, state, word, spelt = (vocab.sos_id,), scorer.init_state(None), "", 0
+    for _ in range(steps):
+        pairs.append((prefix, state))
+        _, scored = scorer.score(prefix, state, None)
+        if rng.random() < 0.7 and spelt < len(word):
+            token = vocab.tokens.index(word[spelt])
+        elif rng.random() < 0.5:
+            token = scorer.delimiter_id
+        else:
+            token = int(rng.choice(labels))
+        spelt += 1
+        if token in (scorer.delimiter_id, vocab.eos_id):
+            word, spelt = lexicon[int(rng.integers(len(lexicon)))], 0
+        state = scorer.select_state(scored, token)
+        prefix = prefix + (token,)
+    return pairs
+
+
+def fusion_case(tmp_path, rng, kind, case):
+    """(scorer, vocab, lexicon) for one word-fusion scorer. ``unkless``: an
+    LM without <unk> that misses a lexicon word, so its trie nodes have
+    mass -inf; ``delimiter``: a letter stands in for the delimiter."""
+    path = tmp_path / f"{kind}-{case}.arpa"
+    vocab = char_vocab()
+    if case == "unkless":
+        write_arpa(path, {BOS: (-9.0, None), EOS_WORD: (-0.5, None),
+                          "ab": (math.log10(0.3), None), "b": (math.log10(0.3), None)})
+        lexicon = ["ab", "b", "cd", "ca"]
+    else:
+        lexicon = random_proper_arpa(rng, path, n_words=6)
+    model = load_arpa(str(path))
+    delimiter = vocab.tokens.index("d") if case == "delimiter" else None
+    if kind == "multilevel":
+        char_lm = random_table_scorer(rng, 1, vocab.size)
+        scorer = MultiLevelLMScorer(char_lm, model, vocab, delimiter_id=delimiter)
+    else:
+        scorer = LookAheadLMScorer(WordTrie(lexicon, model), model, vocab,
+                                   delimiter_id=delimiter)
+    return scorer, vocab, lexicon
+
+
+FUSION_CASES = ["random", "unkless", "delimiter"]
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", FUSION_CASES)
+    @pytest.mark.parametrize("kind", ["multilevel", "lookahead"])
+    def test_batch_score_equals_the_reference_loop(self, tmp_path, kind, case, seed):
+        rng = np.random.default_rng(31000 + 7 * seed + len(case))
+        scorer, vocab, lexicon = fusion_case(tmp_path, rng, kind, case)
+        reference = (reference_multilevel_score if kind == "multilevel"
+                     else reference_lookahead_score)
+        pairs = random_walk_states(rng, scorer, vocab, 60, lexicon)
+        rng.shuffle(pairs)
+        prefixes, states = zip(*pairs)
+        mat, scored = scorer.batch_score(list(prefixes), list(states), None)
+        want = [reference(scorer, p, s, None) for p, s in pairs]
+        assert bits_equal(mat, np.stack([vec for vec, _ in want]))
+        for got, (_, ref) in zip(scored, want):
+            if kind == "lookahead":
+                assert got is ref
+            else:
+                assert got[0] is ref[0] and got[1] == ref[1] and bits_equal(got[2], ref[2])
+        for k, (p, s) in enumerate(pairs[:8]):  # score is the kernel at B=1
+            vec, _ = scorer.score(p, s, None)
+            assert bits_equal(vec, mat[k])
+        if kind == "lookahead":
+            assert any(s.dead for s in states)
+            assert any(s.node is scorer.trie.root and len(s.context) > 1 for s in states)
+            if case == "unkless":
+                assert any(not s.dead and s.node.mass == -np.inf for s in states)
+        else:
+            assert any(s.fragment and s.fragment not in scorer.word_lm.vocab for s in states)
+
+    def test_node_rows_are_built_once_per_node(self, tmp_path, rng):
+        scorer, vocab, lexicon = fusion_case(tmp_path, rng, "lookahead", "random")
+        pairs = random_walk_states(rng, scorer, vocab, 40, lexicon)
+        nodes = {id(s.node) for _, s in pairs if not s.dead}
+        assert len(scorer._node_rows) == len(nodes)
+        cached = dict(scorer._node_rows)
+        scorer.batch_score(*map(list, zip(*pairs)), None)
+        assert all(scorer._node_rows[n] is row for n, row in cached.items())
+
+
+class TestNGramMemo:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_memo_equals_direct_calls(self, tmp_path, monkeypatch, order, seed):
+        rng = np.random.default_rng(32000 + 10 * order + seed)
+        path = tmp_path / "memo.arpa"
+        words = random_proper_arpa(rng, path, n_words=5, order=order)
+        model = load_arpa(str(path))
+        assert model.order == order
+        scorer = LookAheadLMScorer(WordTrie(words, model), model, char_vocab())
+        misses = []
+        direct = ngram_score
+        monkeypatch.setattr(lm_mod, "ngram_score",
+                            lambda *args: misses.append(args[1:]) or direct(*args))
+        pool = words + [BOS, EOS_WORD, UNK, "zz", "abcd"]  # the last two are OOV
+        keys = set()
+        for _ in range(300):
+            context = tuple(str(w) for w in rng.choice(pool, size=int(rng.integers(0, 5))))
+            word = str(rng.choice(pool))
+            assert bits_equal(scorer._ngram(context, word), direct(model, context, word))
+            keys.add((context[len(context) - (order - 1):] if order > 1 else (), word))
+        # one call through the module global per (context tail, word) pair
+        assert sorted(misses) == sorted(keys)

@@ -103,6 +103,42 @@ class TestTableScorer:
         want = np.stack([ts.score(p, s, None)[0] for p, s in zip(prefixes, states)])
         assert np.array_equal(mat, want) and scored == states
 
+    def test_callers_arrays_stay_writeable_and_are_copied(self):
+        row = np.log([0.1, 0.2, 0.3, 0.4])
+        fallback = np.log(np.full(4, 0.25))
+        ts = TableScorer(1, 4, {(1,): row}, fallback=fallback)
+        assert row.flags.writeable and fallback.flags.writeable
+        before, _ = ts.batch_score([(9, 1), (9, 2)], [(1,), (2,)], None)
+        before = before.copy()
+        row[:] = 0.0
+        fallback[:] = 0.0
+        after, _ = ts.batch_score([(9, 1), (9, 2)], [(1,), (2,)], None)
+        assert np.array_equal(after, before)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.log([0.5, 0.3]), "table row for context \\(\\) not normalised"),
+        (np.log([0.5, 0.25, 0.25]), "table row for context \\(\\) has shape \\(3,\\)"),
+    ])
+    def test_bad_rows_keep_their_messages(self, bad, message):
+        from seqdecode import ConfigError
+        with pytest.raises(ConfigError, match=message):
+            TableScorer(0, 2, {(): bad})
+        with pytest.raises(ConfigError, match="table fallback row"):
+            TableScorer(0, 2, {(): np.log([0.5, 0.5])}, fallback=bad)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_select_states_equals_the_select_state_loop(self, order, rng):
+        from seqdecode import FullScorer
+        V = 5
+        ts = random_table_scorer(rng, order, V, n_contexts=4)
+        scored = [(), (3,), (1, 4), (2, 0, 1)]
+        scored = [s[len(s) - order:] if order else () for s in scored]
+        rows = rng.integers(0, len(scored), size=12)
+        tokens = rng.integers(0, V, size=12)
+        got = ts.select_states(scored, rows, tokens)
+        assert got == FullScorer.select_states(ts, scored, rows, tokens)
+        assert all(isinstance(s, tuple) and len(s) <= order for s in got)
+
 
 class TestCTCPrefixInit:
     def test_single_frame_blank_run(self):

@@ -869,6 +869,49 @@ class TestTransducerExpansionWorkBound:
         assert model.events.count("pred_step") <= model.events.count("joint")
 
 
+class BatchOnlyLM(FullScorer):
+    """Forwards ``batch_score`` to an inner LM and logs each call's batch
+    size; fusion must not score parents one at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def init_state(self, emission):
+        return self.inner.init_state(emission)
+
+    def score(self, prefix, state, emission):
+        raise AssertionError("fusion scored one parent at a time")
+
+    def select_state(self, scored_state, token):
+        return self.inner.select_state(scored_state, token)
+
+    def batch_score(self, prefixes, states, emission):
+        self.calls.append(len(states))
+        return self.inner.batch_score(prefixes, states, emission)
+
+
+class TestFusionLMBatchCalls:
+    @pytest.mark.parametrize("alg", ["beam", "tsd", "alsd", "nsc"])
+    def test_one_lm_call_per_round(self, rng, alg):
+        model = random_transducer(rng, 4, 5)
+        lm = TableScorer(1, 4, {ctx: np.log(rng.dirichlet(np.ones(4)))
+                                for ctx in [(), (0,), (1,), (2,), (3,)]})
+        counted = BatchOnlyLM(lm)
+        cfg = dict(beam_size=3, algorithm=alg, n_steps=2, lm_weight=0.5)
+        got = transducer_decode(model, 5, TransducerBeamConfig(lm=counted, **cfg))
+        want = REFERENCES[alg](model, 5, TransducerBeamConfig(lm=lm, **cfg))
+        assert _nbest_triples(got) == _nbest_triples(want)
+        assert counted.calls and (alg == "beam" or max(counted.calls) > 1)
+
+    def test_lm_of_another_width_is_a_config_error(self, rng):
+        model = random_transducer(rng, 4, 3)
+        lm = TableScorer(0, 3, {(): np.log(np.full(3, 1 / 3))})
+        cfg = TransducerBeamConfig(algorithm="tsd", lm=lm, lm_weight=0.5)
+        with pytest.raises(ConfigError, match="fusion LM scores 3 tokens but the model has 4"):
+            transducer_decode(model, 3, cfg)
+
+
 class HistoryTransducer(TransducerModel):
     """Delegating order-1 model whose prediction state is the whole label
     history, so each joint call names the hypotheses it scores. Logs
