@@ -12,14 +12,17 @@ smaller token sequence).
 Per step: full scorers rate all V extensions of every live hypothesis; the
 top-P candidates per hypothesis by weighted full-scorer total form the
 pre-beam; partial scorers rate only those. The top-B cells of the resulting
-(B x P) score matrix are chosen before any successor exists. Both
-selections partition first and sort only the cells they keep: the pre-beam
-by a stable argsort per row unless ties cross a row's P-th score, the top-B
-cells by a lexsort of those at or above the B-th best total. A pre-beam
-that keeps every allowed id is not sorted: each row holds the ids in id
-order. Nothing reads a candidate's column position: the top-B cells order
-by (total, parent rank, token), a CTC cell's score does not depend on the
-other cells of its call, and ``select_states`` finds a token by value.
+(B x P) score matrix are chosen before any successor exists. The pre-beam
+is a set, not a ranking: each row holds its top-P ids in id order, found
+by one partition of the search's own weighted matrix with the disallowed
+columns at -inf (``_pre_beam``); only a tie across a row's P-th score, or
+a row with fewer than P finite scores, takes ``top_candidate_ids``'s
+ranked ids, and a pre-beam that keeps every allowed id takes them as they
+are. The top-B cells partition first and lexsort only those at or above
+the B-th best total. Nothing reads a candidate's column position: the
+top-B cells order by (total, parent rank, token), a CTC cell's score does
+not depend on the other cells of its call, and ``select_states`` finds a
+token by value.
 
 The live beam is held as arrays, best first: the yseqs, their ranks sorted
 (carried on by one lexsort of (parent rank, token)), a vector of totals and
@@ -144,6 +147,35 @@ def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray
     return top.reshape(np.shape(scores)[:-1] + (k,))
 
 
+def _pre_beam(
+    weighted: np.ndarray, allowed: np.ndarray, banned: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids, scores), each (B, k): every row's k best allowed ids of the
+    search's own (B, V) ``weighted`` matrix, and their scores.
+
+    When k covers every allowed id, they are taken as they are. Else the
+    banned columns of ``weighted`` are set to -inf in place, one partition
+    of its full rows finds each row's k-th score, and the cells at or above
+    it are the ids, in id order, unranked. When every row has exactly k of
+    them, its k-th score is finite (a -inf one would count every -inf cell
+    of the row, more than k), so no banned id is among them. A tie across
+    a row's k-th score, or a row with fewer than k finite allowed scores,
+    takes ``top_candidate_ids``'s ranked ids instead.
+    """
+    B, V = weighted.shape
+    if k == len(allowed):
+        return allowed[None].repeat(B, axis=0), weighted.take(allowed, axis=1)
+    weighted[:, banned] = -np.inf
+    kth = np.partition(weighted, V - k, axis=1)[:, V - k]
+    cells = np.flatnonzero(weighted >= kth[:, None])
+    if cells.size == B * k:
+        ids = cells.reshape(B, k) - np.arange(0, B * V, V)[:, None]
+        return ids, weighted.take(cells).reshape(B, k)
+    # weighted[:, allowed] comes out column-major, which slows the row partition
+    ids = top_candidate_ids(weighted.take(allowed, axis=1), allowed, k)
+    return ids, np.take_along_axis(weighted, ids, axis=1)
+
+
 def _prunes(scorer: PartialScorer) -> bool:
     """Whether the scorer's ``batch_score_partial_pruned`` belongs to its
     ``batch_score_partial``: a subclass that re-implements the latter but
@@ -193,6 +225,10 @@ class _SearchContext:
 
         self.allowed_with_eos = np.array(vocab.candidate_ids(), dtype=np.int64)
         self.allowed_without_eos = np.array(vocab.label_ids(), dtype=np.int64)
+        # np.isin, not np.setdiff1d, which imports numpy.ma on its first call
+        ids = np.arange(vocab_size)
+        self.banned_with_eos = ids[~np.isin(ids, self.allowed_with_eos)]
+        self.banned_without_eos = ids[~np.isin(ids, self.allowed_without_eos)]
         # at most one partial scorer prunes its scoring by bounds: the first
         # whose pruned entry is its batched kernel
         self.pruner = next((k for k, v in self.partial.items() if _prunes(v)), None)
@@ -203,6 +239,10 @@ class _SearchContext:
 
     def allowed(self, eos_ok: bool) -> np.ndarray:
         return self.allowed_with_eos if eos_ok else self.allowed_without_eos
+
+    def banned(self, eos_ok: bool) -> np.ndarray:
+        """The ids ``allowed`` leaves out, in id order."""
+        return self.banned_with_eos if eos_ok else self.banned_without_eos
 
     def all_names(self) -> List[str]:
         return sorted(set(self.full) | set(self.partial))
@@ -329,6 +369,10 @@ def _search(
     partial_scorers: Optional[Dict[str, PartialScorer]],
     batched: bool,
 ) -> NBestList:
+    """The search loop of both entry points. Per step: the full scorers'
+    weighted sum, in a (B, V) matrix of the search's own; the pre-beam
+    (``_pre_beam``); the partial scorers on it, the pruner last; the top-B
+    cells; then the kept cells' scores and states."""
     ctx = _SearchContext(
         vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
     )
@@ -347,28 +391,27 @@ def _search(
     step_best: List[float] = []
 
     for step in range(max_steps):
-        allowed = ctx.allowed(eos_ok=step >= min_len)
+        eos_ok = step >= min_len
+        allowed = ctx.allowed(eos_ok)
         n_cand = min(ctx.pre_beam_size, len(allowed))
         if n_cand == 0:
             break
 
-        weighted = np.zeros((len(yseqs), ctx.vocab_size))
+        # the search's own matrix, never a scorer's: the pre-beam writes into it
+        weighted: Optional[np.ndarray] = None
         full_mats: Dict[str, np.ndarray] = {}
         scored: Dict[str, Sequence[Any]] = {}
         for name, scorer in ctx.full.items():
             kernel = scorer.batch_score if batched else partial(FullScorer.batch_score, scorer)
             mat, scored[name] = kernel(yseqs, states[name], emission)
             ctx.check_width(name, mat)
-            weighted += ctx.weights[name] * mat
+            if weighted is None:
+                weighted = np.asarray(ctx.weights[name] * mat, dtype=np.float64, order="C")
+            else:
+                weighted += ctx.weights[name] * mat
             full_mats[name] = mat
 
-        if n_cand == len(allowed):  # every id a candidate, in id order
-            cand_mat = allowed[None].repeat(len(yseqs), axis=0)
-            full_part = weighted.take(allowed, axis=1)
-        else:
-            # weighted[:, allowed] comes out column-major, which slows the row partition
-            cand_mat = top_candidate_ids(weighted.take(allowed, axis=1), allowed, n_cand)
-            full_part = np.take_along_axis(weighted, cand_mat, axis=1)
+        cand_mat, full_part = _pre_beam(weighted, allowed, ctx.banned(eos_ok), n_cand)
         parent_scores = score[:, None]
         part_mats: Dict[str, np.ndarray] = {}
         pruner = ctx.pruner if batched else None

@@ -125,7 +125,12 @@ def mask_ctc_decode(
     """Collapse CTC output, mask low-confidence tokens, then fill masks over
     at most K masked-LM calls: each iteration fills the
     ceil(remaining / (K - iteration)) positions with the most confident
-    predictions, substituting their argmax tokens."""
+    predictions, substituting their argmax tokens.
+
+    A fill is a label (``vocab.label_ids()``): never the blank, sos, eos or
+    the mask. Confidence and argmax read each row at the labels only, and
+    ties go to the smallest label id; a row with no finite label score is a
+    ``DecodeError``."""
     if vocab.mask_id is None:
         raise ConfigError("mask_ctc_decode needs a vocabulary with mask_id")
     vocab.check_emission_width(emission.vocab_size)
@@ -140,6 +145,7 @@ def mask_ctc_decode(
     for i in masked:
         seq[i] = mask_id
 
+    labels = np.array(vocab.label_ids())
     calls = 0
     masked_counts: List[int] = []
     K = config.iterations
@@ -157,16 +163,17 @@ def mask_ctc_decode(
         n_fill = math.ceil(len(masked) / (K - it))
         fill: Dict[int, np.ndarray] = {}
         for pos in masked:
-            row = np.array(preds[pos], dtype=np.float64, copy=True)
+            row = np.asarray(preds[pos], dtype=np.float64)
             if row.shape != (vocab.size,):
                 raise ConfigError(f"masked-LM row {pos} has shape {row.shape}, not ({vocab.size},)")
-            row[mask_id] = -np.inf  # a fill must resolve the position
-            fill[pos] = row
+            fill[pos] = row.take(labels)
+            if not fill[pos].max(initial=-np.inf) > -np.inf:
+                raise DecodeError(f"masked-LM row {pos} gives no label a finite score")
         ranked = sorted(
             masked, key=lambda pos: (-float(np.max(fill[pos])), pos)
         )[:n_fill]
         for pos in ranked:
-            seq[pos] = int(np.argmax(fill[pos]))
+            seq[pos] = int(labels[np.argmax(fill[pos])])
         filled = set(ranked)
         masked = [i for i in masked if i not in filled]
     if masked:

@@ -416,9 +416,11 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     phi = scored.r_sum[:, rows]
     rep = np.flatnonzero(scored.repeat[rows, cols])  # a repeat connects through r_b only
     phi[:, rep] = scored.r_b[:, rows[rep]]
-    r = np.full((3,) + xs.shape, NEG_INF)  # r_nb, r_b, r_sum
-    r[0, 0, n == 0] = r[2, 0, n == 0] = xs[0, n == 0]
     t0 = max(1, int(n.min()))
+    r = np.empty((3,) + xs.shape)  # r_nb, r_b, r_sum
+    r[:, :t0] = NEG_INF  # the scans write every frame from t0 on
+    if t0 == 1:  # only then may a parent be empty
+        r[0, 0, n == 0] = r[2, 0, n == 0] = xs[0, n == 0]
     if t0 >= T:
         return r
     first = np.maximum(n, 1)
@@ -524,7 +526,10 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
             prev = q[:-1]
         np.add(prev, d[1:], out=r_b[1:])
         np.add(q[1:], d[1:], out=r_sum[1:])
-    return np.flatnonzero(~(sums[:, -1] >= _SCAN_FLOOR).all(axis=0))
+    last = sums[:, -1]
+    if last.min() >= _SCAN_FLOOR:  # a nan fails this and takes the full check
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~(last >= _SCAN_FLOOR).all(axis=0))
 
 
 def _offsets(a: np.ndarray, restart: np.ndarray, gap: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -732,6 +737,8 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
 
 def _minus(psi: np.ndarray, prefix_scores: np.ndarray) -> np.ndarray:
     """Scores psi - prefix_score; -inf for a prefix that has no mass."""
+    if (prefix_scores > NEG_INF).all():
+        return psi - prefix_scores
     with np.errstate(invalid="ignore"):
         return np.where(prefix_scores == NEG_INF, NEG_INF, psi - prefix_scores)
 
@@ -851,7 +858,12 @@ class CTCPrefixScorer(PartialScorer):
 
         # psi = log-sum over t of phi[t-1] + x[t, c], the frame-0 term x[0, c]
         # for the empty prefix; frames before t0 add only -inf
-        psi = np.where(prefix_lens[:, None] == 0, x[0, cands], NEG_INF)  # (B, C)
+        empty = prefix_lens == 0
+        any_empty = bool(empty.any())
+        if any_empty:
+            psi = np.where(empty[:, None], x[0, cands], NEG_INF)  # (B, C)
+        else:
+            psi = np.full(cands.shape, NEG_INF)
         t0 = max(1, int(prefix_lens.min()))
         if t0 < T:
             built = np.flatnonzero(~eos_mask)  # the cells whose psi is computed
@@ -869,7 +881,8 @@ class CTCPrefixScorer(PartialScorer):
             rep = np.flatnonzero(repeat[rows, cols])
             phi = np.empty((T, B + rep.size))
             phi[0] = NEG_INF
-            phi[0, :B][prefix_lens == 0] = 0.0
+            if any_empty:
+                phi[0, :B][empty] = 0.0
             phi[1:, :B] = r_sum[:T - 1]
             phi[1:, B:] = r_b[:T - 1, rows[rep]]
             rows[rep] = B + np.arange(rep.size)

@@ -590,6 +590,194 @@ class TestTopCandidateIds:
             assert np.array_equal(top_candidate_ids(scores[0], ids, k), expected[0])
 
 
+def pre_beam_needs_ranking(scores, k):
+    """Whether a (B, N) pre-beam over the allowed ids, k < N, has a row
+    with more than k cells at or above its k-th score: a tie across it, or
+    fewer than k finite scores (every -inf cell is at or above a -inf k-th
+    score)."""
+    kth = np.sort(scores, axis=1)[:, -k]
+    return bool(((scores >= kth[:, None]).sum(axis=1) > k).any())
+
+
+def counting_top_candidate_ids(monkeypatch):
+    """Log each call the search makes to ``top_candidate_ids``."""
+    calls = []
+
+    def counted(scores, ids, k):
+        calls.append(scores.shape)
+        return top_candidate_ids(scores, ids, k)
+
+    monkeypatch.setattr(bs_mod, "top_candidate_ids", counted)
+    return calls
+
+
+class TestPreBeamSet:
+    """A partial pre-beam takes each row's k best allowed ids as a set, in
+    id order, from the search's own matrix: the set of
+    ``top_candidate_ids``, whose ranked ids it falls back on when a tie
+    crosses a row's k-th score or a row has fewer than k finite scores."""
+
+    @staticmethod
+    def check(weighted, allowed, k, monkeypatch):
+        banned = np.setdiff1d(np.arange(weighted.shape[1]), allowed)
+        ref = top_candidate_ids(weighted.take(allowed, axis=1), allowed, k)
+        with monkeypatch.context() as m:
+            calls = counting_top_candidate_ids(m)
+            ids, scores = bs_mod._pre_beam(weighted.copy(), allowed, banned, k)
+        assert ids.shape == scores.shape == ref.shape
+        assert np.array_equal(np.sort(ids, axis=1), np.sort(ref, axis=1))
+        # the scores bit for bit, -0.0 included
+        want = np.take_along_axis(weighted, ids, axis=1)
+        assert np.array_equal(scores.view(np.int64), want.view(np.int64))
+        ranked = pre_beam_needs_ranking(weighted.take(allowed, axis=1), k)
+        assert len(calls) == ranked
+        if ranked:
+            assert np.array_equal(ids, ref)
+        else:
+            assert (np.diff(ids, axis=1) > 0).all()
+        return ranked
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_set_equals_top_candidate_ids(self, seed, monkeypatch):
+        rng = np.random.default_rng(9850 + seed)
+        paths = set()
+        for _ in range(300):
+            B, V = int(rng.integers(1, 6)), int(rng.integers(4, 30))
+            allowed = np.sort(rng.choice(V, size=int(rng.integers(2, V)), replace=False))
+            k = int(rng.integers(1, len(allowed)))
+            coarse = rng.random() < 0.5
+            weighted = (0.5 * rng.integers(-4, 3, size=(B, V)).astype(np.float64) if coarse
+                        else rng.normal(size=(B, V)))
+            weighted[rng.random(weighted.shape) < 0.15] = -np.inf
+            weighted[rng.random(weighted.shape) < 0.1] = -0.0
+            banned = np.setdiff1d(np.arange(V), allowed)
+            if rng.random() < 0.5:  # a banned column holds the row maximum
+                weighted[:, rng.choice(banned)] = 5.0
+            paths.add(self.check(weighted, allowed, k, monkeypatch))
+        assert paths == {False, True}
+
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_k_equal_to_the_finite_allowed_scores(self, B, monkeypatch):
+        # every row has exactly k finite allowed scores, and the banned
+        # columns hold the largest scores: the set takes the k finite ids
+        rng = np.random.default_rng(9860 + B)
+        V, k = 12, 4
+        allowed = np.arange(2, V)
+        for _ in range(20):
+            weighted = np.full((B, V), -np.inf)
+            for row in weighted:
+                row[rng.choice(allowed, size=k, replace=False)] = rng.normal(size=k)
+            weighted[:, :2] = 3.0
+            assert not self.check(weighted, allowed, k, monkeypatch)
+
+    def test_fewer_finite_allowed_scores_than_k(self, monkeypatch):
+        allowed = np.arange(1, 7)
+        weighted = np.array([[9.0, 0.5, -np.inf, 0.25, -np.inf, -np.inf, -np.inf, 9.0],
+                             [9.0, 0.5, 0.75, 0.25, 1.0, -1.0, -np.inf, 9.0]])
+        assert self.check(weighted, allowed, 3, monkeypatch)
+        ids, _ = bs_mod._pre_beam(weighted.copy(), allowed, np.array([0, 7]), 3)
+        assert np.array_equal(ids, [[1, 3, 2], [4, 2, 1]])
+
+    def test_ties_inside_the_set_stay_unranked(self, monkeypatch):
+        allowed = np.array([1, 2, 3, 4, 5])
+        weighted = np.array([[0.0, -1.0, 2.0, -0.0, 2.0, -3.0]])
+        assert not self.check(weighted, allowed, 3, monkeypatch)
+        ids, scores = bs_mod._pre_beam(weighted.copy(), allowed, np.array([0]), 3)
+        assert np.array_equal(ids, [[2, 3, 4]]) and np.signbit(scores[0, 1])
+
+    def test_search_matrix_takes_the_banned_columns_in_place(self):
+        weighted = np.array([[4.0, 1.0, 2.0, 3.0, 0.5], [4.0, 3.0, 2.0, 1.0, 0.5]])
+        ids, scores = bs_mod._pre_beam(weighted, np.arange(1, 5), np.array([0]), 2)
+        assert np.array_equal(ids, [[2, 3], [1, 2]])
+        assert np.array_equal(scores, [[2.0, 3.0], [3.0, 2.0]])
+        assert (weighted[:, 0] == -np.inf).all()
+
+
+# the edges a partial pre-beam could break; "beam_at_labels" keeps every
+# label (B = P = the label count, which the live beam reaches), so only the
+# steps that allow eos drop an id
+PARTIAL_EDGES = {
+    **{edge: spec for edge, spec in SELECTION_EDGES.items() if edge != "beam_ge_vocab"},
+    "beam_at_labels": {"beam": "labels"},
+}
+
+
+def partial_pre_beam_instance(edge, seed, ties):
+    """An attention scorer with coarse, tie-heavy entries and -inf
+    (``ties``) or continuous ones, and CTC, with a pre-beam below the
+    allowed ids."""
+    spec = PARTIAL_EDGES[edge]
+    rng = np.random.default_rng(9900 + 19 * seed + len(edge) + 100 * ties)
+    vocab = make_vocab(int(rng.integers(3, 7)))
+    frames = spec.get("frames", int(rng.integers(2, 7)))
+    logits = 1.5 * rng.normal(size=(frames, vocab.size))
+    dead = rng.choice(vocab.label_ids(), size=spec.get("dead_labels", 0), replace=False)
+    logits[:, dead] = -np.inf
+    em = EmissionMatrix.from_logits(logits)
+    att = QuantisedScorer(rng, vocab.size) if ties else random_table_scorer(rng, 1, vocab.size)
+    parts = {"ctc": CTCPrefixScorer(blank_id=vocab.blank_id, eos_id=vocab.eos_id)}
+    labels = len(vocab.label_ids())
+    if spec.get("beam") == "labels":
+        beam = pre = labels
+    else:
+        beam = int(rng.integers(1, labels))
+        pre = int(rng.integers(beam, labels))
+    cfg = BeamConfig(
+        weights={"att": 1.0, "ctc": float(rng.choice([0.5, 1.0]))},
+        beam_size=beam,
+        pre_beam_size=pre,
+        max_steps=spec.get("max_steps", frames + 1),
+        min_len_ratio=spec.get("min_len_ratio", float(rng.choice([0.0, 0.25]))),
+        end_detect_margin=-4.0,
+    )
+    return em, vocab, {"att": att}, cfg, parts
+
+
+class TestPartialPreBeam:
+    """With a pre-beam below the allowed ids, the search takes each row's
+    candidates as a set in id order; its n-best must equal the reference's,
+    which ranks them, sequential and batched, dense and tiered."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("edge", sorted(PARTIAL_EDGES))
+    def test_matches_building_every_successor(self, edge, ties, seed, ctc_tier, monkeypatch):
+        em, vocab, fulls, cfg, parts = partial_pre_beam_instance(edge, seed, ties)
+        assert cfg.pre_beam_size < len(vocab.candidate_ids())
+        ref = nbest_rows(build_all_successors_search(em, vocab, fulls, cfg, parts))
+        assert nbest_rows(beam_search(em, vocab, fulls, cfg, parts)) == ref
+        assert batched_in_batches(monkeypatch, em, vocab, fulls, cfg, parts) == ref
+        if edge == "no_eos":
+            assert len(ref) == 1 and len(ref[0][0]) == cfg.max_steps
+        if edge == "long_prefix":
+            assert all(len(yseq) > em.frames / 2 for yseq, _, _ in ref)
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_ranks_only_steps_that_need_it(self, search, ties, monkeypatch):
+        # a step calls top_candidate_ids exactly when a row of its allowed
+        # scores has a tie across its k-th score or fewer than k finite
+        # scores; continuous, finite scores never do
+        steps, calls = [], counting_top_candidate_ids(monkeypatch)
+        pre_beam = bs_mod._pre_beam
+
+        def logged(weighted, allowed, banned, k):
+            needs = k < len(allowed) and pre_beam_needs_ranking(
+                weighted.take(allowed, axis=1), k)
+            before = len(calls)
+            out = pre_beam(weighted, allowed, banned, k)
+            steps.append((needs, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(bs_mod, "_pre_beam", logged)
+        for seed in range(6):
+            for edge in ("random", "beam_at_labels"):
+                search(*partial_pre_beam_instance(edge, seed, ties))
+        assert [n for _, n in steps] == [int(needs) for needs, _ in steps]
+        assert any(needs for needs, _ in steps) == ties
+        assert len(steps) > 20
+
+
 class CountingFull(FullScorer):
     """Table scorer that logs each scoring round and each successor state it
     hands out."""

@@ -175,6 +175,59 @@ class TestMaskCtcDecode:
         assert not isinstance(err.value, ConfigError)
 
 
+class TestFillIsALabel:
+    """A fill reads each masked-LM row at the labels only: never the blank,
+    sos, eos or the mask, ties to the smallest label id."""
+
+    vocab = make_vocab(3, with_mask=True)  # blank 0, labels 1-3, eos 4, sos 5, mask 6
+
+    def decode(self, patterns, threshold=0.99, iterations=1):
+        em = peaked_emission([(1, 0.4), (2, 0.4)], self.vocab.size)
+        mlm = TableMLM(self.vocab.size, self.vocab.mask_id, patterns)
+        return mask_ctc_decode(em, mlm, self.vocab,
+                               MaskCtcConfig(threshold=threshold, iterations=iterations))
+
+    def row(self, probs):
+        """Log of a row with the given (token, p) entries, the rest of the
+        mass spread over the other tokens."""
+        row = np.full(self.vocab.size, (1.0 - sum(probs.values())) / (self.vocab.size - len(probs)))
+        for tok, p in probs.items():
+            row[tok] = p
+        with np.errstate(divide="ignore"):
+            return np.log(row)
+
+    def test_uniform_fallback_fills_the_smallest_label(self):
+        result = self.decode({})
+        assert result.initial_tokens == (1, 2) and result.tokens == (1, 1)
+
+    def test_row_with_most_mass_on_the_mask(self):
+        result = self.decode({(None, None): {0: self.row({6: 0.97}), 1: self.row({6: 0.9, 3: 0.05})}})
+        assert result.tokens == (1, 3)
+
+    @pytest.mark.parametrize("special", [0, 4, 5])
+    def test_row_favouring_a_special_token(self, special):
+        rows = {0: self.row({special: 0.6, 2: 0.2, 3: 0.1}), 1: self.row({special: 0.9, 1: 0.05})}
+        assert self.decode({(None, None): rows}).tokens == (2, 1)
+
+    def test_confidence_ranks_the_label_scores(self):
+        # position 0's row favours the blank, position 1's a label: with
+        # one fill per call, position 1 goes first, then the table's row
+        # for (mask, 3) fills position 0
+        patterns = {
+            (None, None): {0: self.row({0: 0.9, 1: 0.04}), 1: self.row({3: 0.5})},
+            (None, 3): {0: self.row({2: 0.8})},
+        }
+        result = self.decode(patterns, iterations=2)
+        assert result.tokens == (2, 3) and result.masked_counts == (2, 1)
+
+    def test_all_mass_on_the_mask_is_a_decode_error(self):
+        row = np.full(self.vocab.size, -np.inf)
+        row[6] = 0.0
+        with pytest.raises(DecodeError, match="row 1 gives no label a finite score") as err:
+            self.decode({(None, None): {0: self.row({1: 0.9}), 1: row}})
+        assert not isinstance(err.value, ConfigError)
+
+
 class TestTableMLM:
     def test_predicts_exactly_masked_positions(self):
         mlm = TableMLM(4, mask_id=3)

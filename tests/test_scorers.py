@@ -7,6 +7,7 @@ from seqdecode import (
     CTCPrefixScorer,
     EmissionMatrix,
     TableScorer,
+    batch_beam_search,
     ctc_forward,
 )
 
@@ -23,6 +24,7 @@ from conftest import (
     random_emission,
     random_table_scorer,
 )
+from test_beam_search import nbest_rows, selection_instance
 
 NEG_INF = float("-inf")
 
@@ -1187,3 +1189,164 @@ class TestPeakBounds:
         # the same label on the other rows, which have none
         assert fold[1, 2] == x[0, 6] and hi[1, 2] >= x[0, 6]
         assert fold[0, 2] == fold[2, 2] == NEG_INF
+
+
+class _NanEmpty:
+    """numpy as the scorers module sees it, with every float ``np.empty``
+    filled with nan: a kernel that leaves an entry unwritten shows it."""
+
+    @staticmethod
+    def empty(shape, dtype=float, **kwargs):
+        a = np.empty(shape, dtype=dtype, **kwargs)
+        if a.dtype.kind == "f":
+            a.fill(np.nan)
+        return a
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def scan_low_reference(phi, xs, x_blank, first, segmented, r, s, e):
+    """The columns ``_scan`` must report below the floor: those whose label
+    or blank emissions, summed in frame order from the later of s and
+    their first frame to e - 1 (-inf terms left out of a segmented scan),
+    fall below ``_SCAN_FLOOR``, or are nan."""
+    on = np.arange(s, e)[:, None] >= first
+    sums = np.zeros((2, e - s + 1, xs.shape[1]))
+    sums[0, 1:] = np.where(on, xs[s:e], 0.0)
+    sums[1, 1:] = np.where(on, x_blank[s:e, None], 0.0)
+    if segmented:
+        sums[np.isneginf(sums)] = 0.0
+    last = np.cumsum(sums, axis=1)[:, -1]
+    return np.flatnonzero(~(last >= scorers_mod._SCAN_FLOOR).all(axis=0))
+
+
+class TestCommonCaseBranches:
+    """The CTC kernel skips work its common case does not need (no empty
+    parent, every prefix score finite, no sum below the floor); each
+    branch is pinned bit for bit against the general path."""
+
+    @staticmethod
+    def score_bits(scorer, em, hyps, cands):
+        """(scores, psi) of one call, as int64 bit patterns."""
+        scores, scored = scorer.batch_score_partial(
+            [h[0] for h in hyps], cands, [h[1] for h in hyps], em)
+        return scores.view(np.int64), scored[0][0].psi.view(np.int64)
+
+    def check_rows_alone(self, scorer, em, hyps, cands):
+        """Each row of the call, scored alone (its own branch), bit for bit
+        as in the call (the call's branch), and the call's scores near the
+        frame loop's."""
+        scores, psi = self.score_bits(scorer, em, hyps, cands)
+        want, _, want_psi = frame_loop_reference(
+            [h[0] for h in hyps], cands, [ctc_state(h[1]) for h in hyps], em.data,
+            scorer.blank_id, scorer.eos_id)
+        assert psi_near(scores.view(np.float64), want, em.frames, want_psi)
+        for i, hyp in enumerate(hyps):
+            alone_scores, alone_psi = self.score_bits(scorer, em, [hyp], cands[i:i + 1])
+            assert np.array_equal(alone_scores[0], scores[i])
+            assert np.array_equal(alone_psi[0], psi[i])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_and_nonempty_parents_in_one_call(self, seed, ctc_tier):
+        # t0 == 1: the empty parent's frame-0 terms, the others' -inf
+        rng = np.random.default_rng(7600 + seed)
+        em = random_emission(rng, int(rng.integers(2, 12)), 7)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=6)
+        hyps = [extend(scorer, em, []), extend(scorer, em, [2]), extend(scorer, em, [1, 3])]
+        cands = np.array([[1, 2, 6], [2, 4, 5], [3, 6, 1]])
+        self.check_rows_alone(scorer, em, hyps, cands)
+        TestScanRecursion.assert_alone_equals_mixed(scorer, em, hyps, cands)
+
+    def test_minus_with_a_neg_inf_prefix_score(self):
+        rng = np.random.default_rng(7610)
+        psi = rng.normal(size=(4, 3)) - 3.0
+        psi[1, 2] = psi[3, 0] = NEG_INF
+        for prefix in ([[-1.0], [-2.5], [-0.0], [-3.0]], [[-1.0], [NEG_INF], [-2.0], [NEG_INF]]):
+            prefix = np.array(prefix)
+            with np.errstate(invalid="ignore"):
+                want = np.where(prefix == NEG_INF, NEG_INF, psi - prefix)
+            got = scorers_mod._minus(psi, prefix)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_dead_parent_in_a_call_with_live_ones(self):
+        # label 3 is -inf at every frame, so the prefix (3,) has no mass
+        rng = np.random.default_rng(7611)
+        logits = 1.5 * rng.normal(size=(8, 6))
+        logits[:, 3] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, [1]), extend(scorer, em, [3]), extend(scorer, em, [2])]
+        assert hyps[1][1].prefix_score == NEG_INF
+        cands = np.array([[1, 2, 5], [1, 2, 5], [4, 1, 5]])
+        scores, _ = scorer.batch_score_partial(
+            [h[0] for h in hyps], cands, [h[1] for h in hyps], em)
+        assert (scores[1] == NEG_INF).all() and (scores[[0, 2]] > NEG_INF).any()
+        self.check_rows_alone(scorer, em, hyps, cands)
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_masked_emissions_take_the_full_floor_check(self, dead, monkeypatch):
+        # label 2 holds -1e10 at three frames: its sums fall below the
+        # floor, so its column scans again in blocks; labels 1 and 4 do not
+        rng = np.random.default_rng(7620 + dead)
+        logits = peaked_logits(rng, 40, 6)
+        logits[[8, 20, 33], 2] = -1e10
+        if dead:
+            logits[[5, 17], 4] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, [3]), extend(scorer, em, [1, 3])]
+        cands = np.array([[1, 2, 4], [2, 4, 1]])
+        lows = []
+        scan = scorers_mod._scan
+
+        def checked(*args):
+            want = scan_low_reference(*args)
+            got = scan(*args)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            lows.append(got.size)
+            return got
+
+        monkeypatch.setattr(scorers_mod, "_scan", checked)
+        TestScanRecursion.assert_alone_equals_mixed(scorer, em, hyps, cands)
+        self.check_rows_alone(scorer, em, hyps, cands)
+        # the mixed call reports both label-2 columns; the clean calls none
+        assert 2 in lows and 0 in lows
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_parents_past_frame_one_fill_the_head_alone(self, dead, monkeypatch):
+        # parents of 2-4 labels: the call starts at frame 2 or later, and
+        # its frames before that come from the head fill, with np.empty
+        # poisoned to nan; the same columns in a call with an empty parent
+        # (t0 == 1) are the general path
+        rng = np.random.default_rng(7630 + dead)
+        logits = 1.5 * rng.normal(size=(14, 6))
+        if dead:
+            logits[[4, 9], 2] = logits[7, 0] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        late = [extend(scorer, em, [1, 3]), extend(scorer, em, [2, 4, 1, 3])]
+        cands = np.array([[1, 2, 4], [2, 3, 4]])
+        general = expand_all(scorer, em, [extend(scorer, em, [])] + late,
+                             np.array([[1, 2, 3]] + cands.tolist()))[3:]
+        scorers_mod._materialise([state for _, state, _ in general])
+        with monkeypatch.context() as m:
+            m.setattr(scorers_mod, "np", _NanEmpty())
+            cells = expand_all(scorer, em, late, cands)
+            scorers_mod._materialise([state for _, state, _ in cells])
+        for (_, state, ref), (_, want, _) in zip(cells, general):
+            for name in ("r_nb", "r_b", "r_sum"):
+                got = getattr(state, name)
+                assert np.array_equal(got.view(np.int64), getattr(want, name).view(np.int64))
+            assert (state.r_nb[:state.prefix_len - 1] == NEG_INF).all()
+            assert_near_loop(state, ref)
+
+    @pytest.mark.parametrize("edge", ["random", "neg_inf_columns", "long_prefix", "t1"])
+    def test_searches_read_no_unwritten_entry(self, edge, monkeypatch):
+        # whole decodes with np.empty poisoned to nan give the same n-best
+        for seed in range(4):
+            args = selection_instance(edge, seed)
+            want = nbest_rows(batch_beam_search(*args))
+            with monkeypatch.context() as m:
+                m.setattr(scorers_mod, "np", _NanEmpty())
+                assert nbest_rows(batch_beam_search(*args)) == want
