@@ -33,7 +33,7 @@ from .core import (
     Vocabulary,
     load_emission,
 )
-from .ctc import ctc_forced_align, ctc_vad
+from .ctc import _check_vad, _validate_labels, ctc_forced_align, ctc_vad
 from .lm import (
     LookAheadLMScorer,
     MultiLevelLMScorer,
@@ -308,6 +308,8 @@ def run_transducer(cfg: RunConfig) -> int:
         t_cfg = TransducerBeamConfig(**opts)
     nbest = transducer_decode(model, model.frames, t_cfg)
     payload = _nbest_payload(nbest, tokens)
+    if nbest.truncated:
+        payload["truncated"] = True
     if cfg.oracle:
         best = nbest.best()
         try:
@@ -367,10 +369,9 @@ def run_align(cfg: RunConfig) -> int:
             else:
                 labels.append(int(item))
     emission = load_emission(path)
-    try:
-        alignment = ctc_forced_align(emission, labels, vocab.blank_id)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    with _config_values():  # the label checks only: a fault in the kernel is a fault
+        _validate_labels(labels, vocab.blank_id, emission.vocab_size)
+    alignment = ctc_forced_align(emission, labels, vocab.blank_id)
     payload = {
         "path": list(alignment.path),
         "spans": [
@@ -394,10 +395,9 @@ def run_vad(cfg: RunConfig) -> int:
         path = _one_emission(cfg)
         options = _read_block(raw.get("vad", {}), "vad", _VAD_KEYS)
     emission = load_emission(path)
-    try:
-        segments = ctc_vad(emission, blank_id, **options)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    with _config_values():  # only the blank and option checks
+        _check_vad(blank_id, emission.vocab_size, **options)
+    segments = ctc_vad(emission, blank_id, **options)
     payload = {
         "segments": [
             {"start": s.start, "end": s.end, "kind": s.kind} for s in segments

@@ -31,8 +31,6 @@ ROW_TOL_REJECT = 1e-3
 # entries per block of the row check: 512 KB of float64 at a time
 _BLOCK_ENTRIES = 1 << 16
 
-SCORE_EQ_TOL = 1e-9
-
 
 class DecodeError(Exception):
     """Base error for this package."""
@@ -377,17 +375,6 @@ class Hypothesis:
     finished: bool = False
 
 
-def validate_hypothesis(hyp: Hypothesis, weights: Dict[str, float]) -> bool:
-    """True iff hyp.score equals the weighted sum of its per-scorer scores
-    within 1e-9. Pure predicate; -inf totals compare equal to -inf."""
-    total = 0.0
-    for name, value in hyp.scores.items():
-        total += weights[name] * value
-    if math.isinf(hyp.score) or math.isinf(total):
-        return hyp.score == total
-    return abs(hyp.score - total) <= SCORE_EQ_TOL
-
-
 @dataclass(frozen=True)
 class NBestEntry:
     yseq: Tuple[int, ...]
@@ -398,9 +385,12 @@ class NBestEntry:
 @dataclass(frozen=True)
 class NBestList:
     """Score-descending hypotheses; ties prefer the lexicographically smaller
-    token sequence. Entry yseqs carry neither sos nor eos."""
+    token sequence. Entry yseqs carry neither sos nor eos. ``truncated``:
+    the search stopped a frame at its work cap with an entry left that it
+    could still have expanded, so a better hypothesis may be missing."""
 
     entries: Tuple[NBestEntry, ...]
+    truncated: bool = False
 
     @classmethod
     def from_entries(cls, entries: Iterable[NBestEntry]) -> "NBestList":

@@ -13,17 +13,27 @@ from .core import NEG_INF, EmissionMatrix, InfeasibleError
 
 
 def _expand_labels(labels: Sequence[int], blank_id: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Blank-interleaved label sequence b l1 b l2 ... b lU b, and the states
-    s that may also be entered from s-2 (a label unlike the one before it)."""
+    """Blank-interleaved label sequence b l1 b l2 ... b lU b, and for each
+    label state from s = 3 on (odd s) the term its s-2 predecessor adds: 0.0
+    for a label unlike the one before it, else -inf (no such edge)."""
     expanded = np.full(2 * len(labels) + 1, blank_id, dtype=np.int64)
     expanded[1::2] = labels
-    jump = np.flatnonzero(expanded[2:] != expanded[:-2]) + 2
-    return expanded, jump
+    return expanded, np.where(expanded[3::2] != expanded[1:-2:2], 0.0, NEG_INF)
 
 
 def _check_blank(blank_id: int, vocab_size: int) -> None:
     if not 0 <= blank_id < vocab_size:
         raise ValueError(f"blank_id {blank_id} outside [0, {vocab_size})")
+
+
+def _check_vad(blank_id: int, vocab_size: int, on_threshold: float = 0.0,
+               min_gap_frames: int = 0, margin_frames: int = 0) -> None:
+    """``ctc_vad``'s argument checks; an option left out passes."""
+    if not 0.0 <= on_threshold <= 1.0:
+        raise ValueError("on_threshold must be in [0, 1]")
+    if min_gap_frames < 0 or margin_frames < 0:
+        raise ValueError("min_gap_frames and margin_frames must be >= 0")
+    _check_blank(blank_id, vocab_size)
 
 
 def _validate_labels(labels: Sequence[int], blank_id: int, vocab_size: int) -> Tuple[int, ...]:
@@ -44,16 +54,20 @@ def ctc_forward(emission: EmissionMatrix, labels: Sequence[int], blank_id: int) 
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
     x = emission.data
     T = emission.frames
-    expanded, jump = _expand_labels(labels, blank_id)
+    expanded, skip = _expand_labels(labels, blank_id)
     S = len(expanded)
 
+    xs = x[:, expanded]
     alpha = np.full(S, NEG_INF)
-    alpha[:2] = x[0, expanded[:2]]
+    alpha[:2] = xs[0, :2]
+    acc, hop = np.empty(S), np.empty_like(skip)
     for t in range(1, T):
-        acc = alpha.copy()
-        np.logaddexp(acc[1:], alpha[:-1], out=acc[1:])
-        acc[jump] = np.logaddexp(acc[jump], alpha[jump - 2])
-        alpha = acc + x[t, expanded]
+        # logaddexp(a, -inf) == a: a state without the s-2 edge keeps acc
+        acc[0] = alpha[0]
+        np.logaddexp(alpha[1:], alpha[:-1], out=acc[1:])
+        np.add(alpha[1:-2:2], skip, out=hop)
+        np.logaddexp(acc[3::2], hop, out=acc[3::2])
+        np.add(acc, xs[t], out=alpha)
     if S == 1:
         return float(alpha[0])
     return float(np.logaddexp(alpha[S - 1], alpha[S - 2]))
@@ -73,9 +87,11 @@ def ctc_confidence_collapse(
     """Greedy per-frame argmax collapsed to tokens (the non-blank runs of the
     argmax path), each with the max linear-domain posterior over its run."""
     x = emission.data
-    tokens, starts, _ = _runs(np.argmax(x, axis=1))
+    argmax = np.argmax(x, axis=1)
+    tokens, starts, _ = _runs(argmax)
     keep = tokens != blank_id
-    confidences = np.maximum.reduceat(np.exp(np.max(x, axis=1)), starts)[keep]
+    peaks = x[np.arange(len(argmax)), argmax]
+    confidences = np.maximum.reduceat(np.exp(peaks), starts)[keep]
     return tuple(tokens[keep].tolist()), tuple(confidences.tolist())
 
 
@@ -112,26 +128,19 @@ def ctc_forced_align(
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
     x = emission.data
     T = emission.frames
-    expanded, jump = _expand_labels(labels, blank_id)
+    expanded, skip = _expand_labels(labels, blank_id)
     S = len(expanded)
 
     delta = x[:, expanded]  # row t gains its best predecessor's score in turn
     delta[0, 2:] = NEG_INF
-    back = np.zeros((T, S), dtype=np.int64)
+    best, hop = np.empty(S), np.empty_like(skip)
     for t in range(1, T):
-        # candidate predecessors in tie-break priority: stay, s-1, s-2, each
-        # taken only when strictly better than the ones before it
         prev = delta[t - 1]
-        best = prev.copy()
-        arg = np.arange(S)
-        step = prev[:-1] > best[1:]
-        best[1:][step] = prev[:-1][step]
-        arg[1:][step] -= 1
-        skip = jump[prev[jump - 2] > best[jump]]
-        best[skip] = prev[skip - 2]
-        arg[skip] = skip - 2
+        best[0] = prev[0]
+        np.maximum(prev[1:], prev[:-1], out=best[1:])
+        np.add(prev[1:-2:2], skip, out=hop)
+        np.maximum(best[3::2], hop, out=best[3::2])
         delta[t] += best
-        back[t] = arg
 
     # on a tie prefer the final blank (the "stay"-most terminal)
     end_state = S - 1 if S == 1 or delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
@@ -141,10 +150,19 @@ def ctc_forced_align(
             f"labels of expanded length {S} cannot be aligned within {T} frames"
         )
 
-    states = np.zeros(T, dtype=np.int64)
-    states[T - 1] = end_state
+    # predecessors in tie-break priority: stay, s-1, s-2, each taken only
+    # when strictly better than the ones before it
+    ex = expanded.tolist()
+    states = np.empty(T, dtype=np.int64)
+    s = states[T - 1] = end_state
     for t in range(T - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
+        prev = delta[t - 1]
+        best_prev, arg = prev[s], s
+        if s and prev[s - 1] > best_prev:
+            best_prev, arg = prev[s - 1], s - 1
+        if s >= 2 and ex[s] != ex[s - 2] and prev[s - 2] > best_prev:
+            arg = s - 2
+        s = states[t - 1] = arg
 
     # odd expanded states carry labels; each run of one is a token's span
     state, starts, ends = _runs(states)
@@ -186,11 +204,7 @@ def ctc_vad(
     margin_frames and clipped to [0, T); the complement is nonspeech. The
     returned segments tile [0, T) exactly.
     """
-    if not 0.0 <= on_threshold <= 1.0:
-        raise ValueError("on_threshold must be in [0, 1]")
-    if min_gap_frames < 0 or margin_frames < 0:
-        raise ValueError("min_gap_frames and margin_frames must be >= 0")
-    _check_blank(blank_id, emission.vocab_size)
+    _check_vad(blank_id, emission.vocab_size, on_threshold, min_gap_frames, margin_frames)
     T = emission.frames
     speech_prob = 1.0 - np.exp(emission.data[:, blank_id])
 

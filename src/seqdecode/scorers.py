@@ -473,9 +473,13 @@ def _floor_blocks(x_label: np.ndarray, x_blank: np.ndarray, first: int) -> Tuple
 
 def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     """Frames s..e-1 of the recursion in place in r = (r_nb, r_b, r_sum),
-    from its values at frame s - 1, as two scans over the frames, restarted
-    at -inf emissions if ``segmented``. Returns the columns whose label or
-    blank sums fall below ``_SCAN_FLOOR``; their values are not to be used.
+    from its values at frame s - 1, as two scans over the frames. If
+    ``segmented``, each scan whose own emissions (the label's for r_nb, the
+    blank's for r_b and r_sum) have a -inf in frames s..e-1 restarts there;
+    the other runs plain, where its offsets would all be 0.0 and a running
+    log-sum is at least every finite term before it, so never stale.
+    Returns the columns whose label or blank sums fall below
+    ``_SCAN_FLOOR``; their values are not to be used.
     """
     r_nb, r_b, r_sum = r[0, s - 1:e], r[1, s - 1:e], r[2, s - 1:e]
     # sums[:, j] = the (label, blank) emissions summed over frames
@@ -486,8 +490,11 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     sums[1, 1:] = x_blank[s:e, None]
     if first.max() > s:
         sums[:, 1:][:, np.arange(s, e)[:, None] < first] = 0.0
+    seg_nb = seg_b = False
     if segmented:
         restart = np.isneginf(sums)
+        seg_nb, seg_b = restart.any(axis=(1, 2)).tolist()
+    if seg_nb or seg_b:
         sums[restart] = 0.0
         # a column's finite terms lie from the later of s and its first
         # frame to e: a count the column fixes, whatever shares the call
@@ -500,22 +507,22 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
         acc = np.empty(c.shape)
         acc[0] = r_nb[0]
         np.subtract(phi[s - 1:e - 1], c[:-1], out=acc[1:])
-        if segmented:
+        if seg_nb:
             acc[restart[0]] = NEG_INF  # r_nb is -inf there
             off, stale = _offsets(acc, restart[0], gap)
             acc += off
         np.logaddexp.accumulate(acc, axis=0, out=acc)
-        if segmented:
+        if seg_nb:
             acc -= off
             acc[acc < stale] = NEG_INF
         np.add(acc[1:], c[1:], out=r_nb[1:])
         q = np.subtract(r_nb, d)
         q[0] = r_sum[0]
-        if segmented:
+        if seg_b:
             off, stale = _offsets(q, restart[1], gap)
             q += off
         np.logaddexp.accumulate(q, axis=0, out=q)
-        if segmented:
+        if seg_b:
             # r_b[t] reads the running sum before t in t's own segment:
             # -inf at a restart, where r_b is -inf
             prev = q[:-1] - off[1:]

@@ -168,7 +168,7 @@ class TransducerBeamConfig:
     lm_weight: float = 0.0
     u_max: Optional[int] = None  # explicit ALSD cap, overrides the ratio
     # beam: pops per frame; reaching it ends (truncates) the frame with the
-    # hypotheses completed so far
+    # hypotheses completed so far, and the n-best says ``truncated``
     max_pops_per_frame: int = 100_000
 
     def __post_init__(self) -> None:
@@ -330,7 +330,8 @@ def transducer_beam(model: TransducerModel, frames: int,
     again merges its new row into the pending cells; a pool hypothesis
     that is a child of the popped parent absorbs its cell instead. A
     frame ends once B completed hypotheses beat every active one, or
-    after max_pops_per_frame pops, which truncates it.
+    after max_pops_per_frame pops, which truncates it: the n-best then
+    says ``truncated``.
 
     Completed scores only rise, so their B-th best (``floor``) does too,
     and an active entry below it can never be popped: the frame ends
@@ -341,6 +342,7 @@ def transducer_beam(model: TransducerModel, frames: int,
     pool = _init_pool(model, config)
     blank = model.blank_id
     version = 0
+    truncated = False
 
     def push_row(parent: Tuple[int, ...], row: list) -> None:
         """New version for the row; push it at its best pending cell if
@@ -369,10 +371,13 @@ def transducer_beam(model: TransducerModel, frames: int,
         completed: Dict[Tuple[int, ...], list] = {}
         floor = NEG_INF  # the B-th best completed score
         pops = 0
-        while pops < config.max_pops_per_frame:
+        while True:
             while heap and heap[0][3][0] != heap[0][2]:
                 heapq.heappop(heap)
             if not heap or floor > -heap[0][0]:
+                break
+            if pops == config.max_pops_per_frame:  # an entry could still be popped
+                truncated = True
                 break
             neg_score, yseq, _, node = heapq.heappop(heap)
             pops += 1
@@ -409,7 +414,7 @@ def transducer_beam(model: TransducerModel, frames: int,
         pool = _prune(completed, beam)
         if not pool:
             break
-    return _nbest_from_pool(pool, config)
+    return replace(_nbest_from_pool(pool, config), truncated=truncated)
 
 
 def transducer_tsd(model: TransducerModel, frames: int,

@@ -54,6 +54,17 @@ def random_table_scorer(rng: np.random.Generator, context_order: int,
     return TableScorer(context_order, vocab_size, rows)
 
 
+def validate_hypothesis(hyp, weights: Dict[str, float]) -> bool:
+    """True iff hyp.score equals the weighted sum of its per-scorer scores
+    within 1e-9. Pure predicate; -inf totals compare equal to -inf."""
+    total = 0.0
+    for name, value in hyp.scores.items():
+        total += weights[name] * value
+    if math.isinf(hyp.score) or math.isinf(total):
+        return hyp.score == total
+    return abs(hyp.score - total) <= 1e-9
+
+
 def collapse(path: Sequence[int], blank_id: int) -> Tuple[int, ...]:
     out: List[int] = []
     prev = -1

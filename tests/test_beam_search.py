@@ -33,7 +33,7 @@ from seqdecode.beam_search import (
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
-from seqdecode.core import hypothesis_sort_key, validate_hypothesis
+from seqdecode.core import hypothesis_sort_key
 
 from conftest import (
     WrappedPartialScorer,
@@ -45,6 +45,7 @@ from conftest import (
     psi_near,
     random_emission,
     random_table_scorer,
+    validate_hypothesis,
 )
 from test_lm import char_vocab, random_proper_arpa
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -177,6 +178,19 @@ class TestTransducer:
         rc = main(["transducer", "--config", config, "--output", str(out), "--oracle"])
         assert rc == 0
         assert read_json(out)["oracle"]["match"] is True
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_payload_says_truncated_only_when_it_was(self, tmp_path, model_path, monkeypatch,
+                                                     truncated):
+        decode = cli_mod.transducer_decode
+        monkeypatch.setattr(cli_mod, "transducer_decode", lambda *args: dataclasses.replace(
+            decode(*args), truncated=truncated))
+        config = write_json(tmp_path / "t.json", {"model": str(model_path)})
+        out = tmp_path / "out.json"
+        assert main(["transducer", "--config", config, "--output", str(out)]) == 0
+        payload = read_json(out)
+        assert set(payload) == ({"nbest", "truncated"} if truncated else {"nbest"})
+        assert payload.get("truncated", True) is True
 
     def test_lm_weight_without_lm_table_is_exit_2(self, tmp_path, model_path, capsys):
         config = write_json(tmp_path / "t.json", {
@@ -532,6 +546,28 @@ class TestErrorMapping:
             "vocab": vocab.to_dict(), "emission": str(emission_path), "labels": [2]})
         assert main(["align", "--config", cfg]) == 2
         assert "blank_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, edit, message", [
+        ("align", {"labels": [0]}, "labels must not contain the blank id"),
+        ("align", {"labels": [9]}, "label 9 outside vocabulary"),
+        ("vad", {"vad": {"on_threshold": 1.5}}, "on_threshold must be in [0, 1]"),
+        ("vad", {"vad": {"margin_frames": -1}}, "must be >= 0"),
+    ])
+    def test_ctc_tool_argument_checks_are_exit_2(self, tmp_path, task, edit, message, capsys):
+        cfg = write_json(tmp_path / "c.json", {**task_configs(tmp_path)[task], **edit})
+        assert main([task, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, kernel", [("align", "ctc_forced_align"), ("vad", "ctc_vad")])
+    def test_error_inside_ctc_tool_is_not_a_config_error(self, tmp_path, monkeypatch, task,
+                                                         kernel):
+        def broken(*args, **kwargs):
+            raise ValueError("fault inside the kernel")
+
+        monkeypatch.setattr(cli_mod, kernel, broken)
+        cfg = write_json(tmp_path / "c.json", task_configs(tmp_path)[task])
+        with pytest.raises(ValueError, match="fault inside the kernel"):
+            main([task, "--config", cfg])
 
     @pytest.mark.parametrize("block", [
         "beam", "beam.end_detect", "transducer", "maskctc", "vad", "bench"])

@@ -28,11 +28,12 @@ from seqdecode.core import (
     ROW_TOL_REJECT,
     _row_deviations,
     log_rows,
-    validate_hypothesis,
 )
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
 from seqdecode.transducer import TableTransducer
+
+from conftest import validate_hypothesis
 
 NEG_INF = float("-inf")
 

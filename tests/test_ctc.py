@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestForcedAlign:
             assert 0 <= s.start < s.end <= 6
         for a, b in zip(spans, spans[1:]):
             assert a.end <= b.start
+
+    def test_peak_memory_is_about_one_score_table(self):
+        # the (T, S) float64 scores are the only table the alignment keeps:
+        # its backtrace reads them, with no table of predecessors
+        rng = np.random.default_rng(5100)
+        em = random_emission(rng, 400, 50)
+        labels = [int(v) for v in rng.integers(1, 50, size=100)]  # S = 201
+        tracemalloc.start()
+        try:
+            ctc_forced_align(em, labels, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 400 * 201 * 8
 
 
 @pytest.mark.parametrize("blank_id", [-1, 3, 9])
@@ -315,20 +330,23 @@ def spans_of(path, blank_id):
 def reference_instances():
     """Random emissions (some with -inf entries, ties from quantised
     logits) and label sequences with repeats, no labels, T=1 and lengths
-    that cannot fit."""
+    that cannot fit; then a few long ones, T >= 100 with up to T/2 labels,
+    as a long-form request aligns."""
     rng = np.random.default_rng(4242)
-    for case in range(120):
-        frames = int(rng.choice([1, 2, 3, 7, 15, 40]))
-        vocab = int(rng.integers(2, 6))
+    for case in range(126):
+        long = case >= 120
+        frames = int(rng.choice([100, 160] if long else [1, 2, 3, 7, 15, 40]))
+        vocab = int(rng.integers(2 + long, 6 + 2 * long))
         logits = 1.5 * rng.normal(size=(frames, vocab))
         if case % 3 == 0:
             logits = np.round(logits)  # exact ties between paths
         if case % 2 == 0:
-            dead = rng.random(logits.shape) < 0.2
+            dead = rng.random(logits.shape) < (0.05 if long else 0.2)
             dead[:, 0] = False  # keep every row normalisable
             logits[dead] = -np.inf
         em = EmissionMatrix.from_logits(logits)
-        n = int(rng.integers(0, frames + 2))
+        n = int(rng.integers(frames // 4, frames // 2 + 1) if long
+                else rng.integers(0, frames + 2))
         yield em, [int(v) for v in rng.integers(1, vocab, size=n)]
 
 
@@ -358,6 +376,10 @@ class TestVectorisedMatchesScalarReference:
         assert any(np.isinf(em.data).any() for em, _ in cases)
         assert any(any(a == b for a, b in zip(lab, lab[1:])) for _, lab in cases)
         assert any(scalar_ctc_viterbi(em, lab, 0) is None for em, lab in cases)
+        long = [(em, lab) for em, lab in cases if em.frames >= 100]
+        assert any(np.isinf(em.data).any() for em, _ in long)
+        assert any(len(np.unique(em.data)) < em.data.size / 2 for em, _ in long)  # ties
+        assert any(scalar_ctc_viterbi(em, lab, 0) is not None for em, lab in long)
 
 
 # The run rule: greedy decoding, the Mask-CTC collapse, VAD and the

@@ -18,7 +18,7 @@ from seqdecode import (
 from seqdecode import lm as lm_mod
 from seqdecode.lm import BOS, EOS_WORD, UNK, MultiLevelState
 
-from conftest import random_table_scorer
+from conftest import random_table_scorer, validate_hypothesis
 
 LN10 = math.log(10)
 LETTERS = "abcd"
@@ -462,7 +462,6 @@ class TestFusionInBeamSearch:
             BeamConfig, CTCPrefixScorer, EmissionMatrix, Hypothesis,
             batch_beam_search, beam_search,
         )
-        from seqdecode.core import validate_hypothesis
 
         rng = np.random.default_rng(27000 + seed)
         path = tmp_path / "fuse.arpa"

@@ -638,6 +638,30 @@ class TestScanRecursion:
             assert_near_loop(state, ref)
             assert not np.isnan(state.r_nb).any() and not np.isnan(state.r_b).any()
 
+    @pytest.mark.parametrize("dead_blank", [False, True])
+    def test_only_the_scan_with_a_neg_inf_in_range_segments(self, monkeypatch, dead_blank):
+        # labels 1 and 3 are -inf at some frames; the blank only if
+        # dead_blank: the blank scan (r_b, r_sum) segments only then
+        rng = np.random.default_rng(7509)
+        logits = 1.5 * rng.normal(size=(30, 6))
+        logits[[4, 11, 17], 1] = logits[[7, 20], 3] = -np.inf
+        if dead_blank:
+            logits[[9, 22], 0] = -np.inf
+        em = EmissionMatrix.from_logits(logits)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, [2])]
+        cells = expand_all(scorer, em, hyps, np.array([[1, 2, 3, 4]]))
+        calls = []
+        scan, offsets = scorers_mod._scan, scorers_mod._offsets
+        monkeypatch.setattr(scorers_mod, "_scan",
+                            lambda *a: calls.append("scan") or scan(*a))
+        monkeypatch.setattr(scorers_mod, "_offsets",
+                            lambda *a: calls.append("offsets") or offsets(*a))
+        scorers_mod._materialise([state for _, state, _ in cells])
+        assert calls == ["scan"] + ["offsets"] * (1 + dead_blank)
+        for _, state, ref in cells:
+            assert_near_loop(state, ref)
+
     @pytest.mark.parametrize("mixed", [False, True])
     def test_clean_columns_equal_the_scan_reference(self, mixed):
         # parents of 0, 1 and 3 labels; labels 5 and 6 are -inf at frames

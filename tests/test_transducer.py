@@ -139,6 +139,33 @@ class TestBeam:
         assert nbest.best().yseq == best[0]
         assert nbest.best().score == pytest.approx(best[1], abs=1e-9)
 
+    @staticmethod
+    def repeating(p_repeat):
+        """Order-1 table of 2 labels and one frame in which label 0 repeats
+        with probability ``p_repeat``: near 1, a frame never gets B
+        completions above its active entries."""
+        rest = (1.0 - p_repeat) / 2
+        return table_from_probs({(): [[1 / 3] * 3], (0,): [[p_repeat, rest, rest]],
+                                 (1,): [[1 / 3] * 3]}, 1)
+
+    def test_capped_frame_reports_truncated(self):
+        cfg = TransducerBeamConfig(beam_size=4, max_pops_per_frame=300)
+        assert transducer_beam(self.repeating(1 - 4e-6), 1, cfg).truncated
+
+    def test_truncated_exactly_when_the_cap_cuts_the_frame(self):
+        model = self.repeating(0.9)
+        uncapped = transducer_beam(model, 1, TransducerBeamConfig(beam_size=4))
+        assert not uncapped.truncated
+        flags = []
+        for cap in range(1, 80):
+            nbest = transducer_beam(model, 1, TransducerBeamConfig(beam_size=4,
+                                                                   max_pops_per_frame=cap))
+            flags.append(nbest.truncated)
+            if not nbest.truncated:  # the frame ended by its own rule
+                assert nbest.entries == uncapped.entries
+        # capped below the pops the frame needs, and not at or above them
+        assert flags[0] and not flags[-1] and flags == sorted(flags, reverse=True)
+
 
 class TestTsd:
     def test_one_expansion_matches_greedy_on_agree_instance(self):
