@@ -97,6 +97,7 @@ _BEAM_KEYS = {
 _TRANSDUCER_KEYS = {
     "beam_size": int, "algorithm": str, "max_exp_per_step": int, "u_max_ratio": float,
     "n_steps": int, "lm_table": TableScorer.load, "lm_weight": float, "u_max": _optional(int),
+    "max_pops_per_frame": int,
 }
 _MASKCTC_KEYS = {"threshold": float, "iterations": int}
 _VAD_KEYS = {"on_threshold": float, "min_gap_frames": int, "margin_frames": int}

@@ -11,13 +11,14 @@ sums. Optional shallow fusion adds a weighted LM score to label expansions
 No search builds a hypothesis it does not keep. Each round's joint rows,
 plus the parents' scores, hold the blank completions in one column and the
 label expansions in the rest (``_fuse``, the only place fusion arithmetic
-lives). Blank completions enter a yseq -> [score, hypothesis] map and are
-rescored only if they survive pruning. TSD and ALSD pick the top B cells of
-a round by (-score, child yseq) and only then call pred_step and the LM's
-select_state for those; NSC is TSD with n_steps expansion rounds. The Graves beam keeps
-the label expansions of each popped parent as one row of V scores with one
-heap entry, at its best pending cell, and builds an expansion only when it
-is popped.
+lives). The loop that walks a round's parents enters their completions in
+a yseq -> [score, hypothesis] map, merging by ``_logaddexp`` (np.logaddexp
+bit for bit, on two floats); ``_prune`` builds the survivors. TSD and ALSD
+rank a round's cells by (-score, child yseq) and ``_keep`` builds the top
+B, each with the LM's select_state, then pred_step; NSC is TSD with
+n_steps rounds. The Graves beam keeps the label expansions of each popped
+parent as one array of V cells with one heap entry, at its best pending
+cell; a pop of it builds that child and its completion inline.
 """
 
 from __future__ import annotations
@@ -151,11 +152,6 @@ class TransducerHypothesis:
     lm_state: Any = None
     lm_score: float = 0.0  # raw (unweighted) accumulated LM part
 
-    def rescored(self, score: float) -> "TransducerHypothesis":
-        """This hypothesis with another score (a cheap dataclasses.replace)."""
-        return TransducerHypothesis(self.yseq, score, self.pred_state,
-                                    self.lm_state, self.lm_score)
-
 
 @dataclass(frozen=True)
 class TransducerBeamConfig:
@@ -197,24 +193,28 @@ class TransducerBeamConfig:
 Pool = Dict[Tuple[int, ...], TransducerHypothesis]
 
 
-def _complete(pool: Dict[Tuple[int, ...], list], hyp: TransducerHypothesis,
-              score: float) -> list:
-    """Enter hyp at score into a yseq -> [score, hypothesis] pool,
-    log-sum-exp-merging into an identical yseq already there; returns the
-    entry."""
-    entry = pool.get(hyp.yseq)
-    if entry is None:
-        entry = pool[hyp.yseq] = [score, hyp]
-    else:
-        entry[0] = float(np.logaddexp(entry[0], score))
-    return entry
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp of two Python floats, bit for bit: the same branches
+    over the same libm exp and log1p, without numpy's per-call cost."""
+    if x == y:  # equal infinities too
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # nan
 
 
 def _prune(pool: Dict[Tuple[int, ...], list], beam: int) -> Pool:
     """The beam best of a yseq -> [score, hypothesis] pool by (-score, yseq),
-    in that order; only these are rescored."""
-    ranked = sorted(pool.items(), key=lambda item: (-item[1][0], item[0]))[:beam]
-    return {yseq: hyp.rescored(score) for yseq, (score, hyp) in ranked}
+    in that order; only these are built at their merged scores."""
+    ranked = sorted([(-score, yseq, hyp) for yseq, (score, hyp) in pool.items()])[:beam]
+    return {yseq: TransducerHypothesis(yseq, -neg, hyp.pred_state, hyp.lm_state, hyp.lm_score)
+            for neg, yseq, hyp in ranked}
 
 
 def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothesis:
@@ -276,26 +276,15 @@ def _fuse(model: TransducerModel, config: TransducerBeamConfig,
     return np.fmax(fused, NEG_INF), lm_rows, scored
 
 
-def _child(model: TransducerModel, lm: Optional[FullScorer], parent: TransducerHypothesis,
-           lm_row: Any, lm_scored: Any, label: int, score: float) -> TransducerHypothesis:
-    """The expansion of parent by label at score, from the parent's LM row
-    and scored state (None without an LM)."""
-    lm_state, lm_raw = parent.lm_state, parent.lm_score
-    if lm is not None:
-        lm_raw = lm_raw + float(lm_row[label])
-        lm_state = lm.select_state(lm_scored, label)
-    return TransducerHypothesis(parent.yseq + (label,), score,
-                                model.pred_step(parent.pred_state, label), lm_state, lm_raw)
-
-
 def _keep(model: TransducerModel, config: TransducerBeamConfig,
           parents: Sequence[TransducerHypothesis], fused: tuple, k: int,
           built: Optional[Dict[Tuple[int, ...], list]] = None) -> Pool:
     """The k best of the finite cells of ``fused`` (from ``_fuse``) and the
     yseq -> [score, hypothesis] entries of ``built`` (whose yseqs must not
     be cells), by (-score, yseq) and in that order. Only these become
-    hypotheses. Parents differ in length, so ties are broken on the whole
-    child tuple, not on (parent, label)."""
+    hypotheses: a cell's child takes the LM's select_state, then pred_step.
+    Parents differ in length, so ties are broken on the whole child tuple,
+    not on (parent, label)."""
     cells, lm_rows, lm_scored = fused
     n_labels = cells.shape[1]
     flat = cells.ravel()
@@ -306,11 +295,19 @@ def _keep(model: TransducerModel, config: TransducerBeamConfig,
                                            [divmod(i, n_labels) for i in idx.tolist()])]
     if built:
         ranked += [(-score, yseq, -1, hyp) for yseq, (score, hyp) in built.items()]
-    return {
-        yseq: (item.rescored(-neg) if r < 0 else
-               _child(model, config.lm, parents[r], lm_rows[r], lm_scored[r], item, -neg))
-        for neg, yseq, r, item in sorted(ranked)[:k]
-    }
+    lm, kept = config.lm, {}
+    for neg, yseq, r, item in sorted(ranked)[:k]:
+        if r < 0:  # an entry of ``built``
+            pred_state, lm_state, lm_raw = item.pred_state, item.lm_state, item.lm_score
+        else:
+            parent = parents[r]
+            lm_state, lm_raw = parent.lm_state, parent.lm_score
+            if lm is not None:
+                lm_raw = lm_raw + float(lm_rows[r, item])
+                lm_state = lm.select_state(lm_scored[r], item)
+            pred_state = model.pred_step(parent.pred_state, item)
+        kept[yseq] = TransducerHypothesis(yseq, -neg, pred_state, lm_state, lm_raw)
+    return kept
 
 
 def transducer_beam(model: TransducerModel, frames: int,
@@ -338,7 +335,7 @@ def transducer_beam(model: TransducerModel, frames: int,
     before it surfaces. Such an entry stays in ``active`` or its row,
     where later expansions merge into it, but goes on the heap only once
     a merge lifts it to the floor."""
-    beam = config.beam_size
+    beam, lm = config.beam_size, config.lm
     pool = _init_pool(model, config)
     blank = model.blank_id
     version = 0
@@ -350,9 +347,10 @@ def transducer_beam(model: TransducerModel, frames: int,
         nonlocal version
         version += 1
         row[0] = version
-        best = max(row[1])
+        label = int(row[1].argmax())  # the first best cell: the lowest label
+        best = row[1].item(label)
         if best > NEG_INF and best >= floor:
-            heapq.heappush(heap, (-best, parent + (row[1].index(best),), version, row))
+            heapq.heappush(heap, (-best, parent + (label,), version, row))
 
     for t in range(frames):
         # Nodes: yseq -> [version, score, hypothesis] for pool hypotheses
@@ -385,23 +383,36 @@ def transducer_beam(model: TransducerModel, frames: int,
             if isinstance(node[2], TransducerHypothesis):
                 del active[yseq]
                 hyp = node[2]  # ``score`` holds its merges, hyp.score may not
-            else:
-                hyp = _child(model, config.lm, *node[2], yseq[-1], score)
-                node[1][yseq[-1]] = NEG_INF
-                push_row(yseq[:-1], node)
+            else:  # the row's child: the LM's select_state, then pred_step
+                parent, lm_row, lm_scored = node[2]
+                label = yseq[-1]
+                lm_state, lm_raw = parent.lm_state, parent.lm_score
+                if lm is not None:
+                    lm_raw = lm_raw + float(lm_row[label])
+                    lm_state = lm.select_state(lm_scored, label)
+                hyp = TransducerHypothesis(yseq, score, model.pred_step(parent.pred_state, label),
+                                           lm_state, lm_raw)
+                node[1][label] = NEG_INF
+                push_row(parent.yseq, node)
 
-            total = score + np.asarray(model.joint(t, hyp.pred_state), dtype=np.float64)
-            done = _complete(completed, hyp, float(total[blank]))
+            # in float64: under NEP 50, score + a float32 row stays float32
+            total = np.add(score, model.joint(t, hyp.pred_state), dtype=np.float64)
+            blank_score = total.item(blank)
+            done = completed.get(yseq)
+            if done is None:
+                done = completed[yseq] = [blank_score, hyp]
+            else:
+                done[0] = _logaddexp(done[0], blank_score)
             if len(completed) >= beam and done[0] > floor:
                 floor = sorted([c[0] for c in completed.values()])[-beam]
-            fused, lm_row, lm_scored = _fuse(model, config, (hyp,), total)
-            cells = fused.tolist()
+            # this pop's own cells (a slice of ``total`` or a new array): the row keeps them
+            cells, lm_row, lm_scored = _fuse(model, config, (hyp,), total)
             for label in pool_children.get(yseq, ()):
                 child = yseq + (label,)
                 kid = active.get(child)
                 if kid is not None and cells[label] > NEG_INF:
                     version += 1
-                    kid[0], kid[1] = version, float(np.logaddexp(kid[1], cells[label]))
+                    kid[0], kid[1] = version, _logaddexp(kid[1], cells.item(label))
                     if kid[1] >= floor:
                         heapq.heappush(heap, (-kid[1], child, version, kid))
                     cells[label] = NEG_INF
@@ -409,7 +420,7 @@ def transducer_beam(model: TransducerModel, frames: int,
             if row is None:
                 row = rows[yseq] = [0, cells, (hyp, lm_row, lm_scored[0])]
             else:
-                row[1] = np.logaddexp(row[1], cells).tolist()
+                row[1] = np.logaddexp(row[1], cells)
             push_row(yseq, row)
         pool = _prune(completed, beam)
         if not pool:
@@ -438,7 +449,11 @@ def transducer_tsd(model: TransducerModel, frames: int,
             total = np.array([h.score for h in parents])[:, None] + model.joint_batch(
                 t, [h.pred_state for h in parents])
             for hyp, score in zip(parents, total[:, blank].tolist()):
-                _complete(completed, hyp, score)
+                entry = completed.get(hyp.yseq)
+                if entry is None:
+                    completed[hyp.yseq] = [score, hyp]
+                else:
+                    entry[0] = _logaddexp(entry[0], score)
             if round_idx == config.max_exp_per_step:
                 break
             # children of distinct parents never share a yseq: nothing to merge
@@ -465,7 +480,8 @@ def transducer_alsd(model: TransducerModel, frames: int,
         config.u_max_ratio * frames)
 
     current = _init_pool(model, config)  # all entries satisfy t + u == i
-    final: Dict[Tuple[int, ...], list] = {}
+    # with no frames to consume, the initial hypothesis is already final
+    final = {yseq: [h.score, h] for yseq, h in current.items()} if frames == 0 else {}
     for i in range(frames + u_max):
         live = [h for h in current.values() if i - len(h.yseq) < frames]
         if not live:
@@ -474,13 +490,15 @@ def transducer_alsd(model: TransducerModel, frames: int,
             [model.joint(i - len(h.yseq), h.pred_state) for h in live])
         nxt: Dict[Tuple[int, ...], list] = {}
         for hyp, score in zip(live, total[:, blank].tolist()):
-            if i - len(hyp.yseq) == frames - 1:
-                _complete(final, hyp, score)
-            else:
+            if i - len(hyp.yseq) < frames - 1:
                 nxt[hyp.yseq] = [score, hyp]
+            elif hyp.yseq in final:
+                final[hyp.yseq][0] = _logaddexp(final[hyp.yseq][0], score)
+            else:
+                final[hyp.yseq] = [score, hyp]
         grow = [r for r, h in enumerate(live) if len(h.yseq) < u_max]
         parents = [live[r] for r in grow]
-        fused = _fuse(model, config, parents, total[grow])
+        fused = _fuse(model, config, parents, total if len(grow) == len(live) else total[grow])
         # a label expansion may reach the yseq of a blank advance (parents
         # differ in length): merge the pair into the blank advance
         index = {h.yseq: r for r, h in enumerate(parents)}

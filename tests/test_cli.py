@@ -192,6 +192,22 @@ class TestTransducer:
         assert set(payload) == ({"nbest", "truncated"} if truncated else {"nbest"})
         assert payload.get("truncated", True) is True
 
+    @pytest.mark.parametrize("cap", [1, None])
+    def test_pop_cap_from_the_config(self, tmp_path, cap):
+        # one frame in which label 0 repeats with probability 0.9: the beam
+        # pops many times before B completions beat every active entry
+        rows = {(): np.log(np.full((1, 3), 1 / 3)), (0,): np.log(np.array([[0.9, 0.05, 0.05]])),
+                (1,): np.log(np.full((1, 3), 1 / 3))}
+        path = tmp_path / "model.json"
+        TableTransducer(1, 1, 2, rows).save(str(path))
+        block = {"algorithm": "beam", "beam_size": 4}
+        if cap is not None:
+            block["max_pops_per_frame"] = cap
+        config = write_json(tmp_path / "t.json", {"model": str(path), "transducer": block})
+        out = tmp_path / "out.json"
+        assert main(["transducer", "--config", config, "--output", str(out)]) == 0
+        assert read_json(out).get("truncated", False) is (cap == 1)
+
     def test_lm_weight_without_lm_table_is_exit_2(self, tmp_path, model_path, capsys):
         config = write_json(tmp_path / "t.json", {
             "model": str(model_path),

@@ -446,6 +446,19 @@ class TestDispatchAndTable:
                 ref = TransducerModel.joint_batch(model, t, states)
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("alg, fused", [
+        (alg, fused) for alg in sorted(transducer_mod.ALGORITHMS) for fused in (False, True)
+        if not (fused and alg == "greedy")])
+    def test_zero_frames_decode_to_the_empty_sequence(self, rng, alg, fused):
+        # no frame to consume: the empty sequence with the empty alignment
+        # sum, log 1 = 0, as oracle_transducer_prob says (greedy fuses no LM)
+        model = random_transducer(rng, 3, 2)
+        lm = TableScorer(0, 3, {(): np.log(rng.dirichlet(np.ones(3)))})
+        fusion = dict(lm=lm, lm_weight=0.5) if fused else {}
+        nbest = transducer_decode(model, 0, TransducerBeamConfig(algorithm=alg, **fusion))
+        assert [(e.yseq, e.score) for e in nbest.entries] == [((), 0.0)]
+        assert nbest.best().score == oracle_transducer_prob(model, 0, ()) == 0.0
+
     @pytest.mark.parametrize("pops", [0, -1])
     def test_max_pops_per_frame_below_one_is_config_error(self, pops):
         with pytest.raises(ConfigError):
@@ -637,7 +650,8 @@ def ref_nsc(model, frames, cfg):
 def ref_alsd(model, frames, cfg):
     blank = model.blank_id
     u_max = cfg.u_max if cfg.u_max is not None else math.ceil(cfg.u_max_ratio * frames)
-    current, final = _ref_init(model, cfg), {}
+    current = _ref_init(model, cfg)
+    final = {} if frames else dict(current)  # no frames: the initial hypothesis is final
     for i in range(frames + u_max):
         nxt = {}
         for yseq, hyp in sorted(current.items(), key=_ref_key):
@@ -720,7 +734,7 @@ class TestTransducerTopBSelection:
     def _instance(seed, *, frames=None, n_labels=None, beam=None, neg_inf_share=None):
         rng = np.random.default_rng(61000 + seed)
         n_labels = n_labels or int(rng.integers(1, 6))
-        frames = frames or int(rng.integers(1, 5))
+        frames = int(rng.integers(1, 5)) if frames is None else frames
         share = neg_inf_share if neg_inf_share is not None else float(rng.choice([0.0, 0.2]))
         model = QuantisedTransducer(rng, n_labels, frames, share)
         lm = QuantisedLM(rng, n_labels, share)
@@ -759,6 +773,10 @@ class TestTransducerTopBSelection:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_frame(self, seed):
         self._check(*self._instance(200 + seed, frames=1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_frames(self, seed):
+        self._check(*self._instance(250 + seed, frames=0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_beam_wider_than_vocabulary(self, seed):
@@ -1317,3 +1335,94 @@ class TestGravesBeamPushBound:
         assert max(pops.values()) >= 2
         for frame, n in pops.items():
             assert pushes[frame] <= (2 + beam) * n
+
+
+class Float32Transducer(TransducerModel):
+    """Delegating model whose joint and joint_batch return float32 rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def num_labels(self):
+        return self.inner.num_labels
+
+    def pred_init(self):
+        return self.inner.pred_init()
+
+    def pred_step(self, state, label):
+        return self.inner.pred_step(state, label)
+
+    def joint(self, t, state):
+        return self.inner.joint(t, state).astype(np.float32)
+
+    def joint_batch(self, t, states):
+        return self.inner.joint_batch(t, states).astype(np.float32)
+
+
+class TestFloat32JointRows:
+    """A model's float32 joint rows decode exactly as the same rows cast to
+    float64: every search adds them to float64 scores in float64 (under
+    NEP 50, a Python float plus a float32 row would stay float32)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("alg", sorted(transducer_mod.ALGORITHMS))
+    def test_same_nbest_as_float64_rows(self, seed, alg):
+        rng = np.random.default_rng(66000 + seed)
+        frames = int(rng.integers(1, 6))
+        model = random_transducer(rng, 3, frames)
+        widened = TableTransducer(
+            context_order=1, frames=frames, num_labels=3,
+            rows={ctx: mat.astype(np.float32).astype(np.float64)
+                  for ctx, mat in model.rows.items()})
+        narrow = Float32Transducer(model)
+        lm = TableScorer(1, 3, {ctx: np.log(rng.dirichlet(np.ones(3)))
+                                for ctx in [(), (0,), (1,), (2,)]})
+        for fusion in ({}, dict(lm=lm, lm_weight=0.5)):
+            if fusion and alg == "greedy":
+                continue
+            cfg = TransducerBeamConfig(beam_size=3, algorithm=alg, **fusion)
+            want = _nbest_triples(transducer_decode(widened, frames, cfg))
+            got = _nbest_triples(transducer_decode(narrow, frames, cfg))
+            assert got == want
+            assert all(type(score) is float for _, score, _ in got)
+
+
+class TestScalarLogAddExp:
+    """transducer._logaddexp, the searches' merge of two Python floats,
+    equals np.logaddexp bit for bit. On a platform whose libm rounds exp
+    or log1p differently this fails, rather than merged scores moving."""
+
+    @staticmethod
+    def _bits(values):
+        return [v.hex() for v in values]
+
+    def _check(self, pairs):
+        with np.errstate(invalid="ignore"):
+            want = [float(np.logaddexp(x, y)) for x, y in pairs]
+        got = [transducer_mod._logaddexp(x, y) for x, y in pairs]
+        assert all(type(v) is float for v in got)
+        assert self._bits(got) == self._bits(want)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(67000)
+        n = 100_000
+        x = rng.normal(scale=20.0, size=n)
+        # half the gaps within a few nats (log1p matters), half wide
+        gap = np.where(rng.random(n) < 0.5, rng.normal(scale=3.0, size=n),
+                       rng.normal(scale=300.0, size=n))
+        self._check(list(zip(x.tolist(), (x + gap).tolist())))
+
+    def test_edge_cases(self):
+        inf, nan = math.inf, math.nan
+        pairs = [
+            (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-1.5, -1.5), (7.25, 7.25),
+            (-1e308, -1e308), (1e308, 1e308),
+            (-inf, -inf), (-inf, -2.0), (-2.0, -inf), (-inf, 0.0), (inf, -inf),
+            (-inf, inf), (inf, inf), (inf, 3.0),
+            (0.0, -745.0), (0.0, -745.2), (0.0, -746.0), (-800.0, 0.0),
+            (-1.0, -1000.0), (-3000.0, 2.0), (1e-300, -1e-300),
+            (nan, 0.0), (0.0, nan), (nan, nan), (nan, -inf), (-inf, nan),
+        ]
+        self._check(pairs)
+        assert math.isnan(transducer_mod._logaddexp(nan, -inf))
