@@ -15,20 +15,16 @@ from .core import (
     DecodeError,
     EmissionMatrix,
     FormatError,
-    Hypothesis,
     InfeasibleError,
-    NBestEntry,
     NBestList,
     Vocabulary,
     load_emission,
-    logsumexp,
     save_emission,
 )
-from .ctc import Alignment, Segment, TokenSpan, ctc_forced_align, ctc_forward, ctc_greedy, ctc_vad
+from .ctc import Alignment, ctc_forced_align, ctc_forward, ctc_vad
 from .lm import (
     LookAheadLMScorer,
     MultiLevelLMScorer,
-    NGramModel,
     WordTrie,
     load_arpa,
     load_lexicon,
@@ -37,7 +33,6 @@ from .lm import (
 )
 from .maskctc import (
     MaskCtcConfig,
-    MaskCtcResult,
     MLMScorer,
     TableMLM,
     ctc_confidence_collapse,
@@ -58,7 +53,6 @@ from .scorers import (
 from .transducer import (
     TableTransducer,
     TransducerBeamConfig,
-    TransducerHypothesis,
     TransducerModel,
     transducer_alsd,
     transducer_beam,

@@ -88,21 +88,23 @@ class Vocabulary:
         for name, idx in reserved.items():
             if idx == self.mask_id:
                 raise ConfigError(f"mask_id must differ from {name}={idx}")
+        banned = {self.sos_id, self.blank_id, self.mask_id}
+        candidates = tuple(i for i in range(n) if i not in banned)
+        object.__setattr__(self, "_candidate_ids", candidates)
+        object.__setattr__(self, "_label_ids", tuple(i for i in candidates if i != self.eos_id))
 
     @property
     def size(self) -> int:
         return len(self.tokens)
 
     def candidate_ids(self) -> Tuple[int, ...]:
-        """Token ids the search may append: everything except sos, blank, mask."""
-        banned = {self.sos_id, self.blank_id}
-        if self.mask_id is not None:
-            banned.add(self.mask_id)
-        return tuple(i for i in range(self.size) if i not in banned)
+        """Token ids the search may append: everything except sos, blank,
+        mask. Computed once, as the vocabulary is frozen."""
+        return self._candidate_ids
 
     def label_ids(self) -> Tuple[int, ...]:
         """Candidate ids excluding eos (the enumerable sequence alphabet)."""
-        return tuple(i for i in self.candidate_ids() if i != self.eos_id)
+        return self._label_ids
 
     def check_emission_width(self, width: int) -> None:
         """An emission over this vocabulary has one column per token."""
@@ -166,13 +168,12 @@ def _check_frames(arr: np.ndarray, dev: np.ndarray, tol: float) -> None:
                           f"deviation {np.abs(np.logaddexp.reduce(arr[t]))!r}")
 
 
-def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str],
-             freeze: bool = True) -> np.ndarray:
-    """``data`` as a float64 array of ``shape`` whose rows (last axis) are
-    log-distributions within ROW_TOL_EXACT, else a ConfigError. ``label``
-    names the rows in the message and is called only on failure. The array
-    is ``data`` itself when that is a C-contiguous float64 array; ``freeze``
-    makes it read-only."""
+def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
+    """``data`` as a read-only float64 array of ``shape`` whose rows (last
+    axis) are log-distributions within ROW_TOL_EXACT, else a ConfigError.
+    ``label`` names the rows in the message and is called only on failure.
+    The array is ``data`` itself, made read-only, when that is a
+    C-contiguous float64 array."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.shape != shape:
         raise ConfigError(f"{label()} has shape {arr.shape}, expected {shape}")
@@ -181,8 +182,7 @@ def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str],
         i = int(np.argmin(dev <= ROW_TOL_EXACT))
         where = f" row {i}" if arr.ndim > 1 else ""
         raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {dev[i]!r}")
-    if freeze:
-        arr.setflags(write=False)
+    arr.setflags(write=False)
     return arr
 
 

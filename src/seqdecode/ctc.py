@@ -95,11 +95,6 @@ def ctc_confidence_collapse(
     return tuple(tokens[keep].tolist()), tuple(confidences.tolist())
 
 
-def ctc_greedy(emission: EmissionMatrix, blank_id: int) -> Tuple[int, ...]:
-    """Per-frame argmax, collapse repeats, drop blanks."""
-    return ctc_confidence_collapse(emission, blank_id)[0]
-
-
 @dataclass(frozen=True)
 class TokenSpan:
     token: int

@@ -205,14 +205,16 @@ class WordTrie:
                 node = node.children.setdefault(ch, _TrieNode())
             node.word = word
             node.word_logp = ngram_score(word_lm, (), word)
-        self._compute_mass(self.root)
-
-    def _compute_mass(self, node: _TrieNode) -> float:
-        parts = [self._compute_mass(child) for child in node.children.values()]
-        if node.word is not None:
-            parts.append(node.word_logp)
-        node.mass = logsumexp(parts) if parts else NEG_INF
-        return node.mass
+        # children before their parent, without recursion: a lexicon word
+        # may be longer than Python's recursion limit
+        order = [self.root]
+        for node in order:
+            order.extend(node.children.values())
+        for node in reversed(order):
+            parts = [child.mass for child in node.children.values()]
+            if node.word is not None:
+                parts.append(node.word_logp)
+            node.mass = logsumexp(parts) if parts else NEG_INF
 
 
 class _WordFusionScorer(FullScorer):

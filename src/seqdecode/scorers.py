@@ -171,9 +171,9 @@ class TableScorer(FullScorer):
     a key longer than k could never be reached and is a ConfigError.
     Unknown contexts fall back to a configurable row, uniform by default, so
     toy models stay total without full context coverage. ``rows`` and
-    ``fallback`` (last) are views of one read-only matrix, filled row by
-    row with copies of the caller's arrays (which stay writeable), whose
-    rows ``batch_score`` gathers at once.
+    ``fallback`` hold the caller's C-contiguous float64 arrays themselves,
+    made read-only (other rows become read-only float64 copies);
+    ``batch_score`` gathers the looked-up rows into a new matrix.
     """
 
     def __init__(
@@ -193,19 +193,13 @@ class TableScorer(FullScorer):
         if longer:
             raise ConfigError(f"table context {tuple(longer[0])} is longer than "
                               f"context_order {context_order}")
-        self._matrix = np.empty((len(rows) + 1, vocab_size))
-        for i, (ctx, row) in enumerate(rows.items()):
-            self._matrix[i] = log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}",
-                                       freeze=False)
-        self._index = {tuple(ctx): i for i, ctx in enumerate(rows)}
+        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
+            tuple(ctx): log_rows(row, (vocab_size,), lambda: f"table row for context {ctx}")
+            for ctx, row in rows.items()
+        }
         if fallback is None:
             fallback = np.full(vocab_size, -math.log(vocab_size))
-        self._matrix[-1] = log_rows(fallback, (vocab_size,), lambda: "table fallback row",
-                                    freeze=False)
-        self._matrix.setflags(write=False)
-        self.rows: Dict[Tuple[int, ...], np.ndarray] = {
-            ctx: self._matrix[i] for ctx, i in self._index.items()}
-        self.fallback = self._matrix[-1]
+        self.fallback = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
 
     def _context(self, emitted: Tuple[int, ...]) -> Tuple[int, ...]:
         if self.context_order == 0:
@@ -229,8 +223,8 @@ class TableScorer(FullScorer):
         return [(*scored[r], t)[-k:] for r, t in zip(rows.tolist(), tokens.tolist())]
 
     def batch_score(self, prefixes, states, emission):
-        rows = [self._index.get(tuple(s), -1) for s in states]  # -1: the fallback
-        return self._matrix.take(rows, axis=0), list(states)
+        get, fallback = self.rows.get, self.fallback
+        return np.array([get(tuple(s), fallback) for s in states]), list(states)
 
     def save(self, path: str) -> None:
         write_json(path, {

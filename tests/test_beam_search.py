@@ -11,7 +11,6 @@ from seqdecode import (
     CTCPrefixScorer,
     EmissionMatrix,
     FullScorer,
-    Hypothesis,
     LookAheadLMScorer,
     MultiLevelLMScorer,
     PartialScorer,
@@ -33,7 +32,7 @@ from seqdecode.beam_search import (
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
-from seqdecode.core import hypothesis_sort_key
+from seqdecode.core import Hypothesis, hypothesis_sort_key
 
 from conftest import (
     WrappedPartialScorer,

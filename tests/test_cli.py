@@ -356,7 +356,7 @@ class TestBench:
         import seqdecode.cli as cli_mod
 
         def corrupted(*args, **kwargs):
-            from seqdecode import NBestEntry, NBestList
+            from seqdecode.core import NBestEntry, NBestList
             return NBestList.from_entries([NBestEntry(yseq=(1, 2, 3), score=-1.0)])
 
         monkeypatch.setattr(cli_mod, "batch_beam_search", corrupted)
@@ -645,6 +645,27 @@ class TestErrorMapping:
         assert read_json(out)["nbest"]
         config["scorers"]["la"]["char_table"] = str(table)  # a multilevel key
         assert main(["decode", "--config", write_json(tmp_path / "bad.json", config)]) == 2
+
+    def test_lookahead_lexicon_word_longer_than_the_recursion_limit(self, tmp_path, rng):
+        tokens = ("<blank>", "a", "b", "<space>", "<eos>", "<sos>")
+        vocab = Vocabulary(tokens=tokens, blank_id=0, sos_id=5, eos_id=4)
+        arpa = tmp_path / "lm.arpa"
+        arpa.write_text("\\data\\\nngram 1=4\n\n\\1-grams:\n-0.5 </s>\n-0.5 <s>\n"
+                        f"-0.3 a\n-0.4 {'ab' * 2500}\n\n\\end\\\n")
+        lexicon = tmp_path / "words.txt"
+        lexicon.write_text(f"a\n{'ab' * 2500}\n")
+        emission = tmp_path / "e.json"
+        save_emission(random_emission(rng, 4, vocab.size), str(emission), "json")
+        config = {
+            "vocab": vocab.to_dict(), "emission": str(emission),
+            "scorers": {"la": {"type": "lookahead", "arpa": str(arpa), "lexicon": str(lexicon)},
+                        "ctc": {"type": "ctc_prefix"}},
+            "beam": {"beam_size": 2, "weights": {"la": 0.5, "ctc": 1.0}},
+        }
+        out = tmp_path / "out.json"
+        assert main(["decode", "--config", write_json(tmp_path / "lm.json", config),
+                     "--output", str(out)]) == 0
+        assert read_json(out)["nbest"]
 
     @pytest.mark.parametrize("task", ["maskctc", "align", "vad"])
     def test_single_emission_tasks_reject_a_second_path(self, tmp_path, task, capsys):

@@ -12,12 +12,9 @@ from seqdecode import (
     ConfigError,
     EmissionMatrix,
     FormatError,
-    Hypothesis,
-    NBestEntry,
     NBestList,
     Vocabulary,
     load_emission,
-    logsumexp,
     save_emission,
 )
 from seqdecode import core as core_mod
@@ -26,8 +23,11 @@ from seqdecode.core import (
     RAW_MAGIC,
     ROW_TOL_EXACT,
     ROW_TOL_REJECT,
+    Hypothesis,
+    NBestEntry,
     _row_deviations,
     log_rows,
+    logsumexp,
 )
 from seqdecode.maskctc import TableMLM
 from seqdecode.scorers import TableScorer
@@ -84,6 +84,63 @@ MODEL_FILES = {
         lambda path: TableMLM.load(path, mask_id=3), "vocab_size", "patterns",
     ),
 }
+
+
+# table model -> (the shape of one caller array, the mapping that hands a
+# list of them over, the model built from that mapping, the arrays it holds)
+TABLE_MODELS = {
+    "table_scorer": (
+        (1000,), lambda rows: {(i,): r for i, r in enumerate(rows)},
+        lambda table: TableScorer(1, 1000, table), lambda m: list(m.rows.values()),
+    ),
+    "table_transducer": (
+        (1, 1000), lambda rows: {(i,): r for i, r in enumerate(rows)},
+        lambda table: TableTransducer(1, 1, 999, table), lambda m: list(m.rows.values()),
+    ),
+    "table_mlm": (
+        (1000,), lambda rows: {(None,) * len(rows): dict(enumerate(rows))},
+        lambda table: TableMLM(1000, 3, table),
+        lambda m: [row for rows in m.patterns.values() for row in rows.values()],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_MODELS))
+class TestTableModelsHoldTheCallersRows:
+    """The table models share one convention: a caller's C-contiguous
+    float64 rows are held as they are, made read-only; any other rows
+    become read-only float64 arrays of the model's own."""
+
+    def test_float64_rows_are_kept_and_frozen(self, kind, rng):
+        shape, arrange, build, held = TABLE_MODELS[kind]
+        rows = list(_log_dirichlet(rng, (3,) + shape))
+        for row, kept in zip(rows, held(build(arrange(rows)))):
+            assert np.shares_memory(kept, row)
+            assert not row.flags.writeable and not kept.flags.writeable
+
+    @pytest.mark.parametrize("convert", ["float32", "list"])
+    def test_other_rows_become_the_tables_own(self, kind, convert, rng):
+        shape, arrange, build, held = TABLE_MODELS[kind]
+        data = _log_dirichlet(rng, (3,) + shape)
+        rows = list(data.astype(np.float32)) if convert == "float32" else data.tolist()
+        for row, kept in zip(rows, held(build(arrange(rows)))):
+            assert kept.dtype == np.float64 and kept.flags.c_contiguous
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, np.asarray(row, dtype=np.float64))
+            if convert == "float32":
+                assert not np.shares_memory(kept, row) and row.flags.writeable
+
+    def test_building_allocates_no_copy_of_the_rows(self, kind, rng):
+        shape, arrange, build, _ = TABLE_MODELS[kind]
+        data = _log_dirichlet(rng, (200,) + shape)
+        table = arrange(list(data))
+        tracemalloc.start()
+        try:
+            build(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 20
 
 
 class TestLogsumexp:
@@ -145,6 +202,16 @@ class TestVocabulary:
         )
         assert v.candidate_ids() == (1, 2)
         assert v.label_ids() == (1,)
+
+    @pytest.mark.parametrize("mask_id", [None, 7])
+    @pytest.mark.parametrize("unk_id", [None, 5])
+    def test_ids_are_computed_once_by_the_definitions(self, mask_id, unk_id):
+        v = Vocabulary(tokens=tuple(f"t{i}" for i in range(12)), blank_id=3, sos_id=0,
+                       eos_id=10, mask_id=mask_id, unk_id=unk_id)
+        candidates = tuple(i for i in range(12) if i not in {0, 3, mask_id})
+        assert v.candidate_ids() == candidates
+        assert v.label_ids() == tuple(i for i in candidates if i != 10)
+        assert v.candidate_ids() is v.candidate_ids() and v.label_ids() is v.label_ids()
 
     def test_round_trip_dict(self):
         v = Vocabulary(tokens=("<blank>", "x", "<eos>", "<sos>"),

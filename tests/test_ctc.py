@@ -10,12 +10,11 @@ from seqdecode import (
     InfeasibleError,
     ctc_forced_align,
     ctc_forward,
-    ctc_greedy,
     ctc_vad,
 )
 from seqdecode import ctc as ctc_mod
 from seqdecode import maskctc as maskctc_mod
-from seqdecode.ctc import Segment, TokenSpan, merge_runs
+from seqdecode.ctc import Segment, TokenSpan, ctc_confidence_collapse, merge_runs
 
 from conftest import brute_ctc_prob, collapse, random_emission
 
@@ -68,7 +67,7 @@ class TestCtcForward:
 class TestCtcGreedy:
     def test_all_blank(self):
         em = emission_from_probs([[0.9, 0.1], [0.9, 0.1]])
-        assert ctc_greedy(em, 0) == ()
+        assert ctc_confidence_collapse(em, 0)[0] == ()
 
     def test_collapse_and_blank_split(self):
         rows = [
@@ -78,7 +77,7 @@ class TestCtcGreedy:
             [0.1, 0.0001, 0.9],
         ]
         em = EmissionMatrix.from_logits(np.log(np.array(rows)))
-        assert ctc_greedy(em, 0) == (1, 2)
+        assert ctc_confidence_collapse(em, 0)[0] == (1, 2)
 
 
 class TestForcedAlign:
@@ -517,7 +516,6 @@ class TestRunRule:
         em = RUN_RULE_CASES[case]
         tokens, confidences = ctc_mod.ctc_confidence_collapse(em, 0)
         assert (tokens, confidences) == collapse_loop_reference(em, 0)
-        assert ctc_greedy(em, 0) == tokens
         assert all(type(v) is int for v in tokens)
         assert all(type(v) is float for v in confidences)
 

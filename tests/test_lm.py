@@ -16,6 +16,7 @@ from seqdecode import (
     sentence_logprob,
 )
 from seqdecode import lm as lm_mod
+from seqdecode.core import NEG_INF, logsumexp
 from seqdecode.lm import BOS, EOS_WORD, UNK, MultiLevelState
 
 from conftest import random_table_scorer, validate_hypothesis
@@ -297,6 +298,42 @@ class TestWordTrie:
 
         check(trie.root)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_masses_equal_the_recursive_definition_bit_for_bit(self, tmp_path, seed):
+        rng = np.random.default_rng(29000 + seed)
+        path = tmp_path / "trie.arpa"
+        words = random_proper_arpa(rng, path, n_words=int(rng.integers(1, 30)))
+        trie = WordTrie(words, load_arpa(str(path)))
+
+        def mass(node):  # children first, then the node's own word
+            parts = [mass(child) for child in node.children.values()]
+            if node.word is not None:
+                parts.append(node.word_logp)
+            want = logsumexp(parts) if parts else NEG_INF
+            assert node.mass.hex() == want.hex()
+            return want
+
+        mass(trie.root)
+
+    def test_a_word_longer_than_the_recursion_limit(self, tmp_path):
+        long_word = "ab" * 2500
+        path = tmp_path / "long.arpa"
+        write_arpa(path, {
+            UNK: (-2.0, None), BOS: (-2.0, None), EOS_WORD: (-2.0, None),
+            long_word: (math.log10(0.25), None), "b": (math.log10(0.5), None),
+        })
+        model = load_arpa(str(path))
+        vocab = char_vocab()
+        trie = WordTrie([long_word, "b"], model)
+        assert trie.root.mass == pytest.approx(math.log(0.75), abs=1e-12)
+        node = trie.root.children["a"]
+        assert node.mass == pytest.approx(math.log(0.25), abs=1e-12)
+        scorer = LookAheadLMScorer(trie, model, vocab)
+        total, _ = score_tokens(scorer, vocab, encode(vocab, [long_word]))
+        direct = ngram_score(model, (BOS,), long_word) + ngram_score(
+            model, (BOS, long_word), EOS_WORD)
+        assert total == pytest.approx(direct, abs=1e-9)
+
     def test_single_word_lexicon_increments_are_zero(self, tmp_path):
         path = tmp_path / "one.arpa"
         write_arpa(path, {
@@ -459,9 +496,9 @@ class TestFusionInBeamSearch:
     @pytest.mark.parametrize("seed", range(3))
     def test_word_scorers_run_in_both_search_variants(self, tmp_path, seed):
         from seqdecode import (
-            BeamConfig, CTCPrefixScorer, EmissionMatrix, Hypothesis,
-            batch_beam_search, beam_search,
+            BeamConfig, CTCPrefixScorer, EmissionMatrix, batch_beam_search, beam_search,
         )
+        from seqdecode.core import Hypothesis
 
         rng = np.random.default_rng(27000 + seed)
         path = tmp_path / "fuse.arpa"

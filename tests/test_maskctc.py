@@ -10,7 +10,6 @@ from seqdecode import (
     MaskCtcConfig,
     TableMLM,
     ctc_confidence_collapse,
-    ctc_greedy,
     mask_ctc_decode,
 )
 
@@ -58,7 +57,7 @@ class TestMaskCtcDecode:
         em = EmissionMatrix.from_logits(logits)
         mlm = TableMLM(vocab.size, vocab.mask_id)
         result = mask_ctc_decode(em, mlm, vocab, MaskCtcConfig(threshold=0.0, iterations=3))
-        assert result.tokens == ctc_greedy(em, vocab.blank_id)
+        assert result.tokens == ctc_confidence_collapse(em, vocab.blank_id)[0]
         assert result.mlm_calls == 0
         assert result.masked_counts == ()
 

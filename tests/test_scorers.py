@@ -83,13 +83,14 @@ class TestTableScorer:
         with pytest.raises(ConfigError, match="longer than context_order"):
             TableScorer(order, 3, {(): row, key: row})
 
-    def test_rows_and_fallback_are_views_of_one_read_only_matrix(self, rng):
-        ts = random_table_scorer(rng, 2, 4, n_contexts=6)
-        matrix = ts._matrix
-        assert matrix.shape == (len(ts.rows) + 1, 4) and not matrix.flags.writeable
-        assert np.shares_memory(ts.fallback, matrix)
-        for row in ts.rows.values():
-            assert np.shares_memory(row, matrix) and not row.flags.writeable
+    def test_rows_and_fallback_are_the_callers_arrays_made_read_only(self):
+        row = np.log([0.1, 0.2, 0.3, 0.4])
+        fallback = np.log(np.full(4, 0.25))
+        ts = TableScorer(1, 4, {(1,): row}, fallback=fallback)
+        assert ts.rows[(1,)] is row and ts.fallback is fallback
+        assert not row.flags.writeable and not fallback.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
         with pytest.raises(ValueError):
             ts.fallback[0] = 0.0
 
@@ -105,17 +106,15 @@ class TestTableScorer:
         want = np.stack([ts.score(p, s, None)[0] for p, s in zip(prefixes, states)])
         assert np.array_equal(mat, want) and scored == states
 
-    def test_callers_arrays_stay_writeable_and_are_copied(self):
+    def test_batch_score_gathers_into_a_new_writeable_matrix(self):
         row = np.log([0.1, 0.2, 0.3, 0.4])
-        fallback = np.log(np.full(4, 0.25))
-        ts = TableScorer(1, 4, {(1,): row}, fallback=fallback)
-        assert row.flags.writeable and fallback.flags.writeable
-        before, _ = ts.batch_score([(9, 1), (9, 2)], [(1,), (2,)], None)
-        before = before.copy()
-        row[:] = 0.0
-        fallback[:] = 0.0
-        after, _ = ts.batch_score([(9, 1), (9, 2)], [(1,), (2,)], None)
-        assert np.array_equal(after, before)
+        ts = TableScorer(1, 4, {(1,): row})
+        mat, _ = ts.batch_score([(9, 1), (9, 2), (9, 1)], [(1,), (2,), (1,)], None)
+        assert mat.shape == (3, 4) and mat.dtype == np.float64 and mat.flags.writeable
+        assert not np.shares_memory(mat, row) and not np.shares_memory(mat, ts.fallback)
+        mat[:] = 0.0
+        assert np.array_equal(ts.rows[(1,)], np.log([0.1, 0.2, 0.3, 0.4]))
+        assert np.array_equal(ts.fallback, np.full(4, -math.log(4)))
 
     @pytest.mark.parametrize("bad, message", [
         (np.log([0.5, 0.3]), "table row for context \\(\\) not normalised"),

@@ -10,12 +10,10 @@ import pytest
 from seqdecode import (
     ConfigError,
     FullScorer,
-    NBestEntry,
     NBestList,
     TableScorer,
     TableTransducer,
     TransducerBeamConfig,
-    TransducerHypothesis,
     TransducerModel,
     oracle_transducer_prob,
     transducer_alsd,
@@ -26,6 +24,8 @@ from seqdecode import (
     transducer_tsd,
 )
 from seqdecode import transducer as transducer_mod
+from seqdecode.core import NBestEntry
+from seqdecode.transducer import TransducerHypothesis
 
 from conftest import dag_transducer, increasing_sequences
 
