@@ -139,16 +139,16 @@ class Vocabulary:
 
 
 def _row_deviations(rows: np.ndarray, tols: Tuple[float, ...]) -> np.ndarray:
-    """|log-sum-exp| of each row of the 2-D ``rows``: a max-shifted sum, taken
-    over blocks of about _BLOCK_ENTRIES entries so no temporary the size of
-    ``rows`` is made. A row within 1e-9 of one of the ascending ``tols`` is
-    re-decided by the exact fold, so ``dev <= tol`` decides as
-    np.logaddexp.reduce does."""
+    """|log-sum-exp| of each row of the 2-D ``rows``, in float64 whatever
+    ``rows`` holds: a max-shifted sum, taken over blocks of about
+    _BLOCK_ENTRIES entries so no temporary the size of ``rows`` is made. A
+    row within 1e-9 of one of the ascending ``tols`` is re-decided by the
+    exact fold, so ``dev <= tol`` decides as np.logaddexp.reduce does."""
     step = max(1, _BLOCK_ENTRIES // rows.shape[1])
     parts = []
     with np.errstate(invalid="ignore"):  # an all -inf or a +inf row gives nan
         for lo in range(0, rows.shape[0], step):
-            block = rows[lo:lo + step]
+            block = np.asarray(rows[lo:lo + step], dtype=np.float64)
             top = block.max(axis=1)
             parts.append(top + np.log(np.exp(block - top[:, None]).sum(axis=1)))
     dev = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -156,7 +156,7 @@ def _row_deviations(rows: np.ndarray, tols: Tuple[float, ...]) -> np.ndarray:
     if not dev.max() < tols[0] - 1e-9:  # a row near or past a tolerance, or nan
         near = (np.abs(dev[:, None] - np.array(tols)) <= 1e-9).any(axis=1)
         if near.any():
-            dev[near] = np.abs(np.logaddexp.reduce(rows[near], axis=1))
+            dev[near] = np.abs(np.logaddexp.reduce(rows[near].astype(np.float64), axis=1))
     return dev
 
 
@@ -164,8 +164,9 @@ def _check_frames(arr: np.ndarray, dev: np.ndarray, tol: float) -> None:
     """Reject the first frame of an emission whose deviation exceeds ``tol``."""
     if not dev.max() <= tol:  # catches nan as well
         t = int(np.argmin(dev <= tol))
+        dev_t = np.abs(np.logaddexp.reduce(arr[t].astype(np.float64)))
         raise FormatError(f"emission frame {t} is not a distribution: logsumexp "
-                          f"deviation {np.abs(np.logaddexp.reduce(arr[t]))!r}")
+                          f"deviation {dev_t!r}")
 
 
 def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
@@ -228,20 +229,29 @@ class EmissionMatrix:
 
     Stands in for encoder-plus-softmax output; every decoder in this package
     consumes one. Rows must be normalised within 1e-4 in the log domain.
+
+    ``data`` holds the values at the precision they arrive in: float32 for
+    a raw-f32 file (unless a frame had to be renormalised) or a float32
+    array, float64 otherwise. Readers index the matrix itself,
+    ``emission[index]``, which gives ``data[index]`` in float64: a float32
+    value widens exactly, so every result is the float64 matrix's, bit for
+    bit.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        f32 = isinstance(self.data, np.ndarray) and self.data.dtype == np.float32
+        arr = np.asarray(self.data, dtype=np.float32 if f32 else np.float64)
         if arr is self.data or not arr.flags.owndata:  # the caller's memory: copy it
             arr = arr.copy()
         object.__setattr__(self, "data", EmissionMatrix._owned(arr).data)
 
     @classmethod
     def _owned(cls, arr: np.ndarray, checked: bool = False) -> "EmissionMatrix":
-        """A matrix holding ``arr``, a float64 array no caller holds, without
-        a copy; its frames are checked unless ``checked`` says they were."""
+        """A matrix holding ``arr``, a float32 or float64 array no caller
+        holds, without a copy; its frames are checked unless ``checked``
+        says they were."""
         arr = np.ascontiguousarray(_emission_shape(arr))
         if not checked:
             _check_frames(arr, _row_deviations(arr, (ROW_TOL_EXACT,)), ROW_TOL_EXACT)
@@ -249,6 +259,15 @@ class EmissionMatrix:
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "data", arr)
         return matrix
+
+    def __getitem__(self, index: Any) -> np.ndarray:
+        """``data[index]`` as float64: a view where ``data`` is float64, a
+        widened copy where it is float32."""
+        return np.asarray(self.data[index], dtype=np.float64)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.data.shape
 
     @property
     def frames(self) -> int:
@@ -258,12 +277,16 @@ class EmissionMatrix:
     def vocab_size(self) -> int:
         return self.data.shape[1]
 
+    def frame_argmax(self) -> np.ndarray:
+        """(T,) the first token with the largest log-prob of each frame."""
+        return self.data.argmax(axis=1)
+
     @cached_property
     def column_peaks(self) -> Tuple[np.ndarray, np.ndarray]:
         """(V,) largest log-prob of each token over the frames, and the
         first frame that has it; computed once per matrix."""
         peak = self.data.argmax(axis=0)
-        return self.data[peak, np.arange(self.vocab_size)], peak
+        return self[peak, np.arange(self.vocab_size)], peak
 
     @cached_property
     def neg_inf_columns(self) -> np.ndarray:
@@ -341,20 +364,22 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
         if len(blob) < 12:
             raise FormatError("raw emission header truncated")
         t_decl, v_decl = struct.unpack("<II", blob[4:12])
-        body = blob[12:]
         expected = t_decl * v_decl * 4
-        if len(body) != expected:
+        if len(blob) - 12 != expected:
             raise FormatError(
-                f"raw emission payload is {len(body)} bytes, expected {expected} "
+                f"raw emission payload is {len(blob) - 12} bytes, expected {expected} "
                 f"for T={t_decl}, V={v_decl}"
             )
-        arr = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t_decl, v_decl)
+        # a read-only view of the file's bytes, kept as float32
+        arr = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float32, copy=False)
+        arr = arr.reshape(t_decl, v_decl)
     else:
         raise ConfigError(f"unknown emission format {fmt!r}")
     dev = _row_deviations(_emission_shape(arr), (ROW_TOL_EXACT, ROW_TOL_REJECT))
     _check_frames(arr, dev, ROW_TOL_REJECT)
     fix = dev > ROW_TOL_EXACT
-    if fix.any():  # arr is this call's own array
+    if fix.any():  # arr is this call's own array, widened to float64 here
+        arr = arr.astype(np.float64, copy=False)
         arr[fix] -= np.logaddexp.reduce(arr[fix], axis=1)[:, None]
     return EmissionMatrix._owned(arr, checked=True)  # no second row pass, no copy
 

@@ -52,12 +52,11 @@ def ctc_forward(emission: EmissionMatrix, labels: Sequence[int], blank_id: int) 
     blank-interleaved expansion. Returns -inf when the expansion cannot fit
     within T frames."""
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
-    x = emission.data
     T = emission.frames
     expanded, skip = _expand_labels(labels, blank_id)
     S = len(expanded)
 
-    xs = x[:, expanded]
+    xs = emission[:, expanded]
     alpha = np.full(S, NEG_INF)
     alpha[:2] = xs[0, :2]
     acc, hop = np.empty(S), np.empty_like(skip)
@@ -86,11 +85,10 @@ def ctc_confidence_collapse(
 ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
     """Greedy per-frame argmax collapsed to tokens (the non-blank runs of the
     argmax path), each with the max linear-domain posterior over its run."""
-    x = emission.data
-    argmax = np.argmax(x, axis=1)
+    argmax = emission.frame_argmax()
     tokens, starts, _ = _runs(argmax)
     keep = tokens != blank_id
-    peaks = x[np.arange(len(argmax)), argmax]
+    peaks = emission[np.arange(len(argmax)), argmax]
     confidences = np.maximum.reduceat(np.exp(peaks), starts)[keep]
     return tuple(tokens[keep].tolist()), tuple(confidences.tolist())
 
@@ -121,12 +119,11 @@ def ctc_forced_align(
     be traversed within T frames.
     """
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
-    x = emission.data
     T = emission.frames
     expanded, skip = _expand_labels(labels, blank_id)
     S = len(expanded)
 
-    delta = x[:, expanded]  # row t gains its best predecessor's score in turn
+    delta = emission[:, expanded]  # row t gains its best predecessor's score in turn
     delta[0, 2:] = NEG_INF
     best, hop = np.empty(S), np.empty_like(skip)
     for t in range(1, T):
@@ -201,7 +198,7 @@ def ctc_vad(
     """
     _check_vad(blank_id, emission.vocab_size, on_threshold, min_gap_frames, margin_frames)
     T = emission.frames
-    speech_prob = 1.0 - np.exp(emission.data[:, blank_id])
+    speech_prob = 1.0 - np.exp(emission[:, blank_id])
 
     active, starts, ends = _runs(speech_prob >= on_threshold)
     runs = merge_runs(zip(starts[active].tolist(), ends[active].tolist()), min_gap_frames)

@@ -64,7 +64,7 @@ def oracle_ctc_prob(
         raise ValueError(f"instance T={T}, V={V} exceeds the oracle budget")
     _check_budget(float(V) ** T, budget)
     labels = tuple(labels)
-    x = emission.data
+    x = emission[:, :]
     terms = []
     for path in itertools.product(range(V), repeat=T):
         if _collapse(path, blank_id) != labels:

@@ -288,17 +288,6 @@ class CTCPrefixState:
         _materialise([self])
         return self._r_sum
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CTCPrefixState):
-            return NotImplemented
-        return (
-            self.prefix_len == other.prefix_len
-            and (self.prefix_score == other.prefix_score
-                 or (math.isnan(self.prefix_score) and math.isnan(other.prefix_score)))
-            and np.array_equal(self.r_nb, other.r_nb)
-            and np.array_equal(self.r_b, other.r_b)
-        )
-
 
 @dataclass(eq=False)
 class _CTCScoredState:
@@ -401,11 +390,11 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     labels needs n+1 frames), and its sums start there, so a column's result
     does not depend on which other columns share the call.
     """
-    x = scored.emission.data
-    blank = scored.blank_id
-    T = x.shape[0]
+    emission = scored.emission
+    T = emission.frames
     labels = scored.candidates[rows, cols]
-    xs = x[:, labels]  # (T, k)
+    xs = emission[:, labels]  # (T, k)
+    x_blank = emission[:, scored.blank_id]
     n = scored.prefix_lens[rows]
     phi = scored.r_sum[:, rows]
     rep = np.flatnonzero(scored.repeat[rows, cols])  # a repeat connects through r_b only
@@ -418,18 +407,18 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     if t0 >= T:
         return r
     first = np.maximum(n, 1)
-    neg_inf = scored.emission.neg_inf_columns
-    segmented = bool(neg_inf[blank] or neg_inf[labels].any())
-    low = _scan(phi, xs, x[:, blank], first, segmented, r, t0, T)
+    neg_inf = emission.neg_inf_columns
+    segmented = bool(neg_inf[scored.blank_id] or neg_inf[labels].any())
+    low = _scan(phi, xs, x_blank, first, segmented, r, t0, T)
     # a column whose sums fall below the floor scans again in blocks of its
     # own (``_floor_blocks``), with the columns whose blocks are the same
     groups: Dict[Tuple[int, ...], List[int]] = {}
     for j in low.tolist():
-        groups.setdefault(_floor_blocks(xs[:, j], x[:, blank], int(first[j])), []).append(j)
+        groups.setdefault(_floor_blocks(xs[:, j], x_blank, int(first[j])), []).append(j)
     for bounds, js in groups.items():
         sub = r[:, :, js]
         for s, e in zip(bounds, bounds[1:]):
-            _scan(phi[:, js], xs[:, js], x[:, blank], first[js], segmented, sub, s, e)
+            _scan(phi[:, js], xs[:, js], x_blank, first[js], segmented, sub, s, e)
             # each block hands on r_sum = logaddexp(r_nb, r_b), so a block
             # of one frame is the frame loop's step
             np.logaddexp(sub[0, e - 1], sub[1, e - 1], out=sub[2, e - 1])
@@ -638,10 +627,13 @@ def _blocks(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(e.transpose(2, 0, 1)), shift.T
 
 
-def _label_blocks(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _label_blocks(x: EmissionMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """``_blocks(x)`` of a decode's (T, V) emissions, the table its CTC
     states hold, built 256 labels at a time: the build's scratch is that of
-    one such slice, not a second (V, nb, _BLOCK) array."""
+    one such slice, not a second (V, nb, _BLOCK) array. Here and in
+    ``_block_psi`` and ``_peak_bounds``, ``x`` is read only by indexing,
+    which gives float64 values from an ``EmissionMatrix`` (or from a
+    float64 array)."""
     T, V = x.shape
     nb = -(-T // _BLOCK)
     e, shift = np.empty((V, nb, _BLOCK)), np.empty((V, nb))
@@ -650,7 +642,7 @@ def _label_blocks(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return e, shift
 
 
-def _block_psi(x: np.ndarray, table: Tuple[np.ndarray, np.ndarray], phi: np.ndarray,
+def _block_psi(x: EmissionMatrix, table: Tuple[np.ndarray, np.ndarray], phi: np.ndarray,
                labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """psi of k cells, the log-sum over frames t of ``phi[t, row] + x[t,
     label]`` given per cell (phi the (T, n) parent columns), as a blocked
@@ -708,12 +700,12 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     where the parent's phi peaks. A repeat uses r_b in both, as its terms
     do.
     """
-    T, V = x.shape
+    T = x.shape[0]
     B = cands.shape[0]
     col_max, col_peak = peaks
     phi = r_sum[t0 - 1:T - 1]
     tb = t0 + phi.argmax(axis=0)
-    flat, xf, b = np.ravel(r_sum), np.ravel(x), np.arange(B)  # r_sum[t, b] is flat[t * B + b]
+    flat, b = np.ravel(r_sum), np.arange(B)  # r_sum[t, b] is flat[t * B + b]
     peak = flat.take((tb - 1) * B + b)
     shift = np.where(peak > NEG_INF, peak, 0.0)
     with np.errstate(divide="ignore"):
@@ -725,8 +717,8 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     hi[top == NEG_INF] = NEG_INF
 
     tc = np.maximum(col_peak[cands], t0)
-    lo = np.maximum(flat.take((tc - 1) * B + b[:, None]) + xf.take(tc * V + cands),
-                    peak[:, None] + xf.take(tb[:, None] * V + cands))
+    lo = np.maximum(flat.take((tc - 1) * B + b[:, None]) + x[tc, cands],
+                    peak[:, None] + x[tb[:, None], cands])
     rows, cols = np.nonzero(repeat)
     labels, tc = cands[rows, cols], tc[rows, cols]
     tb = t0 + r_b[t0 - 1:T - 1, rows].argmax(axis=0)
@@ -793,11 +785,10 @@ class CTCPrefixScorer(PartialScorer):
         self.eos_id = eos_id
 
     def init_state(self, emission: EmissionMatrix) -> CTCPrefixState:
-        x = emission.data
-        r_b = np.cumsum(x[:, self.blank_id])
+        r_b = np.cumsum(emission[:, self.blank_id])
         r_nb = np.full(emission.frames, NEG_INF)
         state = CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0)
-        state._table = _label_blocks(x)
+        state._table = _label_blocks(emission)
         return state
 
     def score_partial(self, prefix, candidates, state, emission):
@@ -832,7 +823,6 @@ class CTCPrefixScorer(PartialScorer):
             raise ValueError("batched candidates must be a (B, P) matrix")
         if (cands == self.blank_id).any():
             raise ValueError("blank is not a label and cannot be a CTC candidate")
-        x = emission.data
         T = emission.frames
         B, P = cands.shape
 
@@ -862,7 +852,7 @@ class CTCPrefixScorer(PartialScorer):
         empty = prefix_lens == 0
         any_empty = bool(empty.any())
         if any_empty:
-            psi = np.where(empty[:, None], x[0, cands], NEG_INF)  # (B, C)
+            psi = np.where(empty[:, None], emission[0, cands], NEG_INF)  # (B, C)
         else:
             psi = np.full(cands.shape, NEG_INF)
         t0 = max(1, int(prefix_lens.min()))
@@ -870,7 +860,7 @@ class CTCPrefixScorer(PartialScorer):
             built = np.flatnonzero(~eos_mask)  # the cells whose psi is computed
             if keep is not None and (T - t0) * cands.size >= _TIERED_MIN_TERMS:
                 lo, hi = _peak_bounds(
-                    emission.column_peaks, x, cands, repeat, psi, r_sum, r_b, t0)
+                    emission.column_peaks, emission, cands, repeat, psi, r_sum, r_b, t0)
                 lo[eos_mask] = hi[eos_mask] = eos_psi
                 kept = keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
                 built = np.flatnonzero(kept & (lo < hi))
@@ -887,7 +877,7 @@ class CTCPrefixScorer(PartialScorer):
             phi[1:, :B] = r_sum[:T - 1]
             phi[1:, B:] = r_b[:T - 1, rows[rep]]
             rows[rep] = B + np.arange(rep.size)
-            psi.ravel()[built] = _block_psi(x, table, phi, cands.ravel()[built], rows)
+            psi.ravel()[built] = _block_psi(emission, table, phi, cands.ravel()[built], rows)
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(

@@ -105,6 +105,15 @@ def brute_ctc_prob(emission: EmissionMatrix, labels: Sequence[int], blank_id: in
     return total
 
 
+def ctc_states_equal(a, b) -> bool:
+    """Two CTCPrefixStates hold the same prefix length, prefix score (nan
+    equal to nan) and forward variables r_nb and r_b."""
+    return (a.prefix_len == b.prefix_len
+            and (a.prefix_score == b.prefix_score
+                 or (math.isnan(a.prefix_score) and math.isnan(b.prefix_score)))
+            and np.array_equal(a.r_nb, b.r_nb) and np.array_equal(a.r_b, b.r_b))
+
+
 def ctc_state(state):
     """A CTCPrefixState as the (r_nb, r_b, r_sum, prefix_score, prefix_len)
     tuple ``frame_loop_reference`` takes."""

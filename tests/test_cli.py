@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seqdecode import EmissionMatrix, TableScorer, Vocabulary, save_emission
+from seqdecode import EmissionMatrix, TableScorer, Vocabulary, load_emission, save_emission
 from seqdecode import cli as cli_mod
 from seqdecode.cli import main
 from seqdecode.maskctc import TableMLM
@@ -324,6 +324,41 @@ class TestAlignVad:
         out = tmp_path / "out.json"
         assert main(["vad", "--config", config, "--output", str(out)]) == 0
         assert read_json(out)["segments"] == [{"start": 0, "end": 3, "kind": "nonspeech"}]
+
+
+class TestRawF32Emission:
+    """A raw-f32 emission holds float32 values; every task prints, byte for
+    byte, what it prints on the emission's JSON copy (float64)."""
+
+    @pytest.mark.parametrize("task", ["decode", "align", "vad", "maskctc"])
+    def test_stdout_equals_the_json_copys(self, task, tmp_path, rng, capsys):
+        vocab = make_vocab(3, with_mask=True)
+        logits = rng.normal(size=(24, vocab.size))
+        logits[np.arange(24), rng.choice(vocab.label_ids(), size=24)] += 4.0
+        raw, copy = tmp_path / "e.emis", tmp_path / "e.json"
+        save_emission(EmissionMatrix.from_logits(logits), str(raw), "raw-f32")
+        loaded = load_emission(str(raw))
+        assert loaded.data.dtype == np.float32
+        save_emission(loaded, str(copy), "json")
+        table_path, mlm_path = tmp_path / "table.json", tmp_path / "mlm.json"
+        random_table_scorer(rng, 1, vocab.size).save(str(table_path))
+        TableMLM(vocab.size, vocab.mask_id).save(str(mlm_path))
+        config = {
+            "decode": {"vocab": vocab.to_dict(),
+                       "scorers": {"att": {"type": "table", "path": str(table_path)},
+                                   "ctc": {"type": "ctc_prefix"}},
+                       "beam": {"beam_size": 4, "weights": {"att": 0.6, "ctc": 0.4}}},
+            "align": {"vocab": vocab.to_dict(), "labels": ["l0", "l2", "l1"]},
+            "vad": {"blank_id": vocab.blank_id, "vad": {"on_threshold": 0.5}},
+            "maskctc": {"vocab": vocab.to_dict(), "mlm": str(mlm_path),
+                        "maskctc": {"threshold": 0.9, "iterations": 2}},
+        }[task]
+        printed = []
+        for path in (raw, copy):
+            config_path = write_json(tmp_path / "run.json", {**config, "emission": str(path)})
+            assert main([task, "--config", config_path]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0]
 
 
 class TestBench:

@@ -467,8 +467,9 @@ class TestEmissionRows:
             expected = row - np.logaddexp.reduce(row) if t in drift else row
             assert np.array_equal(loaded[t], expected), t
 
-    def test_matrix_check_needs_no_temporary_the_size_of_the_matrix(self, rng):
-        data = _log_dirichlet(rng, (2000, 1000))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matrix_check_needs_no_temporary_the_size_of_the_matrix(self, dtype, rng):
+        data = _log_dirichlet(rng, (2000, 1000)).astype(dtype)
 
         def peak_of(build):
             tracemalloc.start()
@@ -581,6 +582,42 @@ class TestEmissionHandOver:
             m = EmissionMatrix(view)
             view.base[1, 0] = 0.0
             assert m.data[1, 0] == math.log(1 / 3)
+
+
+class TestEmissionStorage:
+    """A matrix holds its values at the precision they arrive in: float32
+    from a raw-f32 file or a float32 array, float64 from everything else."""
+
+    def test_raw_f32_load_keeps_float32(self, rng, tmp_path):
+        data = _log_dirichlet(rng, (7, 5))
+        m = load_emission(write_emission_raw(tmp_path / "e.emis", data))
+        assert m.data.dtype == np.float32 and m.data.nbytes == 7 * 5 * 4
+        assert np.array_equal(m.data, data.astype(np.float32))
+        assert not m.data.flags.writeable
+        assert m[2, 3].dtype == np.float64 and m[2, 3] == np.float32(data[2, 3])
+        assert m[:, [0, 4]].dtype == np.float64
+
+    def test_renormalised_raw_f32_load_is_float64(self, rng, tmp_path):
+        data = _log_dirichlet(rng, (6, 40))
+        data[[1, 4]] += np.array([[3e-4], [-6e-4]])
+        m = load_emission(write_emission_raw(tmp_path / "e.emis", data))
+        widened = data.astype(np.float32).astype(np.float64)
+        expected = widened.copy()
+        expected[[1, 4]] -= np.logaddexp.reduce(widened[[1, 4]], axis=1)[:, None]
+        assert m.data.dtype == np.float64 and np.array_equal(m.data, expected)
+
+    def test_wrapping_a_float32_array_keeps_a_float32_copy(self, rng):
+        data = _log_dirichlet(rng, (4, 6)).astype(np.float32)
+        m = EmissionMatrix(data)
+        assert m.data.dtype == np.float32 and not np.shares_memory(m.data, data)
+        assert np.array_equal(m.data, data) and data.flags.writeable
+
+    def test_json_lists_float64_arrays_and_logits_give_float64(self, rng, tmp_path):
+        data = _log_dirichlet(rng, (3, 4))
+        for m in (load_emission(write_emission_json(tmp_path / "e.json", data)),
+                  EmissionMatrix(data.tolist()), EmissionMatrix(data),
+                  EmissionMatrix.from_logits(data.astype(np.float32))):
+            assert m.data.dtype == np.float64
 
 
 class TestValidateHypothesis:
