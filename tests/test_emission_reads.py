@@ -1,7 +1,8 @@
 """No package module but ``core.py`` reads an emission's ``.data``. An
 emission may hold float32 values; ``core.py`` reads them in float64 and
 every other module indexes the matrix (``emission[index]``), which gives
-float64, so no reader computes in float32 unseen."""
+float64, so no reader computes in float32 unseen. The check cannot tell
+an emission from another object, so it flags every ``.data`` attribute."""
 
 import ast
 from pathlib import Path
