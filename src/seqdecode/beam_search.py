@@ -118,33 +118,16 @@ def end_detect(
 
 
 def top_candidate_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Top-k ids by score descending, ties broken by smaller id: (k,) for a
-    score vector over ``ids``, (B, k) for a (B, len(ids)) score matrix.
-
-    One partition finds each row's k-th best score; only the cells at or
-    above it are sorted. When every row has exactly k of them and ``ids``
-    ascend, they stand in id order, so a stable argsort of -score per row
-    orders them; else (ties across the k-th score, unsorted ids) one lexsort
-    keyed (row, -score, id) does.
-    """
-    mat = np.atleast_2d(scores)
-    B, N = mat.shape
-    k = min(k, N)
-    if k == 0:
-        return np.empty(np.shape(scores)[:-1] + (0,), dtype=ids.dtype)
-    kth = np.partition(mat, N - k, axis=1)[:, N - k]
-    cells = np.flatnonzero(mat >= kth[:, None])
-    if cells.size == B * k and (ids[:-1] <= ids[1:]).all():
-        cells = cells.reshape(B, k)
-        order = np.argsort(-mat.take(cells), axis=1, kind="stable")
-        order += np.arange(0, B * k, k)[:, None]
-        top = ids.take(cells.take(order) - np.arange(0, B * N, N)[:, None])
-    else:
-        rows, cols = np.divmod(cells, N)
-        order = np.lexsort((ids[cols], -mat[rows, cols], rows))
-        starts = np.searchsorted(rows, np.arange(B))
-        top = ids[cols[order[starts[:, None] + np.arange(k)]]]
-    return top.reshape(np.shape(scores)[:-1] + (k,))
+    """(B, k) top-k ids of each row of the (B, len(ids)) score matrix, by
+    score descending, ties broken by smaller id, for 1 <= k <= len(ids):
+    one partition finds each row's k-th best score, and one lexsort keyed
+    (row, -score, id) orders the cells at or above it."""
+    B, N = scores.shape
+    kth = np.partition(scores, N - k, axis=1)[:, N - k]
+    rows, cols = np.divmod(np.flatnonzero(scores >= kth[:, None]), N)
+    order = np.lexsort((ids[cols], -scores[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(B))
+    return ids[cols[order[starts[:, None] + np.arange(k)]]]
 
 
 def _pre_beam(

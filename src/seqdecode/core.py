@@ -223,7 +223,7 @@ def read_json(path: str, what: str, build: Callable[[Any], Any]) -> Any:
         raise FormatError(f"bad {what} JSON: {e}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionMatrix:
     """T x V lattice of per-frame log-probabilities over the vocabulary.
 
@@ -235,7 +235,8 @@ class EmissionMatrix:
     array, float64 otherwise. Readers index the matrix itself,
     ``emission[index]``, which gives ``data[index]`` in float64: a float32
     value widens exactly, so every result is the float64 matrix's, bit for
-    bit.
+    bit. A matrix compares and hashes by identity, as its cached properties
+    assume.
     """
 
     data: np.ndarray

@@ -9,8 +9,8 @@ states are per-hypothesis values threaded by the search: ``score`` returns a
 "scored state" from which ``select_state`` extracts the successor state for
 the token actually chosen; ``select_states`` does so for all the cells a
 search step keeps. The CTC prefix scorer rates candidates from the
-parents' forward variables alone; a successor's own variables are computed
-only when it is scored in turn (or read), so pruned successors cost nothing.
+parents' forward variables alone and runs the recursion only for the
+successors a search selects, so pruned successors cost nothing.
 
 ``batch_score_partial`` returns every cell exactly. A partial scorer that
 can bound its scores cheaply also implements
@@ -244,6 +244,7 @@ class TableScorer(FullScorer):
         ))
 
 
+@dataclass(eq=False)
 class CTCPrefixState:
     """Per-hypothesis CTC forward variables.
 
@@ -251,42 +252,21 @@ class CTCPrefixState:
     frame t with the last emission being non-blank / blank respectively, and
     r_sum[t] their log-sum, which scoring reads. prefix_score is the
     accumulated log prefix probability (0.0 for the empty prefix, whose
-    prefix set is everything).
+    prefix set is everything), prefix_len the prefix's label count, and
+    table the decode's ``_label_blocks(x)``, shared by all its states.
 
-    A state made by ``select_state``, or read from a ``_CTCBatch``, is
-    pending: it holds only its cell (row, column) in the scoring call that
-    rated it. Its variables are computed when first read, or by the next
-    scoring call, which runs the recursion once per scoring call for the
-    pending states it is given (``_materialise``): two scans over frames,
-    restarted at -inf emissions, within ``_SCAN_TOL * (|r| - _SCAN_FLOOR)``
-    of the frame-by-frame recursion and -inf exactly where it is (see
-    ``_recursion``). The values do not depend on which other states are
-    filled in with it.
-    """
+    ``select_state`` (and item k of a ``_CTCBatch``) fills in the variables
+    at once from the recursion for its one cell, bit for bit the cell's
+    column in a recursion over any cells of its call (``_recursion``). An
+    eos cell's state is terminal: it ends its hypothesis, and its variables
+    are None."""
 
-    def __init__(self, r_nb, r_b, r_sum, prefix_score: float, prefix_len: int):
-        self._r_nb = r_nb
-        self._r_b = r_b
-        self._r_sum = r_sum
-        self.prefix_score = prefix_score
-        self.prefix_len = prefix_len
-        self._source = None  # (_CTCScoredState, row, column) while pending
-        self._table = None  # the decode's _label_blocks(x)
-
-    @property
-    def r_nb(self) -> np.ndarray:
-        _materialise([self])
-        return self._r_nb
-
-    @property
-    def r_b(self) -> np.ndarray:
-        _materialise([self])
-        return self._r_b
-
-    @property
-    def r_sum(self) -> np.ndarray:
-        _materialise([self])
-        return self._r_sum
+    r_nb: Optional[np.ndarray]
+    r_b: Optional[np.ndarray]
+    r_sum: Optional[np.ndarray]
+    prefix_score: float
+    prefix_len: int
+    table: Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -298,6 +278,7 @@ class _CTCScoredState:
 
     emission: EmissionMatrix
     blank_id: int
+    eos_id: int
     candidates: np.ndarray  # (B, C)
     psi: np.ndarray  # (B, C) log prefix probability of prefix + candidate
     repeat: np.ndarray  # (B, C) candidate repeats the parent's last label
@@ -315,21 +296,22 @@ class _CTCScoredState:
         return self, row
 
 
-def _pending(scored: _CTCScoredState, row: int, col: int) -> CTCPrefixState:
-    """The pending successor state of cell (row, col) of a scoring call."""
-    state = CTCPrefixState(None, None, None, float(scored.psi[row, col]),
-                           int(scored.prefix_lens[row]) + 1)
-    state._source = (scored, row, col)
-    state._table = scored.table
-    return state
+def _successor(scored: _CTCScoredState, row: int, col: int) -> CTCPrefixState:
+    """The successor state of cell (row, col) of a scoring call: the
+    recursion's one column, or a terminal state for an eos cell."""
+    score, n = float(scored.psi[row, col]), int(scored.prefix_lens[row]) + 1
+    if scored.candidates[row, col] == scored.eos_id:
+        return CTCPrefixState(None, None, None, score, n, scored.table)
+    r_nb, r_b, r_sum = _recursion(scored, np.array([row]), np.array([col]))[:, :, 0]
+    return CTCPrefixState(r_nb, r_b, r_sum, score, n, scored.table)
 
 
 class _CTCBatch(Sequence):
     """The successor states of the cells (rows, cols) of one scoring call,
     as one batch: the next scoring call runs the recursion once for all of
     them and reads r_b and r_sum as rows of its (3, T, k) result, with no
-    per-state work. Item k is the pending ``CTCPrefixState`` of cell k,
-    built when asked for."""
+    per-state work. Item k is cell k's ``CTCPrefixState``, built when asked
+    for (``_successor``)."""
 
     def __init__(self, scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
         self.scored, self.rows, self.cols = scored, rows, cols
@@ -340,7 +322,7 @@ class _CTCBatch(Sequence):
         return len(self.rows)
 
     def __getitem__(self, k: int) -> CTCPrefixState:
-        return _pending(self.scored, self.rows[k], self.cols[k])
+        return _successor(self.scored, self.rows[k], self.cols[k])
 
 
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
@@ -540,20 +522,6 @@ def _offsets(a: np.ndarray, restart: np.ndarray, gap: np.ndarray) -> Tuple[np.nd
     lo = np.min(a, axis=0, where=a > NEG_INF, initial=np.inf)
     step = np.maximum(hi - lo, 0.0) + gap
     return np.cumsum(restart, axis=0) * step, lo - _RESTART_GAP / 2
-
-
-def _materialise(states: Sequence[CTCPrefixState]) -> None:
-    """Fill in the pending states, one recursion per scoring call."""
-    groups: Dict[int, List[CTCPrefixState]] = {}
-    for s in states:
-        if s._source is not None:
-            groups.setdefault(id(s._source[0]), []).append(s)
-    for group in groups.values():
-        rows = np.array([s._source[1] for s in group])
-        cols = np.array([s._source[2] for s in group])
-        r_nb, r_b, r_sum = _recursion(group[0]._source[0], rows, cols)
-        for k, s in enumerate(group):
-            s._r_nb, s._r_b, s._r_sum, s._source = r_nb[:, k], r_b[:, k], r_sum[:, k], None
 
 
 # a pruned call with at least this many frame terms, (T - t0) * B * P, bounds
@@ -756,13 +724,13 @@ class CTCPrefixScorer(PartialScorer):
     within ``_psi_tol`` of the frame-order fold, -inf exactly where the
     fold is, and does not depend on the other cells of the call; a cell a
     block's underflow could have cost mass takes the fold itself. The
-    recursion runs only for the successors the search keeps (see
-    ``CTCPrefixState``), as two scans over frames per scoring call,
-    restarted at -inf emissions, whose values are within a stated bound of
-    the frame loop (``_recursion``). ``select_states`` keeps one call's
+    recursion runs only for the successors the search keeps, as two scans
+    over frames restarted at -inf emissions, whose values are within a
+    stated bound of the frame loop (``_recursion``): ``select_state`` runs
+    it for its one cell at once, and ``select_states`` keeps one call's
     successors as one ``_CTCBatch``, whose recursion the next call runs
-    and reads as its parents' arrays. ``score_partial`` is the batched
-    kernel at B=1.
+    whole and reads as its parents' arrays. An eos cell's state is terminal
+    and cannot be scored. ``score_partial`` is the batched kernel at B=1.
 
     ``batch_score_partial_pruned`` runs the same kernel. On a call of at
     least ``_TIERED_MIN_TERMS`` frame terms it first bounds every cell
@@ -787,9 +755,8 @@ class CTCPrefixScorer(PartialScorer):
     def init_state(self, emission: EmissionMatrix) -> CTCPrefixState:
         r_b = np.cumsum(emission[:, self.blank_id])
         r_nb = np.full(emission.frames, NEG_INF)
-        state = CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0)
-        state._table = _label_blocks(emission)
-        return state
+        return CTCPrefixState(r_nb=r_nb, r_b=r_b, r_sum=r_b, prefix_score=0.0, prefix_len=0,
+                              table=_label_blocks(emission))
 
     def score_partial(self, prefix, candidates, state, emission):
         scores, scored = self.batch_score_partial(
@@ -799,7 +766,7 @@ class CTCPrefixScorer(PartialScorer):
 
     def select_state(self, scored_state, token: int) -> CTCPrefixState:
         scored, row = scored_state
-        return _pending(scored, row, scored.candidates[row].tolist().index(token))
+        return _successor(scored, row, scored.candidates[row].tolist().index(token))
 
     def select_states(self, scored, rows, tokens):
         """One ``_CTCBatch`` of the cells, given the sequence of one
@@ -831,15 +798,16 @@ class CTCPrefixScorer(PartialScorer):
             table = states.scored.table
             prefix_lens, prefix_scores = states.prefix_lens, states.prefix_scores
         else:
-            _materialise(states)
-            table = states[0]._table
+            if any(s.r_sum is None for s in states):
+                raise ValueError("an eos state ends its hypothesis and cannot be scored")
+            table = states[0].table
             prefix_lens = np.array([s.prefix_len for s in states])
             prefix_scores = np.array([s.prefix_score for s in states])
             if len(states) == 1:  # a view of its columns, no copy
-                r_b, r_sum = states[0]._r_b[:, None], states[0]._r_sum[:, None]
+                r_b, r_sum = states[0].r_b[:, None], states[0].r_sum[:, None]
             else:
-                r_b = np.stack([s._r_b for s in states], axis=1)
-                r_sum = np.stack([s._r_sum for s in states], axis=1)
+                r_b = np.stack([s.r_b for s in states], axis=1)
+                r_sum = np.stack([s.r_sum for s in states], axis=1)
         prefix_scores = prefix_scores[:, None]
         last = np.array([p[-1] if p else -1 for p in prefixes])
         last[prefix_lens == 0] = -1
@@ -881,7 +849,8 @@ class CTCPrefixScorer(PartialScorer):
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(
-            emission=emission, blank_id=self.blank_id, candidates=cands, psi=psi, repeat=repeat,
+            emission=emission, blank_id=self.blank_id, eos_id=self.eos_id, candidates=cands,
+            psi=psi, repeat=repeat,
             r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens, table=table,
         )
         return _minus(psi, prefix_scores), scored

@@ -12,10 +12,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from seqdecode import EmissionMatrix, FullScorer, PartialScorer, TableScorer, Vocabulary
 from seqdecode import scorers as scorers_mod
 from seqdecode.transducer import TableTransducer
+
+# property tests draw the same examples on every run, keep no example
+# database and have no deadline, so a slow host cannot fail them; each
+# test keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_vocab(n_labels: int, with_mask: bool = False, extra: Sequence[str] = ()) -> Vocabulary:

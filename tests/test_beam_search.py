@@ -381,7 +381,7 @@ def build_all_successors_search(em, vocab, fulls, cfg, parts):
             for name, scorer in ctx.full.items():
                 vecs[name], full_scored[name] = scorer.score(hyp.yseq, hyp.states[name], em)
                 weighted += ctx.weights[name] * vecs[name]
-            cands = top_candidate_ids(weighted[allowed], allowed, n_cand)
+            cands = allowed[np.lexsort((allowed, -weighted[allowed]))[:n_cand]]
             totals = weighted[cands]
             pvecs, part_scored = {}, {}
             for name, scorer in ctx.partial.items():
@@ -479,19 +479,21 @@ def selection_instance(edge, seed):
 
 def batched_in_batches(monkeypatch, *args):
     """``batch_beam_search``'s n-best rows, checking that the CTC scorer
-    never filled in a pending state one by one: each step's successors
-    reached the next scoring call as the step's ``_CTCBatch``."""
-    pending = []
-    materialise = scorers_mod._materialise
+    runs the recursion at most once per step and never for a finished
+    hypothesis: each step's successors reach the next scoring call as the
+    step's ``_CTCBatch``, and none is filled in on its own."""
+    calls = []  # the scoring call whose successors each recursion fills in
+    recursion = scorers_mod._recursion
 
-    def logged(states):
-        pending.extend(s for s in states if s._source is not None)
-        materialise(states)
+    def logged(scored, rows, cols):
+        calls.append(scored)
+        assert (scored.candidates[rows, cols] != scored.eos_id).all()
+        return recursion(scored, rows, cols)
 
     with monkeypatch.context() as m:
-        m.setattr(scorers_mod, "_materialise", logged)
+        m.setattr(scorers_mod, "_recursion", logged)
         rows = nbest_rows(batch_beam_search(*args))
-    assert pending == []
+    assert len({id(scored) for scored in calls}) == len(calls)
     return rows
 
 
@@ -575,8 +577,8 @@ class TestTopCandidateIds:
     def test_matrix_equals_per_row_lexsort(self, seed):
         rng = np.random.default_rng(9800 + seed)
         for _ in range(200):
-            B, N = int(rng.integers(1, 9)), int(rng.integers(1, 25))
-            k = int(rng.integers(0, N + 3))
+            B, N = int(rng.integers(1, 9)), int(rng.integers(2, 25))
+            k = int(rng.integers(1, N))
             # coarse values tie; -inf and -0.0 next to 0.0 too
             scores = 0.5 * rng.integers(-3, 3, size=(B, N)).astype(np.float64)
             scores[rng.random(scores.shape) < 0.2] = -np.inf
@@ -587,7 +589,6 @@ class TestTopCandidateIds:
             expected = np.stack([self.per_row(row, ids, k) for row in scores])
             got = top_candidate_ids(scores, ids, k)
             assert got.shape == expected.shape and np.array_equal(got, expected)
-            assert np.array_equal(top_candidate_ids(scores[0], ids, k), expected[0])
 
 
 def pre_beam_needs_ranking(scores, k):
@@ -931,18 +932,18 @@ class CheckedCTC(CTCPrefixScorer):
         return scores, scored
 
 
-def lazy_ctc_instance(seed, frames=12):
+def ctc_search_instance(seed, frames=12):
     rng = np.random.default_rng(9700 + seed)
     vocab = make_vocab(6)
     em = random_emission(rng, frames, vocab.size)
     return em, vocab, random_table_scorer(rng, 1, vocab.size)
 
 
-class TestLazyCTCStates:
+class TestCTCSuccessorStates:
     @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
     @pytest.mark.parametrize("seed", range(3))
     def test_no_eos_search_matches_frame_loop(self, search, seed):
-        em, vocab, ts = lazy_ctc_instance(seed, frames=8)
+        em, vocab, ts = ctc_search_instance(seed, frames=8)
         log = []
         cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6,
                          max_steps=7, min_len_ratio=0.99)
@@ -954,7 +955,7 @@ class TestLazyCTCStates:
 
     @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
     def test_recursion_runs_on_at_most_beam_size_columns_per_step(self, search, monkeypatch):
-        em, vocab, ts = lazy_ctc_instance(0)
+        em, vocab, ts = ctc_search_instance(0)
         log = []
         recursion = scorers_mod._recursion
 
@@ -976,11 +977,14 @@ class TestLazyCTCStates:
         assert any(per_step)
         assert max(sum(columns) for columns in per_step) <= cfg.beam_size
         if search is batch_beam_search:
-            # all of a step's pending states in one recursion
+            # a step's successors in one recursion, run by the next step
             assert max(len(columns) for columns in per_step) == 1
+        else:
+            # each kept successor filled in alone, when selected
+            assert {n for columns in per_step for n in columns} == {1}
 
     def test_finished_and_pruned_successors_release_step_tensors(self):
-        em, vocab, ts = lazy_ctc_instance(1, frames=16)
+        em, vocab, ts = ctc_search_instance(1, frames=16)
         steps = []
         leaked = []
 
@@ -1234,14 +1238,14 @@ class TestBlockTableScope:
     def test_table_dies_with_the_decode(self, search):
         # the table lives with the decode's CTC states: none outlives the
         # search, cycles or not, and the emission gains no attribute
-        em, vocab, ts = lazy_ctc_instance(2, frames=40)
+        em, vocab, ts = ctc_search_instance(2, frames=40)
         before = set(vars(em))
         tables = []
 
         class Recording(CTCPrefixScorer):
             def init_state(self, emission):
                 state = super().init_state(emission)
-                tables.extend(weakref.ref(a) for a in state._table)
+                tables.extend(weakref.ref(a) for a in state.table)
                 return state
 
         cfg = BeamConfig(weights={"att": 1.0, "ctc": 0.5}, beam_size=4, pre_beam_size=6)
@@ -1319,102 +1323,6 @@ class TestFoldWorkBound:
         assert len(tiered) >= 20
         for requested, _, cells in tiered:
             assert cells < 0.2 * requested
-
-
-def counting_lexsort(monkeypatch):
-    """Log the three-key np.lexsort calls: the selection helpers' general
-    path makes one, their fast paths none (the per-row reference sorts by
-    two keys)."""
-    calls = []
-    lexsort = np.lexsort
-
-    def counted(keys):
-        if len(keys) == 3:
-            calls.append(3)
-        return lexsort(keys)
-
-    monkeypatch.setattr(np, "lexsort", counted)
-    return calls
-
-
-class TestTopCandidateFastPath:
-    """``top_candidate_ids`` skips its lexsort when every row has exactly k
-    cells at or above its k-th score and the ids ascend; each edge either
-    path could break must give the per-row lexsort's ids."""
-
-    per_row = staticmethod(TestTopCandidateIds.per_row)
-
-    def check(self, scores, ids, k):
-        expected = np.stack([self.per_row(row, ids, k) for row in np.atleast_2d(scores)])
-        got = top_candidate_ids(scores, ids, k)
-        assert np.array_equal(np.atleast_2d(got), expected)
-        assert got.shape == np.shape(scores)[:-1] + (min(k, len(ids)),)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_distinct_scores_take_the_fast_path(self, seed, monkeypatch):
-        rng = np.random.default_rng(9700 + seed)
-        lexsorts = counting_lexsort(monkeypatch)
-        for _ in range(50):
-            B, N = int(rng.integers(1, 9)), int(rng.integers(1, 60))
-            ids = np.sort(rng.choice(200, size=N, replace=False))
-            self.check(rng.normal(size=(B, N)), ids, int(rng.integers(1, N + 1)))
-        assert lexsorts == []
-
-    def test_ties_across_the_kth_score_take_the_lexsort(self, monkeypatch):
-        lexsorts = counting_lexsort(monkeypatch)
-        ids = np.array([2, 3, 5, 8, 13])
-        # row 0: three cells tie at the 2nd best score; row 1: none do
-        scores = np.array([[0.0, 1.0, 1.0, -1.0, 1.0], [3.0, 2.0, 1.0, 0.0, -1.0]])
-        self.check(scores, ids, 2)
-        assert np.array_equal(top_candidate_ids(scores, ids, 2), [[3, 5], [2, 3]])
-        assert lexsorts == [3, 3]
-
-    def test_ties_inside_the_top_k_stay_on_the_fast_path(self, monkeypatch):
-        lexsorts = counting_lexsort(monkeypatch)
-        ids = np.array([1, 4, 6, 7])
-        scores = np.array([[0.5, 2.0, 0.5, -3.0], [-0.0, 0.0, -np.inf, 0.0]])
-        self.check(scores, ids, 3)
-        assert np.array_equal(top_candidate_ids(scores, ids, 3), [[4, 1, 6], [1, 4, 7]])
-        assert lexsorts == []
-
-    def test_ids_that_do_not_ascend_take_the_lexsort(self, monkeypatch):
-        lexsorts = counting_lexsort(monkeypatch)
-        rng = np.random.default_rng(9710)
-        ids = np.array([9, 3, 7, 1, 5, 2])
-        scores = rng.normal(size=(3, 6))
-        scores[:, [1, 4]] = scores[:, [0]]  # ties decided by the smaller id
-        self.check(scores, ids, 4)
-        assert lexsorts == [3]
-
-    @pytest.mark.parametrize("k", [1, 3, 5, 9])
-    def test_all_neg_inf_rows(self, k):
-        ids = np.array([0, 2, 4, 6, 8])
-        scores = np.full((3, 5), -np.inf)
-        scores[1] = [0.5, -np.inf, 1.0, -np.inf, 0.5]
-        self.check(scores, ids, k)
-        assert np.array_equal(top_candidate_ids(scores, ids, k)[0], ids[:min(k, 5)])
-
-    @pytest.mark.parametrize("k", [6, 7, 50])
-    def test_k_at_least_n_orders_every_id(self, k, monkeypatch):
-        lexsorts = counting_lexsort(monkeypatch)
-        rng = np.random.default_rng(9720 + k)
-        ids = np.arange(3, 9)
-        self.check(rng.normal(size=(4, 6)), ids, k)
-        self.check(0.5 * rng.integers(-2, 2, size=(4, 6)), ids, k)
-        assert lexsorts == []
-
-    def test_vector_form(self, monkeypatch):
-        lexsorts = counting_lexsort(monkeypatch)
-        rng = np.random.default_rng(9730)
-        ids = np.arange(10, 30)
-        vec = rng.normal(size=20)
-        self.check(vec, ids, 7)
-        assert top_candidate_ids(vec, ids, 7).shape == (7,)
-        assert lexsorts == []
-        vec[[2, 5, 11]] = np.sort(vec)[-7]  # ties across the 7th score
-        self.check(vec, ids, 7)
-        self.check(vec, ids[::-1].copy(), 7)
-        assert lexsorts == [3, 3]
 
 
 def sorted_ranks(yseqs):

@@ -240,6 +240,13 @@ class TestEmissionMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 1.0
 
+    def test_compares_and_hashes_by_identity(self):
+        z = np.random.default_rng(4).normal(size=(3, 4))
+        a, b = EmissionMatrix.from_logits(z), EmissionMatrix.from_logits(z)
+        assert np.array_equal(a.data, b.data)
+        assert (a == b) is False and a != b
+        assert a == a and {a: 1}[a] == 1 and b not in {a: 1}
+
     def test_neg_inf_columns_computed_once_and_read_only(self, monkeypatch):
         logits = np.random.default_rng(3).normal(size=(5, 4))
         logits[2, 1] = logits[4, 3] = logits[0, 3] = -np.inf

@@ -357,6 +357,37 @@ class TestStateContract:
         assert ctc_states_equal(scorer.select_state(scored_b, 1), advanced)
 
 
+class TestTerminalEosState:
+    """An eos cell's successor ends its hypothesis: it keeps its prefix
+    score (the parent's full-sequence probability) and length, has no
+    forward variables, costs no recursion and cannot be scored."""
+
+    @pytest.mark.parametrize("select", ["select_state", "select_states"])
+    def test_eos_state_has_no_variables_and_runs_no_recursion(self, select, monkeypatch):
+        rng = np.random.default_rng(7540)
+        em = random_emission(rng, 9, 6)
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
+        hyps = [extend(scorer, em, [2]), extend(scorer, em, [1, 3])]
+        cands = np.array([[5, 1, 3], [4, 2, 5]])
+        _, scored = scorer.batch_score_partial([h[0] for h in hyps], cands, [h[1] for h in hyps], em)
+        calls = []
+        recursion = scorers_mod._recursion
+        monkeypatch.setattr(scorers_mod, "_recursion", lambda *a: calls.append(a) or recursion(*a))
+        if select == "select_state":
+            states = [scorer.select_state(scored[row], 5) for row in range(2)]
+        else:
+            batch = scorer.select_states(scored, np.array([0, 1]), np.array([5, 5]))
+            states = [batch[k] for k in range(len(batch))]
+        assert calls == []
+        for row, (col, (prefix, parent), state) in enumerate(zip([0, 2], hyps, states)):
+            assert_terminal(state, parent.prefix_len + 1)
+            assert state.prefix_score == scored.psi[row, col] == parent.r_sum[-1]
+            for given in ([state], [parent, state]):
+                with pytest.raises(ValueError, match="eos state"):
+                    scorer.batch_score_partial([prefix + (5,)] * len(given),
+                                               np.array([[1]] * len(given)), given, em)
+
+
 def loop_variables(ref):
     """(r_nb, r_b, r_sum) of the frame loop's (r_nb, r_b)."""
     return ref[0], ref[1], np.logaddexp(ref[0], ref[1])
@@ -384,6 +415,20 @@ def assert_state_near(state, ref):
     assert state.prefix_len == ref[3]
 
 
+def assert_terminal(state, prefix_len):
+    """An eos cell's state: no forward variables, its prefix length kept."""
+    assert state.r_nb is None and state.r_b is None and state.r_sum is None
+    assert state.prefix_len == prefix_len
+
+
+def assert_columns(states, r):
+    """Each state's r_nb, r_b, r_sum bit for bit column k of the (3, T, k)
+    recursion ``r``."""
+    for k, state in enumerate(states):
+        for got, want in zip((state.r_nb, state.r_b, state.r_sum), r[:, :, k]):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def peaked_logits(rng, frames, vocab_size, peak=8.0, noise=0.5):
     """Logits with a peak on a random token per frame, as a trained model's."""
     logits = noise * rng.normal(size=(frames, vocab_size))
@@ -391,10 +436,11 @@ def peaked_logits(rng, frames, vocab_size, peak=8.0, noise=0.5):
     return logits
 
 
-# each edge the lazy kernel could break, on top of random sizes
+# each edge the kernel could break, on top of random sizes
 KERNEL_EDGES = {
     "random": {},
     "neg_inf_columns": {"dead_labels": 2},
+    "masked_columns": {"masked_labels": 2},  # -1e10 at about a third of their frames
     "t1": {"frames": 1},
     "all_labels": {"all_labels": True},  # B x P >= V, eos always a candidate
     "long_prefix": {"frames": 5, "steps": 8},
@@ -404,19 +450,22 @@ KERNEL_EDGES = {
 
 def drive_kernel(edge, seed, via):
     """Expand random prefixes step by step, checking every scoring call
-    against the frame-loop reference run on the states the call itself
-    filled in (scores within the block product's bound), and every
-    successor state against the frame-loop recursion (within the scan's
-    bound). The call under test and a random cell scored alone are
-    bit-equal to the batched call. Successors are random cells (eos
-    included); some states are read as soon as they are selected, the rest
-    are filled in by the next scoring call."""
+    against the frame-loop reference on its parents' states (scores within
+    the block product's bound), and every successor state against the
+    frame-loop recursion (within the scan's bound). The call under test
+    and a random cell scored alone are bit-equal to the batched call.
+    Successors are random cells (eos included): a non-eos cell's state,
+    filled in when selected, is bit for bit its column of one recursion
+    over all the cells kept from its call; an eos cell's is terminal."""
     spec = KERNEL_EDGES[edge]
     rng = np.random.default_rng(7100 + 31 * seed + len(edge))
     V = int(rng.integers(3, 8))
     T = spec.get("frames", int(rng.integers(2, 10)))
     logits = peaked_logits(rng, T, V) if spec.get("peaked") else 1.5 * rng.normal(size=(T, V))
     logits[:, rng.choice(np.arange(1, V), size=spec.get("dead_labels", 0), replace=False)] = -np.inf
+    if "masked_labels" in spec:
+        masked = rng.choice(np.arange(1, V), size=spec["masked_labels"], replace=False)
+        logits[:, masked] = np.where(rng.random((T, masked.size)) < 0.3, -1e10, logits[:, masked])
     em = EmissionMatrix.from_logits(logits)
     x, eos = em.data, V - 1
     scorer = CTCPrefixScorer(blank_id=0, eos_id=eos)
@@ -424,12 +473,13 @@ def drive_kernel(edge, seed, via):
     beam = V + 1 if spec.get("all_labels") else int(rng.integers(1, 5))
     init = scorer.init_state(em)
     hyps = [((V,), init, (init.r_nb, init.r_b, 0.0, 0))]
-    seen = {"dead_prefix": False, "eos": False, "beyond_half": False, "no_frames": False}
+    seen = {"dead_prefix": False, "eos": False, "beyond_half": False, "no_frames": False,
+            "repeat": False}
     for _ in range(spec.get("steps", T + 2)):
         cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in hyps])
         prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
 
-        def reference():  # on the states the scoring call filled in
+        def reference():  # on the parents' states
             return frame_loop_reference(prefixes, cands, [ctc_state(s) for s in states], x, 0, eos)
 
         if via == "batch":
@@ -447,12 +497,12 @@ def drive_kernel(edge, seed, via):
         i, j = divmod(int(rng.integers(cands.size)), P)
         alone = scorer.batch_score_partial([prefixes[i]], cands[i:i + 1, j:j + 1], [states[i]], em)
         assert alone[0][0, 0] == full[i, j]
-        for _, state, ref in hyps:  # the states this call filled in
+        for _, state, ref in hyps:
             assert_state_near(state, ref)
         seen["dead_prefix"] |= any(h[2][2] == NEG_INF for h in hyps)
         seen["beyond_half"] |= any(h[2][3] > T / 2 for h in hyps)
         seen["no_frames"] |= max(1, min(h[2][3] for h in hyps)) >= T  # no frame terms
-        successors = []
+        successors, kept = [], {}
         for cell in rng.permutation(cands.size)[:beam]:
             i, j = divmod(int(cell), P)
             tok = int(cands[i, j])
@@ -461,12 +511,17 @@ def drive_kernel(edge, seed, via):
             call, row = scored[i]
             assert state.prefix_score == call.psi[row, j]
             assert psi_near(state.prefix_score, ref[2], T)
-            if tok == eos or rng.random() < 0.3:
-                assert_state_near(state, ref)
             if tok == eos:
+                assert_terminal(state, ref[3])
                 seen["eos"] = True
             else:
+                assert_state_near(state, ref)
+                kept.setdefault(id(call), (call, []))[1].append((row, j, state))
+                seen["repeat"] |= bool(call.repeat[row, j])
                 successors.append((prefixes[i] + (tok,), state, ref))
+        for call, cells in kept.values():
+            rows, cols, selected = zip(*cells)
+            assert_columns(selected, scorers_mod._recursion(call, np.array(rows), np.array(cols)))
         if not successors:
             break
         hyps = successors
@@ -477,12 +532,11 @@ def drive_kernel(edge, seed, via):
 
 def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
     """The pruned entry against the unpruned call and the frame-loop
-    reference, ``reference()`` run after the first call has filled in the
-    states: keeping every cell it equals the unpruned call and its bounds
-    hold; keeping a random subset, the cells it kept and the exact cells
-    equal the unpruned call and the rest hold their upper bound
-    (``check_keep_calls``). Returns the keep-everything call, for the
-    caller's state checks."""
+    reference ``reference()``: keeping every cell it equals the unpruned
+    call and its bounds hold; keeping a random subset, the cells it kept
+    and the exact cells equal the unpruned call and the rest hold their
+    upper bound (``check_keep_calls``). Returns the keep-everything call,
+    for the caller's state checks."""
     bounds = []
 
     def keep_all(lo, hi):
@@ -519,13 +573,13 @@ class TestPrefixKernelMatchesFrameLoop:
 
     def test_edges_are_reached(self):
         seen = [drive_kernel(edge, seed, "batch") for edge in KERNEL_EDGES for seed in range(6)]
-        for key in ("dead_prefix", "eos", "beyond_half"):
+        for key in ("dead_prefix", "eos", "beyond_half", "repeat"):
             assert any(s[key] for s in seen), key
 
 
 def expand_all(scorer, em, hyps, cands):
     """Score hyps, (prefix, state) pairs, on the (B, P) cands in one call and
-    select every cell. Returns (prefix, pending state, (r_nb, r_b) of the
+    select every cell. Returns (prefix, state, (r_nb, r_b) of the
     frame-loop recursion) per cell, in C order."""
     prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
     _, scored = scorer.batch_score_partial(prefixes, cands, states, em)
@@ -534,6 +588,15 @@ def expand_all(scorer, em, hyps, cands):
     return [(prefixes[i] + (int(cands[i, j]),), scorer.select_state(scored[i], int(cands[i, j])),
              (r[:, 0, i, j], r[:, 1, i, j]))
             for i, j in np.ndindex(*cands.shape)]
+
+
+def call_recursion(scorer, em, hyps, cands):
+    """A function that runs one ``_recursion`` over every (B, P) cell of
+    one scoring call of the parents ``hyps`` on ``cands``: (3, T, B * P),
+    columns in C order as ``expand_all`` lists the cells."""
+    _, scored = scorer.batch_score_partial([h[0] for h in hyps], cands, [h[1] for h in hyps], em)
+    rows, cols = np.divmod(np.arange(cands.size), cands.shape[1])
+    return lambda: scorers_mod._recursion(scored, rows, cols)
 
 
 def extend(scorer, em, labels):
@@ -631,7 +694,7 @@ class TestScanRecursion:
         hyps = [extend(scorer, em, [2])]
         cands = np.array([[1, 2, 3, 4]])
         cells = expand_all(scorer, em, hyps, cands)
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], call_recursion(scorer, em, hyps, cands)())
         # -inf columns: within the bound; the others: the scan, bit for bit
         assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0), [1, 3])
         for prefix, state, ref in cells:
@@ -650,14 +713,16 @@ class TestScanRecursion:
         em = EmissionMatrix.from_logits(logits)
         scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
         hyps = [extend(scorer, em, [2])]
-        cells = expand_all(scorer, em, hyps, np.array([[1, 2, 3, 4]]))
+        cands = np.array([[1, 2, 3, 4]])
+        cells = expand_all(scorer, em, hyps, cands)
+        run = call_recursion(scorer, em, hyps, cands)
         calls = []
         scan, offsets = scorers_mod._scan, scorers_mod._offsets
         monkeypatch.setattr(scorers_mod, "_scan",
                             lambda *a: calls.append("scan") or scan(*a))
         monkeypatch.setattr(scorers_mod, "_offsets",
                             lambda *a: calls.append("offsets") or offsets(*a))
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], run())
         assert calls == ["scan"] + ["offsets"] * (1 + dead_blank)
         for _, state, ref in cells:
             assert_near_loop(state, ref)
@@ -675,7 +740,7 @@ class TestScanRecursion:
         cands = np.array([[1, 2, 3, 4] + [6] * mixed, [2, 3, 4, 1] + [5] * mixed,
                           [2, 5, 3, 4] + [6] * mixed])
         cells = expand_all(scorer, em, hyps, cands)
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], call_recursion(scorer, em, hyps, cands)())
         clean = clean_from_first_frame(em.data, hyps, cands, 0).reshape(cands.shape)
         assert clean[2, 1] and clean.all() != mixed
         assert_equals_scan(cells, scan_reference(hyps, cands, em.data, 0),
@@ -693,11 +758,12 @@ class TestScanRecursion:
         hyps = [extend(scorer, em, [3])]
         cands = np.array([[1, 2]])
         cells = expand_all(scorer, em, hyps, cands)
+        run = call_recursion(scorer, em, hyps, cands)
         scans = []  # the column count of each scan: the call, then the blocks
         scan = scorers_mod._scan
         monkeypatch.setattr(scorers_mod, "_scan",
                             lambda *a: scans.append(a[1].shape[1]) or scan(*a))
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], run())
         assert scans[0] == 2 and len(scans) > 2 and set(scans[1:]) == {1}
         (_, below, ref), (_, above, ref_above) = cells
         assert_near_loop(below, ref)
@@ -706,15 +772,18 @@ class TestScanRecursion:
 
     @staticmethod
     def assert_alone_equals_mixed(scorer, em, hyps, cands):
-        """Each state of one call for hyps x cands, filled in alone, bit for
-        bit as filled in with all of them, and near the frame loop."""
-        mixed = expand_all(scorer, em, hyps, cands)
+        """Each state of one call for hyps x cands, filled in alone by
+        ``select_state``, bit for bit its column of one recursion over all
+        of them, and near the frame loop; an eos cell's state terminal."""
         alone = expand_all(scorer, em, hyps, cands)
-        scorers_mod._materialise([state for _, state, _ in mixed])
-        for (_, a, ref), (_, m, _) in zip(alone, mixed):
-            for name in ("r_nb", "r_b", "r_sum"):
-                assert np.array_equal(getattr(a, name), getattr(m, name))
-            assert_near_loop(a, ref)
+        live = [k for k, (prefix, _, _) in enumerate(alone) if prefix[-1] != scorer.eos_id]
+        r = call_recursion(scorer, em, hyps, cands)()
+        assert_columns([alone[k][1] for k in live], r[:, :, live])
+        for k, (prefix, state, ref) in enumerate(alone):
+            if k in live:
+                assert_near_loop(state, ref)
+            else:
+                assert_terminal(state, len(prefix) - 1)
 
     @pytest.mark.parametrize("dead", [False, True])
     def test_state_alone_equals_state_in_a_mixed_call(self, dead):
@@ -834,7 +903,7 @@ class TestSegmentedScan:
         hyps = [extend(scorer, em, labels)]
         cands = np.array([cands])
         cells = expand_all(scorer, em, hyps, cands)
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], call_recursion(scorer, em, hyps, cands)())
         for _, state, ref in cells:
             assert_near_loop(state, ref)
         if edge == "only_before_the_first_frame":  # no restart: the scan, bit for bit
@@ -887,10 +956,11 @@ class TestSegmentedScan:
         scorer = CTCPrefixScorer(blank_id=0, eos_id=9)
         hyps = [extend(scorer, em, [])]
         cells = expand_all(scorer, em, hyps, labels[None, :])
+        run = call_recursion(scorer, em, hyps, labels[None, :])
         scans = []
         scan = scorers_mod._scan
         monkeypatch.setattr(scorers_mod, "_scan", lambda *a: scans.append(a[1].shape[1]) or scan(*a))
-        scorers_mod._materialise([state for _, state, _ in cells])
+        assert_columns([state for _, state, _ in cells], run())
         assert scans[0] == 8 and len(scans) < T / 2
         for _, state, ref in cells:
             assert_near_loop(state, ref)
@@ -905,13 +975,16 @@ class TestSegmentedScan:
             em = EmissionMatrix.from_logits(logits)
             scorer = CTCPrefixScorer(blank_id=0, eos_id=7)
             hyps = [extend(scorer, em, [2]), extend(scorer, em, [3, 1])]
-            cells = expand_all(scorer, em, hyps, np.array([[1, 3, 4, 5], [2, 4, 5, 6]]))
+            cands = np.array([[1, 3, 4, 5], [2, 4, 5, 6]])
+            cells = expand_all(scorer, em, hyps, cands)
+            run = call_recursion(scorer, em, hyps, cands)
             assert em.neg_inf_columns[0]  # the segmented path
             calls = [0]
             with monkeypatch.context() as m:
                 m.setattr(scorers_mod, "np", _Counting(np, calls))
-                scorers_mod._materialise([state for _, state, _ in cells])
+                r = run()
             counts.append(calls[0])
+            assert_columns([state for _, state, _ in cells], r)
             for _, state, ref in cells:
                 assert_near_loop(state, ref)
         assert counts[0] == counts[1] > 0
@@ -1351,17 +1424,15 @@ class TestCommonCaseBranches:
         scorer = CTCPrefixScorer(blank_id=0, eos_id=5)
         late = [extend(scorer, em, [1, 3]), extend(scorer, em, [2, 4, 1, 3])]
         cands = np.array([[1, 2, 4], [2, 3, 4]])
-        general = expand_all(scorer, em, [extend(scorer, em, [])] + late,
-                             np.array([[1, 2, 3]] + cands.tolist()))[3:]
-        scorers_mod._materialise([state for _, state, _ in general])
+        general = call_recursion(scorer, em, [extend(scorer, em, [])] + late,
+                                 np.array([[1, 2, 3]] + cands.tolist()))()[:, :, 3:]
         with monkeypatch.context() as m:
             m.setattr(scorers_mod, "np", _NanEmpty())
             cells = expand_all(scorer, em, late, cands)
-            scorers_mod._materialise([state for _, state, _ in cells])
-        for (_, state, ref), (_, want, _) in zip(cells, general):
-            for name in ("r_nb", "r_b", "r_sum"):
-                got = getattr(state, name)
-                assert np.array_equal(got.view(np.int64), getattr(want, name).view(np.int64))
+            run = call_recursion(scorer, em, late, cands)
+            assert np.array_equal(run().view(np.int64), general.view(np.int64))
+        assert_columns([state for _, state, _ in cells], general)
+        for _, state, ref in cells:
             assert (state.r_nb[:state.prefix_len - 1] == NEG_INF).all()
             assert_near_loop(state, ref)
 
