@@ -9,7 +9,7 @@ blank-posterior VAD, plus brute-force oracles for verifying all of it on
 tiny inputs.
 """
 
-from .beam_search import BeamConfig, batch_beam_search, beam_search, end_detect
+from .beam_search import BeamConfig, batch_beam_search, beam_search
 from .core import (
     ConfigError,
     DecodeError,

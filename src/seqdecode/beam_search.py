@@ -30,9 +30,9 @@ one vector of scores per scorer. The kept cells' tokens and scores come from
 one gather per scorer, and each scorer selects the kept cells' states at
 once (``select_states``; the CTC prefix scorer's are one batch whose
 recursion the next scoring call runs whole). Successors emitting eos become
-``Hypothesis`` objects in the finished pool, with per-scorer final
-adjustments added; the only other one is the live fallback, the best live
-hypothesis when nothing finished.
+n-best entries in the finished pool, with per-scorer final adjustments
+added; the only other entry is the live fallback, the best live hypothesis
+when nothing finished.
 
 Selection by bound: in the batched search, one partial scorer that bounds
 its scores (the CTC prefix scorer) is scored after the others and rates
@@ -55,7 +55,6 @@ import numpy as np
 from .core import (
     ConfigError,
     EmissionMatrix,
-    Hypothesis,
     NBestEntry,
     NBestList,
     Vocabulary,
@@ -103,7 +102,7 @@ class BeamConfig:
 
 
 def end_detect(
-    finished: Sequence[Hypothesis],
+    finished: Sequence[NBestEntry],
     step_best_scores: Sequence[float],
     window: int = 3,
     margin: float = -10.0,
@@ -311,37 +310,21 @@ def _finalize(
     scores: Dict[str, float],
     states: Dict[str, Any],
     emission: EmissionMatrix,
-) -> Hypothesis:
-    """The finished hypothesis of an eos successor, with each scorer's
-    final adjustment added. Nothing reads its states afterwards, so it
-    keeps none."""
+) -> NBestEntry:
+    """The n-best entry of an eos successor, whose ``yseq`` runs from sos
+    to eos, with each scorer's final adjustment added."""
     for name in ctx.all_names():
         scorer = ctx.full.get(name) or ctx.partial[name]
         adj = float(scorer.final_score(yseq, states[name], emission))
         if adj != 0.0:
             scores[name] = scores[name] + adj
             score = score + ctx.weights[name] * adj
-    return Hypothesis(yseq=yseq, score=score, scores=scores, finished=True)
-
-
-def _collect_nbest(ctx: _SearchContext, pool: List[Hypothesis]) -> NBestList:
-    vocab = ctx.vocab
-    entries = []
-    for hyp in pool:
-        yseq = hyp.yseq[1:]
-        if yseq and yseq[-1] == vocab.eos_id:
-            yseq = yseq[:-1]
-        entries.append(NBestEntry(yseq=yseq, score=hyp.score, scores=dict(hyp.scores)))
-    return NBestList.from_entries(entries)
+    return NBestEntry(yseq[1:-1], score, scores)
 
 
 def _resolve_lengths(config: BeamConfig, frames: int) -> Tuple[int, int]:
-    if config.max_steps is not None:
-        max_steps = config.max_steps
-    else:
-        max_steps = max(1, int(config.max_len_ratio * frames))
-    min_len = int(config.min_len_ratio * frames)
-    return max_steps, min_len
+    max_steps = config.max_steps or max(1, int(config.max_len_ratio * frames))  # set: >= 1
+    return max_steps, int(config.min_len_ratio * frames)
 
 
 def _search(
@@ -370,7 +353,7 @@ def _search(
     scores = {name: np.zeros(1) for name in names}
     states: Dict[str, Sequence[Any]] = {
         name: [scorers[name].init_state(emission)] for name in names}
-    finished: List[Hypothesis] = []
+    finished: List[NBestEntry] = []
     step_best: List[float] = []
 
     for step in range(max_steps):
@@ -446,9 +429,9 @@ def _search(
             break
     if not finished and yseqs:
         # nothing ever emitted eos: fall back to the best live hypothesis
-        finished = [Hypothesis(yseq=yseqs[0], score=float(score[0]),
-                               scores={name: float(v[0]) for name, v in scores.items()})]
-    return _collect_nbest(ctx, finished)
+        finished = [NBestEntry(yseqs[0][1:], float(score[0]),
+                               {name: float(v[0]) for name, v in scores.items()})]
+    return NBestList.from_entries(finished)
 
 
 def beam_search(

@@ -278,15 +278,10 @@ def run_decode(cfg: RunConfig) -> int:
     ]
     payload = results[0] if len(results) == 1 else {"utterances": results}
     _emit_json(payload, cfg.output)
-    if cfg.oracle:
-        mismatched = []
-        utts = payload.get("utterances", [payload])
-        for utt in utts:
-            if "oracle" in utt and not utt["oracle"]["match"]:
-                mismatched.append(utt)
-        if mismatched:
-            print(f"oracle mismatch on {len(mismatched)} utterance(s)", file=sys.stderr)
-            return 1
+    mismatched = [utt for utt in results if cfg.oracle and not utt["oracle"]["match"]]
+    if mismatched:
+        print(f"oracle mismatch on {len(mismatched)} utterance(s)", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Core decoding types: vocabularies, emission lattices, hypotheses, n-best
-lists, and log-domain arithmetic.
+"""Core decoding types: vocabularies, emission lattices, n-best lists, and
+log-domain arithmetic.
 
 All scores everywhere in this package are natural-log probabilities. The
 impossible event is IEEE -inf, never a large negative sentinel, so that it
@@ -164,9 +164,10 @@ def _check_frames(arr: np.ndarray, dev: np.ndarray, tol: float) -> None:
     """Reject the first frame of an emission whose deviation exceeds ``tol``."""
     if not dev.max() <= tol:  # catches nan as well
         t = int(np.argmin(dev <= tol))
-        dev_t = np.abs(np.logaddexp.reduce(arr[t].astype(np.float64)))
+        with np.errstate(invalid="ignore"):  # a nan entry would warn
+            dev_t = float(np.abs(np.logaddexp.reduce(arr[t].astype(np.float64))))
         raise FormatError(f"emission frame {t} is not a distribution: logsumexp "
-                          f"deviation {dev_t!r}")
+                          f"deviation {dev_t}")
 
 
 def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.ndarray:
@@ -182,7 +183,7 @@ def log_rows(data: Any, shape: Tuple[int, ...], label: Callable[[], str]) -> np.
     if not dev.max() <= ROW_TOL_EXACT:  # catches nan as well
         i = int(np.argmin(dev <= ROW_TOL_EXACT))
         where = f" row {i}" if arr.ndim > 1 else ""
-        raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {dev[i]!r}")
+        raise ConfigError(f"{label()}{where} not normalised: logsumexp deviation {float(dev[i])}")
     arr.setflags(write=False)
     return arr
 
@@ -385,22 +386,6 @@ def load_emission(path: str, fmt: Optional[str] = None) -> EmissionMatrix:
     return EmissionMatrix._owned(arr, checked=True)  # no second row pass, no copy
 
 
-@dataclass
-class Hypothesis:
-    """One search hypothesis: token prefix, total weighted score, per-scorer
-    breakdown, and per-scorer opaque states.
-
-    yseq always starts with sos; ``finished`` holds exactly when the last
-    token is eos.
-    """
-
-    yseq: Tuple[int, ...]
-    score: float
-    scores: Dict[str, float] = field(default_factory=dict)
-    states: Dict[str, Any] = field(default_factory=dict)
-    finished: bool = False
-
-
 @dataclass(frozen=True)
 class NBestEntry:
     yseq: Tuple[int, ...]
@@ -420,8 +405,7 @@ class NBestList:
 
     @classmethod
     def from_entries(cls, entries: Iterable[NBestEntry]) -> "NBestList":
-        ordered = sorted(entries, key=hypothesis_sort_key)
-        return cls(tuple(ordered))
+        return cls(tuple(sorted(entries, key=lambda e: (-e.score, e.yseq))))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -434,8 +418,3 @@ class NBestList:
             raise InfeasibleError("empty n-best list")
         return self.entries[0]
 
-
-def hypothesis_sort_key(hyp):
-    """Shared ordering of hypotheses and n-best entries: score descending,
-    then lexicographically smaller yseq."""
-    return (-hyp.score, hyp.yseq)

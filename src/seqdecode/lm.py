@@ -46,10 +46,32 @@ class NGramModel:
     vocab: frozenset
 
 
-def load_arpa(path: str) -> NGramModel:
-    """Parse a text ARPA file; log10 values become natural logs."""
+def _text_lines(path: str) -> List[str]:
+    """The lines of a UTF-8 text file; other bytes are a FormatError naming it."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+        try:
+            return f.readlines()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
+def _ln_value(text: str, lineno: int, what: str) -> float:
+    """An ARPA log10 value as a natural log; nan and +inf, also a value
+    that overflows to it, are a FormatError."""
+    try:
+        value = float(text) * LN10
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad {what} {text!r}") from None
+    if not value < math.inf:  # catches nan as well
+        raise FormatError(f"line {lineno}: {what} {text!r} is nan or +inf")
+    return value
+
+
+def load_arpa(path: str) -> NGramModel:
+    """Parse a UTF-8 text ARPA file; log10 values become natural logs. A
+    log-probability or backoff of -inf is accepted as a probability of 0; a
+    nan or +inf one is a FormatError naming its line."""
+    lines = _text_lines(path)
 
     counts: Dict[int, int] = {}
     entries: Dict[Tuple[str, ...], Tuple[float, float]] = {}
@@ -96,23 +118,16 @@ def load_arpa(path: str) -> NGramModel:
                     raise FormatError(
                         f"line {lineno}: section for order {current_n} not declared in \\data\\"
                     )
-                seen.setdefault(current_n, 0)
                 section_line[current_n] = lineno
                 continue
             parts = line.split()
             if len(parts) < current_n + 1:
                 raise FormatError(f"line {lineno}: truncated {current_n}-gram entry")
-            try:
-                logp = float(parts[0]) * LN10
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad log-probability {parts[0]!r}") from None
+            logp = _ln_value(parts[0], lineno, "log-probability")
             words = tuple(parts[1 : current_n + 1])
             backoff = 0.0
             if len(parts) > current_n + 1:
-                try:
-                    backoff = float(parts[current_n + 1]) * LN10
-                except ValueError:
-                    raise FormatError(f"line {lineno}: bad backoff weight") from None
+                backoff = _ln_value(parts[current_n + 1], lineno, "backoff weight")
             entries[words] = (logp, backoff)
             seen[current_n] = seen.get(current_n, 0) + 1
 
@@ -172,8 +187,7 @@ def sentence_logprob(model: NGramModel, words: Sequence[str]) -> float:
 
 def load_lexicon(path: str) -> List[str]:
     """One UTF-8 word per line; blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as f:
-        words = [line.strip() for line in f]
+    words = [line.strip() for line in _text_lines(path)]
     return [w for w in words if w]
 
 

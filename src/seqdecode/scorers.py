@@ -31,7 +31,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,42 @@ from .core import (
 )
 
 
-class FullScorer(abc.ABC):
-    """Scores all V extensions of a prefix in one call."""
+def _stacked(calls: Iterable[Tuple[np.ndarray, Any]]) -> Tuple[np.ndarray, List[Any]]:
+    """What the default batched kernels return for ``calls``, one (row,
+    scored state) pair per hypothesis: the ``np.stack`` of the rows and the
+    list of the scored states."""
+    rows, scored = zip(*calls)
+    return np.stack(rows, axis=0), list(scored)
+
+
+class _Scorer(abc.ABC):
+    """What the two scorer contracts share: the initial state, the
+    successor states and the final adjustment."""
 
     @abc.abstractmethod
     def init_state(self, emission: Optional[EmissionMatrix]) -> Any:
         """State for the bare (sos,) prefix."""
+
+    def select_state(self, scored_state: Any, token: int) -> Any:
+        return scored_state
+
+    def select_states(self, scored: Sequence[Any], rows: np.ndarray, tokens: np.ndarray
+                      ) -> Sequence[Any]:
+        """Successor states of the cells (rows[k], tokens[k]) of one
+        scoring call, whose scored states are ``scored``: the states
+        ``select_state`` gives, as a sequence the batched kernel accepts.
+        The default loops over ``select_state``."""
+        return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
+
+    def final_score(
+        self, prefix: Tuple[int, ...], state: Any, emission: Optional[EmissionMatrix]
+    ) -> float:
+        """Additive adjustment applied once when a hypothesis finishes."""
+        return 0.0
+
+
+class FullScorer(_Scorer):
+    """Scores all V extensions of a prefix in one call."""
 
     @abc.abstractmethod
     def score(
@@ -56,23 +86,6 @@ class FullScorer(abc.ABC):
         Entries may be -inf but never nan. The scored state is resolved to a
         per-token successor state via ``select_state``.
         """
-
-    def select_state(self, scored_state: Any, token: int) -> Any:
-        return scored_state
-
-    def select_states(self, scored: Sequence[Any], rows: np.ndarray, tokens: np.ndarray
-                      ) -> Sequence[Any]:
-        """Successor states of the cells (rows[k], tokens[k]) of one
-        scoring call, whose scored states are ``scored``: the states
-        ``select_state`` gives, as a sequence ``batch_score`` accepts. The
-        default loops over ``select_state``."""
-        return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
-
-    def final_score(
-        self, prefix: Tuple[int, ...], state: Any, emission: Optional[EmissionMatrix]
-    ) -> float:
-        """Additive adjustment applied once when a hypothesis finishes."""
-        return 0.0
 
     def batch_score(
         self,
@@ -85,21 +98,11 @@ class FullScorer(abc.ABC):
         The default falls back to per-hypothesis calls; vectorising
         implementations must stay bit-identical to the sequential path.
         """
-        rows = []
-        scored = []
-        for prefix, state in zip(prefixes, states):
-            vec, st = self.score(prefix, state, emission)
-            rows.append(vec)
-            scored.append(st)
-        return np.stack(rows, axis=0), scored
+        return _stacked(self.score(p, s, emission) for p, s in zip(prefixes, states))
 
 
-class PartialScorer(abc.ABC):
+class PartialScorer(_Scorer):
     """Scores only the requested candidate ids of a prefix."""
-
-    @abc.abstractmethod
-    def init_state(self, emission: Optional[EmissionMatrix]) -> Any:
-        ...
 
     @abc.abstractmethod
     def score_partial(
@@ -112,19 +115,6 @@ class PartialScorer(abc.ABC):
         """Return (scores for exactly the requested ids, in request order,
         scored state)."""
 
-    def select_state(self, scored_state: Any, token: int) -> Any:
-        return scored_state
-
-    def select_states(self, scored: Sequence[Any], rows: np.ndarray, tokens: np.ndarray
-                      ) -> Sequence[Any]:
-        """As ``FullScorer.select_states``, for ``batch_score_partial``."""
-        return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
-
-    def final_score(
-        self, prefix: Tuple[int, ...], state: Any, emission: Optional[EmissionMatrix]
-    ) -> float:
-        return 0.0
-
     def batch_score_partial(
         self,
         prefixes: Sequence[Tuple[int, ...]],
@@ -133,13 +123,8 @@ class PartialScorer(abc.ABC):
         emission: Optional[EmissionMatrix],
     ) -> Tuple[np.ndarray, List[Any]]:
         """Batched scoring over a (B x P) candidate matrix."""
-        rows = []
-        scored = []
-        for i, (prefix, state) in enumerate(zip(prefixes, states)):
-            vec, st = self.score_partial(prefix, candidates[i], state, emission)
-            rows.append(vec)
-            scored.append(st)
-        return np.stack(rows, axis=0), scored
+        return _stacked(self.score_partial(p, candidates[i], s, emission)
+                        for i, (p, s) in enumerate(zip(prefixes, states)))
 
     def batch_score_partial_pruned(
         self,

@@ -543,9 +543,7 @@ def _greedy_nbest(model: TransducerModel, frames: int,
                   config: TransducerBeamConfig) -> NBestList:
     """transducer_greedy wrapped as a 1-best list."""
     hyp = transducer_greedy(model, frames)
-    return NBestList.from_entries(
-        [NBestEntry(yseq=hyp.yseq, score=hyp.score, scores={"transducer": hyp.score})]
-    )
+    return _nbest_from_pool({hyp.yseq: hyp}, config)
 
 
 ALGORITHMS = {"greedy": _greedy_nbest, "beam": transducer_beam, "tsd": transducer_tsd,

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,21 +19,20 @@ from seqdecode import (
     WordTrie,
     batch_beam_search,
     beam_search,
-    end_detect,
     load_arpa,
     oracle_best_sequence,
 )
+from seqdecode.oracle import score_sequence
 from seqdecode.beam_search import (
     _SearchContext,
-    _collect_nbest,
     _may_reach_beam,
-    _finalize,
     _resolve_lengths,
     _top_cells,
+    end_detect,
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
-from seqdecode.core import Hypothesis, hypothesis_sort_key
+from seqdecode.core import NBestEntry, NBestList
 
 from conftest import (
     WrappedPartialScorer,
@@ -163,8 +163,7 @@ class TestSequentialBeam:
         cfg = BeamConfig(weights=weights, beam_size=4, max_steps=4)
         nbest = beam_search(em, vocab, {"att": ts}, cfg, {"ctc": ctc})
         for entry in nbest.entries:
-            hyp = Hypothesis(yseq=entry.yseq, score=entry.score, scores=entry.scores)
-            assert validate_hypothesis(hyp, weights)
+            assert validate_hypothesis(entry, weights)
 
     def test_min_len_blocks_early_eos(self, rng):
         vocab = make_vocab(2)
@@ -218,9 +217,70 @@ class TestSequentialBeam:
         assert len(nbest.best().yseq) == 2  # best live hypothesis, no eos
 
 
+class FinalBonusScorer(TableScorer):
+    """A table scorer with a final adjustment that is never zero and
+    depends on the finished yseq (sos to eos) and on its eos state."""
+
+    def final_score(self, prefix, state, emission):
+        return 0.5 + 0.1 * len(prefix) + 0.01 * sum(state)
+
+
+def final_bonus_instance(seed):
+    """A search whose full scorer and one partial scorer adjust finished
+    hypotheses, next to the CTC prefix scorer."""
+    rng = np.random.default_rng(9800 + seed)
+    vocab = make_vocab(2)
+    em = random_emission(rng, int(rng.integers(3, 6)), vocab.size)
+
+    def bonus_table(order):
+        return FinalBonusScorer(order, vocab.size, random_table_scorer(rng, order, vocab.size).rows)
+
+    fulls = {"att": bonus_table(1)}
+    parts = {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id),
+             "lm": WrappedPartialScorer(bonus_table(2))}
+    return vocab, em, fulls, parts, {"att": 0.6, "ctc": 0.5, "lm": 0.3}
+
+
+class TestFinalAdjustments:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entries_carry_the_adjustments(self, seed):
+        vocab, em, fulls, parts, weights = final_bonus_instance(seed)
+        cfg = BeamConfig(weights=weights, beam_size=4, max_steps=4)
+        seq = beam_search(em, vocab, fulls, cfg, parts)
+        bat = batch_beam_search(em, vocab, fulls, cfg, parts)
+        assert [e.yseq for e in seq.entries] == [e.yseq for e in bat.entries]
+        for a, b in zip(seq.entries, bat.entries):
+            assert abs(a.score - b.score) <= 1e-9
+            yseq = a.yseq + (vocab.eos_id,)
+            joint = score_sequence(yseq, vocab, em, fulls, parts, weights)
+            assert a.score == pytest.approx(joint, abs=1e-9)
+            for entry in (a, b):
+                assert validate_hypothesis(entry, weights)
+                # each scorer's own score, its final adjustment included
+                for name in weights:
+                    alone = score_sequence(
+                        yseq, vocab, em, {k: v for k, v in fulls.items() if k == name},
+                        {k: v for k, v in parts.items() if k == name}, {name: 1.0})
+                    assert entry.scores[name] == pytest.approx(alone, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_exhaustive_width_matches_oracle(self, seed, search):
+        vocab, em, fulls, parts, weights = final_bonus_instance(seed)
+        max_len = min(3, em.frames - 1)
+        width = (len(vocab.label_ids()) + 1) ** max_len * 4
+        cfg = BeamConfig(weights=weights, beam_size=width, pre_beam_size=width,
+                         max_steps=max_len + 1, end_detect_margin=-1e9)
+        best = search(em, vocab, fulls, cfg, parts).best()
+        oracle_yseq, oracle_score = oracle_best_sequence(
+            vocab, em, fulls, weights, max_len=max_len, partial_scorers=parts)
+        assert best.yseq == oracle_yseq
+        assert best.score == pytest.approx(oracle_score, abs=1e-9)
+
+
 class TestEndDetect:
     def _finished(self, score):
-        return [Hypothesis(yseq=(0, 1), score=score, finished=True)]
+        return [NBestEntry(yseq=(1,), score=score)]
 
     def test_empty_pool_is_false(self):
         assert not end_detect([], [-1.0, -2.0, -3.0], window=3, margin=-10.0)
@@ -359,17 +419,32 @@ class TestLengthPenalty:
         assert len(results[2.0]) >= len(results[0.0])
 
 
+@dataclass
+class RefHypothesis:
+    """A hypothesis of the reference search: its yseq runs from sos, and it
+    carries every scorer's state."""
+
+    yseq: tuple
+    score: float
+    scores: dict
+    states: dict
+
+    def sort_key(self):
+        return -self.score, self.yseq
+
+
 def build_all_successors_search(em, vocab, fulls, cfg, parts):
     """The selection rule the search must reproduce, kept as a reference:
     score one hypothesis at a time, build every B x P successor, sort them
-    all by ``hypothesis_sort_key`` and keep the best B."""
+    all by (score desc, yseq asc) and keep the best B. A finished
+    hypothesis takes each scorer's final adjustment."""
     ctx = _SearchContext(vocab, fulls, parts, cfg, em.vocab_size)
     max_steps, min_len = _resolve_lengths(cfg, em.frames)
     names = ctx.all_names()
-    initial = Hypothesis(
+    scorers = {**ctx.full, **ctx.partial}
+    initial = RefHypothesis(
         yseq=(vocab.sos_id,), score=0.0, scores={name: 0.0 for name in names},
-        states={name: (ctx.full.get(name) or ctx.partial[name]).init_state(em)
-                for name in names})
+        states={name: scorers[name].init_state(em) for name in names})
     live, finished, step_best = [initial], [], []
     for step in range(max_steps):
         allowed = ctx.allowed(eos_ok=step >= min_len)
@@ -401,22 +476,31 @@ def build_all_successors_search(em, vocab, fulls, cfg, parts):
                     scores[name] = scores[name] + float(pvec[j])
                     states[name] = ctx.partial[name].select_state(part_scored[name], token)
                 successors.append(
-                    Hypothesis(hyp.yseq + (token,), float(totals[j]), scores, states)
+                    RefHypothesis(hyp.yseq + (token,), float(totals[j]), scores, states)
                 )
         if not successors:
             break
-        successors.sort(key=hypothesis_sort_key)
+        successors.sort(key=RefHypothesis.sort_key)
         top = successors[: cfg.beam_size]
         step_best.append(top[0].score)
-        finished += [_finalize(ctx, h.yseq, h.score, dict(h.scores), h.states, em)
-                     for h in top if h.yseq[-1] == vocab.eos_id]
+        for h in top:
+            if h.yseq[-1] != vocab.eos_id:
+                continue
+            score, scores = h.score, dict(h.scores)
+            for name in names:
+                adj = float(scorers[name].final_score(h.yseq, h.states[name], em))
+                scores[name] += adj
+                score += ctx.weights[name] * adj
+            finished.append(NBestEntry(h.yseq[1:-1], score, scores))
         live = [h for h in top if h.yseq[-1] != vocab.eos_id]
         if end_detect(finished, step_best, cfg.end_detect_window, cfg.end_detect_margin):
             break
         if not live:
             break
-    # nothing finished: the best live hypothesis
-    return _collect_nbest(ctx, finished or sorted(live, key=hypothesis_sort_key)[:1])
+    if not finished:  # nothing finished: the best live hypothesis
+        best = min(live, key=RefHypothesis.sort_key)
+        finished = [NBestEntry(best.yseq[1:], best.score, best.scores)]
+    return NBestList.from_entries(finished)
 
 
 class QuantisedScorer(FullScorer):
@@ -837,8 +921,8 @@ class TestSuccessorWorkBound:
     def test_batched_successors_build_no_per_successor_objects(self, reaches_eos,
                                                                  monkeypatch):
         # the batched search selects the CTC successors as one batch: no
-        # CTC select_state call, no np.stack in the CTC scorer, and a
-        # Hypothesis only for each finished hypothesis and the live fallback
+        # CTC select_state call, no np.stack in the CTC scorer, and an
+        # NBestEntry only for each finished hypothesis and the live fallback
         rng = np.random.default_rng(9610)
         vocab = make_vocab(12)
         em = planted_emission(rng, vocab, [int(t) for t in rng.choice(vocab.label_ids(), 4)])
@@ -868,25 +952,24 @@ class TestSuccessorWorkBound:
 
         built = []
 
-        class Counted(Hypothesis):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def counted_entry(*args, **kwargs):
+            built.append(NBestEntry(*args, **kwargs))
+            return built[-1]
 
         monkeypatch.setattr(CTCPrefixScorer, "select_state", counted_select_state)
         monkeypatch.setattr(CTCPrefixScorer, "_score", counted_score)
         monkeypatch.setattr(scorers_mod, "np", Numpy())
-        monkeypatch.setattr(bs_mod, "Hypothesis", Counted)
+        monkeypatch.setattr(bs_mod, "NBestEntry", counted_entry)
         cfg = BeamConfig(weights={"att": 0.3, "ctc": 0.7}, beam_size=8, pre_beam_size=12,
                          min_len_ratio=0.0 if reaches_eos else 0.99, max_steps=10)
         nbest = batch_beam_search(em, vocab, {"att": random_table_scorer(rng, 1, vocab.size)},
                                   cfg, {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
         assert calls == {"select_state": 0, "stack": 0}
+        assert sorted(map(id, built)) == sorted(map(id, nbest.entries))
         if reaches_eos:
             assert len(nbest.entries) > 1
-            assert len(built) == len(nbest.entries) and all(h.finished for h in built)
-        else:
-            assert len(built) == len(nbest.entries) == 1 and not built[0].finished
+        else:  # the live fallback: a yseq of max_steps labels, longer than any finished one
+            assert len(built) == 1 and len(built[0].yseq) == cfg.max_steps
 
 
 class CheckedCTC(CTCPrefixScorer):

@@ -11,6 +11,7 @@ from seqdecode.maskctc import TableMLM
 from seqdecode.transducer import TableTransducer
 
 from conftest import make_vocab, random_emission, random_table_scorer
+from test_lm import char_vocab, five_word_arpa
 
 
 def write_json(path, payload):
@@ -127,6 +128,26 @@ class TestDecode:
         rc = main(["decode", "--config", str(cfg2), "--output", str(out), "--oracle"])
         assert rc == 0
         assert read_json(out)["oracle"]["match"] is True
+
+    def test_oracle_mismatch_is_exit_1(self, decode_setup, monkeypatch, capsys):
+        # three utterances at exhaustive width; the oracle of the second one is made wrong
+        tmp_path, config, config_path = decode_setup
+        config["emissions"] = [config.pop("emission")] * 3
+        config["beam"].update(beam_size=64, pre_beam_size=64)
+        write_json(config_path, config)
+        oracle, calls = cli_mod.oracle_best_sequence, []
+
+        def second_wrong(*args, **kwargs):
+            calls.append(None)
+            yseq, score = oracle(*args, **kwargs)
+            return (yseq, score - 1.0) if len(calls) == 2 else (yseq, score)
+
+        monkeypatch.setattr(cli_mod, "oracle_best_sequence", second_wrong)
+        out = tmp_path / "oracle.json"
+        assert main(["decode", "--config", str(config_path), "--output", str(out),
+                     "--oracle"]) == 1
+        assert [u["oracle"]["match"] for u in read_json(out)["utterances"]] == [True, False, True]
+        assert capsys.readouterr().err == "oracle mismatch on 1 utterance(s)\n"
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["decode", "--config", str(tmp_path / "nope.json")]) == 2
@@ -729,3 +750,54 @@ class TestErrorMapping:
         for task, cfg in (("vad", vad), ("align", align), ("bench", bench),
                           ("transducer", transducer)):
             assert main([task, "--config", cfg]) == 2, task
+
+
+class TestWordLMFiles:
+    """A word LM file the decoder cannot use is a format error (exit 3)
+    with one line on stderr, never a traceback or a config error."""
+
+    @pytest.fixture
+    def lookahead_setup(self, tmp_path):
+        """A look-ahead decode over lexicon cab / ad, an 8-token letter
+        vocabulary and a 12-frame emission; returns (config, arpa path)."""
+        vocab = char_vocab()
+        emission = tmp_path / "e.json"
+        logits = np.random.default_rng(1).normal(size=(12, vocab.size))
+        save_emission(EmissionMatrix.from_logits(logits), str(emission), "json")
+        lexicon = tmp_path / "words.txt"
+        lexicon.write_text("cab\nad\n", encoding="utf-8")
+        arpa = tmp_path / "lm.arpa"
+        config = {
+            "vocab": vocab.to_dict(), "emission": str(emission),
+            "scorers": {"la": {"type": "lookahead", "arpa": str(arpa), "lexicon": str(lexicon)},
+                        "ctc": {"type": "ctc_prefix"}},
+            "beam": {"beam_size": 2, "weights": {"la": 1.0, "ctc": 0.5}},
+        }
+        return write_json(tmp_path / "c.json", config), arpa
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_log_probability_is_exit_3(self, lookahead_setup, value, capsys):
+        config, arpa = lookahead_setup
+        five_word_arpa(arpa, value)
+        assert main(["decode", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err == f"format error: line 5: log-probability '{value}' is nan or +inf\n"
+
+    def test_minus_inf_log_probability_decodes(self, lookahead_setup, tmp_path):
+        config, arpa = lookahead_setup
+        five_word_arpa(arpa, "-inf")
+        out = tmp_path / "out.json"
+        assert main(["decode", "--config", config, "--output", str(out)]) == 0
+        assert read_json(out)["nbest"]
+
+    @pytest.mark.parametrize("which", ["arpa", "lexicon"])
+    def test_a_file_that_is_not_utf8_is_exit_3(self, lookahead_setup, which, capsys):
+        config, arpa = lookahead_setup
+        five_word_arpa(arpa, "-0.3")
+        path = arpa if which == "arpa" else arpa.parent / "words.txt"
+        path.write_bytes(path.read_text(encoding="utf-8").replace("cab", "c\xe1b")
+                         .encode("latin-1"))
+        assert main(["decode", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"format error: {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from seqdecode.core import (
     RAW_MAGIC,
     ROW_TOL_EXACT,
     ROW_TOL_REJECT,
-    Hypothesis,
     NBestEntry,
     _row_deviations,
     log_rows,
@@ -627,21 +627,58 @@ class TestEmissionStorage:
             assert m.data.dtype == np.float64
 
 
+def not_a_distribution(shape, case):
+    """Uniform log-rows whose row 1 (or only row) holds a nan or is shifted
+    by +0.25."""
+    rows = np.log(np.full(shape, 1.0 / shape[-1]))
+    row = rows[1] if rows.ndim == 2 else rows
+    if case == "nan":
+        row[2] = np.nan
+    else:
+        row += 0.25
+    return rows
+
+
+class TestDeviationMessages:
+    """A row that is not a distribution is reported with a plain float and
+    without a numpy warning."""
+
+    CASES = [("nan", "nan"), ("shifted", r"0\.25\d*")]
+
+    @pytest.mark.parametrize("case, shown", CASES)
+    def test_emission_frame(self, case, shown):
+        frames = not_a_distribution((3, 4), case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="^emission frame 1 is not a distribution: "
+                                                  f"logsumexp deviation {shown}$"):
+                EmissionMatrix(frames)
+
+    @pytest.mark.parametrize("case, shown", CASES)
+    def test_table_row(self, case, shown):
+        row = not_a_distribution((4,), case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^row not normalised: logsumexp "
+                                                  f"deviation {shown}$"):
+                log_rows(row, (4,), lambda: "row")
+
+
 class TestValidateHypothesis:
     def test_empty_breakdown(self):
-        h = Hypothesis(yseq=(0,), score=0.0, scores={})
+        h = NBestEntry(yseq=(0,), score=0.0, scores={})
         assert validate_hypothesis(h, {})
 
     def test_weighted_match(self):
-        h = Hypothesis(yseq=(0,), score=-0.5, scores={"a": -1.0})
+        h = NBestEntry(yseq=(0,), score=-0.5, scores={"a": -1.0})
         assert validate_hypothesis(h, {"a": 0.5})
 
     def test_mismatch(self):
-        h = Hypothesis(yseq=(0,), score=-1.0, scores={"a": -1.0})
+        h = NBestEntry(yseq=(0,), score=-1.0, scores={"a": -1.0})
         assert not validate_hypothesis(h, {"a": 0.5})
 
     def test_neg_inf_consistent(self):
-        h = Hypothesis(yseq=(0,), score=NEG_INF, scores={"a": NEG_INF})
+        h = NBestEntry(yseq=(0,), score=NEG_INF, scores={"a": NEG_INF})
         assert validate_hypothesis(h, {"a": 1.0})
 
 

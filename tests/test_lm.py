@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,7 +191,41 @@ def score_tokens(scorer, vocab, token_ids):
     return total, steps
 
 
+def five_word_arpa(path, cab="-0.3", backoff=""):
+    """A unigram ARPA over cab, ad, <s>, </s> and <unk>: ``cab`` holds the
+    log-probability text on line 5, ``backoff`` an optional backoff."""
+    path.write_text(f"\\data\\\nngram 1=5\n\n\\1-grams:\n{cab} cab {backoff}\n-0.5 ad\n"
+                    "-99 <s>\n-0.5 </s>\n-1 <unk>\n\n\\end\\\n", encoding="utf-8")
+    return str(path)
+
+
 class TestArpaLoader:
+    @pytest.mark.parametrize("value", ["nan", "inf", "+inf", "1e400", "-nan", "1e308"])
+    @pytest.mark.parametrize("field", ["log-probability", "backoff weight"])
+    def test_nan_or_plus_inf_is_a_format_error_naming_its_line(self, tmp_path, value, field):
+        # 1e308 overflows to inf in the conversion to natural log
+        args = {"cab": value} if field == "log-probability" else {"backoff": value}
+        with pytest.raises(FormatError, match=f"^line 5: {field} '.*' is nan or \\+inf$"):
+            load_arpa(five_word_arpa(tmp_path / "bad.arpa", **args))
+
+    def test_minus_inf_is_probability_zero(self, tmp_path):
+        model = load_arpa(five_word_arpa(tmp_path / "zero.arpa", "-inf", "-inf"))
+        assert model.entries[("cab",)] == (NEG_INF, NEG_INF)
+        assert ngram_score(model, (), "cab") == NEG_INF
+
+    def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.arpa"
+        path.write_bytes("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3 c\xe1b\n\n\\end\\\n"
+                         .encode("latin-1"))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} is not UTF-8 text: invalid"):
+            load_arpa(str(path))
+
+    def test_a_lexicon_that_is_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("ab\nc\xe1b\n".encode("latin-1"))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} is not UTF-8 text: invalid"):
+            load_lexicon(str(path))
+
     def test_unigram_only(self, tmp_path):
         path = tmp_path / "uni.arpa"
         write_arpa(path, {"a": (math.log10(0.6), None), "b": (math.log10(0.4), None)})
@@ -498,7 +533,6 @@ class TestFusionInBeamSearch:
         from seqdecode import (
             BeamConfig, CTCPrefixScorer, EmissionMatrix, batch_beam_search, beam_search,
         )
-        from seqdecode.core import Hypothesis
 
         rng = np.random.default_rng(27000 + seed)
         path = tmp_path / "fuse.arpa"
@@ -520,8 +554,7 @@ class TestFusionInBeamSearch:
         assert [e.yseq for e in seq.entries] == [e.yseq for e in bat.entries]
         for a, b in zip(seq.entries, bat.entries):
             assert a.score == b.score or abs(a.score - b.score) <= 1e-9
-            hyp = Hypothesis(yseq=a.yseq, score=a.score, scores=a.scores)
-            assert validate_hypothesis(hyp, weights)
+            assert validate_hypothesis(a, weights)
 
 
 # --- the batch kernels against per-hypothesis reference loops ---------------
