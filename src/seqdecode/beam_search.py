@@ -34,17 +34,19 @@ n-best entries in the finished pool, with per-scorer final adjustments
 added; the only other entry is the live fallback, the best live hypothesis
 when nothing finished.
 
-Selection by bound: in the batched search, one partial scorer that bounds
-its scores (the CTC prefix scorer) is scored after the others and rates
+Selection by bound: in the batched search, the first partial scorer in
+name order whose ``batch_score_partial`` takes a ``keep`` parameter (the
+CTC prefix scorer) is scored after the others and given ``keep``; it rates
 exactly only the cells whose upper-bound total reaches the beam_size-th
-largest lower-bound total (asked at most once per step).
-The other cells cannot enter the beam, so the selected cells, their order
-and their states are those of scoring every cell exactly. The sequential
-search scores every cell.
+largest lower-bound total (asked at most once per step). The other cells
+cannot enter the beam, so the selected cells, their order and their states
+are those of scoring every cell exactly. A kernel without ``keep`` (a
+wrapper's, say) scores every cell, as does the sequential search.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -54,6 +56,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    DecodeError,
     EmissionMatrix,
     NBestEntry,
     NBestList,
@@ -158,17 +161,6 @@ def _pre_beam(
     return ids, np.take_along_axis(weighted, ids, axis=1)
 
 
-def _prunes(scorer: PartialScorer) -> bool:
-    """Whether the scorer's ``batch_score_partial_pruned`` belongs to its
-    ``batch_score_partial``: a subclass that re-implements the latter but
-    inherits the former (a wrapper, a checker) takes the unpruned path."""
-    def owner(attr: str) -> type:
-        return next(c for c in type(scorer).__mro__ if attr in vars(c))
-
-    pruned = owner("batch_score_partial_pruned")
-    return pruned is not PartialScorer and issubclass(pruned, owner("batch_score_partial"))
-
-
 class _SearchContext:
     """Validated scorer/weight wiring for one search."""
 
@@ -212,8 +204,10 @@ class _SearchContext:
         self.banned_with_eos = ids[~np.isin(ids, self.allowed_with_eos)]
         self.banned_without_eos = ids[~np.isin(ids, self.allowed_without_eos)]
         # at most one partial scorer prunes its scoring by bounds: the first
-        # whose pruned entry is its batched kernel
-        self.pruner = next((k for k, v in self.partial.items() if _prunes(v)), None)
+        # whose batched kernel takes ``keep``
+        self.pruner = next((k for k, v in self.partial.items()
+                            if "keep" in inspect.signature(v.batch_score_partial).parameters),
+                           None)
         base = config.pre_beam_size
         if base is None:
             base = min(vocab_size, math.ceil(1.5 * config.beam_size))
@@ -322,6 +316,15 @@ def _finalize(
     return NBestEntry(yseq[1:-1], score, scores)
 
 
+def _nan_error(step: int, mats: Dict[str, np.ndarray]) -> DecodeError:
+    """The error for a nan among a step's totals, naming the first scorer
+    in name order whose matrix in ``mats`` holds one."""
+    name = next((k for k in sorted(mats) if np.isnan(mats[k]).any()), None)
+    what = "+inf and -inf scores summed to nan" if name is None else (
+        f"scorer {name!r} returned nan")
+    return DecodeError(f"search step {step + 1}: {what}")
+
+
 def _resolve_lengths(config: BeamConfig, frames: int) -> Tuple[int, int]:
     max_steps = config.max_steps or max(1, int(config.max_len_ratio * frames))  # set: >= 1
     return max_steps, int(config.min_len_ratio * frames)
@@ -338,7 +341,8 @@ def _search(
     """The search loop of both entry points. Per step: the full scorers'
     weighted sum, in a (B, V) matrix of the search's own; the pre-beam
     (``_pre_beam``); the partial scorers on it, the pruner last; the top-B
-    cells; then the kept cells' scores and states."""
+    cells; then the kept cells' scores and states. A nan in the weighted
+    sum or in the candidate totals is a DecodeError (``_nan_error``)."""
     ctx = _SearchContext(
         vocab, full_scorers, partial_scorers or {}, config, emission.vocab_size
     )
@@ -377,6 +381,9 @@ def _search(
                 weighted += ctx.weights[name] * mat
             full_mats[name] = mat
 
+        # a max is nan when any entry is, and reads faster than isnan().any()
+        if math.isnan(weighted.max()):
+            raise _nan_error(step, full_mats)
         cand_mat, full_part = _pre_beam(weighted, allowed, ctx.banned(eos_ok), n_cand)
         parent_scores = score[:, None]
         part_mats: Dict[str, np.ndarray] = {}
@@ -391,9 +398,11 @@ def _search(
             part_mats[name], scored[name] = kernel(yseqs, cand_mat, states[name], emission)
         if pruner is not None:
             keep = partial(_may_reach_beam, ctx, full_part, part_mats, parent_scores, pruner)
-            part_mats[pruner], scored[pruner] = ctx.partial[pruner].batch_score_partial_pruned(
+            part_mats[pruner], scored[pruner] = ctx.partial[pruner].batch_score_partial(
                 yseqs, cand_mat, states[pruner], emission, keep)
         cand_scores = _totals(ctx, full_part, part_mats, parent_scores)
+        if math.isnan(cand_scores.max()):
+            raise _nan_error(step, part_mats)
 
         # the kept cells' scores in one gather per scorer, best first
         rows, cols = _top_cells(rank, cand_mat, cand_scores, config.beam_size)

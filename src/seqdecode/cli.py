@@ -155,8 +155,8 @@ def _build_run_config(task: str, args: argparse.Namespace) -> RunConfig:
         emissions=emissions,
         output=output,
         seed=seed,
-        sequential=bool(args.sequential),
-        oracle=bool(getattr(args, "oracle", False)),
+        sequential=args.sequential,
+        oracle=args.oracle,
     )
 
 
@@ -506,16 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         p = sub.add_parser(task)
+        # each task takes only the flags it reads; the others read as unset
+        p.set_defaults(emission=None, sequential=False, oracle=False)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument(
-            "--emission", action="append", help="emission path (repeatable)"
-        )
+        if task in ("decode", "maskctc", "align", "vad"):
+            p.add_argument("--emission", action="append", help="emission path (repeatable)")
         p.add_argument("--output", help="output JSON path (default: stdout)")
-        p.add_argument("--sequential", action="store_true",
-                       help="use the per-hypothesis search instead of the batched one")
+        if task == "decode":
+            p.add_argument("--sequential", action="store_true",
+                           help="use the per-hypothesis search instead of the batched one")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--oracle", action="store_true",
-                       help="verify against the brute-force oracle (tiny inputs only)")
+        if task in ("decode", "transducer"):
+            p.add_argument("--oracle", action="store_true",
+                           help="verify against the brute-force oracle (tiny inputs only)")
     return parser
 
 

@@ -70,7 +70,8 @@ def _ln_value(text: str, lineno: int, what: str) -> float:
 def load_arpa(path: str) -> NGramModel:
     """Parse a UTF-8 text ARPA file; log10 values become natural logs. A
     log-probability or backoff of -inf is accepted as a probability of 0; a
-    nan or +inf one is a FormatError naming its line."""
+    nan or +inf one, or a log-probability above 0, is a FormatError naming
+    its line."""
     lines = _text_lines(path)
 
     counts: Dict[int, int] = {}
@@ -124,6 +125,8 @@ def load_arpa(path: str) -> NGramModel:
             if len(parts) < current_n + 1:
                 raise FormatError(f"line {lineno}: truncated {current_n}-gram entry")
             logp = _ln_value(parts[0], lineno, "log-probability")
+            if logp > 0.0:
+                raise FormatError(f"line {lineno}: log-probability {parts[0]!r} is above 0")
             words = tuple(parts[1 : current_n + 1])
             backoff = 0.0
             if len(parts) > current_n + 1:

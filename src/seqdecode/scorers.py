@@ -12,18 +12,17 @@ search step keeps. The CTC prefix scorer rates candidates from the
 parents' forward variables alone and runs the recursion only for the
 successors a search selects, so pruned successors cost nothing.
 
-``batch_score_partial`` returns every cell exactly. A partial scorer that
-can bound its scores cheaply also implements
-``batch_score_partial_pruned``: it hands per-cell lower and upper bounds to
-the caller, which says which cells must be exact; every other cell holds its
-upper bound. The CTC prefix scorer rates a cell as a blocked product in the
-probability domain (``_block_psi``), within a stated bound of the
-frame-order log-sum (``_psi_tol``). Its pruned entry runs the same kernel:
-on a call of at least ``_TIERED_MIN_TERMS`` frame terms it bounds every
-cell from the emission's column peaks without any frame term, consults the
-caller once, and computes only the cells kept; a smaller call computes
-every cell. The bounds carry float margins (``_margin``, ``_psi_tol``) over
-the values they stand in for.
+``batch_score_partial`` returns every cell exactly unless it takes a
+``keep`` argument: a partial scorer that can bound its scores cheaply
+hands per-cell lower and upper bounds to ``keep``, which says which cells
+must be exact; every other cell holds its upper bound. The CTC prefix
+scorer rates a cell as a blocked product in the probability domain
+(``_block_psi``), within a stated bound of the frame-order log-sum
+(``_psi_tol``). Given ``keep``, on a call of at least ``_TIERED_MIN_TERMS``
+frame terms it bounds every cell from the emission's column peaks without
+any frame term, consults ``keep`` once, and computes only the cells kept;
+a smaller call computes every cell. The bounds carry float margins
+(``_margin``, ``_psi_tol``) over the values they stand in for.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,30 +121,19 @@ class PartialScorer(_Scorer):
         states: Sequence[Any],
         emission: Optional[EmissionMatrix],
     ) -> Tuple[np.ndarray, List[Any]]:
-        """Batched scoring over a (B x P) candidate matrix."""
+        """Batched scoring over a (B x P) candidate matrix.
+
+        A scorer that can bound its scores cheaply overrides this with a
+        last parameter ``keep``; the batched search passes one to the first
+        such partial scorer, in name order. The kernel passes (B x P) lower
+        and upper bounds ``lo <= score <= hi`` to ``keep(lo, hi)``, at most
+        once per call, which returns the mask of cells that must be exact.
+        Every other cell may hold its upper bound instead of its score; the
+        caller must not select its state. A call that does not consult
+        ``keep`` scores every cell.
+        """
         return _stacked(self.score_partial(p, candidates[i], s, emission)
                         for i, (p, s) in enumerate(zip(prefixes, states)))
-
-    def batch_score_partial_pruned(
-        self,
-        prefixes: Sequence[Tuple[int, ...]],
-        candidates: np.ndarray,
-        states: Sequence[Any],
-        emission: Optional[EmissionMatrix],
-        keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> Tuple[np.ndarray, List[Any]]:
-        """``batch_score_partial`` for a caller that needs only some cells
-        exactly.
-
-        A scorer that can bound its scores cheaply passes (B x P) lower and
-        upper bounds ``lo <= score <= hi`` to ``keep``, at most once per
-        call, which returns the mask of cells that must be exact. Every
-        other cell may hold its upper bound instead of its score; the
-        caller must not select its state. A call that does not consult
-        ``keep`` scores every cell. The default ignores ``keep`` and scores
-        every cell.
-        """
-        return self.batch_score_partial(prefixes, candidates, states, emission)
 
 
 class TableScorer(FullScorer):
@@ -717,18 +705,18 @@ class CTCPrefixScorer(PartialScorer):
     whole and reads as its parents' arrays. An eos cell's state is terminal
     and cannot be scored. ``score_partial`` is the batched kernel at B=1.
 
-    ``batch_score_partial_pruned`` runs the same kernel. On a call of at
-    least ``_TIERED_MIN_TERMS`` frame terms it first bounds every cell
-    without its terms (``_peak_bounds``): the upper bound from the parent's
-    log-sum over frames plus the column's peak over frames, the lower bound
-    from two of the cell's own terms, each with its float margins. It
-    consults ``keep`` once with those bounds and computes psi only for the
-    cells it keeps. A smaller call computes every cell and does not consult
-    ``keep``. Eos cells (the parent's full-sequence probability) and cells
-    whose bounds meet (all terms -inf) are exact whatever ``keep`` says.
-    Every other cell ``keep`` dropped holds its upper bound, in the scores
-    and in the scored state's psi, so its successor state must not be
-    selected.
+    Given ``keep``, on a call of at least ``_TIERED_MIN_TERMS`` frame terms
+    ``batch_score_partial`` first bounds every cell without its terms
+    (``_peak_bounds``): the upper bound from the parent's log-sum over
+    frames plus the column's peak over frames, the lower bound from two of
+    the cell's own terms, each with its float margins. It consults
+    ``keep`` once with those bounds and computes psi only for the cells it
+    keeps. A smaller call, or one without ``keep``, computes every cell and
+    consults nothing. Eos cells (the parent's full-sequence probability)
+    and cells whose bounds meet (all terms -inf) are exact whatever
+    ``keep`` says. Every other cell ``keep`` dropped holds its upper bound,
+    in the scores and in the scored state's psi, so its successor state
+    must not be selected.
     """
 
     def __init__(self, blank_id: int, eos_id: int):
@@ -763,13 +751,7 @@ class CTCPrefixScorer(PartialScorer):
         cols = np.argmax(scored.candidates[rows] == tokens[:, None], axis=1)
         return _CTCBatch(scored, rows, cols)
 
-    def batch_score_partial(self, prefixes, candidates, states, emission):
-        return self._score(prefixes, candidates, states, emission, keep=None)
-
-    def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
-        return self._score(prefixes, candidates, states, emission, keep)
-
-    def _score(self, prefixes, candidates, states, emission, keep):
+    def batch_score_partial(self, prefixes, candidates, states, emission, keep=None):
         cands = np.asarray(candidates, dtype=np.int64)
         if cands.ndim != 2:
             raise ValueError("batched candidates must be a (B, P) matrix")

@@ -6,8 +6,11 @@ are reproducible.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,8 +177,8 @@ def psi_near(got, want, frames, psi=None):
 
 
 def check_keep_calls(calls, scores, full_scores, ref):
-    """The pruned-entry contract over one scoring call's ``keep`` calls,
-    given as (lo, hi, kept) triples: at most one, whose bounds contain the
+    """The contract of one scoring call's ``keep`` calls, given as
+    (lo, hi, kept) triples: at most one, whose bounds contain the
     scores of the unpruned call ``full_scores`` and the frame-loop
     reference ``ref`` (scores, psi, frames). The cells it kept whose bounds
     differ are built and equal the unpruned call's; cells with lo == hi are
@@ -231,6 +234,28 @@ def ctc_tier(request, monkeypatch):
     monkeypatch.setattr(scorers_mod, "_TIERED_MIN_TERMS",
                         math.inf if request.param == "dense" else 0)
     return request.param
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's ``run`` and ``smoke`` modules. They import their siblings
+    by bare names (``run``, ``layers``, ``tracing``, ...), so perfbench/ is
+    on sys.path and those names are in sys.modules only while the
+    requesting module's tests run; both are restored afterwards."""
+    names = {p.stem for p in PERFBENCH.glob("*.py")}
+    saved_path = list(sys.path)
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("run"), importlib.import_module("smoke")
+    finally:
+        sys.path[:] = saved_path
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
 
 
 class WrappedPartialScorer(PartialScorer):

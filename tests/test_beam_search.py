@@ -2,6 +2,7 @@ import gc
 import importlib
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from seqdecode.beam_search import (
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
-from seqdecode.core import NBestEntry, NBestList
+from seqdecode.core import DecodeError, NBestEntry, NBestList
 
 from conftest import (
     WrappedPartialScorer,
@@ -922,12 +923,14 @@ class TestSuccessorWorkBound:
                                                                  monkeypatch):
         # the batched search selects the CTC successors as one batch: no
         # CTC select_state call, no np.stack in the CTC scorer, and an
-        # NBestEntry only for each finished hypothesis and the live fallback
+        # NBestEntry only for each finished hypothesis and the live fallback;
+        # the counting kernel takes ``keep``, so the search still prunes by it
         rng = np.random.default_rng(9610)
         vocab = make_vocab(12)
         em = planted_emission(rng, vocab, [int(t) for t in rng.choice(vocab.label_ids(), 4)])
-        calls = {"select_state": 0, "stack": 0}
-        select_state, score = CTCPrefixScorer.select_state, CTCPrefixScorer._score
+        calls = {"select_state": 0, "stack": 0, "keep": 0}
+        select_state = CTCPrefixScorer.select_state
+        score = CTCPrefixScorer.batch_score_partial
 
         def counted_select_state(self, scored_state, token):
             calls["select_state"] += 1
@@ -935,10 +938,15 @@ class TestSuccessorWorkBound:
 
         inside = []
 
-        def counted_score(self, *args):
+        def counted_keep(keep, lo, hi):
+            calls["keep"] += 1
+            return keep(lo, hi)
+
+        def counted_score(self, prefixes, candidates, states, emission, keep=None):
             inside.append(True)
             try:
-                return score(self, *args)
+                counted = None if keep is None else partial(counted_keep, keep)
+                return score(self, prefixes, candidates, states, emission, counted)
             finally:
                 inside.pop()
 
@@ -957,14 +965,16 @@ class TestSuccessorWorkBound:
             return built[-1]
 
         monkeypatch.setattr(CTCPrefixScorer, "select_state", counted_select_state)
-        monkeypatch.setattr(CTCPrefixScorer, "_score", counted_score)
+        monkeypatch.setattr(CTCPrefixScorer, "batch_score_partial", counted_score)
+        # every call bounds its cells first, so the search's ``keep`` is consulted
+        monkeypatch.setattr(scorers_mod, "_TIERED_MIN_TERMS", 0)
         monkeypatch.setattr(scorers_mod, "np", Numpy())
         monkeypatch.setattr(bs_mod, "NBestEntry", counted_entry)
         cfg = BeamConfig(weights={"att": 0.3, "ctc": 0.7}, beam_size=8, pre_beam_size=12,
                          min_len_ratio=0.0 if reaches_eos else 0.99, max_steps=10)
         nbest = batch_beam_search(em, vocab, {"att": random_table_scorer(rng, 1, vocab.size)},
                                   cfg, {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
-        assert calls == {"select_state": 0, "stack": 0}
+        assert calls["select_state"] == calls["stack"] == 0 < calls["keep"]
         assert sorted(map(id, built)) == sorted(map(id, nbest.entries))
         if reaches_eos:
             assert len(nbest.entries) > 1
@@ -975,11 +985,11 @@ class TestSuccessorWorkBound:
 class CheckedCTC(CTCPrefixScorer):
     """CTC scorer that checks every scoring call of a search against the
     frame-loop reference, on the states the call itself filled in: within
-    the block product's stated bound. On the pruned entry, its ``keep``
-    call must meet ``check_keep_calls``: the cells it kept (and those exact
+    the block product's stated bound. Given ``keep``, its ``keep`` call
+    must meet ``check_keep_calls``: the cells it kept (and those exact
     without a product) equal the unpruned call's, and every skipped cell
     holds its upper bound, with both inside the bounds. ``cells`` counts
-    [requested, built] cells of the pruned calls."""
+    [requested, built] cells of the calls given ``keep``."""
 
     def __init__(self, blank_id, eos_id, log):
         super().__init__(blank_id, eos_id)
@@ -993,20 +1003,19 @@ class CheckedCTC(CTCPrefixScorer):
             self.blank_id, self.eos_id)
         return scores, psi, emission.frames
 
-    def batch_score_partial(self, prefixes, candidates, states, emission):
-        scores, scored = super().batch_score_partial(prefixes, candidates, states, emission)
-        ref_scores, psi, frames = self.reference(prefixes, candidates, states, emission)
-        assert psi_near(scores, ref_scores, frames, psi)
-        return scores, scored
-
-    def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
+    def batch_score_partial(self, prefixes, candidates, states, emission, keep=None):
+        if keep is None:
+            scores, scored = super().batch_score_partial(prefixes, candidates, states, emission)
+            ref_scores, psi, frames = self.reference(prefixes, candidates, states, emission)
+            assert psi_near(scores, ref_scores, frames, psi)
+            return scores, scored
         calls = []
 
         def recording_keep(lo, hi):
             calls.append((lo, hi, keep(lo, hi)))
             return calls[-1][2]
 
-        scores, scored = super().batch_score_partial_pruned(
+        scores, scored = super().batch_score_partial(
             prefixes, candidates, states, emission, recording_keep)
         full = CTCPrefixScorer.batch_score_partial(self, prefixes, candidates, states, emission)[0]
         ref = self.reference(prefixes, candidates, states, emission)
@@ -1133,7 +1142,7 @@ class TestMayReachBeam:
 
 
 class UnprunedCTC(PartialScorer):
-    """Delegates to a CTC scorer but inherits the base-class pruned entry,
+    """Delegates to a CTC scorer through a batched kernel without ``keep``,
     as a tracing wrapper does, so the search folds every cell."""
 
     def __init__(self, inner):
@@ -1225,18 +1234,30 @@ class TestPrunedSearch:
         else:
             assert built == requested > 0
 
-    def test_wrappers_and_kernel_overrides_take_unpruned_path(self):
+    def test_wrappers_and_kernel_overrides_take_unpruned_path(self, perfbench):
         em, vocab, fulls, cfg, parts = pruning_instance(0, "lm")
+        tracing = importlib.import_module("tracing")
 
         class OverridesKernelOnly(CTCPrefixScorer):
             def batch_score_partial(self, prefixes, candidates, states, emission):
                 return super().batch_score_partial(prefixes, candidates, states, emission)
 
-        for scorer, pruner in ((parts["ctc"], "ctc"), (CountingCTC(0, 1, []), "ctc"),
+        class Forwarding(CTCPrefixScorer):
+            def batch_score_partial(self, *args, **kwargs):
+                return super().batch_score_partial(*args, **kwargs)
+
+        ids = vocab.blank_id, vocab.eos_id
+        traced = tracing.TracedPartialScorer(parts["ctc"], tracing.Tracer(), "scorers.ctc")
+        ref = nbest_rows(batch_beam_search(em, vocab, fulls, cfg, parts))
+        for scorer, pruner in ((parts["ctc"], "ctc"), (CountingCTC(*ids, []), "ctc"),
                                (UnprunedCTC(parts["ctc"]), None),
-                               (OverridesKernelOnly(0, 1), None)):
+                               (OverridesKernelOnly(*ids), None),
+                               (Forwarding(*ids), None), (traced, None)):
             ctx = _SearchContext(vocab, fulls, dict(parts, ctc=scorer), cfg, em.vocab_size)
             assert ctx.pruner == pruner
+            if pruner is None:
+                assert nbest_rows(batch_beam_search(
+                    em, vocab, fulls, cfg, dict(parts, ctc=scorer))) == ref
 
 
 def planted_emission(rng, vocab, labels, frames_per_label=3, peak=8.0):
@@ -1388,11 +1409,10 @@ class TestFoldWorkBound:
             return block_psi(x, table, phi, labels, rows)
 
         class Counting(CTCPrefixScorer):
-            def batch_score_partial_pruned(self, prefixes, candidates, states, emission, keep):
+            def batch_score_partial(self, prefixes, candidates, states, emission, keep=None):
                 t0 = max(1, min(s.prefix_len for s in states))
                 mark = len(built)
-                out = super().batch_score_partial_pruned(
-                    prefixes, candidates, states, emission, keep)
+                out = super().batch_score_partial(prefixes, candidates, states, emission, keep)
                 calls.append((candidates.size, (emission.frames - t0) * candidates.size,
                               sum(built[mark:])))
                 return out
@@ -1515,3 +1535,80 @@ class TestCarriedRanks:
         # the instances' tied totals put yseqs out of order in the beam
         assert reordered >= 50
 
+
+class PlantedScorer(FullScorer):
+    """Delegates to a table scorer, but its rows after a prefix of ``at``
+    labels hold ``value`` for the labels ``ids``."""
+
+    def __init__(self, inner, at, ids, value=np.nan):
+        self.inner, self.at, self.ids, self.value = inner, at, list(ids), value
+
+    def init_state(self, emission):
+        return self.inner.init_state(emission)
+
+    def score(self, prefix, state, emission):
+        row, scored = self.inner.score(prefix, state, emission)
+        if len(prefix) == self.at + 1:  # the prefix starts with sos
+            row = row.copy()
+            row[self.ids] = self.value
+        return row, scored
+
+    def select_state(self, scored_state, token):
+        return self.inner.select_state(scored_state, token)
+
+
+def nan_instance(seed):
+    """V=8 (5 labels), T=12, beam 3, a table scorer and CTC."""
+    rng = np.random.default_rng(9950 + seed)
+    vocab = make_vocab(5)
+    em = random_emission(rng, 12, vocab.size)
+    fulls = {"att": random_table_scorer(rng, 1, vocab.size)}
+    parts = {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)}
+    weights = {"att": 1.0, "ctc": 0.5}
+    return rng, vocab, em, fulls, parts, weights
+
+
+class TestNanScores:
+    """A nan among a step's totals ends the search in a DecodeError that
+    names the scorer whose matrix holds it, in both searches."""
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    @pytest.mark.parametrize("n_nan", [1, 4, 5])
+    def test_nan_from_a_full_scorer_names_it(self, search, n_nan):
+        rng, vocab, em, fulls, parts, weights = nan_instance(n_nan)
+        bad = PlantedScorer(random_table_scorer(rng, 1, vocab.size), 1,
+                            vocab.label_ids()[:n_nan])
+        cfg = BeamConfig(weights={**weights, "bad": 0.5}, beam_size=3)
+        with pytest.raises(DecodeError, match="^search step 2: scorer 'bad' returned nan$"):
+            search(em, vocab, {**fulls, "bad": bad}, cfg, parts)
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    @pytest.mark.parametrize("name", ["bias", "lm"])
+    def test_nan_from_a_partial_scorer_names_it(self, search, name, ctc_tier):
+        # "bias" is scored before the pruning CTC scorer in name order, "lm" after
+        rng, vocab, em, fulls, parts, weights = nan_instance(7)
+        bad = PlantedScorer(random_table_scorer(rng, 1, vocab.size), 2, vocab.label_ids())
+        cfg = BeamConfig(weights={**weights, name: 0.5}, beam_size=3, min_len_ratio=0.5)
+        with pytest.raises(DecodeError, match=f"^search step 3: scorer '{name}' returned nan$"):
+            search(em, vocab, fulls, cfg, {**parts, name: WrappedPartialScorer(bad)})
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in add")
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_opposite_infinities_are_a_decode_error(self, search):
+        rng, vocab, em, fulls, parts, weights = nan_instance(11)
+        label = vocab.label_ids()[:1]
+        fulls = {**fulls, "hi": PlantedScorer(fulls["att"], 0, label, np.inf),
+                 "lo": PlantedScorer(fulls["att"], 0, label, -np.inf)}
+        cfg = BeamConfig(weights={**weights, "hi": 1.0, "lo": 1.0}, beam_size=3)
+        with pytest.raises(DecodeError,
+                           match=r"^search step 1: \+inf and -inf scores summed to nan$"):
+            search(em, vocab, fulls, cfg, parts)
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_nan_in_a_column_the_pre_beam_drops_is_an_error_too(self, search):
+        # the check reads the whole weighted matrix, the banned columns too
+        rng, vocab, em, fulls, parts, weights = nan_instance(13)
+        bad = PlantedScorer(fulls["att"], 0, [vocab.blank_id])
+        cfg = BeamConfig(weights={**weights, "bad": 1.0}, beam_size=3)
+        with pytest.raises(DecodeError, match="^search step 1: scorer 'bad' returned nan$"):
+            search(em, vocab, {**fulls, "bad": bad}, cfg, parts)

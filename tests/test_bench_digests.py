@@ -3,38 +3,17 @@ decode to the digests they have always had. A digest covers the top-1
 sequence and rounded score of every decoder on the first requests, so a
 selection fast path that reorders or drops a hypothesis changes it. The
 traced run's scorer proxies forward only ``select_state``, so it takes the
-default ``select_states`` loop and the CTC scorer's list of pending states,
-where the untraced run takes the CTC batch."""
+default ``select_states`` loop, where the untraced run takes the CTC batch;
+and the CTC proxy's batched kernel takes no ``keep``, so the traced search
+scores every CTC cell where the untraced one prunes by bounds. The
+``perfbench`` fixture lives in conftest.py."""
 
 import argparse
-import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = {"wide-beam": "8c297c557b868d1d", "long-form": "7157d4d4b66dfdcb",
            "char-word-lm": "04b139cd2ab388b7", "transducer": "bf097cc04650f177"}
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    """perfbench's ``run`` and ``smoke`` modules. They import their siblings
-    by bare names (``run``, ``layers``, ``workloads``, ...), so perfbench/ is
-    on sys.path and those names are in sys.modules only while this module's
-    tests run; both are restored afterwards."""
-    names = {p.stem for p in PERFBENCH.glob("*.py")}
-    saved_path = list(sys.path)
-    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("run"), importlib.import_module("smoke")
-    finally:
-        sys.path[:] = saved_path
-        for name in names:
-            sys.modules.pop(name, None)
-        sys.modules.update(saved)
 
 
 def check_digest(perfbench, workload, trace, tmp_path):

@@ -495,6 +495,29 @@ class TestConfigHardening:
         assert main(["decode", "--config", cfg]) == 3
 
 
+class TestTaskFlags:
+    """Each task accepts only the flags it reads; any other is a usage
+    error (exit 2) before the task runs."""
+
+    @pytest.mark.parametrize("task, flags", [
+        ("maskctc", ["--oracle"]),
+        ("transducer", ["--sequential"]),
+        ("bench", ["--emission", "e.json"]),
+    ])
+    def test_a_flag_the_task_does_not_read_is_a_usage_error(self, tmp_path, capsys, task,
+                                                             flags):
+        out = tmp_path / "out.json"
+        argv = [task, "--config", write_json(tmp_path / "c.json", task_configs(tmp_path)[task]),
+                "--output", str(out), "--seed", "1"]
+        assert main(argv) == 0 and out.exists()
+        out.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestErrorMapping:
     """Only reading the config maps to exit 2; an exception raised while
     decoding is a fault in the program and propagates."""

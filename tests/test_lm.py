@@ -208,6 +208,22 @@ class TestArpaLoader:
         with pytest.raises(FormatError, match=f"^line 5: {field} '.*' is nan or \\+inf$"):
             load_arpa(five_word_arpa(tmp_path / "bad.arpa", **args))
 
+    @pytest.mark.parametrize("value", ["0.7", "1", "1e-9", "+0.3", "1e-320"])
+    def test_a_log_probability_above_0_is_a_format_error_naming_its_line(self, tmp_path,
+                                                                          value):
+        with pytest.raises(FormatError, match=f"^line 5: log-probability '{re.escape(value)}' "
+                                              "is above 0$"):
+            load_arpa(five_word_arpa(tmp_path / "bad.arpa", cab=value))
+
+    @pytest.mark.parametrize("value", ["0", "-0", "-0.0"])
+    def test_a_log_probability_of_0_is_probability_one(self, tmp_path, value):
+        model = load_arpa(five_word_arpa(tmp_path / "one.arpa", cab=value))
+        assert ngram_score(model, (), "cab") == 0.0
+
+    def test_a_positive_backoff_weight_loads(self, tmp_path):
+        model = load_arpa(five_word_arpa(tmp_path / "bo.arpa", backoff="0.7"))
+        assert model.entries[("cab",)][1] == pytest.approx(0.7 * math.log(10))
+
     def test_minus_inf_is_probability_zero(self, tmp_path):
         model = load_arpa(five_word_arpa(tmp_path / "zero.arpa", "-inf", "-inf"))
         assert model.entries[("cab",)] == (NEG_INF, NEG_INF)

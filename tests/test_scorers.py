@@ -531,7 +531,7 @@ def drive_kernel(edge, seed, via):
 
 
 def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
-    """The pruned entry against the unpruned call and the frame-loop
+    """The kernel given ``keep`` against the unpruned call and the frame-loop
     reference ``reference()``: keeping every cell it equals the unpruned
     call and its bounds hold; keeping a random subset, the cells it kept
     and the exact cells equal the unpruned call and the rest hold their
@@ -543,7 +543,7 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
         bounds.append((lo, hi, np.ones(lo.shape, dtype=bool)))
         return bounds[-1][2]
 
-    scores, scored = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_all)
+    scores, scored = scorer.batch_score_partial(prefixes, cands, states, em, keep_all)
     ref_scores, _, ref_psi = reference()
     ref = (ref_scores, ref_psi, em.frames)
     full = scorer.batch_score_partial(prefixes, cands, states, em)[0]
@@ -557,7 +557,7 @@ def check_pruned_entry(scorer, prefixes, cands, states, em, reference):
         masks.append((lo, hi, mask_rng.random(lo.shape) < 0.5))
         return masks[-1][2]
 
-    part, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
+    part, _ = scorer.batch_score_partial(prefixes, cands, states, em, keep_some)
     # keep is consulted only on a call that bounds its cells
     assert len(masks) == len(bounds)
     check_keep_calls(masks, part, full, ref)
@@ -991,8 +991,8 @@ class TestSegmentedScan:
 
 
 class TestPrunedKernel:
-    """``batch_score_partial_pruned``: bounds that hold on every cell, psi
-    only for the cells the caller keeps."""
+    """``batch_score_partial`` given ``keep``: bounds that hold on every
+    cell, psi only for the cells the caller keeps."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edge", sorted(KERNEL_EDGES))
@@ -1126,7 +1126,7 @@ class TestBlockProduct:
             calls.append((lo, hi, rng.random(lo.shape) < 0.5))
             return calls[-1][2]
 
-        pruned, _ = scorer.batch_score_partial_pruned(prefixes, cands, states, em, keep_some)
+        pruned, _ = scorer.batch_score_partial(prefixes, cands, states, em, keep_some)
         assert len(calls) == (ctc_tier == "tiered")
         built = calls[0][2] & (calls[0][0] < calls[0][1]) if calls else np.ones(cands.shape, bool)
         assert built.any() and np.array_equal(pruned[built], full[built])
@@ -1139,8 +1139,9 @@ class TestBlockProduct:
 
 
 class TestPeakBounds:
-    """Tier 1 of the pruned entry: bounds on every cell from the column
-    peaks and the parent's log-sum over frames, without its frame terms."""
+    """Tier 1 of the kernel given ``keep``: bounds on every cell from the
+    column peaks and the parent's log-sum over frames, without its frame
+    terms."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
     @pytest.mark.parametrize("value", [0.0, -1e-3, -1.0, -7.25, -1e3, -3e4, 2.5])
@@ -1187,7 +1188,7 @@ class TestPeakBounds:
             calls.append((lo, hi, np.ones(lo.shape, dtype=bool)))
             return calls[-1][2]
 
-        scores, _ = scorer.batch_score_partial_pruned([(9, 1)], cands, [state], em, keep_all)
+        scores, _ = scorer.batch_score_partial([(9, 1)], cands, [state], em, keep_all)
         full = scorer.batch_score_partial([(9, 1)], cands, [state], em)[0]
         assert np.array_equal(scores, full)
         check_keep_calls(calls, scores, full, (ref, psi, em.frames))
