@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -360,11 +360,13 @@ def _search(
     finished: List[NBestEntry] = []
     step_best: List[float] = []
 
+    stop = "max_steps"
     for step in range(max_steps):
         eos_ok = step >= min_len
         allowed = ctx.allowed(eos_ok)
         n_cand = min(ctx.pre_beam_size, len(allowed))
         if n_cand == 0:
+            stop = "no_candidates"
             break
 
         # the search's own matrix, never a scorer's: the pre-beam writes into it
@@ -378,7 +380,8 @@ def _search(
             if weighted is None:
                 weighted = np.asarray(ctx.weights[name] * mat, dtype=np.float64, order="C")
             else:
-                weighted += ctx.weights[name] * mat
+                with np.errstate(invalid="ignore"):  # opposite infinities: the nan check below
+                    weighted += ctx.weights[name] * mat
             full_mats[name] = mat
 
         # a max is nan when any entry is, and reads faster than isnan().any()
@@ -433,14 +436,17 @@ def _search(
         states = {name: scorers[name].select_states(scored[name], rows[live], tokens[live])
                   for name in names}
         if end_detect(finished, step_best, config.end_detect_window, config.end_detect_margin):
+            stop = "end_detect"
             break
         if not yseqs:
+            stop = "no_live"
             break
-    if not finished and yseqs:
+    live_fallback = not finished and bool(yseqs)
+    if live_fallback:
         # nothing ever emitted eos: fall back to the best live hypothesis
         finished = [NBestEntry(yseqs[0][1:], float(score[0]),
                                {name: float(v[0]) for name, v in scores.items()})]
-    return NBestList.from_entries(finished)
+    return replace(NBestList.from_entries(finished), stop=stop, live_fallback=live_fallback)
 
 
 def beam_search(

@@ -240,6 +240,8 @@ def _decode_one(
     search = beam_search if sequential else batch_beam_search
     nbest = search(emission, vocab, full, config, partial)
     payload = _nbest_payload(nbest, vocab.tokens)
+    if nbest.live_fallback:
+        payload["live_fallback"] = True
     if with_oracle:
         max_len, _ = _resolve_lengths(config, emission.frames)
         try:

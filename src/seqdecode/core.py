@@ -398,10 +398,16 @@ class NBestList:
     """Score-descending hypotheses; ties prefer the lexicographically smaller
     token sequence. Entry yseqs carry neither sos nor eos. ``truncated``:
     the search stopped a frame at its work cap with an entry left that it
-    could still have expanded, so a better hypothesis may be missing."""
+    could still have expanded, so a better hypothesis may be missing.
+    ``stop``: why the label-synchronous search ended ("end_detect",
+    "max_steps", "no_live" or "no_candidates"; None from other searches).
+    ``live_fallback``: nothing finished, and the one entry is the best
+    live hypothesis."""
 
     entries: Tuple[NBestEntry, ...]
     truncated: bool = False
+    stop: Optional[str] = None
+    live_fallback: bool = False
 
     @classmethod
     def from_entries(cls, entries: Iterable[NBestEntry]) -> "NBestList":

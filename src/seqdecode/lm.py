@@ -347,6 +347,22 @@ class MultiLevelLMScorer(_WordFusionScorer):
             char_state=char_next,
         )
 
+    def select_states(self, scored, rows, tokens):
+        """``select_state`` for every kept cell in one pass: the char LM's
+        states in one call, and a closing only for a delimiter or eos
+        cell."""
+        char_next = self.char_lm.select_states([s[1] for s in scored], rows, tokens)
+        ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
+        out = []
+        for r, t, char_state in zip(rows.tolist(), tokens.tolist(), char_next):
+            state, _, char_vec = scored[r]
+            if t in ends:
+                out.append(MultiLevelState("", self._close_fragment(state)[1], 0.0, char_state))
+            else:
+                out.append(MultiLevelState(state.fragment + chars[t], state.context,
+                                           state.fragment_score + float(char_vec[t]), char_state))
+        return out
+
 
 @dataclass(frozen=True)
 class LookAheadState:
@@ -447,6 +463,25 @@ class LookAheadLMScorer(_WordFusionScorer):
             accumulated=state.accumulated + (child.mass - state.node.mass),
             dead=False,
         )
+
+    def select_states(self, scored, rows, tokens):
+        """``select_state`` for every kept cell in one pass, with a
+        closing only for a delimiter or eos cell."""
+        ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
+        out = []
+        for r, t in zip(rows.tolist(), tokens.tolist()):
+            state = scored[r]
+            if t in ends:
+                state = LookAheadState(self.trie.root, self._close(state)[1], 0.0, False)
+            elif not state.dead:
+                node = state.node
+                child = node.children.get(chars[t])
+                state = (LookAheadState(node, state.context, state.accumulated, True)
+                         if child is None else
+                         LookAheadState(child, state.context,
+                                        state.accumulated + (child.mass - node.mass), False))
+            out.append(state)
+        return out
 
 
 def _resolve_delimiter(vocab: Vocabulary, delimiter_id: Optional[int]) -> int:

@@ -245,8 +245,8 @@ class CTCPrefixState:
 @dataclass(eq=False)
 class _CTCScoredState:
     """What one scoring call keeps for building its selected successors:
-    the parents' forward variables, not the (T, B, C) recursion. It is the
-    call's sequence of scored states: item i is (self, i), parent i's
+    the parents' forward variables, not the successors' recursion. It is
+    the call's sequence of scored states: item i is (self, i), parent i's
     scored state, which ``select_state`` takes."""
 
     emission: EmissionMatrix
@@ -255,8 +255,7 @@ class _CTCScoredState:
     candidates: np.ndarray  # (B, C)
     psi: np.ndarray  # (B, C) log prefix probability of prefix + candidate
     repeat: np.ndarray  # (B, C) candidate repeats the parent's last label
-    r_b: np.ndarray  # (T, B) parents' blank variable
-    r_sum: np.ndarray  # (T, B) parents' total
+    fw: np.ndarray  # (2, W, B) the parents' r_sum and r_b, as ``_buffer`` lays them out
     prefix_lens: np.ndarray  # (B,) parents' label counts
     table: Tuple[np.ndarray, np.ndarray]  # the decode's _label_blocks(x), for the successors
 
@@ -275,16 +274,16 @@ def _successor(scored: _CTCScoredState, row: int, col: int) -> CTCPrefixState:
     score, n = float(scored.psi[row, col]), int(scored.prefix_lens[row]) + 1
     if scored.candidates[row, col] == scored.eos_id:
         return CTCPrefixState(None, None, None, score, n, scored.table)
-    r_nb, r_b, r_sum = _recursion(scored, np.array([row]), np.array([col]))[:, :, 0]
-    return CTCPrefixState(r_nb, r_b, r_sum, score, n, scored.table)
+    fw, r_nb = _recursion(scored, np.array([row]), np.array([col]))
+    T = len(r_nb)
+    return CTCPrefixState(r_nb[:, 0], fw[1, 1:T + 1, 0], fw[0, 1:T + 1, 0], score, n, scored.table)
 
 
 class _CTCBatch(Sequence):
     """The successor states of the cells (rows, cols) of one scoring call,
     as one batch: the next scoring call runs the recursion once for all of
-    them and reads r_b and r_sum as rows of its (3, T, k) result, with no
-    per-state work. Item k is cell k's ``CTCPrefixState``, built when asked
-    for (``_successor``)."""
+    them and scores from its buffer, with no per-state work. Item k is cell
+    k's ``CTCPrefixState``, built when asked for (``_successor``)."""
 
     def __init__(self, scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
         self.scored, self.rows, self.cols = scored, rows, cols
@@ -296,6 +295,13 @@ class _CTCBatch(Sequence):
 
     def __getitem__(self, k: int) -> CTCPrefixState:
         return _successor(self.scored, self.rows[k], self.cols[k])
+
+
+def _buffer(k: int, T: int) -> np.ndarray:
+    """(2, W, k) -inf for k prefixes' r_sum[t] ([0, t + 1]) and r_b[t] ([1,
+    t + 1]), W = T + 1 padded to whole ``_BLOCK``s: psi's phi once frame
+    T - 1 is cleared, the -inf at [:, 0] pairing with frame 0."""
+    return np.full((2, (T // _BLOCK + 1) * _BLOCK, k), NEG_INF)
 
 
 # a scanned r_nb / r_b entry is within _SCAN_TOL * (|r| - _SCAN_FLOOR) of
@@ -316,8 +322,8 @@ _RESTART_GAP = 800.0
 
 
 def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
-    """Forward variables r_nb, r_b, r_sum (T, k) of the successors at cells
-    (rows, cols).
+    """The successors at cells (rows, cols): their r_sum and r_b in one
+    ``_buffer`` and r_nb (T, k).
 
     Frame t of the recursion is r_nb[t] = logaddexp(r_nb[t-1], phi[t-1]) +
     x[t, c] and r_b[t] = r_sum[t-1] + x[t, blank], with r_sum[t] =
@@ -327,7 +333,8 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     logaddexp.accumulate(r_nb[t0-1], phi[t-1] - c[t-1]), r_sum[t] = d[t] +
     q[t] with q = logaddexp.accumulate(r_nb - d) from t0 - 1, and r_b[t] =
     d[t] + q[t-1]: two scans over frames per call, not two ufunc calls per
-    frame, and r_sum comes without a third.
+    frame, and r_sum comes without a third. phi is the parent's column of
+    its call's buffer, r_b for a repeat, which connects through r_b only.
 
     Where the label's (blank's) emission is -inf, r_nb (r_b) is exactly
     -inf, so that scan restarts there with no carry: a segmented scan
@@ -348,37 +355,38 @@ def _recursion(scored: _CTCScoredState, rows: np.ndarray, cols: np.ndarray):
     emission = scored.emission
     T = emission.frames
     labels = scored.candidates[rows, cols]
-    xs = emission[:, labels]  # (T, k)
-    x_blank = emission[:, scored.blank_id]
     n = scored.prefix_lens[rows]
-    phi = scored.r_sum[:, rows]
-    rep = np.flatnonzero(scored.repeat[rows, cols])  # a repeat connects through r_b only
-    phi[:, rep] = scored.r_b[:, rows[rep]]
+    # phi[t + 1] is the parent's r_sum[t], or its r_b[t] for a repeat
+    phi = np.ascontiguousarray(scored.fw[scored.repeat[rows, cols].astype(np.intp), :, rows].T)
+    fw = _buffer(len(rows), T)
+    r = (np.empty((T, len(rows))), fw[1, 1:], fw[0, 1:])  # r_nb, r_b, r_sum by frame
     t0 = max(1, int(n.min()))
-    r = np.empty((3,) + xs.shape)  # r_nb, r_b, r_sum
-    r[:, :t0] = NEG_INF  # the scans write every frame from t0 on
+    r[0][:t0] = NEG_INF  # the scans write every frame from t0 on
     if t0 == 1:  # only then may a parent be empty
-        r[0, 0, n == 0] = r[2, 0, n == 0] = xs[0, n == 0]
+        r[0][0, n == 0] = r[2][0, n == 0] = emission[0, labels[n == 0]]
     if t0 >= T:
-        return r
+        return fw, r[0]
     first = np.maximum(n, 1)
     neg_inf = emission.neg_inf_columns
     segmented = bool(neg_inf[scored.blank_id] or neg_inf[labels].any())
-    low = _scan(phi, xs, x_blank, first, segmented, r, t0, T)
+    low = _scan(phi, emission, labels, scored.blank_id, first, segmented, r, t0, T)
     # a column whose sums fall below the floor scans again in blocks of its
     # own (``_floor_blocks``), with the columns whose blocks are the same
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    for j in low.tolist():
-        groups.setdefault(_floor_blocks(xs[:, j], x_blank, int(first[j])), []).append(j)
+    for j in low:
+        bounds = _floor_blocks(emission[:, labels[j]], emission[:, scored.blank_id], int(first[j]))
+        groups.setdefault(bounds, []).append(j)
     for bounds, js in groups.items():
-        sub = r[:, :, js]
+        sub = [a[:, js] for a in r]
         for s, e in zip(bounds, bounds[1:]):
-            _scan(phi[:, js], xs[:, js], x_blank, first[js], segmented, sub, s, e)
+            _scan(phi[:, js], emission, labels[js], scored.blank_id, first[js], segmented, sub,
+                  s, e)
             # each block hands on r_sum = logaddexp(r_nb, r_b), so a block
             # of one frame is the frame loop's step
-            np.logaddexp(sub[0, e - 1], sub[1, e - 1], out=sub[2, e - 1])
-        r[:, :, js] = sub
-    return r
+            np.logaddexp(sub[0][e - 1], sub[1][e - 1], out=sub[2][e - 1])
+        for a, b in zip(r, sub):
+            a[:, js] = b
+    return fw, r[0]
 
 
 def _floor_blocks(x_label: np.ndarray, x_blank: np.ndarray, first: int) -> Tuple[int, ...]:
@@ -409,9 +417,10 @@ def _floor_blocks(x_label: np.ndarray, x_blank: np.ndarray, first: int) -> Tuple
     return tuple(bounds)
 
 
-def _scan(phi, xs, x_blank, first, segmented, r, s, e):
+def _scan(phi, x, labels, blank, first, segmented, r, s, e):
     """Frames s..e-1 of the recursion in place in r = (r_nb, r_b, r_sum),
-    from its values at frame s - 1, as two scans over the frames. If
+    indexed by frame, from its values at frame s - 1, as two scans over the
+    frames; phi[t + 1] is the parent's term of frame t + 1. If
     ``segmented``, each scan whose own emissions (the label's for r_nb, the
     blank's for r_b and r_sum) have a -inf in frames s..e-1 restarts there;
     the other runs plain, where its offsets would all be 0.0 and a running
@@ -419,32 +428,34 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
     Returns the columns whose label or blank sums fall below
     ``_SCAN_FLOOR``; their values are not to be used.
     """
-    r_nb, r_b, r_sum = r[0, s - 1:e], r[1, s - 1:e], r[2, s - 1:e]
-    # sums[:, j] = the (label, blank) emissions summed over frames
-    # s..s-1+j, from each column's first frame on
-    sums = np.empty((2, e - s + 1, xs.shape[1]))
-    sums[:, 0] = 0.0
-    sums[0, 1:] = xs[s:e]
-    sums[1, 1:] = x_blank[s:e, None]
+    r_nb, r_b, r_sum = r[0][s - 1:e], r[1][s - 1:e], r[2][s - 1:e]
+    k = len(first)
+    # c[j] and d[j] = the label's and the blank's emissions summed over
+    # frames s..s-1+j, from each column's first frame on: the blank's as one
+    # column shared by all unless their first frames differ
+    c, d = x[s - 1:e, labels], x[s - 1:e, [blank]]
+    c[0] = d[0] = 0.0
     if first.max() > s:
-        sums[:, 1:][:, np.arange(s, e)[:, None] < first] = 0.0
+        before = np.arange(s - 1, e)[:, None] < first
+        c[before] = 0.0
+        d = np.where(before, 0.0, d)
     seg_nb = seg_b = False
     if segmented:
-        restart = np.isneginf(sums)
-        seg_nb, seg_b = restart.any(axis=(1, 2)).tolist()
+        restart = np.isneginf(c), np.isneginf(d)
+        seg_nb, seg_b = bool(restart[0].any()), bool(restart[1].any())
     if seg_nb or seg_b:
-        sums[restart] = 0.0
+        c[restart[0]] = d[restart[1]] = 0.0
         # a column's finite terms lie from the later of s and its first
         # frame to e: a count the column fixes, whatever shares the call
         # (one bounds a column that starts past e, which has none)
         terms = np.maximum(e + 1 - np.maximum(first, s), 1).tolist()
         gap = np.array([math.log(n) + _RESTART_GAP for n in terms])
-    np.cumsum(sums, axis=1, out=sums)
-    c, d = sums
+    np.cumsum(c, axis=0, out=c)
+    np.cumsum(d, axis=0, out=d)
     with np.errstate(invalid="ignore"):  # columns below the floor may come out nan
         acc = np.empty(c.shape)
         acc[0] = r_nb[0]
-        np.subtract(phi[s - 1:e - 1], c[:-1], out=acc[1:])
+        np.subtract(phi[s:e], c[:-1], out=acc[1:])
         if seg_nb:
             acc[restart[0]] = NEG_INF  # r_nb is -inf there
             off, stale = _offsets(acc, restart[0], gap)
@@ -454,7 +465,7 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
             acc -= off
             acc[acc < stale] = NEG_INF
         np.add(acc[1:], c[1:], out=r_nb[1:])
-        q = np.subtract(r_nb, d)
+        q = np.subtract(r_nb, d, out=acc)
         q[0] = r_sum[0]
         if seg_b:
             off, stale = _offsets(q, restart[1], gap)
@@ -471,10 +482,9 @@ def _scan(phi, xs, x_blank, first, segmented, r, s, e):
             prev = q[:-1]
         np.add(prev, d[1:], out=r_b[1:])
         np.add(q[1:], d[1:], out=r_sum[1:])
-    last = sums[:, -1]
-    if last.min() >= _SCAN_FLOOR:  # a nan fails this and takes the full check
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(~(last >= _SCAN_FLOOR).all(axis=0))
+    if c[-1].min() >= _SCAN_FLOOR and d[-1].min() >= _SCAN_FLOOR:  # a nan takes the full check
+        return []
+    return np.flatnonzero(~((c[-1] >= _SCAN_FLOOR) & (d[-1] >= _SCAN_FLOOR))).tolist()
 
 
 def _offsets(a: np.ndarray, restart: np.ndarray, gap: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -552,45 +562,47 @@ def _psi_tol(T: int, at: np.ndarray) -> np.ndarray:
 
 
 def _blocks(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(e, shift) of the (L, n) log-domain columns ``a`` in nb blocks of
-    ``_BLOCK`` frames, padded with -inf: shift (n, nb) is each block's
-    largest entry (-inf for a block without mass), and e (n, nb, _BLOCK)
-    its entries less that shift, exponentiated, so at most 1 (0 where
-    -inf)."""
-    L, n = a.shape
-    nb = -(-L // _BLOCK)
-    e = np.full((nb * _BLOCK, n), NEG_INF)
-    e[:L] = a
-    e = e.reshape(nb, _BLOCK, n)
-    shift = e.max(axis=1)
-    e -= np.where(shift > NEG_INF, shift, 0.0)[:, None]
+    """(e, shift) of the (P, nb * _BLOCK, n) log-domain columns ``a`` in nb
+    blocks of ``_BLOCK`` entries, one row per column, p major: shift (P n,
+    nb) is each block's largest entry (-inf for a block without mass), and
+    e (P n, nb, _BLOCK) its entries less that shift, exponentiated, so at
+    most 1 (0 where -inf)."""
+    P, L, n = a.shape
+    blocks = a.reshape(P, L // _BLOCK, _BLOCK, n)
+    shift = blocks.max(axis=2)
+    e = blocks - np.where(shift > NEG_INF, shift, 0.0)[:, :, None]
     np.exp(e, out=e)
-    return np.ascontiguousarray(e.transpose(2, 0, 1)), shift.T
+    return (e.transpose(0, 3, 1, 2).reshape(P * n, -1, _BLOCK),
+            shift.transpose(0, 2, 1).reshape(P * n, -1))
 
 
 def _label_blocks(x: EmissionMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """``_blocks(x)`` of a decode's (T, V) emissions, the table its CTC
-    states hold, built 256 labels at a time: the build's scratch is that of
-    one such slice, not a second (V, nb, _BLOCK) array. Here and in
-    ``_block_psi`` and ``_peak_bounds``, ``x`` is read only by indexing,
-    which gives float64 values from an ``EmissionMatrix`` (or from a
-    float64 array)."""
+    """``_blocks`` of a decode's (T, V) emissions padded with -inf to whole
+    blocks: the table its CTC states hold, built 256 labels at a time, so
+    the build's scratch is that of one such slice, not a second (V, nb,
+    _BLOCK) array. Here and in ``_block_psi`` and ``_peak_bounds``, ``x``
+    is read only by indexing, which gives float64 values from an
+    ``EmissionMatrix`` (or from a float64 array)."""
     T, V = x.shape
     nb = -(-T // _BLOCK)
     e, shift = np.empty((V, nb, _BLOCK)), np.empty((V, nb))
     for j in range(0, V, 256):
-        e[j:j + 256], shift[j:j + 256] = _blocks(x[:, j:j + 256])
+        a = np.full((nb * _BLOCK, min(256, V - j)), NEG_INF)
+        a[:T] = x[:, j:j + 256]
+        e[j:j + 256], shift[j:j + 256] = _blocks(a[None])
     return e, shift
 
 
 def _block_psi(x: EmissionMatrix, table: Tuple[np.ndarray, np.ndarray], phi: np.ndarray,
-               labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """psi of k cells, the log-sum over frames t of ``phi[t, row] + x[t,
-    label]`` given per cell (phi the (T, n) parent columns), as a blocked
+               labels: np.ndarray, rows: np.ndarray, j0: int = 0) -> np.ndarray:
+    """psi of k cells, the log-sum over frames t of ``phi[p, t, j] + x[t,
+    label]`` given per cell by its row p n + j (phi (P, L, n): P planes of
+    n parents by absolute frame, L at least the table's blocks and -inf
+    from frame T on, as a ``_buffer``), as a blocked
     product: per block of ``_BLOCK`` frames, the log of the sum of the
     label's and the parent's exponentiated block entries multiplied, plus
     their two shifts; then a log-sum over the blocks. ``table`` is
-    ``_label_blocks(x)``.
+    ``_label_blocks(x)``; the products skip the j0 first blocks, all -inf.
 
     Every step is elementwise or a reduction along a cell's own last axis,
     so a cell's psi does not depend on the other cells of the call. It is
@@ -599,32 +611,42 @@ def _block_psi(x: EmissionMatrix, table: Tuple[np.ndarray, np.ndarray], phi: np.
     ``_UNDERFLOW_GAP`` above its best block (which covers a finite cell
     whose blocks all underflowed) takes the fold itself.
     """
-    e, shift = table[0][labels], table[1][labels]
-    pe, ps = _blocks(phi)
-    a = shift + ps[rows]  # (k, nb) the blocks' shifts; -inf where a block has no mass
+    shift = table[1].take(labels, axis=0)
+    (k, nb), T = shift.shape, x.shape[0]
+    pe, ps = _blocks(phi[:, j0 * _BLOCK:nb * _BLOCK])
+    # (nb, k) each cell's block log-sums z and the blocks' two shifts a
+    # (-inf without mass), so the maxima over blocks reduce the long axis
+    za = np.full((2, nb, k), NEG_INF)
+    z, a = za
+    a[j0:] = (shift[:, j0:] + ps.take(rows, axis=0)).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.log(np.einsum("ijk,ijk->ij", e, pe[rows]))
+        z[j0:] = np.log(np.einsum("ijk,ijk->ij", table[0][labels, j0:], pe[rows])).T
         z += a
-        best = z.max(axis=1)
+        top = za.max(axis=1)
+        best = top[0]
         base = np.where(best > NEG_INF, best, 0.0)
         # a block more than 700 below the best adds under 2^-1009 to a sum
         # of at least 1 whatever it holds; clipped there, exp skips its slow
         # underflow path
-        z -= base[:, None]
+        z -= base
         np.maximum(z, -700.0, out=z)
-        psi = np.log(np.exp(z).sum(axis=1))
+        # summed in the order numpy sums a cell's (nb,) row: block by block
+        # below 8 blocks, as the (nb, k) layout's column sums are
+        ez = np.exp(z)
+        psi = np.log(ez.sum(axis=0) if nb < 8 else np.ascontiguousarray(ez.T).sum(axis=1))
         psi += base
         psi[best == NEG_INF] = NEG_INF
-        exposed = np.flatnonzero(a.max(axis=1) - best > _UNDERFLOW_GAP)
+        exposed = np.flatnonzero(top[1] - best > _UNDERFLOW_GAP)
     if exposed.size:
-        psi[exposed] = np.logaddexp.reduce(
-            phi[:, rows[exposed]] + x[:, labels[exposed]], axis=0)
+        cols = phi[:, :T].transpose(1, 0, 2).reshape(T, -1)
+        psi[exposed] = np.logaddexp.reduce(cols[:, rows[exposed]] + x[:, labels[exposed]], axis=0)
     return psi
 
 
-def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
+def _peak_bounds(peaks, x, cands, repeat, psi0, fw, t0):
     """(lo, hi) with lo <= psi <= hi for every (B, P) cell, without its
-    frame terms: O(T B + B P) work against O((T - t0) B P) for psi.
+    frame terms: O(T B + B P) work against O((T - t0) B P) for psi. ``fw``
+    is the parents' ``_buffer``.
 
     hi bounds each term by ``r_sum[t-1] + max_t x[t, c]`` (r_sum >= r_b,
     so this holds for repeats too): psi <= logaddexp(psi0,
@@ -644,10 +666,10 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     T = x.shape[0]
     B = cands.shape[0]
     col_max, col_peak = peaks
-    phi = r_sum[t0 - 1:T - 1]
+    phi = fw[0, t0:T]  # (T - t0, B) r_sum[t-1] for t = t0..T-1
     tb = t0 + phi.argmax(axis=0)
-    flat, b = np.ravel(r_sum), np.arange(B)  # r_sum[t, b] is flat[t * B + b]
-    peak = flat.take((tb - 1) * B + b)
+    flat, b = fw[0].ravel(), np.arange(B)  # r_sum[t-1, b] is flat[t * B + b]
+    peak = flat.take(tb * B + b)
     shift = np.where(peak > NEG_INF, peak, 0.0)
     with np.errstate(divide="ignore"):
         top = (np.log(np.exp(phi - shift).sum(axis=0)) + shift)[:, None] + col_max[cands]
@@ -658,13 +680,13 @@ def _peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0):
     hi[top == NEG_INF] = NEG_INF
 
     tc = np.maximum(col_peak[cands], t0)
-    lo = np.maximum(flat.take((tc - 1) * B + b[:, None]) + x[tc, cands],
+    lo = np.maximum(flat.take(tc * B + b[:, None]) + x[tc, cands],
                     peak[:, None] + x[tb[:, None], cands])
     rows, cols = np.nonzero(repeat)
     labels, tc = cands[rows, cols], tc[rows, cols]
-    tb = t0 + r_b[t0 - 1:T - 1, rows].argmax(axis=0)
-    lo[rows, cols] = np.maximum(r_b[tc - 1, rows] + x[tc, labels],
-                                r_b[tb - 1, rows] + x[tb, labels])
+    tb = t0 + fw[1, t0:T, rows].argmax(axis=1)
+    lo[rows, cols] = np.maximum(fw[1, tc, rows] + x[tc, labels],
+                                fw[1, tb, rows] + x[tb, labels])
     lo = np.maximum(lo, psi0)
     return lo - _psi_tol(T, lo), hi
 
@@ -702,8 +724,9 @@ class CTCPrefixScorer(PartialScorer):
     stated bound of the frame loop (``_recursion``): ``select_state`` runs
     it for its one cell at once, and ``select_states`` keeps one call's
     successors as one ``_CTCBatch``, whose recursion the next call runs
-    whole and reads as its parents' arrays. An eos cell's state is terminal
-    and cannot be scored. ``score_partial`` is the batched kernel at B=1.
+    whole, into one ``_buffer`` that is psi's phi as it stands (a list of
+    states is copied into one). An eos cell's state is terminal and cannot
+    be scored. ``score_partial`` is the batched kernel at B=1.
 
     Given ``keep``, on a call of at least ``_TIERED_MIN_TERMS`` frame terms
     ``batch_score_partial`` first bounds every cell without its terms
@@ -761,7 +784,7 @@ class CTCPrefixScorer(PartialScorer):
         B, P = cands.shape
 
         if isinstance(states, _CTCBatch):
-            _, r_b, r_sum = _recursion(states.scored, states.rows, states.cols)  # (T, B) each
+            fw = _recursion(states.scored, states.rows, states.cols)[0]
             table = states.scored.table
             prefix_lens, prefix_scores = states.prefix_lens, states.prefix_scores
         else:
@@ -770,54 +793,45 @@ class CTCPrefixScorer(PartialScorer):
             table = states[0].table
             prefix_lens = np.array([s.prefix_len for s in states])
             prefix_scores = np.array([s.prefix_score for s in states])
-            if len(states) == 1:  # a view of its columns, no copy
-                r_b, r_sum = states[0].r_b[:, None], states[0].r_sum[:, None]
-            else:
-                r_b = np.stack([s.r_b for s in states], axis=1)
-                r_sum = np.stack([s.r_sum for s in states], axis=1)
+            fw = _buffer(B, T)
+            for j, s in enumerate(states):
+                fw[0, 1:T + 1, j], fw[1, 1:T + 1, j] = s.r_sum, s.r_b
         prefix_scores = prefix_scores[:, None]
         last = np.array([p[-1] if p else -1 for p in prefixes])
-        last[prefix_lens == 0] = -1
-        repeat = cands == last[:, None]  # (B, C)
         eos_mask = cands == self.eos_id
-        eos_psi = r_sum[T - 1, np.flatnonzero(eos_mask) // P]
+        eos_psi = fw[0, T, np.nonzero(eos_mask)[0]]
+        fw[:, T] = NEG_INF  # frame T - 1's variables: psi's phi ends before
 
         # psi = log-sum over t of phi[t-1] + x[t, c], the frame-0 term x[0, c]
         # for the empty prefix; frames before t0 add only -inf
-        empty = prefix_lens == 0
-        any_empty = bool(empty.any())
-        if any_empty:
+        t0 = int(prefix_lens.min())
+        if t0 == 0:
+            empty = prefix_lens == 0
+            last[empty] = -1
             psi = np.where(empty[:, None], emission[0, cands], NEG_INF)  # (B, C)
+            fw[0, 0, empty] = 0.0  # phi's frame-0 term, for x[0, c]
         else:
             psi = np.full(cands.shape, NEG_INF)
-        t0 = max(1, int(prefix_lens.min()))
+        repeat = cands == last[:, None]  # (B, C)
+        t0 = max(1, t0)
         if t0 < T:
-            built = np.flatnonzero(~eos_mask)  # the cells whose psi is computed
+            built = slice(None)  # the cells whose psi is computed; eos cells' is replaced
             if keep is not None and (T - t0) * cands.size >= _TIERED_MIN_TERMS:
                 lo, hi = _peak_bounds(
-                    emission.column_peaks, emission, cands, repeat, psi, r_sum, r_b, t0)
+                    emission.column_peaks, emission, cands, repeat, psi, fw, t0)
                 lo[eos_mask] = hi[eos_mask] = eos_psi
                 kept = keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
                 built = np.flatnonzero(kept & (lo < hi))
                 psi = hi  # stands in for psi where no psi is computed
-            # phi by absolute frame, one column per parent: r_sum, then r_b
-            # of each parent with a repeat, which connects through r_b only;
-            # frame 0 holds the empty prefix's x[0, c] term
-            rows, cols = np.divmod(built, P)
-            rep = np.flatnonzero(repeat[rows, cols])
-            phi = np.empty((T, B + rep.size))
-            phi[0] = NEG_INF
-            if any_empty:
-                phi[0, :B][empty] = 0.0
-            phi[1:, :B] = r_sum[:T - 1]
-            phi[1:, B:] = r_b[:T - 1, rows[rep]]
-            rows[rep] = B + np.arange(rep.size)
-            psi.ravel()[built] = _block_psi(emission, table, phi, cands.ravel()[built], rows)
+            # phi is the buffer by absolute frame: a parent's r_sum row, or
+            # its r_b row for a repeat, which connects through r_b only
+            rows = (np.arange(B)[:, None] + B * repeat).ravel()[built]
+            psi.ravel()[built] = _block_psi(emission, table, fw[:1 + int(rows.max(initial=0) >= B)],
+                                            cands.ravel()[built], rows, t0 // _BLOCK)
         psi[eos_mask] = eos_psi
 
         scored = _CTCScoredState(
             emission=emission, blank_id=self.blank_id, eos_id=self.eos_id, candidates=cands,
-            psi=psi, repeat=repeat,
-            r_b=r_b, r_sum=r_sum, prefix_lens=prefix_lens, table=table,
+            psi=psi, repeat=repeat, fw=fw, prefix_lens=prefix_lens, table=table,
         )
         return _minus(psi, prefix_scores), scored

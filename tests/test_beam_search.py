@@ -33,6 +33,7 @@ from seqdecode.beam_search import (
     top_candidate_ids,
 )
 from seqdecode import scorers as scorers_mod
+from seqdecode.cli import _synth_bench_instance
 from seqdecode.core import DecodeError, NBestEntry, NBestList
 
 from conftest import (
@@ -298,6 +299,62 @@ class TestEndDetect:
     def test_needs_window_history(self):
         pool = self._finished(-1.0)
         assert not end_detect(pool, [-20.0], window=3, margin=-10.0)
+
+
+class TestStopReason:
+    """The n-best says why the search ended, and whether its one entry is
+    the live fallback; the entries are those of the search alone."""
+
+    @staticmethod
+    def ctc_search(search, em, vocab, **config):
+        """CTC alone ranks the labels: a uniform attention stand-in, and a
+        pre-beam of every token."""
+        cfg = BeamConfig(weights={"att": 0.5, "ctc": 0.5}, pre_beam_size=vocab.size, **config)
+        return search(em, vocab, {"att": TableScorer(0, vocab.size, {})}, cfg,
+                      {"ctc": CTCPrefixScorer(vocab.blank_id, vocab.eos_id)})
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_random_logits_run_out_of_steps_on_the_live_fallback(self, search):
+        # criterion 8's instance: random logits never make eos the best
+        vocab, em, full, partial_ = _synth_bench_instance(np.random.default_rng(11), 50, 20)
+        cfg = BeamConfig(weights={"att": 0.7, "ctc": 0.3}, beam_size=4, max_len_ratio=0.5)
+        nbest = search(em, vocab, full, cfg, partial_)
+        assert nbest.stop == "max_steps" and nbest.live_fallback
+        assert len(nbest) == 1 and len(nbest.best().yseq) == 10
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_planted_transcript_ends_by_end_detect(self, search):
+        rng = np.random.default_rng(9630)
+        vocab = make_vocab(8)
+        labels = [int(t) for t in rng.choice(vocab.label_ids(), 5)]
+        em = planted_emission(rng, vocab, labels)
+        nbest = self.ctc_search(search, em, vocab, beam_size=3)
+        assert nbest.stop == "end_detect" and not nbest.live_fallback
+        assert nbest.best().yseq == tuple(labels)
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_a_beam_of_eos_cells_leaves_no_live_hypothesis(self, search):
+        # beam 1: the planted transcript's eos cell is the only kept cell
+        rng = np.random.default_rng(9631)
+        vocab = make_vocab(8)
+        labels = [int(t) for t in rng.choice(vocab.label_ids(), 3)]
+        em = planted_emission(rng, vocab, labels)
+        nbest = self.ctc_search(search, em, vocab, beam_size=1)
+        assert nbest.stop == "no_live" and not nbest.live_fallback
+        assert [e.yseq for e in nbest.entries] == [tuple(labels)]
+
+    @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
+    def test_no_allowed_candidate_ends_on_the_live_fallback(self, search):
+        # no label, and eos not yet allowed: the empty live hypothesis
+        vocab = make_vocab(0)
+        em = random_emission(np.random.default_rng(9632), 4, vocab.size)
+        nbest = self.ctc_search(search, em, vocab, beam_size=1, min_len_ratio=0.5)
+        assert nbest.stop == "no_candidates" and nbest.live_fallback
+        assert [e.yseq for e in nbest.entries] == [()]
+
+    def test_other_searches_leave_the_fields_unset(self):
+        nbest = NBestList.from_entries([NBestEntry((1,), -1.0)])
+        assert nbest.stop is None and not nbest.live_fallback
 
 
 class TestBatchEquivalence:
@@ -1404,9 +1461,9 @@ class TestFoldWorkBound:
         built, calls = [], []
         block_psi = scorers_mod._block_psi
 
-        def counting(x, table, phi, labels, rows):
+        def counting(x, table, phi, labels, rows, *rest):
             built.append(labels.size)
-            return block_psi(x, table, phi, labels, rows)
+            return block_psi(x, table, phi, labels, rows, *rest)
 
         class Counting(CTCPrefixScorer):
             def batch_score_partial(self, prefixes, candidates, states, emission, keep=None):
@@ -1592,7 +1649,7 @@ class TestNanScores:
         with pytest.raises(DecodeError, match=f"^search step 3: scorer '{name}' returned nan$"):
             search(em, vocab, fulls, cfg, {**parts, name: WrappedPartialScorer(bad)})
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in add")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("search", [beam_search, batch_beam_search])
     def test_opposite_infinities_are_a_decode_error(self, search):
         rng, vocab, em, fulls, parts, weights = nan_instance(11)

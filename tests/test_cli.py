@@ -149,6 +149,18 @@ class TestDecode:
         assert [u["oracle"]["match"] for u in read_json(out)["utterances"]] == [True, False, True]
         assert capsys.readouterr().err == "oracle mismatch on 1 utterance(s)\n"
 
+    @pytest.mark.parametrize("finishes", [True, False])
+    def test_payload_says_live_fallback_only_when_it_was(self, decode_setup, finishes):
+        # one step: eos is a candidate from the start, or not before step 3
+        tmp_path, config, _ = decode_setup
+        beam = {**config["beam"], "max_steps": 1, "min_len_ratio": 0.0 if finishes else 0.9}
+        config_path = write_json(tmp_path / "one-step.json", {**config, "beam": beam})
+        out = tmp_path / "out.json"
+        assert main(["decode", "--config", config_path, "--output", str(out)]) == 0
+        payload = read_json(out)
+        assert set(payload) == ({"nbest"} if finishes else {"nbest", "live_fallback"})
+        assert payload.get("live_fallback", True) is True
+
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["decode", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -711,6 +712,32 @@ class TestBatchKernels:
                 assert any(not s.dead and s.node.mass == -np.inf for s in states)
         else:
             assert any(s.fragment and s.fragment not in scorer.word_lm.vocab for s in states)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", FUSION_CASES)
+    @pytest.mark.parametrize("kind", ["multilevel", "lookahead"])
+    def test_select_states_equals_the_select_state_loop(self, tmp_path, kind, case, seed):
+        # random kept cells of one batch, each row's delimiter and eos
+        # cells among them, state for state as select_state gives them
+        rng = np.random.default_rng(32000 + 7 * seed + len(case))
+        scorer, vocab, lexicon = fusion_case(tmp_path, rng, kind, case)
+        prefixes, states = map(list, zip(*random_walk_states(rng, scorer, vocab, 40, lexicon)))
+        _, scored = scorer.batch_score(prefixes, states, None)
+        ends = [scorer.delimiter_id, vocab.eos_id]
+        rows = np.concatenate((rng.integers(len(states), size=80), np.repeat(np.arange(8), 2)))
+        tokens = np.concatenate((rng.choice(list(vocab.label_ids()) + ends, size=80), ends * 8))
+        got = scorer.select_states(scored, rows, tokens)
+        want = [scorer.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
+        assert len(got) == len(want)
+        score = "accumulated" if kind == "lookahead" else "fragment_score"
+        for a, b in zip(got, want):  # the score bit for bit, nan included
+            assert getattr(a, score).hex() == getattr(b, score).hex()
+            assert replace(a, **{score: 0.0}) == replace(b, **{score: 0.0})
+        kept = [states[r] for r in rows.tolist()]
+        if kind == "lookahead":
+            assert any(s.dead for s in kept) and any(s.dead for s in got)
+        else:
+            assert any(s.fragment and s.fragment not in scorer.word_lm.vocab for s in kept)
 
     def test_node_rows_are_built_once_per_node(self, tmp_path, rng):
         scorer, vocab, lexicon = fusion_case(tmp_path, rng, "lookahead", "random")

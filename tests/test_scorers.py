@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,31 @@ def assert_columns(states, r):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def variables(recursion):
+    """``_recursion``'s (buffer, r_nb) as the (3, T, k) array of r_nb, r_b
+    and r_sum, one column per successor."""
+    fw, r_nb = recursion
+    T = len(r_nb)
+    return np.stack((r_nb, fw[1, 1:T + 1], fw[0, 1:T + 1]))
+
+
+def padded(phi):
+    """The (T, n) columns ``phi`` as ``_block_psi`` reads its parents: a
+    (1, L, n) array, -inf padded to whole blocks."""
+    T, n = phi.shape
+    columns = np.full((1, -(-T // scorers_mod._BLOCK) * scorers_mod._BLOCK, n), NEG_INF)
+    columns[0, :T] = phi
+    return columns
+
+
+def forward_buffer(r_sum, r_b):
+    """The (T, B) parents' r_sum and r_b as one ``_buffer``."""
+    T, B = r_sum.shape
+    fw = scorers_mod._buffer(B, T)
+    fw[0, 1:T + 1], fw[1, 1:T + 1] = r_sum, r_b
+    return fw
+
+
 def peaked_logits(rng, frames, vocab_size, peak=8.0, noise=0.5):
     """Logits with a peak on a random token per frame, as a trained model's."""
     logits = noise * rng.normal(size=(frames, vocab_size))
@@ -521,7 +547,8 @@ def drive_kernel(edge, seed, via):
                 successors.append((prefixes[i] + (tok,), state, ref))
         for call, cells in kept.values():
             rows, cols, selected = zip(*cells)
-            assert_columns(selected, scorers_mod._recursion(call, np.array(rows), np.array(cols)))
+            assert_columns(selected, variables(
+                scorers_mod._recursion(call, np.array(rows), np.array(cols))))
         if not successors:
             break
         hyps = successors
@@ -592,11 +619,12 @@ def expand_all(scorer, em, hyps, cands):
 
 def call_recursion(scorer, em, hyps, cands):
     """A function that runs one ``_recursion`` over every (B, P) cell of
-    one scoring call of the parents ``hyps`` on ``cands``: (3, T, B * P),
-    columns in C order as ``expand_all`` lists the cells."""
+    one scoring call of the parents ``hyps`` on ``cands``: its
+    ``variables``, (3, T, B * P), columns in C order as ``expand_all``
+    lists the cells."""
     _, scored = scorer.batch_score_partial([h[0] for h in hyps], cands, [h[1] for h in hyps], em)
     rows, cols = np.divmod(np.arange(cands.size), cands.shape[1])
-    return lambda: scorers_mod._recursion(scored, rows, cols)
+    return lambda: variables(scorers_mod._recursion(scored, rows, cols))
 
 
 def extend(scorer, em, labels):
@@ -762,7 +790,7 @@ class TestScanRecursion:
         scans = []  # the column count of each scan: the call, then the blocks
         scan = scorers_mod._scan
         monkeypatch.setattr(scorers_mod, "_scan",
-                            lambda *a: scans.append(a[1].shape[1]) or scan(*a))
+                            lambda *a: scans.append(len(a[2])) or scan(*a))
         assert_columns([state for _, state, _ in cells], run())
         assert scans[0] == 2 and len(scans) > 2 and set(scans[1:]) == {1}
         (_, below, ref), (_, above, ref_above) = cells
@@ -959,7 +987,7 @@ class TestSegmentedScan:
         run = call_recursion(scorer, em, hyps, labels[None, :])
         scans = []
         scan = scorers_mod._scan
-        monkeypatch.setattr(scorers_mod, "_scan", lambda *a: scans.append(a[1].shape[1]) or scan(*a))
+        monkeypatch.setattr(scorers_mod, "_scan", lambda *a: scans.append(len(a[2])) or scan(*a))
         assert_columns([state for _, state, _ in cells], run())
         assert scans[0] == 8 and len(scans) < T / 2
         for _, state, ref in cells:
@@ -1005,6 +1033,142 @@ class TestPrunedKernel:
             assert any(s[key] for s in seen), key
 
 
+def buffer_edge(edge, seed, f32=None):
+    """One scoring call on an edge of the one-buffer kernel: (scorer, em,
+    hyps, cands), each row's candidates every token but the blank (its
+    repeat and eos among them). Given ``f32``, the emission's values are
+    rounded to float32 and stored in float32 or, widened, in float64."""
+    rng = np.random.default_rng(7800 + 31 * seed + len(edge))
+    V = 4 if edge == "b_ge_v" else 7
+    T = {"t1": 1, "beyond_half": 9}.get(edge, int(rng.integers(20, 70)))
+    logits = peaked_logits(rng, T, V, peak=3.0)
+    if edge == "neg_inf":  # segmented scans
+        logits[:, 1:V - 1] = np.where(rng.random((T, V - 2)) < 0.3, -np.inf, logits[:, 1:V - 1])
+    elif edge == "masked":  # a column whose sums fall below the floor
+        logits[:, 2] = np.where(rng.random(T) < 0.3, -1e10, logits[:, 2])
+    em = EmissionMatrix.from_logits(logits)
+    if f32 is not None:
+        em = EmissionMatrix(em.data.astype(np.float32).astype(f32))
+    scorer = CTCPrefixScorer(blank_id=0, eos_id=V - 1)
+    labels = {
+        "t1": [[], [2]],
+        "b_ge_v": [[], [1], [2], [1, 2], [2, 1]],  # B = 5 >= V
+        "beyond_half": [[1, 2, 1, 3, 2], [2, 1, 3, 1, 2]],
+        "mixed": [[], [2], [1, 3, 1, 4]],
+    }.get(edge, [[2], [1, 3], [3, 3]])
+    hyps = [extend(scorer, em, seq) for seq in labels]
+    cands = np.stack([rng.permutation(np.arange(1, V)) for _ in hyps])
+    return scorer, em, hyps, cands
+
+
+def block_psi_reference(scorer, em, prefixes, cands, states):
+    """psi of one call as the block product of phi assembled cell by cell
+    (the parent's r_sum, r_b for a repeat, by absolute frame, 0 at frame 0
+    for the empty prefix) and padded with -inf, the eos cells the parent's
+    r_sum[T-1]: the call's psi bit for bit, a cell's psi depending on its
+    terms alone."""
+    T = em.frames
+    phi = np.full((T, cands.size), NEG_INF)
+    for k, (i, j) in enumerate(np.ndindex(*cands.shape)):
+        state = states[i]
+        phi[0, k] = 0.0 if state.prefix_len == 0 else NEG_INF
+        repeat = state.prefix_len > 0 and cands[i, j] == prefixes[i][-1]
+        phi[1:, k] = (state.r_b if repeat else state.r_sum)[:T - 1]
+    psi = scorers_mod._block_psi(em, state.table, padded(phi), cands.ravel(),
+                                 np.arange(cands.size)).reshape(cands.shape)
+    eos = cands == scorer.eos_id
+    psi[eos] = np.array([s.r_sum[-1] for s in states])[np.nonzero(eos)[0]]
+    return psi
+
+
+def buffer_steps(scorer, em, hyps, cands, rng, steps=3):
+    """Score ``steps`` calls in turn, each checked against the frame loop
+    and against its pruned entry (``check_pruned_entry``), its psi bit for
+    bit ``block_psi_reference``'s, and select up to
+    four live cells of each: the next call on ``select_states``' batch and
+    on ``select_state``'s states alike, bit for bit. Returns each call's
+    (scores, psi) as int64 bits."""
+    prefixes, states = [h[0] for h in hyps], [h[1] for h in hyps]
+    bits = []
+    for _ in range(steps):
+        def reference():
+            return frame_loop_reference(prefixes, cands, [ctc_state(s) for s in states], em.data,
+                                        scorer.blank_id, scorer.eos_id)
+
+        scores, scored = check_pruned_entry(scorer, prefixes, cands, states, em, reference)
+        bits.append((scores.view(np.int64), scored[0][0].psi.view(np.int64)))
+        if em.frames > 1:  # at T=1 no psi takes the product
+            want = block_psi_reference(scorer, em, prefixes, cands, list(states))
+            assert np.array_equal(bits[-1][1], want.view(np.int64))
+        live = np.flatnonzero(cands.ravel() != scorer.eos_id)
+        rows, cols = np.divmod(rng.choice(live, size=min(4, live.size), replace=False), cands.shape[1])
+        tokens = cands[rows, cols]
+        batch = scorer.select_states(scored, rows, tokens)
+        alone = [scorer.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
+        assert all(ctc_states_equal(batch[k], state) for k, state in enumerate(alone))
+        prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), tokens.tolist())]
+        cands = np.stack([rng.permutation(cands[0]) for _ in prefixes])
+        for got, want in zip(scorer.batch_score_partial(prefixes, cands, batch, em),
+                             scorer.batch_score_partial(prefixes, cands, alone, em)):
+            got, want = (got, want) if isinstance(got, np.ndarray) else (got[0][0].psi, want[0][0].psi)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        states = batch
+    return bits
+
+
+class TestOneBuffer:
+    """The kernel whose recursion writes psi's buffer, on each edge it must
+    keep: -inf entries, a masked column, T=1, B >= V, prefixes past T/2,
+    mixed prefix lengths, the empty prefix and repeats in every call."""
+
+    EDGES = ["plain", "neg_inf", "masked", "t1", "b_ge_v", "beyond_half", "mixed"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_calls_selections_and_pruning(self, edge, seed, ctc_tier):
+        scorer, em, hyps, cands = buffer_edge(edge, seed)
+        buffer_steps(scorer, em, hyps, cands, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_raw_f32_storage_gives_the_float64_bits(self, edge):
+        calls = [buffer_steps(*buffer_edge(edge, 0, dtype), np.random.default_rng(0))
+                 for dtype in (np.float32, np.float64)]
+        assert buffer_edge(edge, 0, np.float32)[1].data.dtype == np.float32
+        assert buffer_edge(edge, 0, np.float64)[1].data.dtype == np.float64
+        for (a_scores, a_psi), (b_scores, b_psi) in zip(*calls):
+            assert np.array_equal(a_scores, b_scores) and np.array_equal(a_psi, b_psi)
+
+    def test_one_call_holds_one_buffer(self):
+        # a (T=400, B=8, P=12) call on the batch of the call before: the
+        # recursion writes one buffer for psi, with no (3, T, B) result, no
+        # phi copy and no padded copy of it besides; measured at 805,290 B
+        # (a recursion of 189,030 B) against 829,751 B (233,787 B) before
+        rng = np.random.default_rng(7900)
+        T, V, B, P = 400, 40, 8, 12
+        em = EmissionMatrix.from_logits(peaked_logits(rng, T, V, peak=6.0, noise=1.0))
+        scorer = CTCPrefixScorer(blank_id=0, eos_id=V - 1)
+        prefixes, states = [(V,)], [scorer.init_state(em)]
+        for _ in range(6):
+            cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False)
+                              for _ in prefixes])
+            scores, scored = scorer.batch_score_partial(prefixes, cands, states, em)
+            rows, cols = np.divmod(np.argsort(-scores, axis=None, kind="stable")[:B], P)
+            states = scorer.select_states(scored, rows, cands[rows, cols])
+            prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), cands[rows, cols].tolist())]
+        cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in prefixes])
+        peaks = []
+        for call in (lambda: scorer.batch_score_partial(prefixes, cands, states, em),
+                     lambda: scorers_mod._recursion(states.scored, states.rows, states.cols)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 817_000 and peaks[1] < 212_000, peaks
+
+
 class TestBlockProduct:
     """psi as a blocked product: within the stated bound of the frame-order
     fold, -inf exactly where the fold is, and the same bits for a cell
@@ -1025,7 +1189,7 @@ class TestBlockProduct:
         x = np.random.default_rng(7700 + shape[1]).normal(size=shape) - 4.0
         x[::3, ::5] = -np.inf
         e, shift = scorers_mod._label_blocks(x)
-        whole_e, whole_shift = scorers_mod._blocks(x)
+        whole_e, whole_shift = scorers_mod._blocks(padded(x))
         assert np.array_equal(e, whole_e) and np.array_equal(shift, whole_shift)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 600, 2000])
@@ -1038,11 +1202,12 @@ class TestBlockProduct:
         table = scorers_mod._label_blocks(em.data)
         phi = np.stack([np.full(n, value), np.full(n, np.nextafter(value, -np.inf))], axis=1)
         labels, rows = np.array([1, 2, 3, 2]), np.array([0, 0, 0, 1])
-        psi = scorers_mod._block_psi(em.data, table, phi, labels, rows)
+        psi = scorers_mod._block_psi(em.data, table, padded(phi), labels, rows)
         real = (phi[0, rows] + em.data[0, labels]) + math.log(n)
         assert (np.abs(psi - real) <= scorers_mod._psi_tol(n, real)).all()
         for k in range(len(labels)):
-            alone = scorers_mod._block_psi(em.data, table, phi, labels[k:k + 1], rows[k:k + 1])
+            alone = scorers_mod._block_psi(em.data, table, padded(phi), labels[k:k + 1],
+                                           rows[k:k + 1])
             assert alone[0] == psi[k]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1061,7 +1226,7 @@ class TestBlockProduct:
             labels = rng.integers(0, V, size=12)
             rows = rng.integers(0, 3, size=12)
             table = scorers_mod._label_blocks(em.data)
-            psi = scorers_mod._block_psi(em.data, table, phi, labels, rows)
+            psi = scorers_mod._block_psi(em.data, table, padded(phi), labels, rows)
             fold = np.logaddexp.reduce(phi[:, rows] + em.data[:, labels], axis=0)
             assert psi_near(psi, fold, n)
             assert (psi[rows == 2] == NEG_INF).all()
@@ -1156,14 +1321,15 @@ class TestPeakBounds:
         r_sum = np.full((n + 1, 1), value)
         r_b = r_sum - 0.5
         peaks = (x.max(axis=0), x.argmax(axis=0))
-        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, 1)
+        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0,
+                                          forward_buffer(r_sum, r_b), 1)
         phi = np.where(repeat, r_b[:-1], r_sum[:-1])  # (n, 3): a repeat reads r_b
         fold = np.logaddexp.reduce(phi + x[1:, cands[0]], axis=0)[None]
         assert (lo <= fold).all() and (fold <= hi).all()
         # and psi by blocks: per cell, phi by absolute frame, none at frame 0
         rows = np.concatenate((np.full((1, 3), NEG_INF), phi))
         table = scorers_mod._label_blocks(x)
-        psi = scorers_mod._block_psi(x, table, rows, cands[0], np.arange(3))[None]
+        psi = scorers_mod._block_psi(x, table, padded(rows), cands[0], np.arange(3))[None]
         assert (lo <= psi).all() and (psi <= hi).all()
         # hi carries one _margin plus _psi_tol over the float fold of its
         # bound, and that fold strays from the cells' fold by far less than
@@ -1206,7 +1372,8 @@ class TestPeakBounds:
         T = x.shape[0]
         psi0 = np.where(empty[:, None], x[0, cands], NEG_INF)
         peaks = (x.max(axis=0), x.argmax(axis=0))
-        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0, r_sum, r_b, t0)
+        lo, hi = scorers_mod._peak_bounds(peaks, x, cands, repeat, psi0,
+                                          forward_buffer(r_sum, r_b), t0)
         # (T - t0, B, P) the cells' terms, a repeat reading r_b
         phi = np.where(repeat, r_b[t0 - 1:T - 1, :, None], r_sum[t0 - 1:T - 1, :, None])
         terms = phi + x[t0:][:, cands]
@@ -1220,7 +1387,7 @@ class TestPeakBounds:
         cols[0] = np.where(empty, 0.0, NEG_INF)[:, None]
         cols[t0:] = phi
         table = scorers_mod._label_blocks(x)
-        psi = scorers_mod._block_psi(x, table, cols.reshape(T, -1), cands.ravel(),
+        psi = scorers_mod._block_psi(x, table, padded(cols.reshape(T, -1)), cands.ravel(),
                                      np.arange(B * P)).reshape(B, P)
         assert (lo <= psi).all() and (psi <= hi).all()
         return lo, hi, fold
@@ -1304,19 +1471,19 @@ class _NanEmpty:
         return getattr(np, name)
 
 
-def scan_low_reference(phi, xs, x_blank, first, segmented, r, s, e):
+def scan_low_reference(phi, x, labels, blank, first, segmented, r, s, e):
     """The columns ``_scan`` must report below the floor: those whose label
     or blank emissions, summed in frame order from the later of s and
     their first frame to e - 1 (-inf terms left out of a segmented scan),
     fall below ``_SCAN_FLOOR``, or are nan."""
     on = np.arange(s, e)[:, None] >= first
-    sums = np.zeros((2, e - s + 1, xs.shape[1]))
-    sums[0, 1:] = np.where(on, xs[s:e], 0.0)
-    sums[1, 1:] = np.where(on, x_blank[s:e, None], 0.0)
+    sums = np.zeros((2, e - s + 1, len(labels)))
+    sums[0, 1:] = np.where(on, x[s:e, labels], 0.0)
+    sums[1, 1:] = np.where(on, x[s:e, [blank]], 0.0)
     if segmented:
         sums[np.isneginf(sums)] = 0.0
     last = np.cumsum(sums, axis=1)[:, -1]
-    return np.flatnonzero(~(last >= scorers_mod._SCAN_FLOOR).all(axis=0))
+    return np.flatnonzero(~(last >= scorers_mod._SCAN_FLOOR).all(axis=0)).tolist()
 
 
 class TestCommonCaseBranches:
@@ -1401,8 +1568,8 @@ class TestCommonCaseBranches:
         def checked(*args):
             want = scan_low_reference(*args)
             got = scan(*args)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            lows.append(got.size)
+            assert got == want
+            lows.append(len(got))
             return got
 
         monkeypatch.setattr(scorers_mod, "_scan", checked)
