@@ -420,7 +420,7 @@ def _floor_blocks(x_label: np.ndarray, x_blank: np.ndarray, first: int) -> Tuple
 def _scan(phi, x, labels, blank, first, segmented, r, s, e):
     """Frames s..e-1 of the recursion in place in r = (r_nb, r_b, r_sum),
     indexed by frame, from its values at frame s - 1, as two scans over the
-    frames; phi[t + 1] is the parent's term of frame t + 1. If
+    frames; phi[t] is the parent's term of frame t. If
     ``segmented``, each scan whose own emissions (the label's for r_nb, the
     blank's for r_b and r_sum) have a -inf in frames s..e-1 restarts there;
     the other runs plain, where its offsets would all be 0.0 and a running
@@ -823,8 +823,8 @@ class CTCPrefixScorer(PartialScorer):
                 kept = keep(_minus(lo, prefix_scores), _minus(hi, prefix_scores))
                 built = np.flatnonzero(kept & (lo < hi))
                 psi = hi  # stands in for psi where no psi is computed
-            # phi is the buffer by absolute frame: a parent's r_sum row, or
-            # its r_b row for a repeat, which connects through r_b only
+            # phi is the buffer as it stands: a parent's r_sum, or its r_b
+            # (row B + i) for a repeat, which connects through r_b only
             rows = (np.arange(B)[:, None] + B * repeat).ravel()[built]
             psi.ravel()[built] = _block_psi(emission, table, fw[:1 + int(rows.max(initial=0) >= B)],
                                             cands.ravel()[built], rows, t0 // _BLOCK)

@@ -1141,8 +1141,9 @@ class TestOneBuffer:
     def test_one_call_holds_one_buffer(self):
         # a (T=400, B=8, P=12) call on the batch of the call before: the
         # recursion writes one buffer for psi, with no (3, T, B) result, no
-        # phi copy and no padded copy of it besides; measured at 805,290 B
-        # (a recursion of 189,030 B) against 829,751 B (233,787 B) before
+        # phi copy and no padded copy of it besides; measured at 805,239 B
+        # (its recursion 188,966 B) against 823,159 B (233,540 B) before,
+        # the call's peak being psi's gathers, which both kernels make
         rng = np.random.default_rng(7900)
         T, V, B, P = 400, 40, 8, 12
         em = EmissionMatrix.from_logits(peaked_logits(rng, T, V, peak=6.0, noise=1.0))
@@ -1166,7 +1167,7 @@ class TestOneBuffer:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 817_000 and peaks[1] < 212_000, peaks
+        assert peaks[0] < 815_000 and peaks[1] < 212_000, peaks
 
 
 class TestBlockProduct:
