@@ -1101,17 +1101,19 @@ def buffer_steps(scorer, em, hyps, cands, rng, steps=3):
             want = block_psi_reference(scorer, em, prefixes, cands, list(states))
             assert np.array_equal(bits[-1][1], want.view(np.int64))
         live = np.flatnonzero(cands.ravel() != scorer.eos_id)
-        rows, cols = np.divmod(rng.choice(live, size=min(4, live.size), replace=False), cands.shape[1])
+        cells = rng.choice(live, size=min(4, live.size), replace=False)
+        rows, cols = np.divmod(cells, cands.shape[1])
         tokens = cands[rows, cols]
         batch = scorer.select_states(scored, rows, tokens)
         alone = [scorer.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
         assert all(ctc_states_equal(batch[k], state) for k, state in enumerate(alone))
         prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), tokens.tolist())]
         cands = np.stack([rng.permutation(cands[0]) for _ in prefixes])
-        for got, want in zip(scorer.batch_score_partial(prefixes, cands, batch, em),
-                             scorer.batch_score_partial(prefixes, cands, alone, em)):
-            got, want = (got, want) if isinstance(got, np.ndarray) else (got[0][0].psi, want[0][0].psi)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got, got_scored = scorer.batch_score_partial(prefixes, cands, batch, em)
+        want, want_scored = scorer.batch_score_partial(prefixes, cands, alone, em)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got_psi, want_psi = got_scored[0][0].psi, want_scored[0][0].psi
+        assert np.array_equal(got_psi.view(np.int64), want_psi.view(np.int64))
         states = batch
     return bits
 
@@ -1154,8 +1156,9 @@ class TestOneBuffer:
                               for _ in prefixes])
             scores, scored = scorer.batch_score_partial(prefixes, cands, states, em)
             rows, cols = np.divmod(np.argsort(-scores, axis=None, kind="stable")[:B], P)
-            states = scorer.select_states(scored, rows, cands[rows, cols])
-            prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), cands[rows, cols].tolist())]
+            tokens = cands[rows, cols]
+            states = scorer.select_states(scored, rows, tokens)
+            prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), tokens.tolist())]
         cands = np.stack([rng.choice(np.arange(1, V), size=P, replace=False) for _ in prefixes])
         peaks = []
         for call in (lambda: scorer.batch_score_partial(prefixes, cands, states, em),
