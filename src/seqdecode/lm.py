@@ -15,7 +15,7 @@ at load time so a single convention holds package-wide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -237,7 +237,7 @@ class WordTrie:
 class _WordFusionScorer(FullScorer):
     """What both word-fusion scorers share: the delimiter, the OOV penalty,
     the memoised word LM and the closing columns. ``score`` is the batch
-    kernel at B=1.
+    kernel at B=1 and ``select_state`` is ``select_states`` at one cell.
 
     The memo keys ``ngram_score`` by the word and the context cut to its
     last order - 1 words, all that ``ngram_score`` reads (its <unk> mapping
@@ -264,6 +264,9 @@ class _WordFusionScorer(FullScorer):
     def score(self, prefix, state, emission):
         mat, scored = self.batch_score([prefix], [state], emission)
         return mat[0], scored[0]
+
+    def select_state(self, scored_state, token: int):
+        return self.select_states([scored_state], np.zeros(1, dtype=np.int64), np.array([token]))[0]
 
     def _fill_closings(self, mat: np.ndarray,
                        closings: Sequence[Tuple[float, Tuple[str, ...]]]) -> np.ndarray:
@@ -335,22 +338,10 @@ class MultiLevelLMScorer(_WordFusionScorer):
         self._fill_closings(mat, [self._close_fragment(s) for s in states])
         return mat, list(zip(states, char_scored, char_mat))
 
-    def select_state(self, scored_state, token: int) -> MultiLevelState:
-        state, char_scored, char_vec = scored_state
-        char_next = self.char_lm.select_state(char_scored, token)
-        if token == self.delimiter_id or token == self.vocab.eos_id:
-            return MultiLevelState("", self._close_fragment(state)[1], 0.0, char_next)
-        return MultiLevelState(
-            fragment=state.fragment + self.vocab.tokens[token],
-            context=state.context,
-            fragment_score=state.fragment_score + float(char_vec[token]),
-            char_state=char_next,
-        )
-
     def select_states(self, scored, rows, tokens):
-        """``select_state`` for every kept cell in one pass: the char LM's
-        states in one call, and a closing only for a delimiter or eos
-        cell."""
+        """The kept cells' successors in one pass: the char LM's states in
+        one call; a delimiter or eos cell closes the fragment, any other
+        extends it by its letter and char-LM score."""
         char_next = self.char_lm.select_states([s[1] for s in scored], rows, tokens)
         ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
         out = []
@@ -448,25 +439,10 @@ class LookAheadLMScorer(_WordFusionScorer):
         mat = np.where(np.array(no_child), self.oov_logp - accumulated[:, None], np.array(rows))
         return self._fill_closings(mat, [self._close(s) for s in states]), list(states)
 
-    def select_state(self, scored_state: LookAheadState, token: int) -> LookAheadState:
-        state = scored_state
-        if token == self.delimiter_id or token == self.vocab.eos_id:
-            return LookAheadState(self.trie.root, self._close(state)[1], 0.0, False)
-        if state.dead:
-            return state
-        child = state.node.children.get(self.vocab.tokens[token])
-        if child is None:
-            return replace(state, dead=True)
-        return LookAheadState(
-            node=child,
-            context=state.context,
-            accumulated=state.accumulated + (child.mass - state.node.mass),
-            dead=False,
-        )
-
     def select_states(self, scored, rows, tokens):
-        """``select_state`` for every kept cell in one pass, with a
-        closing only for a delimiter or eos cell."""
+        """The kept cells' successors in one pass: a delimiter or eos cell
+        closes the word; a letter steps to the trie child, or parks the
+        state as dead when there is none; a dead state stays as it is."""
         ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
         out = []
         for r, t in zip(rows.tolist(), tokens.tolist()):

@@ -638,8 +638,8 @@ def _block_psi(x: EmissionMatrix, table: Tuple[np.ndarray, np.ndarray], phi: np.
         psi[best == NEG_INF] = NEG_INF
         exposed = np.flatnonzero(top[1] - best > _UNDERFLOW_GAP)
     if exposed.size:
-        cols = phi[:, :T].transpose(1, 0, 2).reshape(T, -1)
-        psi[exposed] = np.logaddexp.reduce(cols[:, rows[exposed]] + x[:, labels[exposed]], axis=0)
+        p, j = np.divmod(rows[exposed], phi.shape[2])
+        psi[exposed] = np.logaddexp.reduce(phi[p, :T, j].T + x[:, labels[exposed]], axis=0)
     return psi
 
 
@@ -815,7 +815,7 @@ class CTCPrefixScorer(PartialScorer):
         repeat = cands == last[:, None]  # (B, C)
         t0 = max(1, t0)
         if t0 < T:
-            built = slice(None)  # the cells whose psi is computed; eos cells' is replaced
+            built = np.flatnonzero(~eos_mask)  # the cells whose psi is computed
             if keep is not None and (T - t0) * cands.size >= _TIERED_MIN_TERMS:
                 lo, hi = _peak_bounds(
                     emission.column_peaks, emission, cands, repeat, psi, fw, t0)

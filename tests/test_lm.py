@@ -19,7 +19,7 @@ from seqdecode import (
 )
 from seqdecode import lm as lm_mod
 from seqdecode.core import NEG_INF, logsumexp
-from seqdecode.lm import BOS, EOS_WORD, UNK, MultiLevelState
+from seqdecode.lm import BOS, EOS_WORD, UNK, LookAheadState, MultiLevelState
 
 from conftest import random_table_scorer, validate_hypothesis
 
@@ -624,6 +624,41 @@ def reference_lookahead_score(scorer, prefix, state, emission):
     return vec, state
 
 
+def reference_multilevel_select_state(scorer, scored_state, token):
+    """``MultiLevelLMScorer.select_state`` as one cell: the char LM's own
+    ``select_state``, then the fragment closed or extended."""
+    state, char_scored, char_vec = scored_state
+    char_next = scorer.char_lm.select_state(char_scored, token)
+    if token in (scorer.delimiter_id, scorer.vocab.eos_id):
+        if not state.fragment:
+            context = state.context
+        else:
+            in_vocab = state.fragment in scorer.word_lm.vocab
+            context = state.context + ((state.fragment if in_vocab else UNK),)
+        return MultiLevelState("", context, 0.0, char_next)
+    return MultiLevelState(state.fragment + scorer.vocab.tokens[token], state.context,
+                           state.fragment_score + float(char_vec[token]), char_next)
+
+
+def reference_lookahead_select_state(scorer, state, token):
+    """``LookAheadLMScorer.select_state`` as one cell."""
+    if token in (scorer.delimiter_id, scorer.vocab.eos_id):
+        if state.dead or (state.node is not scorer.trie.root and state.node.word is None):
+            context = state.context + (UNK,)
+        elif state.node is scorer.trie.root:
+            context = state.context
+        else:
+            context = state.context + (state.node.word,)
+        return LookAheadState(scorer.trie.root, context, 0.0, False)
+    if state.dead:
+        return state
+    child = state.node.children.get(scorer.vocab.tokens[token])
+    if child is None:
+        return replace(state, dead=True)
+    return LookAheadState(child, state.context,
+                          state.accumulated + (child.mass - state.node.mass), False)
+
+
 def bits_equal(got, want):
     """Equal bit for bit, except that any two nans are equal."""
     got = np.asarray(got, dtype=np.float64)
@@ -716,23 +751,29 @@ class TestBatchKernels:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("case", FUSION_CASES)
     @pytest.mark.parametrize("kind", ["multilevel", "lookahead"])
-    def test_select_states_equals_the_select_state_loop(self, tmp_path, kind, case, seed):
+    def test_select_states_equals_the_reference_loop(self, tmp_path, kind, case, seed):
         # random kept cells of one batch, each row's delimiter and eos
-        # cells among them, state for state as select_state gives them
+        # cells among them, state for state as the one-cell reference
+        # gives them; select_state is select_states at one cell
         rng = np.random.default_rng(32000 + 7 * seed + len(case))
         scorer, vocab, lexicon = fusion_case(tmp_path, rng, kind, case)
+        reference = (reference_multilevel_select_state if kind == "multilevel"
+                     else reference_lookahead_select_state)
         prefixes, states = map(list, zip(*random_walk_states(rng, scorer, vocab, 40, lexicon)))
         _, scored = scorer.batch_score(prefixes, states, None)
         ends = [scorer.delimiter_id, vocab.eos_id]
         rows = np.concatenate((rng.integers(len(states), size=80), np.repeat(np.arange(8), 2)))
         tokens = np.concatenate((rng.choice(list(vocab.label_ids()) + ends, size=80), ends * 8))
         got = scorer.select_states(scored, rows, tokens)
-        want = [scorer.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
-        assert len(got) == len(want)
+        cells = list(zip(rows.tolist(), tokens.tolist()))
+        want = [reference(scorer, scored[r], t) for r, t in cells]
+        single = [scorer.select_state(scored[r], t) for r, t in cells]
+        assert len(got) == len(want) == len(single)
         score = "accumulated" if kind == "lookahead" else "fragment_score"
-        for a, b in zip(got, want):  # the score bit for bit, nan included
-            assert getattr(a, score).hex() == getattr(b, score).hex()
-            assert replace(a, **{score: 0.0}) == replace(b, **{score: 0.0})
+        for a, b, c in zip(got, want, single):  # the score bit for bit, nan included
+            assert getattr(a, score).hex() == getattr(b, score).hex() == getattr(c, score).hex()
+            assert replace(a, **{score: 0.0}) == replace(b, **{score: 0.0}) == replace(
+                c, **{score: 0.0})
         kept = [states[r] for r in rows.tolist()]
         if kind == "lookahead":
             assert any(s.dead for s in kept) and any(s.dead for s in got)

@@ -1214,6 +1214,16 @@ class TestBlockProduct:
                                            rows[k:k + 1])
             assert alone[0] == psi[k]
 
+    @pytest.mark.parametrize("nb", [1, 2, 7, 8, 9])
+    def test_column_sums_keep_the_row_order_below_eight_blocks(self, nb):
+        # psi must sum a cell's block terms as numpy sums its (nb,) row; it
+        # takes the (nb, k) layout's column sums below 8 blocks, the same
+        # order only while numpy sums a row of under 8 entries one by one
+        # and a longer one otherwise: a numpy that moves either fails here
+        ez = np.exp(np.random.default_rng(7800 + nb).uniform(-60.0, 0.0, size=(nb, 4000)))
+        same = np.array_equal(ez.sum(axis=0), np.ascontiguousarray(ez.T).sum(axis=1))
+        assert same == (nb < 8)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_terms(self, seed):
         rng = np.random.default_rng(7300 + seed)
