@@ -47,29 +47,32 @@ def _validate_labels(labels: Sequence[int], blank_id: int, vocab_size: int) -> T
     return labels
 
 
+def _lattice(xs: np.ndarray, skip: np.ndarray, op) -> np.ndarray:
+    """The CTC lattice pass, in place over the gathered (T, S) emissions:
+    row 0 may start only in the first two states, and row t gains ``op`` over
+    row t-1's stay, s-1 and s-2 predecessors, the s-2 one plus its ``skip``
+    term. ``np.logaddexp`` makes the forward variables, ``np.maximum`` the
+    Viterbi scores."""
+    xs[0, 2:] = NEG_INF
+    best, hop = np.empty(xs.shape[1]), np.empty_like(skip)
+    for t in range(1, len(xs)):
+        prev = xs[t - 1]
+        best[0] = prev[0]
+        op(prev[1:], prev[:-1], out=best[1:])
+        np.add(prev[1:-2:2], skip, out=hop)
+        op(best[3::2], hop, out=best[3::2])  # op(a, -inf) == a: no s-2 edge
+        xs[t] += best
+    return xs
+
+
 def ctc_forward(emission: EmissionMatrix, labels: Sequence[int], blank_id: int) -> float:
     """Exact log p(labels | emission): forward algorithm over the
     blank-interleaved expansion. Returns -inf when the expansion cannot fit
     within T frames."""
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
-    T = emission.frames
     expanded, skip = _expand_labels(labels, blank_id)
-    S = len(expanded)
-
-    xs = emission[:, expanded]
-    alpha = np.full(S, NEG_INF)
-    alpha[:2] = xs[0, :2]
-    acc, hop = np.empty(S), np.empty_like(skip)
-    for t in range(1, T):
-        # logaddexp(a, -inf) == a: a state without the s-2 edge keeps acc
-        acc[0] = alpha[0]
-        np.logaddexp(alpha[1:], alpha[:-1], out=acc[1:])
-        np.add(alpha[1:-2:2], skip, out=hop)
-        np.logaddexp(acc[3::2], hop, out=acc[3::2])
-        np.add(acc, xs[t], out=alpha)
-    if S == 1:
-        return float(alpha[0])
-    return float(np.logaddexp(alpha[S - 1], alpha[S - 2]))
+    alpha = _lattice(emission[:, expanded], skip, np.logaddexp)
+    return float(np.logaddexp.reduce(alpha[-1, -2:]))  # the last label or the blank after it
 
 
 def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,21 +122,9 @@ def ctc_forced_align(
     be traversed within T frames.
     """
     labels = _validate_labels(labels, blank_id, emission.vocab_size)
-    T = emission.frames
     expanded, skip = _expand_labels(labels, blank_id)
-    S = len(expanded)
-
-    delta = emission[:, expanded]  # row t gains its best predecessor's score in turn
-    delta[0, 2:] = NEG_INF
-    best, hop = np.empty(S), np.empty_like(skip)
-    for t in range(1, T):
-        prev = delta[t - 1]
-        best[0] = prev[0]
-        np.maximum(prev[1:], prev[:-1], out=best[1:])
-        np.add(prev[1:-2:2], skip, out=hop)
-        np.maximum(best[3::2], hop, out=best[3::2])
-        delta[t] += best
-
+    delta = _lattice(emission[:, expanded], skip, np.maximum)
+    T, S = delta.shape
     # on a tie prefer the final blank (the "stay"-most terminal)
     end_state = S - 1 if S == 1 or delta[T - 1, S - 1] >= delta[T - 1, S - 2] else S - 2
     score = float(delta[T - 1, end_state])
@@ -142,9 +133,9 @@ def ctc_forced_align(
             f"labels of expanded length {S} cannot be aligned within {T} frames"
         )
 
-    # predecessors in tie-break priority: stay, s-1, s-2, each taken only
-    # when strictly better than the ones before it
-    ex = expanded.tolist()
+    # predecessors in tie-break priority: stay, s-1, s-2 (plus its skip
+    # term), each taken only when strictly better than the ones before it
+    hop = skip.tolist()
     states = np.empty(T, dtype=np.int64)
     s = states[T - 1] = end_state
     for t in range(T - 1, 0, -1):
@@ -152,7 +143,7 @@ def ctc_forced_align(
         best_prev, arg = prev[s], s
         if s and prev[s - 1] > best_prev:
             best_prev, arg = prev[s - 1], s - 1
-        if s >= 2 and ex[s] != ex[s - 2] and prev[s - 2] > best_prev:
+        if s >= 3 and s % 2 and prev[s - 2] + hop[s // 2 - 1] > best_prev:
             arg = s - 2
         s = states[t - 1] = arg
 

@@ -269,14 +269,21 @@ class _WordFusionScorer(FullScorer):
         return self.select_states([scored_state], np.zeros(1, dtype=np.int64), np.array([token]))[0]
 
     def _fill_closings(self, mat: np.ndarray,
-                       closings: Sequence[Tuple[float, Tuple[str, ...]]]) -> np.ndarray:
-        """Given each state's (closing score, context after closing): the
-        delimiter column takes the score, then the eos column the score
-        plus ln P(</s> | that context)."""
-        mat[:, self.delimiter_id] = [close_score for close_score, _ in closings]
-        mat[:, self.vocab.eos_id] = [close_score + self._ngram(context, EOS_WORD)
-                                     for close_score, context in closings]
+                       closings: Sequence[Tuple[float, Tuple[str, ...], bool]]) -> np.ndarray:
+        """Given each state's (closing score, context after closing, whether
+        a word closed): the delimiter column takes the score, or the OOV
+        penalty for an empty word, then the eos column the score plus
+        ln P(</s> | that context)."""
+        mat[:, self.delimiter_id] = [score if closed else self.oov_logp
+                                     for score, _, closed in closings]
+        mat[:, self.vocab.eos_id] = [score + self._ngram(context, EOS_WORD)
+                                     for score, context, _ in closings]
         return mat
+
+    def _context_after(self, closing, token: int) -> Tuple[str, ...]:
+        """The context once ``token`` ends the word: an empty word's delimiter adds <unk>."""
+        _, context, closed = closing
+        return context if closed or token != self.delimiter_id else context + (UNK,)
 
 
 @dataclass(frozen=True)
@@ -321,14 +328,14 @@ class MultiLevelLMScorer(_WordFusionScorer):
             char_state=self.char_lm.init_state(emission),
         )
 
-    def _close_fragment(self, state: MultiLevelState) -> Tuple[float, Tuple[str, ...]]:
-        """Score for ending the open fragment, and the context after it."""
+    def _close_fragment(self, state: MultiLevelState) -> Tuple[float, Tuple[str, ...], bool]:
+        """Score for ending the open fragment, the context after it, and whether one closed."""
         if not state.fragment:
-            return 0.0, state.context
+            return 0.0, state.context, False
         if state.fragment in self.word_lm.vocab:
             word_logp = self._ngram(state.context, state.fragment)
-            return word_logp - state.fragment_score, state.context + (state.fragment,)
-        return self.oov_logp, state.context + (UNK,)
+            return word_logp - state.fragment_score, state.context + (state.fragment,), True
+        return self.oov_logp, state.context + (UNK,), True
 
     def batch_score(self, prefixes, states, emission):
         """Scored states are (state, char scored state, char-LM row)."""
@@ -348,7 +355,8 @@ class MultiLevelLMScorer(_WordFusionScorer):
         for r, t, char_state in zip(rows.tolist(), tokens.tolist(), char_next):
             state, _, char_vec = scored[r]
             if t in ends:
-                out.append(MultiLevelState("", self._close_fragment(state)[1], 0.0, char_state))
+                context = self._context_after(self._close_fragment(state), t)
+                out.append(MultiLevelState("", context, 0.0, char_state))
             else:
                 out.append(MultiLevelState(state.fragment + chars[t], state.context,
                                            state.fragment_score + float(char_vec[t]), char_state))
@@ -401,18 +409,18 @@ class LookAheadLMScorer(_WordFusionScorer):
     def init_state(self, emission: Optional[EmissionMatrix]) -> LookAheadState:
         return LookAheadState(node=self.trie.root, context=(BOS,), accumulated=0.0, dead=False)
 
-    def _close(self, state: LookAheadState) -> Tuple[float, Tuple[str, ...]]:
-        """Score for ending the open word, and the context after it."""
-        if state.dead:
-            return 0.0, state.context + (UNK,)
+    def _close(self, state: LookAheadState) -> Tuple[float, Tuple[str, ...], bool]:
+        """Score for ending the open word, the context after it, and whether one closed."""
+        if state.dead:  # the letter that left the tree paid the penalty
+            return 0.0, state.context + (UNK,), True
         node = state.node
         if node is self.trie.root:
-            return 0.0, state.context
+            return 0.0, state.context, False
         if node.word is not None:
             word_logp = self._ngram(state.context, node.word)
-            return word_logp - state.accumulated, state.context + (node.word,)
+            return word_logp - state.accumulated, state.context + (node.word,), True
         # fragment traverses the tree but is no word: net the word to the penalty
-        return self.oov_logp - state.accumulated, state.context + (UNK,)
+        return self.oov_logp - state.accumulated, state.context + (UNK,), True
 
     def _letter_row(self, state: LookAheadState) -> Tuple[np.ndarray, np.ndarray]:
         """(letter scores, mask of the letters without a child) of the
@@ -448,7 +456,8 @@ class LookAheadLMScorer(_WordFusionScorer):
         for r, t in zip(rows.tolist(), tokens.tolist()):
             state = scored[r]
             if t in ends:
-                state = LookAheadState(self.trie.root, self._close(state)[1], 0.0, False)
+                context = self._context_after(self._close(state), t)
+                state = LookAheadState(self.trie.root, context, 0.0, False)
             elif not state.dead:
                 node = state.node
                 child = node.children.get(chars[t])

@@ -490,10 +490,9 @@ def transducer_alsd(model: TransducerModel, frames: int,
             [model.joint(i - len(h.yseq), h.pred_state) for h in live])
         nxt: Dict[Tuple[int, ...], list] = {}
         for hyp, score in zip(live, total[:, blank].tolist()):
+            # a yseq meets its last frame at one i only, once: nothing to merge
             if i - len(hyp.yseq) < frames - 1:
                 nxt[hyp.yseq] = [score, hyp]
-            elif hyp.yseq in final:
-                final[hyp.yseq][0] = _logaddexp(final[hyp.yseq][0], score)
             else:
                 final[hyp.yseq] = [score, hyp]
         grow = [r for r, h in enumerate(live) if len(h.yseq) < u_max]

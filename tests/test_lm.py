@@ -367,6 +367,12 @@ class TestWordTrie:
 
         mass(trie.root)
 
+    def test_an_empty_lexicon_word_is_skipped(self, tmp_path):
+        model = load_arpa(five_word_arpa(tmp_path / "five.arpa"))
+        trie = WordTrie(["", "ad"], model)
+        assert trie.root.word is None
+        assert trie.root.mass == WordTrie(["ad"], model).root.mass
+
     def test_a_word_longer_than_the_recursion_limit(self, tmp_path):
         long_word = "ab" * 2500
         path = tmp_path / "long.arpa"
@@ -544,6 +550,60 @@ class TestMultiLevel:
         assert total == pytest.approx(expected, abs=1e-9)
 
 
+class TestEmptyWord:
+    """A delimiter that closes no word (the first label, or one right after
+    another delimiter) pays the OOV penalty and adds <unk> to the context;
+    eos there closes nothing and scores ln P(</s> | context)."""
+
+    @staticmethod
+    def scorer(tmp_path, kind):
+        model = load_arpa(five_word_arpa(tmp_path / "lm.arpa"))
+        vocab = char_vocab()
+        if kind == "multilevel":
+            char_lm = random_table_scorer(np.random.default_rng(5), 1, vocab.size)
+            return MultiLevelLMScorer(char_lm, model, vocab), vocab
+        return LookAheadLMScorer(WordTrie(["cab", "ad"], model), model, vocab), vocab
+
+    @pytest.mark.parametrize("kind", ["multilevel", "lookahead"])
+    def test_runs_of_delimiters_pay_the_penalty_per_empty_word(self, tmp_path, kind):
+        scorer, vocab = self.scorer(tmp_path, kind)
+        model, space = scorer.word_lm, scorer.delimiter_id
+        vec, _ = scorer.score((vocab.sos_id,), scorer.init_state(None), None)
+        assert vec[space] == scorer.oov_logp
+        assert vec[vocab.eos_id] == ngram_score(model, (BOS,), EOS_WORD)
+        # <space> ad <space> <space> cab <eos>: per-word totals telescope
+        tokens = [space, 1, 4, space, space, 3, 1, 2, vocab.eos_id]
+        total, steps = score_tokens(scorer, vocab, tokens)
+        assert steps[0] == steps[4] == scorer.oov_logp
+        words = [UNK, "ad", UNK, "cab", EOS_WORD]
+        expected = 2 * scorer.oov_logp + sum(
+            ngram_score(model, (BOS,) + tuple(words[:k]), w)
+            for k, w in enumerate(words) if w != UNK)
+        assert total == pytest.approx(expected, abs=1e-9)
+
+    def test_a_delimiter_after_a_dead_word_is_free(self, tmp_path):
+        scorer, vocab = self.scorer(tmp_path, "lookahead")
+        # "d" leaves the tree at the root: the penalty is paid there
+        total, steps = score_tokens(scorer, vocab, [4, scorer.delimiter_id, vocab.eos_id])
+        assert steps[0] == scorer.oov_logp and steps[1] == 0.0
+        assert total == pytest.approx(
+            scorer.oov_logp + ngram_score(scorer.word_lm, (BOS, UNK), EOS_WORD), abs=1e-12)
+
+    def test_a_beam_of_delimiters_is_no_longer_free(self, tmp_path):
+        # on this instance a beam of 2 returned twelve <space> at score 0.0
+        from seqdecode import BeamConfig, EmissionMatrix, batch_beam_search
+
+        scorer, vocab = self.scorer(tmp_path, "lookahead")
+        em = EmissionMatrix.from_logits(np.random.default_rng(1).normal(size=(12, vocab.size)))
+        nbest = batch_beam_search(em, vocab, {"la": scorer},
+                                  BeamConfig(weights={"la": 1.0}, beam_size=2))
+        for entry in nbest.entries:
+            assert entry.score < 0.0
+            labels = list(entry.yseq)
+            assert labels[0] != scorer.delimiter_id
+            assert [scorer.delimiter_id] * 2 not in [labels[k:k + 2] for k in range(len(labels))]
+
+
 class TestFusionInBeamSearch:
     @pytest.mark.parametrize("seed", range(3))
     def test_word_scorers_run_in_both_search_variants(self, tmp_path, seed):
@@ -578,26 +638,30 @@ class TestFusionInBeamSearch:
 
 def reference_multilevel_score(scorer, prefix, state, emission):
     """``MultiLevelLMScorer.score`` as one hypothesis at a time, calling
-    ``ngram_score`` directly."""
+    ``ngram_score`` directly. A delimiter with no fragment to close (an
+    empty word) pays the OOV penalty; eos there closes nothing."""
     char_vec, char_scored = scorer.char_lm.score(prefix, state.char_state, emission)
     vec = np.array(char_vec, dtype=np.float64, copy=True)
     if not state.fragment:
-        close_score, closed_word = 0.0, ""
-    elif state.fragment in scorer.word_lm.vocab:
+        vec[scorer.delimiter_id] = scorer.oov_logp
+        vec[scorer.vocab.eos_id] = ngram_score(scorer.word_lm, state.context, EOS_WORD)
+        return vec, (state, char_scored, char_vec)
+    if state.fragment in scorer.word_lm.vocab:
         close_score = ngram_score(scorer.word_lm, state.context, state.fragment) - (
             state.fragment_score)
         closed_word = state.fragment
     else:
         close_score, closed_word = scorer.oov_logp, UNK
     vec[scorer.delimiter_id] = close_score
-    eos_ctx = state.context + ((closed_word,) if closed_word else ())
-    vec[scorer.vocab.eos_id] = close_score + ngram_score(scorer.word_lm, eos_ctx, EOS_WORD)
+    vec[scorer.vocab.eos_id] = close_score + ngram_score(
+        scorer.word_lm, state.context + (closed_word,), EOS_WORD)
     return vec, (state, char_scored, char_vec)
 
 
 def reference_lookahead_score(scorer, prefix, state, emission):
     """``LookAheadLMScorer.score`` as one hypothesis at a time: one numpy
-    store per letter, ``ngram_score`` called directly."""
+    store per letter, ``ngram_score`` called directly. A delimiter at the
+    root (an empty word) pays the OOV penalty; eos there closes nothing."""
     vec = np.full(scorer.vocab.size, -np.inf)
     node = state.node
     for tok, ch in scorer.letters:
@@ -612,26 +676,29 @@ def reference_lookahead_score(scorer, prefix, state, emission):
     if state.dead:
         close_score, closed_word = 0.0, UNK
     elif node is scorer.trie.root:
-        close_score, closed_word = 0.0, ""
+        vec[scorer.delimiter_id] = scorer.oov_logp
+        vec[scorer.vocab.eos_id] = ngram_score(scorer.word_lm, state.context, EOS_WORD)
+        return vec, state
     elif node.word is not None:
         close_score = ngram_score(scorer.word_lm, state.context, node.word) - state.accumulated
         closed_word = node.word
     else:
         close_score, closed_word = scorer.oov_logp - state.accumulated, UNK
     vec[scorer.delimiter_id] = close_score
-    eos_ctx = state.context + ((closed_word,) if closed_word else ())
-    vec[scorer.vocab.eos_id] = close_score + ngram_score(scorer.word_lm, eos_ctx, EOS_WORD)
+    vec[scorer.vocab.eos_id] = close_score + ngram_score(
+        scorer.word_lm, state.context + (closed_word,), EOS_WORD)
     return vec, state
 
 
 def reference_multilevel_select_state(scorer, scored_state, token):
     """``MultiLevelLMScorer.select_state`` as one cell: the char LM's own
-    ``select_state``, then the fragment closed or extended."""
+    ``select_state``, then the fragment closed or extended. A delimiter with
+    no fragment to close adds <unk> to the context; eos adds nothing."""
     state, char_scored, char_vec = scored_state
     char_next = scorer.char_lm.select_state(char_scored, token)
     if token in (scorer.delimiter_id, scorer.vocab.eos_id):
         if not state.fragment:
-            context = state.context
+            context = state.context + ((UNK,) if token == scorer.delimiter_id else ())
         else:
             in_vocab = state.fragment in scorer.word_lm.vocab
             context = state.context + ((state.fragment if in_vocab else UNK),)
@@ -641,12 +708,13 @@ def reference_multilevel_select_state(scorer, scored_state, token):
 
 
 def reference_lookahead_select_state(scorer, state, token):
-    """``LookAheadLMScorer.select_state`` as one cell."""
+    """``LookAheadLMScorer.select_state`` as one cell. A delimiter at the
+    root adds <unk> to the context; eos there adds nothing."""
     if token in (scorer.delimiter_id, scorer.vocab.eos_id):
         if state.dead or (state.node is not scorer.trie.root and state.node.word is None):
             context = state.context + (UNK,)
         elif state.node is scorer.trie.root:
-            context = state.context
+            context = state.context + ((UNK,) if token == scorer.delimiter_id else ())
         else:
             context = state.context + (state.node.word,)
         return LookAheadState(scorer.trie.root, context, 0.0, False)
