@@ -6,7 +6,9 @@ distributed per character over a lexical prefix tree).
 Each scorer has one scoring kernel, ``batch_score``, which rates the whole
 beam at once (``score`` is that kernel at B=1): a (B, V) matrix from cached
 per-node letter rows or one char-LM call, then each state's delimiter and
-eos columns. Both read the word LM through a memo of ``ngram_score``.
+eos columns. Both read the word LM through a memo of ``ngram_score``. The
+base ``select_states`` loops over each scorer's ``select_state``: a one-pass
+batch of successors saved nothing a whole decode showed.
 
 ARPA files store log10 probabilities; everything is converted to natural log
 at load time so a single convention holds package-wide.
@@ -237,7 +239,7 @@ class WordTrie:
 class _WordFusionScorer(FullScorer):
     """What both word-fusion scorers share: the delimiter, the OOV penalty,
     the memoised word LM and the closing columns. ``score`` is the batch
-    kernel at B=1 and ``select_state`` is ``select_states`` at one cell.
+    kernel at B=1; the base ``select_states`` loops over ``select_state``.
 
     The memo keys ``ngram_score`` by the word and the context cut to its
     last order - 1 words, all that ``ngram_score`` reads (its <unk> mapping
@@ -264,9 +266,6 @@ class _WordFusionScorer(FullScorer):
     def score(self, prefix, state, emission):
         mat, scored = self.batch_score([prefix], [state], emission)
         return mat[0], scored[0]
-
-    def select_state(self, scored_state, token: int):
-        return self.select_states([scored_state], np.zeros(1, dtype=np.int64), np.array([token]))[0]
 
     def _fill_closings(self, mat: np.ndarray,
                        closings: Sequence[Tuple[float, Tuple[str, ...], bool]]) -> np.ndarray:
@@ -345,22 +344,16 @@ class MultiLevelLMScorer(_WordFusionScorer):
         self._fill_closings(mat, [self._close_fragment(s) for s in states])
         return mat, list(zip(states, char_scored, char_mat))
 
-    def select_states(self, scored, rows, tokens):
-        """The kept cells' successors in one pass: the char LM's states in
-        one call; a delimiter or eos cell closes the fragment, any other
-        extends it by its letter and char-LM score."""
-        char_next = self.char_lm.select_states([s[1] for s in scored], rows, tokens)
-        ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
-        out = []
-        for r, t, char_state in zip(rows.tolist(), tokens.tolist(), char_next):
-            state, _, char_vec = scored[r]
-            if t in ends:
-                context = self._context_after(self._close_fragment(state), t)
-                out.append(MultiLevelState("", context, 0.0, char_state))
-            else:
-                out.append(MultiLevelState(state.fragment + chars[t], state.context,
-                                           state.fragment_score + float(char_vec[t]), char_state))
-        return out
+    def select_state(self, scored_state, token: int) -> MultiLevelState:
+        """A delimiter or eos closes the fragment; any other token extends it
+        by its letter and char-LM score."""
+        state, char_scored, char_vec = scored_state
+        char_state = self.char_lm.select_state(char_scored, token)
+        if token in (self.delimiter_id, self.vocab.eos_id):
+            context = self._context_after(self._close_fragment(state), token)
+            return MultiLevelState("", context, 0.0, char_state)
+        return MultiLevelState(state.fragment + self.vocab.tokens[token], state.context,
+                               state.fragment_score + float(char_vec[token]), char_state)
 
 
 @dataclass(frozen=True)
@@ -447,26 +440,21 @@ class LookAheadLMScorer(_WordFusionScorer):
         mat = np.where(np.array(no_child), self.oov_logp - accumulated[:, None], np.array(rows))
         return self._fill_closings(mat, [self._close(s) for s in states]), list(states)
 
-    def select_states(self, scored, rows, tokens):
-        """The kept cells' successors in one pass: a delimiter or eos cell
-        closes the word; a letter steps to the trie child, or parks the
-        state as dead when there is none; a dead state stays as it is."""
-        ends, chars = (self.delimiter_id, self.vocab.eos_id), self.vocab.tokens
-        out = []
-        for r, t in zip(rows.tolist(), tokens.tolist()):
-            state = scored[r]
-            if t in ends:
-                context = self._context_after(self._close(state), t)
-                state = LookAheadState(self.trie.root, context, 0.0, False)
-            elif not state.dead:
-                node = state.node
-                child = node.children.get(chars[t])
-                state = (LookAheadState(node, state.context, state.accumulated, True)
-                         if child is None else
-                         LookAheadState(child, state.context,
-                                        state.accumulated + (child.mass - node.mass), False))
-            out.append(state)
-        return out
+    def select_state(self, state: LookAheadState, token: int) -> LookAheadState:
+        """A delimiter or eos closes the word; a letter steps to the trie
+        child, or parks the state as dead when there is none; a dead state
+        stays as it is."""
+        if token in (self.delimiter_id, self.vocab.eos_id):
+            context = self._context_after(self._close(state), token)
+            return LookAheadState(self.trie.root, context, 0.0, False)
+        if state.dead:
+            return state
+        node = state.node
+        child = node.children.get(self.vocab.tokens[token])
+        if child is None:
+            return LookAheadState(node, state.context, state.accumulated, True)
+        return LookAheadState(child, state.context,
+                              state.accumulated + (child.mass - node.mass), False)
 
 
 def _resolve_delimiter(vocab: Vocabulary, delimiter_id: Optional[int]) -> int:

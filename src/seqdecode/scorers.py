@@ -7,10 +7,11 @@ partial scorer rates only a pre-selected candidate subset, which is how the
 comparatively expensive CTC prefix computation joins the search. Scorer
 states are per-hypothesis values threaded by the search: ``score`` returns a
 "scored state" from which ``select_state`` extracts the successor state for
-the token actually chosen; ``select_states`` does so for all the cells a
-search step keeps. The CTC prefix scorer rates candidates from the
-parents' forward variables alone and runs the recursion only for the
-successors a search selects, so pruned successors cost nothing.
+the token actually chosen; ``select_states`` loops over it for all the cells
+a search step keeps. The CTC prefix scorer alone overrides that loop: it
+rates candidates from the parents' forward variables alone, and its batch
+of selected successors lets the next call run one recursion for all of
+them, so pruned successors cost nothing.
 
 ``batch_score_partial`` returns every cell exactly unless it takes a
 ``keep`` argument: a partial scorer that can bound its scores cheaply
@@ -63,7 +64,8 @@ class _Scorer(abc.ABC):
         """Successor states of the cells (rows[k], tokens[k]) of one
         scoring call, whose scored states are ``scored``: the states
         ``select_state`` gives, as a sequence the batched kernel accepts.
-        The default loops over ``select_state``."""
+        The default loops over ``select_state``; only the CTC prefix
+        scorer overrides it, so that its next call runs one recursion."""
         return [self.select_state(scored[r], t) for r, t in zip(rows.tolist(), tokens.tolist())]
 
     def final_score(
@@ -174,11 +176,6 @@ class TableScorer(FullScorer):
             fallback = np.full(vocab_size, -math.log(vocab_size))
         self.fallback = log_rows(fallback, (vocab_size,), lambda: "table fallback row")
 
-    def _context(self, emitted: Tuple[int, ...]) -> Tuple[int, ...]:
-        if self.context_order == 0:
-            return ()
-        return emitted[-self.context_order:]
-
     def init_state(self, emission: Optional[EmissionMatrix]) -> Tuple[int, ...]:
         return ()
 
@@ -187,13 +184,8 @@ class TableScorer(FullScorer):
         return row, state
 
     def select_state(self, scored_state, token):
-        return self._context(tuple(scored_state) + (token,))
-
-    def select_states(self, scored, rows, tokens):
         k = self.context_order
-        if k == 0:
-            return [()] * len(rows)
-        return [(*scored[r], t)[-k:] for r, t in zip(rows.tolist(), tokens.tolist())]
+        return (*scored_state, token)[-k:] if k else ()
 
     def batch_score(self, prefixes, states, emission):
         get, fallback = self.rows.get, self.fallback

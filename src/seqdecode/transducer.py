@@ -27,13 +27,14 @@ import abc
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     NEG_INF,
     ConfigError,
+    DecodeError,
     NBestEntry,
     NBestList,
     format_key,
@@ -217,6 +218,12 @@ def _prune(pool: Dict[Tuple[int, ...], list], beam: int) -> Pool:
             for neg, yseq, hyp in ranked}
 
 
+def _nan_error(config: TransducerBeamConfig, lm_row: Any, frame: int) -> DecodeError:
+    """A nan among a round's cells: the fusion LM's if the parent's LM row holds one."""
+    source = "fusion LM" if config.lm is not None and np.isnan(lm_row).any() else "transducer model"
+    return DecodeError(f"frame {frame}: {source} returned nan")
+
+
 def transducer_greedy(model: TransducerModel, frames: int) -> TransducerHypothesis:
     """Decoding constrained to one expansion step per frame: emit the argmax
     if it is a label, then move to the next frame.
@@ -278,17 +285,26 @@ def _fuse(model: TransducerModel, config: TransducerBeamConfig,
 
 def _keep(model: TransducerModel, config: TransducerBeamConfig,
           parents: Sequence[TransducerHypothesis], fused: tuple, k: int,
+          frame_of: Callable[[TransducerHypothesis], int],
           built: Optional[Dict[Tuple[int, ...], list]] = None) -> Pool:
     """The k best of the finite cells of ``fused`` (from ``_fuse``) and the
     yseq -> [score, hypothesis] entries of ``built`` (whose yseqs must not
     be cells), by (-score, yseq) and in that order. Only these become
     hypotheses: a cell's child takes the LM's select_state, then pred_step.
     Parents differ in length, so ties are broken on the whole child tuple,
-    not on (parent, label)."""
+    not on (parent, label). A nan cell is a DecodeError naming its parent's
+    frame (``frame_of``)."""
     cells, lm_rows, lm_scored = fused
     n_labels = cells.shape[1]
     flat = cells.ravel()
-    kth = np.sort(flat)[flat.size - k] if k < flat.size else NEG_INF
+    if k < flat.size:
+        ordered = np.sort(flat)  # nan sorts last
+        kth, nan = ordered[flat.size - k], math.isnan(ordered[-1])
+    else:
+        kth, nan = NEG_INF, np.isnan(flat).any()
+    if nan:
+        r = int(np.isnan(cells).any(axis=1).argmax())
+        raise _nan_error(config, lm_rows[r], frame_of(parents[r]))
     idx = (flat >= kth if kth > NEG_INF else flat > NEG_INF).nonzero()[0]
     ranked = [(-score, parents[r].yseq + (label,), r, label)
               for score, (r, label) in zip(flat[idx].tolist(),
@@ -328,7 +344,7 @@ def transducer_beam(model: TransducerModel, frames: int,
     that is a child of the popped parent absorbs its cell instead. A
     frame ends once B completed hypotheses beat every active one, or
     after max_pops_per_frame pops, which truncates it: the n-best then
-    says ``truncated``.
+    says ``truncated``. A row whose best cell is nan is a DecodeError.
 
     Completed scores only rise, so their B-th best (``floor``) does too,
     and an active entry below it can never be popped: the frame ends
@@ -347,10 +363,12 @@ def transducer_beam(model: TransducerModel, frames: int,
         nonlocal version
         version += 1
         row[0] = version
-        label = int(row[1].argmax())  # the first best cell: the lowest label
+        label = int(row[1].argmax())  # the first best cell: the lowest label, or a nan
         best = row[1].item(label)
         if best > NEG_INF and best >= floor:
             heapq.heappush(heap, (-best, parent + (label,), version, row))
+        elif math.isnan(best):
+            raise _nan_error(config, row[2][1], t)
 
     for t in range(frames):
         # Nodes: yseq -> [version, score, hypothesis] for pool hypotheses
@@ -423,8 +441,6 @@ def transducer_beam(model: TransducerModel, frames: int,
                 row[1] = np.logaddexp(row[1], cells)
             push_row(yseq, row)
         pool = _prune(completed, beam)
-        if not pool:
-            break
     return replace(_nbest_from_pool(pool, config), truncated=truncated)
 
 
@@ -457,12 +473,11 @@ def transducer_tsd(model: TransducerModel, frames: int,
             if round_idx == config.max_exp_per_step:
                 break
             # children of distinct parents never share a yseq: nothing to merge
-            current = _keep(model, config, parents, _fuse(model, config, parents, total), beam)
+            current = _keep(model, config, parents, _fuse(model, config, parents, total), beam,
+                            lambda h: t)
             if not current:
                 break
         pool = _prune(completed, beam)
-        if not pool:
-            break
     return _nbest_from_pool(pool, config)
 
 
@@ -505,11 +520,14 @@ def transducer_alsd(model: TransducerModel, frames: int,
                  if yseq and yseq[:-1] in index]
         if pairs:
             ys, rs, ls = zip(*pairs)
-            merged = np.logaddexp([nxt[y][0] for y in ys], fused[0][rs, ls]).tolist()
-            for yseq, score in zip(ys, merged):
+            cells = fused[0][rs, ls]
+            if np.isnan(cells).any():  # the merge hides these cells from _keep
+                r = rs[int(np.isnan(cells).argmax())]
+                raise _nan_error(config, fused[1][r], i - len(parents[r].yseq))
+            for yseq, score in zip(ys, np.logaddexp([nxt[y][0] for y in ys], cells).tolist()):
                 nxt[yseq][0] = score
             fused[0][rs, ls] = NEG_INF
-        current = _keep(model, config, parents, fused, beam, nxt)
+        current = _keep(model, config, parents, fused, beam, lambda h: i - len(h.yseq), nxt)
         if not current:
             break
     return _nbest_from_pool(_prune(final, beam), config)

@@ -822,7 +822,7 @@ class TestBatchKernels:
     def test_select_states_equals_the_reference_loop(self, tmp_path, kind, case, seed):
         # random kept cells of one batch, each row's delimiter and eos
         # cells among them, state for state as the one-cell reference
-        # gives them; select_state is select_states at one cell
+        # gives them; select_states is the base loop over select_state
         rng = np.random.default_rng(32000 + 7 * seed + len(case))
         scorer, vocab, lexicon = fusion_case(tmp_path, rng, kind, case)
         reference = (reference_multilevel_select_state if kind == "multilevel"

@@ -131,7 +131,7 @@ class TestTableScorer:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_select_states_equals_the_select_state_loop(self, order, rng):
-        from seqdecode import FullScorer
+        # the reference: the last ``order`` ids of the scored state plus the token
         V = 5
         ts = random_table_scorer(rng, order, V, n_contexts=4)
         scored = [(), (3,), (1, 4), (2, 0, 1)]
@@ -139,7 +139,8 @@ class TestTableScorer:
         rows = rng.integers(0, len(scored), size=12)
         tokens = rng.integers(0, V, size=12)
         got = ts.select_states(scored, rows, tokens)
-        assert got == FullScorer.select_states(ts, scored, rows, tokens)
+        emitted = [[*scored[r], t] for r, t in zip(rows.tolist(), tokens.tolist())]
+        assert got == [tuple(ids[max(0, len(ids) - order):]) for ids in emitted]
         assert all(isinstance(s, tuple) and len(s) <= order for s in got)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from seqdecode import (
     ConfigError,
+    DecodeError,
     FullScorer,
     NBestList,
     TableScorer,
@@ -1426,3 +1427,108 @@ class TestScalarLogAddExp:
         ]
         self._check(pairs)
         assert math.isnan(transducer_mod._logaddexp(nan, -inf))
+
+
+class NanLM(FullScorer):
+    """An LM whose rows hold nan at ``label`` for the states in ``states``
+    (every state when None); otherwise the inner LM's rows."""
+
+    def __init__(self, inner, label, states=None):
+        self.inner, self.label, self.states = inner, label, states
+
+    def init_state(self, emission):
+        return self.inner.init_state(emission)
+
+    def score(self, prefix, state, emission):
+        mat, scored = self.batch_score([prefix], [state], emission)
+        return mat[0], scored[0]
+
+    def select_state(self, scored_state, token):
+        return self.inner.select_state(scored_state, token)
+
+    def batch_score(self, prefixes, states, emission):
+        mat, scored = self.inner.batch_score(prefixes, states, emission)
+        mat = mat.copy()
+        hit = [self.states is None or tuple(s) in self.states for s in states]
+        mat[hit, self.label] = np.nan
+        return mat, scored
+
+
+class NanTransducer(TransducerModel):
+    """A transducer whose joint row at (frame, prediction state) holds nan at
+    ``label``; otherwise the inner model's rows."""
+
+    def __init__(self, inner, frame, state, label):
+        self.inner, self.at, self.label = inner, (frame, state), label
+        self.frames = inner.frames
+
+    @property
+    def num_labels(self):
+        return self.inner.num_labels
+
+    def pred_init(self):
+        return self.inner.pred_init()
+
+    def pred_step(self, state, label):
+        return self.inner.pred_step(state, label)
+
+    def joint(self, t, state):
+        row = self.inner.joint(t, state)
+        if (t, tuple(state)) == self.at:
+            row = row.copy()
+            row[self.label] = np.nan
+        return row
+
+
+class TestNanCells:
+    """A nan among a round's label cells ends every transducer search in a
+    DecodeError naming its frame and whether the fusion LM's row or the
+    model's holds it. Unchecked, a nan cell drops out silently: ``np.sort``
+    puts it last and ``flat >= kth`` is False for it, and the Graves beam's
+    row argmax stops at it."""
+
+    ALGS = ["beam", "tsd", "alsd", "nsc"]
+
+    @staticmethod
+    def _decode(model, alg, lm=None, beam=2):
+        cfg = TransducerBeamConfig(algorithm=alg, beam_size=beam, lm=lm,
+                                   lm_weight=0.5 if lm is not None else 0.0)
+        return transducer_decode(model, model.frames, cfg)
+
+    @pytest.mark.parametrize("alg", ALGS)
+    def test_a_fusion_lm_nan_names_the_lm(self, alg):
+        # 3 labels, 4 frames, order 1, beam 2: the nan-free LM keeps (1,)
+        # on top; unchecked, a nan for label 0 left the Graves beam with ()
+        # alone and ranked (0,) first in the others
+        model = random_transducer(np.random.default_rng(0), 3, 4)
+        lm = TableScorer(1, 3, {ctx: np.log([0.5, 0.3, 0.2]) for ctx in [(), (0,), (1,), (2,)]})
+        assert self._decode(model, alg, lm).best().yseq == (1,)
+        with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
+            self._decode(model, alg, NanLM(lm, 0))
+
+    @pytest.mark.parametrize("beam", [2, 4])
+    @pytest.mark.parametrize("alg", ALGS)
+    def test_a_nan_below_the_kth_cell(self, alg, beam):
+        # label 2 is all but impossible, so its cell would rank below the
+        # k-th; only the empty prefix's LM row holds the nan, so at beam 4
+        # the first round's 3 cells, which take the no-sort branch, meet it
+        contexts = [(), (0,), (1,), (2,)]
+        model = table_from_probs({ctx: [[0.5, 0.3, 1e-9, 0.2]] * 3 for ctx in contexts}, frames=3)
+        lm = NanLM(TableScorer(1, 3, {ctx: np.log([0.4, 0.4, 0.2]) for ctx in contexts}), 2,
+                   states={()})
+        with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
+            self._decode(model, alg, lm, beam)
+
+    @pytest.mark.parametrize("alg", ALGS)
+    def test_a_model_nan_names_the_model(self, alg):
+        # no LM: the nan is in the joint row after label 0 at frame 2
+        model = NanTransducer(random_transducer(np.random.default_rng(0), 3, 4), 2, (0,), 1)
+        with pytest.raises(DecodeError, match="^frame 2: transducer model returned nan$"):
+            self._decode(model, alg, beam=3)
+
+    def test_alsd_a_nan_in_a_merged_pair(self):
+        # at step 3, (1, 0) expands by label 0 at frame 1 into the yseq of
+        # (1, 0, 0)'s blank advance: the merge, not _keep, meets the nan cell
+        model = NanTransducer(random_transducer(np.random.default_rng(0), 2, 4), 1, (0,), 0)
+        with pytest.raises(DecodeError, match="^frame 1: transducer model returned nan$"):
+            self._decode(model, "alsd")
