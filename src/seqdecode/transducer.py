@@ -275,12 +275,12 @@ def _fuse(model: TransducerModel, config: TransducerBeamConfig,
             f"fusion LM scores {lm_rows.shape[-1]} tokens but the model has {n_labels} labels"
         )
     lm_rows = lm_rows.reshape(cells.shape)
-    fused = cells + config.lm_weight * lm_rows
-    if config.lm_weight:  # no score is +inf, so a positive weight makes no nan
-        return fused, lm_rows, scored
-    # 0 * -inf is nan: a label the LM rules out is no expansion (fmax
-    # drops the nan for -inf and leaves every other cell as it is)
-    return np.fmax(fused, NEG_INF), lm_rows, scored
+    term = config.lm_weight * lm_rows
+    if not config.lm_weight:
+        # 0 * -inf is nan: a label the LM rules out is no expansion, so its
+        # term is -inf; a nan of the LM or the model stays a nan cell
+        term = np.where(np.isneginf(lm_rows), NEG_INF, term)
+    return cells + term, lm_rows, scored
 
 
 def _keep(model: TransducerModel, config: TransducerBeamConfig,

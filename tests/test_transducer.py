@@ -1490,9 +1490,9 @@ class TestNanCells:
     ALGS = ["beam", "tsd", "alsd", "nsc"]
 
     @staticmethod
-    def _decode(model, alg, lm=None, beam=2):
+    def _decode(model, alg, lm=None, beam=2, weight=0.5):
         cfg = TransducerBeamConfig(algorithm=alg, beam_size=beam, lm=lm,
-                                   lm_weight=0.5 if lm is not None else 0.0)
+                                   lm_weight=weight if lm is not None else 0.0)
         return transducer_decode(model, model.frames, cfg)
 
     @pytest.mark.parametrize("alg", ALGS)
@@ -1505,6 +1505,18 @@ class TestNanCells:
         assert self._decode(model, alg, lm).best().yseq == (1,)
         with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
             self._decode(model, alg, NanLM(lm, 0))
+
+    @pytest.mark.parametrize("alg", ALGS)
+    def test_a_nan_at_lm_weight_zero(self, alg):
+        # weight 0 maps 0 * -inf to -inf but keeps a nan of either row
+        contexts = [(), (0,), (1,), (2,)]
+        lm = TableScorer(1, 3, {ctx: np.log([0.5, 0.3, 0.2]) for ctx in contexts})
+        plain = random_transducer(np.random.default_rng(0), 3, 4)
+        with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
+            self._decode(plain, alg, NanLM(lm, 0), weight=0.0)
+        model = NanTransducer(plain, 2, (0,), 1)
+        with pytest.raises(DecodeError, match="^frame 2: transducer model returned nan$"):
+            self._decode(model, alg, lm, beam=3, weight=0.0)
 
     @pytest.mark.parametrize("beam", [2, 4])
     @pytest.mark.parametrize("alg", ALGS)
