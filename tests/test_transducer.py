@@ -1495,28 +1495,21 @@ class TestNanCells:
                                    lm_weight=weight if lm is not None else 0.0)
         return transducer_decode(model, model.frames, cfg)
 
+    @staticmethod
+    def _lm():
+        return TableScorer(1, 3, {ctx: np.log([0.5, 0.3, 0.2]) for ctx in [(), (0,), (1,), (2,)]})
+
+    @pytest.mark.parametrize("weight", [0.5, 0.0])
     @pytest.mark.parametrize("alg", ALGS)
-    def test_a_fusion_lm_nan_names_the_lm(self, alg):
+    def test_a_fusion_lm_nan_names_the_lm(self, alg, weight):
         # 3 labels, 4 frames, order 1, beam 2: the nan-free LM keeps (1,)
         # on top; unchecked, a nan for label 0 left the Graves beam with ()
-        # alone and ranked (0,) first in the others
+        # alone and ranked (0,) first in the others. Weight 0 maps 0 * -inf
+        # to -inf but keeps a nan.
         model = random_transducer(np.random.default_rng(0), 3, 4)
-        lm = TableScorer(1, 3, {ctx: np.log([0.5, 0.3, 0.2]) for ctx in [(), (0,), (1,), (2,)]})
-        assert self._decode(model, alg, lm).best().yseq == (1,)
+        assert self._decode(model, alg, self._lm()).best().yseq == (1,)
         with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
-            self._decode(model, alg, NanLM(lm, 0))
-
-    @pytest.mark.parametrize("alg", ALGS)
-    def test_a_nan_at_lm_weight_zero(self, alg):
-        # weight 0 maps 0 * -inf to -inf but keeps a nan of either row
-        contexts = [(), (0,), (1,), (2,)]
-        lm = TableScorer(1, 3, {ctx: np.log([0.5, 0.3, 0.2]) for ctx in contexts})
-        plain = random_transducer(np.random.default_rng(0), 3, 4)
-        with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
-            self._decode(plain, alg, NanLM(lm, 0), weight=0.0)
-        model = NanTransducer(plain, 2, (0,), 1)
-        with pytest.raises(DecodeError, match="^frame 2: transducer model returned nan$"):
-            self._decode(model, alg, lm, beam=3, weight=0.0)
+            self._decode(model, alg, NanLM(self._lm(), 0), weight=weight)
 
     @pytest.mark.parametrize("beam", [2, 4])
     @pytest.mark.parametrize("alg", ALGS)
@@ -1531,12 +1524,14 @@ class TestNanCells:
         with pytest.raises(DecodeError, match="^frame 0: fusion LM returned nan$"):
             self._decode(model, alg, lm, beam)
 
+    @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("alg", ALGS)
-    def test_a_model_nan_names_the_model(self, alg):
-        # no LM: the nan is in the joint row after label 0 at frame 2
+    def test_a_model_nan_names_the_model(self, alg, fused):
+        # the nan is in the joint row after label 0 at frame 2; fused is an
+        # LM at weight 0, whose rule for 0 * -inf must not hide the nan
         model = NanTransducer(random_transducer(np.random.default_rng(0), 3, 4), 2, (0,), 1)
         with pytest.raises(DecodeError, match="^frame 2: transducer model returned nan$"):
-            self._decode(model, alg, beam=3)
+            self._decode(model, alg, self._lm() if fused else None, beam=3, weight=0.0)
 
     def test_alsd_a_nan_in_a_merged_pair(self):
         # at step 3, (1, 0) expands by label 0 at frame 1 into the yseq of
